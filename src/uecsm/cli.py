@@ -18,19 +18,22 @@ Subcommands:
   nonzero iff any file shows a conflict between criteria.
 
 The ``UECSM_TOL`` environment variable overrides the default tolerance
-of 1e-8; ``--tol`` overrides both.  Conflicts are never auto-resolved:
-disagreement between the exact trace criteria and the numerical angle
-tests or oracle is the most interesting output this tool can produce.
+of 1e-8; ``--tol`` overrides both.  Every tolerance must be a finite
+positive number: a bad ``--tol*`` value is a usage error (exit 2), a
+bad ``UECSM_TOL`` is ignored with a warning.  Conflicts are never
+auto-resolved: disagreement between the exact trace criteria and the
+numerical angle tests or oracle is the most interesting output this
+tool can produce.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -245,20 +248,22 @@ def analyze(
     """
     report = Report(label=label, dimension=t.shape[0], tol=tol)
     try:
-        report.verdicts["uecsm"] = uecsm_verdict(t, trace_tol or tol)
-        report.verdicts["transpose_equivalence"] = transpose_equivalence(t, transpose_tol or tol)
+        report.verdicts["uecsm"] = uecsm_verdict(t, tol if trace_tol is None else trace_tol)
+        report.verdicts["transpose_equivalence"] = transpose_equivalence(
+            t, tol if transpose_tol is None else transpose_tol
+        )
     except UnsupportedDimension as exc:
         report.error = str(exc)
         return report
 
     suite: Optional[AngleSuite] = None
     try:
-        suite = angle_suite(t, angle_tol or tol)
+        suite = angle_suite(t, tol if angle_tol is None else angle_tol)
     except DegenerateSpectrum as exc:
         report.spectral_status = "degenerate"
         report.notes.append(f"angle tests inapplicable: {exc}")
     except NoConvergence as exc:
-        report.spectral_status = "degenerate"
+        report.spectral_status = "no_convergence"
         report.notes.append(f"eigensolver failed, angle tests skipped: {exc}")
     if suite is not None:
         report.verdicts["wat"] = suite.wat.verdict
@@ -475,9 +480,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    files = sorted(directory.glob("*.json"))
-
-    def run_one(path: Path) -> tuple[str, Report, float]:
+    results: list[tuple[str, Report, float]] = []
+    for path in sorted(directory.glob("*.json")):
         start = time.perf_counter()
         try:
             doc = load_matrix_document(path)
@@ -495,14 +499,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
         except UecsmError as exc:
             report = Report(label=path.stem, dimension=0, tol=args.tol, error=str(exc))
-        return path.name, report, time.perf_counter() - start
-
-    results: list[tuple[str, Report, float]] = []
-    if files:
-        workers = min(8, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, files))
-    results.sort(key=lambda item: item[0])
+        results.append((path.name, report, time.perf_counter() - start))
 
     n_conflict = sum(1 for _, r, _ in results if r.conflicts)
     n_error = sum(1 for _, r, _ in results if r.error is not None)
@@ -542,30 +539,45 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+def _tolerance(text: str) -> float:
+    """Parse a tolerance: a finite positive number (the argparse type of every --tol*)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _default_tol() -> float:
     env = os.environ.get("UECSM_TOL")
     if env is None:
         return DEFAULT_TOL
     try:
-        return float(env)
-    except ValueError:
+        return _tolerance(env)
+    except argparse.ArgumentTypeError:
         print(f"warning: ignoring bad UECSM_TOL={env!r}", file=sys.stderr)
         return DEFAULT_TOL
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None, help="tolerance for all criteria")
+    parser.add_argument("--tol", type=_tolerance, default=None, help="tolerance for all criteria")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--oracle", action="store_true", help="also run the unitary search")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized pieces")
     parser.add_argument("--restarts", type=int, default=20, help="oracle restart budget")
     parser.add_argument(
-        "--tol-oracle", type=float, default=WITNESS_TOL, help="oracle witness tolerance"
+        "--tol-oracle", type=_tolerance, default=WITNESS_TOL, help="oracle witness tolerance"
     )
-    parser.add_argument("--tol-trace", type=float, default=None, help="override for trace criteria")
-    parser.add_argument("--tol-angle", type=float, default=None, help="override for angle criteria")
     parser.add_argument(
-        "--tol-transpose", type=float, default=None, help="override for transpose equivalence"
+        "--tol-trace", type=_tolerance, default=None, help="override for trace criteria"
+    )
+    parser.add_argument(
+        "--tol-angle", type=_tolerance, default=None, help="override for angle criteria"
+    )
+    parser.add_argument(
+        "--tol-transpose", type=_tolerance, default=None, help="override for transpose equivalence"
     )
 
 

@@ -9,6 +9,7 @@ sequences, e.g. ``x^2 y^2 x y`` is ``Word.from_string("x2y2xy")``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,42 @@ def trace(a: CMatrix) -> complex:
 def frobenius_norm(a: CMatrix) -> float:
     _require_square(a)
     return float(np.linalg.norm(a))
+
+
+def normalize(t: CMatrix) -> tuple[CMatrix, complex, float]:
+    """The centered, normalized representative ``(T - mu I) / s`` of ``T``.
+
+    Returns the representative with ``mu = tr T / n`` and
+    ``s = |T - mu I|_F``.  UECSM, unitary equivalence and the eigenvector
+    systems are unchanged by ``T -> aT + bI`` (``a != 0``), so every
+    criterion decides on this trace-free, unit-norm matrix and needs no
+    scale convention of its own.  A scalar matrix comes back as zeros
+    with ``s = 0``.
+
+    The entries are scaled by a power of two near the largest real or
+    imaginary part before anything else is computed, so no finite input
+    overflows or underflows on the way to the representative.  Only
+    ``mu`` and ``s`` themselves can overflow, when they exceed the
+    largest float.
+    """
+    n = _require_square(t)
+    big = max(float(np.abs(t.real).max()), float(np.abs(t.imag).max()))
+    if big == 0.0:
+        return np.zeros((n, n), dtype=complex), 0j, 0.0
+    # multiply by 2**-e in two factors, neither of which can overflow (as
+    # 1 / big does for subnormal input); scaling by a power of two is exact
+    e = math.frexp(big)[1]
+    f1, f2 = 2.0 ** (-e // 2), 2.0 ** (-e - (-e // 2))
+    m = t * f1 * f2
+    d = m.diagonal()
+    # the mean taken relative to d[0] is exactly d[0] when every diagonal
+    # entry equals it, so a scalar matrix centers to exact zeros
+    mu = complex(d[0]) + complex((d - d[0]).sum()) / n
+    centered = m - mu * np.eye(n)
+    r = float(np.linalg.norm(centered))
+    if r == 0.0:
+        return np.zeros((n, n), dtype=complex), mu / f1 / f2, 0.0
+    return centered / r, mu / f1 / f2, r / f1 / f2
 
 
 def _det3(a: CMatrix) -> complex:

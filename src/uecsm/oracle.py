@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuard, DimensionMismatch
-from .matcore import CMatrix, EPS, frobenius_norm
+from .matcore import CMatrix, normalize
 from .tracetests import Verdict
 
 WITNESS_TOL = 1e-6
@@ -47,9 +47,18 @@ def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
     return float(np.real(np.trace(g @ g.conj().T)))
 
 
+def _relative(cost: float, s: float) -> float:
+    # s = |T - mu I|_F; a scalar matrix (s = 0) is symmetric under every unitary
+    return float(np.sqrt(max(cost, 0.0)) / s) if s > 0.0 else 0.0
+
+
 def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
-    """Normalized defect |UTU* - (UTU*)^t|_F / max(eps, |T|_F)."""
-    return float(np.sqrt(symmetry_cost(t, u)) / max(EPS, frobenius_norm(t)))
+    """Normalized defect |UTU* - (UTU*)^t|_F / |T - mu I|_F, mu = tr T / n.
+
+    The defect is unchanged by a shift T + bI, so it is measured
+    against the shift-free norm of :func:`~uecsm.matcore.normalize`.
+    """
+    return _relative(symmetry_cost(t, u), normalize(t)[2])
 
 
 def cost_gradient(t: CMatrix, u: CMatrix) -> CMatrix:
@@ -152,8 +161,8 @@ def find_symmetrizer(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 
-    norm = max(EPS, frobenius_norm(t))
-    target_cost = (witness_tol * norm) ** 2 * 0.25  # stop once safely inside
+    s = normalize(t)[2]
+    target_cost = (witness_tol * s) ** 2 * 0.25  # stop once safely inside
     rng = np.random.default_rng(seed)
 
     best_u: Optional[CMatrix] = None
@@ -163,7 +172,7 @@ def find_symmetrizer(
         u0 = np.eye(n, dtype=complex) if restart == 0 else _random_unitary(rng, n)
         u, f, iters = _descend(t, u0, max_iters, target_cost)
         total_iters += iters
-        residual = float(np.sqrt(max(f, 0.0)) / norm)
+        residual = _relative(f, s)
         if residual < best_residual:
             best_residual = residual
             best_u = u

@@ -7,9 +7,14 @@ pairs each unit eigenvector ``x_i`` of ``T`` with the unit eigenvector
 ``y_i`` of ``T*`` belonging to the conjugate eigenvalue; downstream
 angle tests consume exactly this pairing.
 
-Matrices with eigenvalue gap at or below ``distinct_tol * max(1, |T|_F)``
-are rejected with :class:`DegenerateSpectrum` -- the angle tests are
-undefined for repeated eigenvalues and we refuse rather than guess.
+The pipeline runs on the centered, normalized representative
+``(T - mu I) / s`` of :func:`~uecsm.matcore.normalize`, which has the
+same eigenvectors, so every tolerance is absolute on a unit-norm
+matrix.  Matrices whose representative has eigenvalue gap at or below
+``distinct_tol`` (a gap of ``distinct_tol * |T - mu I|_F`` in the
+caller's units) are rejected with :class:`DegenerateSpectrum` -- the
+angle tests are undefined for repeated eigenvalues and we refuse rather
+than guess.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch, NoConvergence
-from .matcore import CMatrix, adjoint, frobenius_norm
+from .matcore import CMatrix, EPS, adjoint, normalize
 
 _DK_SEED = 0x5EED
 _RESIDUAL_TOL = 1e-7
@@ -81,6 +86,12 @@ def durand_kerner(coeffs: np.ndarray, max_iter: int = 200, restarts: int = 8) ->
             z = z - step
             if np.max(np.abs(step)) <= 1e-14 * max(1.0, float(np.max(np.abs(z)))):
                 return z
+        # A cluster of roots split by rounding (a repeated eigenvalue away
+        # from zero) keeps its steps above the test above; accept the
+        # iterates once each is a root to working precision.
+        noise = 8 * EPS * _poly_eval(np.abs(coeffs), np.abs(z))
+        if np.all(np.abs(_poly_eval(coeffs, z)) <= noise):
+            return z
         z = base * (1.0 + 0.25 * rng.standard_normal(deg)) + 0.1 * radius * (
             rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
         )
@@ -92,7 +103,8 @@ class SpectralData:
     """Eigenvalues of ``T`` with paired unit eigenvectors of ``T`` and ``T*``.
 
     ``x`` and ``y`` hold the vectors as columns; ``gap`` is the smallest
-    pairwise eigenvalue distance.  Biorthogonality <x_i, y_j> = 0 for
+    pairwise eigenvalue distance.  Eigenvalues and ``gap`` are in the
+    caller's units.  Biorthogonality <x_i, y_j> = 0 for
     i != j is validated at construction time.
     """
 
@@ -109,20 +121,19 @@ class SpectralData:
         return self.y[:, i]
 
 
-def _solve_shifted(m: CMatrix, rhs: np.ndarray, scale: float) -> np.ndarray:
+def _solve_shifted(m: CMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve m v = rhs, nudging the shift if m is exactly singular."""
     try:
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
-        bump = (1e-13 * scale + 1e-300) * np.eye(m.shape[0])
-        return np.linalg.solve(m + bump, rhs)
+        return np.linalg.solve(m + 1e-13 * np.eye(m.shape[0]), rhs)
 
 
-def _kernel_direction(shifted: CMatrix, scale: float, start: np.ndarray) -> np.ndarray:
+def _kernel_direction(shifted: CMatrix, start: np.ndarray) -> np.ndarray:
     # inverse iteration: one solve plus two refinement steps
     v = start / np.linalg.norm(start)
     for _ in range(3):
-        w = _solve_shifted(shifted, v, scale)
+        w = _solve_shifted(shifted, v)
         nw = np.linalg.norm(w)
         if nw == 0.0 or not np.isfinite(nw):
             break
@@ -139,18 +150,18 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / abs(pivot))
 
 
-def _eigvec(m: CMatrix, lam: complex, scale: float) -> tuple[np.ndarray, float]:
+def _eigvec(m: CMatrix, lam: complex) -> tuple[np.ndarray, float]:
     n = m.shape[0]
     shifted = m - lam * np.eye(n, dtype=complex)
     starts = [np.ones(n) + 1e-3 * np.arange(n)]
     starts += [np.eye(n)[k] for k in range(n)]
     best, best_res = None, math.inf
     for start in starts:
-        v = _kernel_direction(shifted, scale, start.astype(complex))
+        v = _kernel_direction(shifted, start.astype(complex))
         res = float(np.linalg.norm(m @ v - lam * v))
         if res < best_res:
             best, best_res = v, res
-        if best_res <= _RESIDUAL_TOL * scale / 10:
+        if best_res <= _RESIDUAL_TOL / 10:
             break
     return _fix_phase(best), best_res
 
@@ -168,10 +179,9 @@ def eigensystem(t: CMatrix, distinct_tol: float = 1e-6) -> SpectralData:
         raise DimensionMismatch(f"expected a square matrix, got shape {t.shape}")
     if distinct_tol <= 0:
         raise ValueError("distinct_tol must be positive")
-    norm = frobenius_norm(t)
-    scale = max(1.0, norm)
+    rep, mu, s = normalize(t)
 
-    roots = durand_kerner(characteristic_polynomial(t))
+    roots = durand_kerner(characteristic_polynomial(rep))
     order = np.lexsort((roots.imag, roots.real))
     lam = roots[order]
 
@@ -179,21 +189,21 @@ def eigensystem(t: CMatrix, distinct_tol: float = 1e-6) -> SpectralData:
     for i in range(n):
         for j in range(i + 1, n):
             gap = min(gap, abs(lam[i] - lam[j]))
-    if n > 1 and gap <= distinct_tol * scale:
+    if n > 1 and gap <= distinct_tol:
         raise DegenerateSpectrum(
-            f"eigenvalue gap {gap:.3e} at or below {distinct_tol:.1e} * {scale:.3e}"
+            f"eigenvalue gap {gap:.3e} of the normalized matrix at or below {distinct_tol:.1e}"
         )
 
-    ta = adjoint(t)
+    rep_a = adjoint(rep)
     xs = np.zeros((n, n), dtype=complex)
     ys = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        xi, res_x = _eigvec(t, lam[i], scale)
-        yi, res_y = _eigvec(ta, np.conj(lam[i]), scale)
-        if res_x > _RESIDUAL_TOL * scale or res_y > _RESIDUAL_TOL * scale:
+        xi, res_x = _eigvec(rep, lam[i])
+        yi, res_y = _eigvec(rep_a, np.conj(lam[i]))
+        if res_x > _RESIDUAL_TOL or res_y > _RESIDUAL_TOL:
             raise NoConvergence(
-                f"eigenvector residual {max(res_x, res_y):.3e} exceeds "
-                f"{_RESIDUAL_TOL:.1e} * {scale:.3e} for eigenvalue {lam[i]}"
+                f"eigenvector residual {max(res_x, res_y):.3e} of the normalized matrix "
+                f"exceeds {_RESIDUAL_TOL:.1e} for eigenvalue {mu + s * lam[i]}"
             )
         xs[:, i] = xi
         ys[:, i] = yi
@@ -208,8 +218,8 @@ def eigensystem(t: CMatrix, distinct_tol: float = 1e-6) -> SpectralData:
     ys.flags.writeable = False
     return SpectralData(
         n=n,
-        eigenvalues=tuple(complex(v) for v in lam),
+        eigenvalues=tuple(mu + s * complex(v) for v in lam),
         x=xs,
         y=ys,
-        gap=float(gap) if n > 1 else math.inf,
+        gap=s * float(gap) if n > 1 else math.inf,
     )

@@ -10,20 +10,24 @@ point:
   vanishing characterizes UECSM at n = 4.
 
 Tolerance convention (a numerical convention, not part of the algebra):
-every trace value is compared against ``tol * max(eps, |T|_F ** deg)``
-where ``deg`` is the letter count of the underlying word, which makes
-the default tolerance meaningful across scales and the verdicts
-invariant under T -> cT.
+the verdicts evaluate their traces on the centered, normalized
+representative ``(T - mu I) / s`` of :func:`~uecsm.matcore.normalize`,
+which has unit Frobenius norm, and compare them to ``tol`` directly.
+UECSM and unitary equivalence are unchanged by ``T -> aT + bI``, so the
+verdicts are invariant under it; the raw signatures (:func:`phi3`,
+:func:`djokovic_signature`, :func:`psi7`) are invariants of the
+caller's matrix and are not normalized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
-from .matcore import CMatrix, EPS, Word, adjoint, frobenius_norm, word_trace
+from .matcore import CMatrix, Word, adjoint, normalize, word_trace
 
 DEFAULT_TOL = 1e-8
 
@@ -92,10 +96,6 @@ def _require_dim(t: CMatrix, n: int, who: str) -> None:
         raise DimensionMismatch(f"{who} requires a {n}x{n} matrix, got shape {t.shape}")
 
 
-def _norm_scale(norm: float, degree: int) -> float:
-    return max(EPS, norm**degree)
-
-
 def phi3(t: CMatrix) -> TraceSignature:
     """Seven-word trace signature of a 3x3 matrix (a complete unitary invariant)."""
     _require_dim(t, 3, "phi3")
@@ -107,10 +107,10 @@ def phi3(t: CMatrix) -> TraceSignature:
 def trace_test_3(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """UECSM test for 3x3: tr[T*T (T*T - TT*) TT*] must vanish."""
     _require_dim(t, 3, "trace_test_3")
-    h1 = adjoint(t) @ t
-    h2 = t @ adjoint(t)
-    value = complex(np.trace(h1 @ (h1 - h2) @ h2))
-    residual = abs(value) / _norm_scale(frobenius_norm(t), 6)
+    rep, _, _ = normalize(t)
+    h1 = adjoint(rep) @ rep
+    h2 = rep @ adjoint(rep)
+    residual = abs(complex(np.trace(h1 @ (h1 - h2) @ h2)))
     return Verdict("trace_test_3", residual <= tol, (("commutator_trace", residual),), tol)
 
 
@@ -123,15 +123,25 @@ def djokovic_signature(t: CMatrix) -> TraceSignature:
 
 
 def unitary_equivalence_4(a: CMatrix, b: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
-    """Are two 4x4 matrices unitarily equivalent?  Twenty-word comparison."""
+    """Are two 4x4 matrices unitarily equivalent?  Twenty-word comparison.
+
+    Both matrices are shifted and scaled by the same ``mu`` and ``s``,
+    those of the block-diagonal matrix ``diag(a, b)``: normalizing each on
+    its own would equate ``A`` with ``2A + I``.  The blocks are then
+    multiplied by sqrt(2), so a pair of equivalent matrices is compared
+    at unit norm, like the single-matrix criteria.
+    """
     _require_dim(a, 4, "unitary_equivalence_4")
     _require_dim(b, 4, "unitary_equivalence_4")
-    sig_a = djokovic_signature(a)
-    sig_b = djokovic_signature(b)
-    m = max(frobenius_norm(a), frobenius_norm(b))
-    residuals = []
-    for i, (va, vb, deg) in enumerate(zip(sig_a.values, sig_b.values, sig_a.degrees), start=1):
-        residuals.append((f"w{i:02d}", abs(va - vb) / _norm_scale(m, deg)))
+    z = np.zeros((4, 4))
+    pair, _, _ = normalize(np.block([[a, z], [z, b]]))
+    pair = math.sqrt(2.0) * pair
+    sig_a = djokovic_signature(pair[:4, :4])
+    sig_b = djokovic_signature(pair[4:, 4:])
+    residuals = [
+        (f"w{i:02d}", abs(va - vb))
+        for i, (va, vb) in enumerate(zip(sig_a.values, sig_b.values), start=1)
+    ]
     worst = max(r for _, r in residuals)
     return Verdict("unitary_equivalence_4", worst <= tol, tuple(residuals), tol)
 
@@ -165,12 +175,8 @@ def psi7(t: CMatrix) -> TraceSignature:
 
 
 def _psi_verdict(t: CMatrix, tol: float) -> Verdict:
-    sig = psi7(t)
-    norm = frobenius_norm(t)
-    residuals = tuple(
-        (f"psi{i}", abs(v) / _norm_scale(norm, deg))
-        for i, (v, deg) in enumerate(zip(sig.values, sig.degrees), start=1)
-    )
+    rep, _, _ = normalize(t)
+    residuals = tuple((f"psi{i}", abs(v)) for i, v in enumerate(psi7(rep).values, start=1))
     worst = max(r for _, r in residuals)
     return Verdict("uecsm_psi7", worst <= tol, residuals, tol)
 
@@ -211,14 +217,10 @@ def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     if n <= 2:
         return Verdict("transpose_equivalence", True, (("small_n", 0.0),), tol)
     if n == 3:
-        sig_t = phi3(t)
-        sig_tt = phi3(t.T)
-        norm = frobenius_norm(t)
+        rep, _, _ = normalize(t)
         residuals = tuple(
-            (f"phi{i}", abs(a - b) / _norm_scale(norm, deg))
-            for i, (a, b, deg) in enumerate(
-                zip(sig_t.values, sig_tt.values, sig_t.degrees), start=1
-            )
+            (f"phi{i}", abs(a - b))
+            for i, (a, b) in enumerate(zip(phi3(rep).values, phi3(rep.T).values), start=1)
         )
         worst = max(r for _, r in residuals)
         return Verdict("transpose_equivalence", worst <= tol, residuals, tol)

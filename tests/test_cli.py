@@ -22,7 +22,8 @@ from uecsm.cli import (
     write_gallery_fixtures,
     write_matrix_document,
 )
-from uecsm.errors import ParseError
+import uecsm.cli
+from uecsm.errors import NoConvergence, ParseError
 from uecsm.gallery import GALLERY, WAT_COUNTEREXAMPLE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -295,6 +296,33 @@ class TestTolerancePlumbing:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tol"] == 1e-8
 
+    @pytest.mark.parametrize(
+        "flag", ["--tol", "--tol-trace", "--tol-angle", "--tol-transpose", "--tol-oracle"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, fixture_dir, capsys, flag, value):
+        path = str(fixture_dir / "wat_counterexample.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["test", path, "--json", f"{flag}={value}"])
+        assert exc.value.code == EXIT_INCONCLUSIVE
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_env_tolerance_ignored(self, fixture_dir, capsys, monkeypatch, value):
+        monkeypatch.setenv("UECSM_TOL", value)
+        main(["test", str(fixture_dir / "wat_counterexample.json"), "--json"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["tol"] == 1e-8
+        assert "UECSM_TOL" in captured.err
+
+    def test_small_override_is_kept(self):
+        # an override is used as given, never replaced by the common tol
+        report = analyze(WAT_COUNTEREXAMPLE, "x", tol=1e-8, trace_tol=1e-300)
+        assert report.verdicts["uecsm"].tol == 1e-300
+        assert analyze(WAT_COUNTEREXAMPLE, "x", trace_tol=0.0).verdicts["uecsm"].tol == 0.0
+
     def test_per_criterion_override(self, fixture_dir, capsys):
         # a huge angle tolerance flips the sat verdict without touching the
         # trace criteria; the report then shows a conflict
@@ -312,6 +340,20 @@ class TestTolerancePlumbing:
         assert payload["verdicts"]["uecsm"]["passed"] is False
         assert ["uecsm", "sat"] in payload["conflicts"]
         assert code == EXIT_INCONCLUSIVE
+
+
+def test_solver_failure_is_not_called_degenerate(monkeypatch, fixture_dir, capsys):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("eigenvector residual too large")
+
+    monkeypatch.setattr(uecsm.cli, "angle_suite", no_convergence)
+    report = analyze(WAT_COUNTEREXAMPLE, "x")
+    assert report.spectral_status == "no_convergence"
+    assert report.uecsm is False
+    main(["test", str(fixture_dir / "wat_counterexample.json"), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["spectral_status"] == "no_convergence"
 
 
 def test_analyze_conflict_detection():

@@ -15,6 +15,7 @@ from uecsm import (
     frobenius_norm,
     identity,
     mul,
+    normalize,
     reverse_word,
     trace,
     transpose,
@@ -96,6 +97,37 @@ class TestArithmetic:
             b = random_complex_matrix(gen, 4, scale=3.0)
             bound = 1e-12 * frobenius_norm(a) * frobenius_norm(b)
             assert abs(trace(mul(a, b)) - trace(mul(b, a))) <= bound
+
+
+class TestNormalize:
+    def test_trace_free_unit_norm(self):
+        rep, mu, s = normalize(WAT_COUNTEREXAMPLE)
+        assert abs(np.trace(rep)) < 1e-15
+        assert np.linalg.norm(rep) == pytest.approx(1.0, abs=1e-15)
+        assert mu == pytest.approx(np.trace(WAT_COUNTEREXAMPLE) / 4, abs=1e-15)
+        assert np.allclose(mu * np.eye(4) + s * rep, WAT_COUNTEREXAMPLE, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_scalar_matrix_gives_zeros(self, n):
+        # a mean over 3 equal entries rounds away from them in about 1 case in 6
+        for d in (0.1 + 0.7j, 1 / 3, -2.5e-300j, 1.7e308):
+            rep, mu, s = normalize(d * np.eye(n, dtype=complex))
+            assert not np.any(rep)
+            assert mu == d
+            assert s == 0.0
+
+    def test_zero_matrix(self):
+        rep, mu, s = normalize(np.zeros((3, 3), dtype=complex))
+        assert not np.any(rep) and mu == 0 and s == 0.0
+
+    @pytest.mark.parametrize("c", [1e-320, 1e-300, 1e-7j, 3.0, 1e300, -1e306])
+    def test_affine_image_has_the_same_representative(self, c):
+        # (cT + bI) normalizes to the phase of c times the representative of T
+        rep, _, s = normalize(WAT_COUNTEREXAMPLE)
+        image = c * (WAT_COUNTEREXAMPLE + 2.5j * np.eye(4))
+        rep_c, _, s_c = normalize(image)
+        assert np.allclose(rep_c, c / abs(c) * rep, atol=1e-12)
+        assert s_c == pytest.approx(abs(c) * s, rel=1e-12)
 
 
 class TestDeterminant:

@@ -117,6 +117,25 @@ class TestFindSymmetrizer:
             assert result.found, (i, result.residual)
             assert result.restarts_used <= 20
 
+    def test_shift_does_not_fake_a_witness(self):
+        # |T + 1e6 I|_F is about 2e6, so a residual measured against it
+        # passes 1e-6 on the counterexample; the shift-free norm does not
+        shifted = WAT_COUNTEREXAMPLE + 1e6 * np.eye(4)
+        result = find_symmetrizer(shifted, restarts=2)
+        assert result.status == "inconclusive"
+        assert result.residual > 1e-3
+
+    def test_residual_ignores_shift(self):
+        u = random_unitary(rng(99), 4)
+        base = symmetry_residual(WAT_COUNTEREXAMPLE, u)
+        shifted = symmetry_residual(WAT_COUNTEREXAMPLE + 1e3j * np.eye(4), u)
+        assert shifted == pytest.approx(base, rel=1e-9)
+
+    def test_scalar_matrix_is_a_witness(self):
+        result = find_symmetrizer((2 - 1j) * np.eye(3, dtype=complex))
+        assert result.found
+        assert result.residual == 0.0
+
     def test_cost_guard(self):
         with pytest.raises(CostGuard):
             find_symmetrizer(np.eye(7, dtype=complex))

@@ -147,6 +147,16 @@ class TestEigensystem:
             lam = np.conj(s.eigenvalues[i])
             assert np.linalg.norm(ta @ s.y[:, i] - lam * s.y[:, i]) < 1e-8
 
+    def test_affine_image_reported_in_callers_units(self):
+        # T -> cT + bI maps eigenvalues and gap, not the eigenvectors or
+        # whether the spectrum counts as distinct
+        base = eigensystem(WAT_COUNTEREXAMPLE)
+        for c, b in ((1e-12, 0.0), (1e30, 0.0), (2j, 1e6), (1e-200, -3e-195j)):
+            s = eigensystem(c * WAT_COUNTEREXAMPLE + b * np.eye(4))
+            expected = np.array(base.eigenvalues) * c + b
+            assert_same_multiset(s.eigenvalues, expected, atol=1e-9 * abs(c) * 12 + 1e-16 * abs(b))
+            assert s.gap == pytest.approx(abs(c) * base.gap, rel=1e-6)
+
     def test_distinct_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             eigensystem(np.eye(2, dtype=complex), distinct_tol=0.0)
