@@ -8,12 +8,15 @@ for distinct spectra; the linear variant drops the conjugation and
 instead detects conjugation-by-D similarity through an indefinite
 special unitary group.  Triple products are invariant under re-phasing
 of individual eigenvectors, so none of this depends on the phase
-convention used upstream.
+convention used upstream.  WAT, SAT and LSAT read every inner product
+from the Gram matrices ``X*X`` and ``Y*Y``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -51,45 +54,55 @@ class AngleReport:
     triple_deviations: tuple[tuple[tuple[int, int, int], float], ...] = ()
 
 
+def _grams(s: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    # Gx[j, i] = <x_i, x_j> and Gy[j, i] = <y_i, y_j>
+    return s.x.conj().T @ s.x, s.y.conj().T @ s.y
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple:
+    """Index arrays of the pairs i < j in lexicographic order, their 1-based keys and names."""
+    i, j = _read_only(*np.triu_indices(n, 1))
+    keys = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+    return i, j, keys, tuple(f"pair_{a}_{b}" for a, b in keys)
+
+
+@lru_cache(maxsize=None)
+def _triple_index(n: int) -> tuple:
+    """Index arrays of the triples i <= j <= k in lexicographic order, their 1-based keys and names."""
+    triples = list(combinations_with_replacement(range(n), 3))
+    i, j, k = _read_only(*(np.array(col, dtype=np.intp) for col in zip(*triples)))
+    keys = tuple((a + 1, b + 1, c + 1) for a, b, c in triples)
+    return i, j, k, keys, tuple(f"triple_{a}_{b}_{c}" for a, b, c in keys)
+
+
 def wat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:
     """Weak Angle Test: |<x_i,x_j>| = |<y_i,y_j>| for all pairs i < j."""
-    devs = []
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            dx = abs(_inner(s.x[:, i], s.x[:, j]))
-            dy = abs(_inner(s.y[:, i], s.y[:, j]))
-            devs.append(((i + 1, j + 1), abs(dx - dy)))
-    worst = max((d for _, d in devs), default=0.0)
-    verdict = Verdict(
-        "wat", worst <= tol, tuple((f"pair_{i}_{j}", d) for (i, j), d in devs), tol
-    )
-    return AngleReport(verdict, pair_deviations=tuple(devs))
+    gx, gy = _grams(s)
+    i, j, keys, names = _pair_index(s.n)
+    devs = np.abs(np.abs(gx[j, i]) - np.abs(gy[j, i])).tolist()
+    verdict = Verdict("wat", max(devs, default=0.0) <= tol, tuple(zip(names, devs)), tol)
+    return AngleReport(verdict, pair_deviations=tuple(zip(keys, devs)))
 
 
 def _triple_report(s: SpectralData, tol: float, conjugate: bool, name: str) -> AngleReport:
-    devs = []
-    for i in range(s.n):
-        for j in range(i, s.n):
-            for k in range(j, s.n):
-                lhs = (
-                    _inner(s.x[:, i], s.x[:, j])
-                    * _inner(s.x[:, j], s.x[:, k])
-                    * _inner(s.x[:, k], s.x[:, i])
-                )
-                rhs = (
-                    _inner(s.y[:, i], s.y[:, j])
-                    * _inner(s.y[:, j], s.y[:, k])
-                    * _inner(s.y[:, k], s.y[:, i])
-                )
-                if conjugate:
-                    rhs = rhs.conjugate()
-                dev = abs(lhs - rhs) / max(_TRIPLE_FLOOR, abs(lhs), abs(rhs))
-                devs.append(((i + 1, j + 1, k + 1), dev))
-    worst = max(d for _, d in devs)
-    verdict = Verdict(
-        name, worst <= tol, tuple((f"triple_{i}_{j}_{k}", d) for (i, j, k), d in devs), tol
-    )
-    return AngleReport(verdict, triple_deviations=tuple(devs))
+    # lhs_ijk = <x_i,x_j> <x_j,x_k> <x_k,x_i>, rhs likewise from the y system
+    gx, gy = _grams(s)
+    i, j, k, keys, names = _triple_index(s.n)
+    lhs = gx[j, i] * gx[k, j] * gx[i, k]
+    rhs = gy[j, i] * gy[k, j] * gy[i, k]
+    if conjugate:
+        rhs = rhs.conj()
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TRIPLE_FLOOR)
+    devs = (np.abs(lhs - rhs) / scale).tolist()
+    verdict = Verdict(name, max(devs) <= tol, tuple(zip(names, devs)), tol)
+    return AngleReport(verdict, triple_deviations=tuple(zip(keys, devs)))
 
 
 def sat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:

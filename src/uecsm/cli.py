@@ -14,8 +14,9 @@ Subcommands:
   test;
 * ``uecsm construct --sig K,M --diag ... --seed N`` builds an example
   matrix from the indefinite-unitary machinery;
-* ``uecsm batch DIR`` processes a directory of documents and exits
-  nonzero iff any file shows a conflict between criteria.
+* ``uecsm batch DIR`` processes a directory of documents and exits 1
+  when any file shows a conflict between criteria, else 2 when any file
+  could not be read or analyzed, else 0.
 
 The ``UECSM_TOL`` environment variable overrides the default tolerance
 of 1e-8; ``--tol`` overrides both.  Every tolerance must be a finite
@@ -532,7 +533,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"-- {len(results)} files: {n_pass} uecsm, {n_fail} not, "
             f"{n_conflict} conflicts, {n_error} errors"
         )
-    return EXIT_NOT_UECSM if n_conflict else EXIT_UECSM
+    if n_conflict:
+        return EXIT_NOT_UECSM
+    return EXIT_INCONCLUSIVE if n_error else EXIT_UECSM
 
 
 # --------------------------------------------------------------------------
@@ -547,6 +550,17 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """Parse a count that must be at least 1 (the argparse type of --restarts)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
@@ -566,7 +580,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--oracle", action="store_true", help="also run the unitary search")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized pieces")
-    parser.add_argument("--restarts", type=int, default=20, help="oracle restart budget")
+    parser.add_argument(
+        "--restarts", type=_positive_int, default=20, help="oracle restart budget"
+    )
     parser.add_argument(
         "--tol-oracle", type=_tolerance, default=WITNESS_TOL, help="oracle witness tolerance"
     )

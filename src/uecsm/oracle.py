@@ -23,6 +23,10 @@ from .tracetests import Verdict
 WITNESS_TOL = 1e-6
 _MAX_DIM = 6
 _LINE_SEARCH_HALVINGS = 40
+# Cap on the Barzilai-Borwein step for a unit-norm cost.  Step lengths
+# scale as 1 / |T|^2, and in the long narrow valleys of badly conditioned
+# inputs the BB step of the normalized cost runs far above 1e3.
+_MAX_STEP = 1e9
 
 
 @dataclass(frozen=True)
@@ -47,18 +51,19 @@ def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
     return float(np.real(np.trace(g @ g.conj().T)))
 
 
-def _relative(cost: float, s: float) -> float:
-    # s = |T - mu I|_F; a scalar matrix (s = 0) is symmetric under every unitary
-    return float(np.sqrt(max(cost, 0.0)) / s) if s > 0.0 else 0.0
+def _residual(cost: float) -> float:
+    return float(np.sqrt(max(cost, 0.0)))
 
 
 def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
     """Normalized defect |UTU* - (UTU*)^t|_F / |T - mu I|_F, mu = tr T / n.
 
-    The defect is unchanged by a shift T + bI, so it is measured
-    against the shift-free norm of :func:`~uecsm.matcore.normalize`.
+    The defect is unchanged by a shift T + bI, so it is the defect of
+    the representative ``(T - mu I) / |T - mu I|_F`` of
+    :func:`~uecsm.matcore.normalize`, which cannot overflow or
+    underflow; a scalar matrix (all-zero representative) gives 0.
     """
-    return _relative(symmetry_cost(t, u), normalize(t)[2])
+    return _residual(symmetry_cost(normalize(t)[0], u))
 
 
 def cost_gradient(t: CMatrix, u: CMatrix) -> CMatrix:
@@ -114,7 +119,7 @@ def _descend(t: CMatrix, u0: CMatrix, max_iters: int, target_cost: float) -> tup
             if abs(denom) > 1e-300:
                 bb = abs(_real_inner(prev_step, prev_step) / denom)
                 if np.isfinite(bb) and bb > 0.0:
-                    tau = min(max(bb, 1e-12), 1e3)
+                    tau = min(max(bb, 1e-12), _MAX_STEP)
         improved = False
         trial_tau = tau
         for _ in range(_LINE_SEARCH_HALVINGS):
@@ -135,12 +140,15 @@ def _descend(t: CMatrix, u0: CMatrix, max_iters: int, target_cost: float) -> tup
 def find_symmetrizer(
     t: CMatrix,
     restarts: int = 20,
-    max_iters: int = 6000,
+    max_iters: int = 20000,
     witness_tol: float = WITNESS_TOL,
     seed: int = 0,
 ) -> OracleResult:
     """Search for a unitary U making U T U* complex symmetric.
 
+    The search runs on the centered, normalized representative of
+    :func:`~uecsm.matcore.normalize`, so it behaves the same at every
+    scale and shift of ``t``; a scalar matrix is a witness at once.
     Restart 0 starts from the identity (free win for inputs that are
     already symmetric); the remaining starts are Haar-ish random
     unitaries.  Returns a witness as soon as some restart reaches the
@@ -161,8 +169,14 @@ def find_symmetrizer(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 
-    s = normalize(t)[2]
-    target_cost = (witness_tol * s) ** 2 * 0.25  # stop once safely inside
+    # search on the representative: U symmetrizes T = s rep + mu I exactly
+    # when it symmetrizes rep, and the unit norm keeps the cost in range
+    rep, _, s = normalize(t)
+    if s == 0.0:
+        u = np.eye(n, dtype=complex)
+        u.flags.writeable = False
+        return OracleResult("witness", u, 0.0, 0, 1)
+    target_cost = 0.25 * witness_tol**2  # stop once safely inside
     rng = np.random.default_rng(seed)
 
     best_u: Optional[CMatrix] = None
@@ -170,9 +184,9 @@ def find_symmetrizer(
     total_iters = 0
     for restart in range(restarts):
         u0 = np.eye(n, dtype=complex) if restart == 0 else _random_unitary(rng, n)
-        u, f, iters = _descend(t, u0, max_iters, target_cost)
+        u, f, iters = _descend(rep, u0, max_iters, target_cost)
         total_iters += iters
-        residual = _relative(f, s)
+        residual = _residual(f)  # rep has unit norm
         if residual < best_residual:
             best_residual = residual
             best_u = u

@@ -1,20 +1,31 @@
 """Eigendecomposition for small matrices with distinct eigenvalues.
 
-The pipeline is deliberately self-contained: characteristic polynomial
-by the Faddeev-LeVerrier recursion, roots by Durand-Kerner iteration,
-eigenvectors by inverse iteration on the shifted matrix.  The output
-pairs each unit eigenvector ``x_i`` of ``T`` with the unit eigenvector
-``y_i`` of ``T*`` belonging to the conjugate eigenvalue; downstream
-angle tests consume exactly this pairing.
+:func:`eigensystem` runs LAPACK's ``geev`` (:func:`numpy.linalg.eig`)
+on the centered, normalized representative ``(T - mu I) / s`` of
+:func:`~uecsm.matcore.normalize`, which has the same eigenvectors as
+``T``, so every tolerance is absolute on a unit-norm matrix.  It pairs
+each unit eigenvector ``x_i`` of ``T`` with the unit eigenvector ``y_i``
+of ``T*`` belonging to the conjugate eigenvalue: the ``y_i`` are the
+normalized columns of ``inv(X)*``, so biorthogonality holds by
+construction.  Downstream angle tests consume exactly this pairing.
 
-The pipeline runs on the centered, normalized representative
-``(T - mu I) / s`` of :func:`~uecsm.matcore.normalize`, which has the
-same eigenvectors, so every tolerance is absolute on a unit-norm
-matrix.  Matrices whose representative has eigenvalue gap at or below
+The result is validated before it is returned: eigenvector residuals
+of both systems and the biorthogonality defect must be small, else
+:class:`NoConvergence`.  The angle tests are undefined for repeated
+eigenvalues, and we refuse rather than guess: :class:`DegenerateSpectrum`
+is raised when the representative has an eigenvalue gap at or below
 ``distinct_tol`` (a gap of ``distinct_tol * |T - mu I|_F`` in the
-caller's units) are rejected with :class:`DegenerateSpectrum` -- the
-angle tests are undefined for repeated eigenvalues and we refuse rather
-than guess.
+caller's units), or when the first-order uncertainty
+``c n eps kappa_i`` of some eigenvalue reaches its distance to another
+one, where ``kappa_i = 1 / |<x_i, y_i>|`` is Wilkinson's condition
+number.  The second test is what catches a repeated eigenvalue that
+rounding has split: ``eig`` resolves a k-fold eigenvalue only to about
+``eps**(1/k)``, some 1e-4 for a 4x4 Jordan block, far above
+``distinct_tol``, but with a condition number near ``eps**(1/k - 1)``.
+
+:func:`characteristic_polynomial` (Faddeev-LeVerrier) and
+:func:`durand_kerner` are standalone utilities; :func:`eigensystem`
+does not use them.
 """
 
 from __future__ import annotations
@@ -30,6 +41,8 @@ from .matcore import CMatrix, EPS, adjoint, normalize
 _DK_SEED = 0x5EED
 _RESIDUAL_TOL = 1e-7
 _BIORTHO_TOL = 1e-7
+# c in the refusal test c n eps kappa_i >= distance to the nearest eigenvalue
+_CLUSTER_FACTOR = 100.0
 
 
 def characteristic_polynomial(t: CMatrix) -> np.ndarray:
@@ -121,58 +134,19 @@ class SpectralData:
         return self.y[:, i]
 
 
-def _solve_shifted(m: CMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve m v = rhs, nudging the shift if m is exactly singular."""
-    try:
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.solve(m + 1e-13 * np.eye(m.shape[0]), rhs)
-
-
-def _kernel_direction(shifted: CMatrix, start: np.ndarray) -> np.ndarray:
-    # inverse iteration: one solve plus two refinement steps
-    v = start / np.linalg.norm(start)
-    for _ in range(3):
-        w = _solve_shifted(shifted, v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0 or not np.isfinite(nw):
-            break
-        v = w / nw
-    return v
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible component positive real."""
-    idx = int(np.argmax(np.abs(v) > 1e-8))
-    pivot = v[idx]
-    if abs(pivot) == 0.0:
-        return v
-    return v * (np.conj(pivot) / abs(pivot))
-
-
-def _eigvec(m: CMatrix, lam: complex) -> tuple[np.ndarray, float]:
-    n = m.shape[0]
-    shifted = m - lam * np.eye(n, dtype=complex)
-    starts = [np.ones(n) + 1e-3 * np.arange(n)]
-    starts += [np.eye(n)[k] for k in range(n)]
-    best, best_res = None, math.inf
-    for start in starts:
-        v = _kernel_direction(shifted, start.astype(complex))
-        res = float(np.linalg.norm(m @ v - lam * v))
-        if res < best_res:
-            best, best_res = v, res
-        if best_res <= _RESIDUAL_TOL / 10:
-            break
-    return _fix_phase(best), best_res
+def _fix_phases(v: np.ndarray) -> np.ndarray:
+    """Make the first non-negligible component of each unit column positive real."""
+    pivot = v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(v.shape[1])]
+    return v * (np.conj(pivot) / np.abs(pivot))
 
 
 def eigensystem(t: CMatrix, distinct_tol: float = 1e-6) -> SpectralData:
     """Full spectral data for ``t``, or a refusal if eigenvalues collide.
 
     Eigenvalues are sorted lexicographically by (real, imag).  Each
-    ``y_i`` is computed directly as the kernel direction of
-    ``T* - conj(lambda_i) I`` and cross-checked for biorthogonality
-    against the ``x`` system.
+    ``y_i`` is the normalized ``i``-th column of ``inv(X)*``; residuals
+    of both systems and biorthogonality are checked against
+    ``_RESIDUAL_TOL`` and ``_BIORTHO_TOL``.
     """
     n = t.shape[0]
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -181,45 +155,64 @@ def eigensystem(t: CMatrix, distinct_tol: float = 1e-6) -> SpectralData:
         raise ValueError("distinct_tol must be positive")
     rep, mu, s = normalize(t)
 
-    roots = durand_kerner(characteristic_polynomial(rep))
-    order = np.lexsort((roots.imag, roots.real))
-    lam = roots[order]
+    try:
+        w, x = np.linalg.eig(rep)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
+    order = np.lexsort((w.imag, w.real))
+    lam, x = w[order], x[:, order]
 
-    gap = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = min(gap, abs(lam[i] - lam[j]))
-    if n > 1 and gap <= distinct_tol:
+    dist = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(dist, math.inf)
+    nearest = dist.min(axis=1)
+    gap = float(nearest.min())
+    if gap <= distinct_tol:
         raise DegenerateSpectrum(
             f"eigenvalue gap {gap:.3e} of the normalized matrix at or below {distinct_tol:.1e}"
         )
 
-    rep_a = adjoint(rep)
-    xs = np.zeros((n, n), dtype=complex)
-    ys = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        xi, res_x = _eigvec(rep, lam[i])
-        yi, res_y = _eigvec(rep_a, np.conj(lam[i]))
-        if res_x > _RESIDUAL_TOL or res_y > _RESIDUAL_TOL:
-            raise NoConvergence(
-                f"eigenvector residual {max(res_x, res_y):.3e} of the normalized matrix "
-                f"exceeds {_RESIDUAL_TOL:.1e} for eigenvalue {mu + s * lam[i]}"
-            )
-        xs[:, i] = xi
-        ys[:, i] = yi
+    try:
+        y = adjoint(np.linalg.inv(x))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSpectrum("eigenvector matrix is singular") from exc
+    # x_i is a unit vector and <x_i, y_i> = 1 before y_i is normalized,
+    # so kappa_i = 1 / |<x_i, y_i / |y_i|>| = |y_i|
+    kappa = np.linalg.norm(y, axis=0)
+    y = y / kappa
+    uncertainty = _CLUSTER_FACTOR * n * EPS * kappa
+    if not np.all(uncertainty < nearest):
+        i = int(np.argmax(np.nan_to_num(uncertainty / nearest, nan=math.inf)))
+        raise DegenerateSpectrum(
+            f"eigenvalue {mu + s * lam[i]} has condition number {kappa[i]:.3e}: its "
+            f"uncertainty {uncertainty[i]:.3e} reaches the distance {nearest[i]:.3e} to "
+            "another eigenvalue of the normalized matrix"
+        )
 
-    cross = ys.conj().T @ xs
-    off = cross - np.diag(np.diag(cross))
-    worst = float(np.max(np.abs(off))) if n > 1 else 0.0
-    if worst > _BIORTHO_TOL:
+    x = _fix_phases(x)
+    y = _fix_phases(y)
+    res = np.maximum(
+        np.linalg.norm(rep @ x - x * lam, axis=0),
+        np.linalg.norm(adjoint(rep) @ y - y * lam.conj(), axis=0),
+    )
+    if not np.all(res <= _RESIDUAL_TOL):
+        i = int(np.argmax(np.nan_to_num(res, nan=math.inf)))
+        raise NoConvergence(
+            f"eigenvector residual {res[i]:.3e} of the normalized matrix "
+            f"exceeds {_RESIDUAL_TOL:.1e} for eigenvalue {mu + s * lam[i]}"
+        )
+
+    cross = adjoint(y) @ x
+    np.fill_diagonal(cross, 0.0)
+    worst = float(np.abs(cross).max())
+    if not worst <= _BIORTHO_TOL:
         raise NoConvergence(f"biorthogonality defect {worst:.3e} exceeds {_BIORTHO_TOL:.1e}")
 
-    xs.flags.writeable = False
-    ys.flags.writeable = False
+    x.flags.writeable = False
+    y.flags.writeable = False
     return SpectralData(
         n=n,
         eigenvalues=tuple(mu + s * complex(v) for v in lam),
-        x=xs,
-        y=ys,
-        gap=s * float(gap) if n > 1 else math.inf,
+        x=x,
+        y=y,
+        gap=s * gap if n > 1 else math.inf,
     )

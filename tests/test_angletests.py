@@ -15,9 +15,17 @@ from uecsm import (
     uecsm_verdict,
     wat,
 )
+from uecsm.angletests import _TRIPLE_FLOOR
 from uecsm.gallery import NILPOTENT_QUARTET, SU22_LSAT_EXAMPLE, WAT_COUNTEREXAMPLE
+from uecsm.spectra import SpectralData
 
-from _util import random_integer_matrix, random_symmetric_matrix, random_unitary, rng
+from _util import (
+    random_complex_matrix,
+    random_integer_matrix,
+    random_symmetric_matrix,
+    random_unitary,
+    rng,
+)
 
 
 def normal_matrix():
@@ -192,8 +200,6 @@ class TestAngleSuite:
         gen = rng(58)
         phases_x = np.exp(2j * np.pi * gen.random(4))
         phases_y = np.exp(2j * np.pi * gen.random(4))
-        from uecsm.spectra import SpectralData
-
         rephased = SpectralData(
             n=s.n,
             eigenvalues=s.eigenvalues,
@@ -234,3 +240,80 @@ def test_sat_equals_psi_for_4x4_sample():
             continue
         checked += 1
         assert sd.passed == pd.passed
+
+
+# Reference implementation: the triple loops over explicit inner products
+# that the Gram-matrix versions replace.
+
+
+def _inner(u, v):
+    return complex(np.vdot(v, u))
+
+
+def reference_pairs(s):
+    return [
+        ((i + 1, j + 1), abs(abs(_inner(s.x[:, i], s.x[:, j])) - abs(_inner(s.y[:, i], s.y[:, j]))))
+        for i in range(s.n)
+        for j in range(i + 1, s.n)
+    ]
+
+
+def reference_triples(s, conjugate):
+    devs = []
+    for i in range(s.n):
+        for j in range(i, s.n):
+            for k in range(j, s.n):
+                lhs = _inner(s.x[:, i], s.x[:, j]) * _inner(s.x[:, j], s.x[:, k]) * _inner(
+                    s.x[:, k], s.x[:, i]
+                )
+                rhs = _inner(s.y[:, i], s.y[:, j]) * _inner(s.y[:, j], s.y[:, k]) * _inner(
+                    s.y[:, k], s.y[:, i]
+                )
+                if conjugate:
+                    rhs = rhs.conjugate()
+                dev = abs(lhs - rhs) / max(_TRIPLE_FLOOR, abs(lhs), abs(rhs))
+                devs.append(((i + 1, j + 1, k + 1), dev))
+    return devs
+
+
+def _unit_columns(m):
+    return m / np.linalg.norm(m, axis=0)
+
+
+def _spectral_samples():
+    gen = rng(62)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            x = _unit_columns(random_complex_matrix(gen, n))
+            y = _unit_columns(random_complex_matrix(gen, n))
+            yield SpectralData(n=n, eigenvalues=tuple(range(n)), x=x, y=y, gap=1.0)
+    # exactly orthogonal pairs put triples on the floor of the comparison
+    yield eigensystem(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    for t in (WAT_COUNTEREXAMPLE, SU22_LSAT_EXAMPLE):
+        s = eigensystem(t)
+        yield s
+        yield SpectralData(
+            n=s.n,
+            eigenvalues=s.eigenvalues,
+            x=s.x * np.exp(2j * np.pi * gen.random(s.n)),
+            y=s.y * np.exp(2j * np.pi * gen.random(s.n)),
+            gap=s.gap,
+        )
+
+
+def test_gram_deviations_match_reference_loops():
+    # the Gram matrices sum the inner products in another order, so allow
+    # a few n * eps on each factor, divided by the triple floor
+    atol = 1e-10
+    for s in _spectral_samples():
+        pairs = wat(s).pair_deviations
+        expected = reference_pairs(s)
+        assert [key for key, _ in pairs] == [key for key, _ in expected]
+        assert np.allclose([d for _, d in pairs], [d for _, d in expected], rtol=0, atol=atol)
+        for test, conjugate in ((sat, True), (lsat, False)):
+            triples = test(s).triple_deviations
+            expected = reference_triples(s, conjugate)
+            assert [key for key, _ in triples] == [key for key, _ in expected]
+            assert np.allclose(
+                [d for _, d in triples], [d for _, d in expected], rtol=0, atol=atol
+            )

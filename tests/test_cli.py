@@ -26,6 +26,8 @@ import uecsm.cli
 from uecsm.errors import NoConvergence, ParseError
 from uecsm.gallery import GALLERY, WAT_COUNTEREXAMPLE
 
+from _util import random_unitary, rng
+
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text()
@@ -271,7 +273,17 @@ class TestBatch:
         code = main(["batch", str(fixture_dir), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] == 1
-        assert code == EXIT_UECSM  # errors alone do not flip the exit code
+        assert payload["summary"]["conflicts"] == 0
+        assert code == EXIT_INCONCLUSIVE  # a file that was not analyzed leaves the sweep open
+
+    def test_conflict_code_outranks_errors(self, fixture_dir, capsys):
+        # --tol-angle 10 makes sat pass on the counterexample: a conflict
+        (fixture_dir / "zz_broken.json").write_text("{nope")
+        code = main(["batch", str(fixture_dir), "--json", "--tol-angle", "10.0"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["errors"] == 1
+        assert payload["summary"]["conflicts"] >= 1
+        assert code == EXIT_NOT_UECSM
 
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "nope")]) == EXIT_INCONCLUSIVE
@@ -317,6 +329,20 @@ class TestTolerancePlumbing:
         assert payload["tol"] == 1e-8
         assert "UECSM_TOL" in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
+    def test_bad_restarts_is_a_usage_error(self, fixture_dir, capsys, value):
+        path = str(fixture_dir / "wat_counterexample.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["test", path, "--oracle", f"--restarts={value}"])
+        assert exc.value.code == EXIT_INCONCLUSIVE
+        assert "--restarts" in capsys.readouterr().err
+
+    def test_one_restart_is_accepted(self, fixture_dir, capsys):
+        path = str(fixture_dir / "scalar_plus_shift_22.json")
+        assert main(["test", path, "--json", "--oracle", "--restarts", "1"]) == EXIT_UECSM
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["oracle"]["restarts_used"] == 1
+
     def test_small_override_is_kept(self):
         # an override is used as given, never replaced by the common tol
         report = analyze(WAT_COUNTEREXAMPLE, "x", tol=1e-8, trace_tol=1e-300)
@@ -354,6 +380,18 @@ def test_solver_failure_is_not_called_degenerate(monkeypatch, fixture_dir, capsy
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, SCHEMA)
     assert payload["spectral_status"] == "no_convergence"
+
+
+@pytest.mark.parametrize("label", ["scalar-plus-shift-12", "scalar-plus-shift-22"])
+def test_repeated_eigenvalue_off_centre_is_degenerate(label):
+    # the triple eigenvalue sits away from the centroid of the spectrum
+    matrix, expected = GALLERY[label]
+    u = random_unitary(rng(64), 4)
+    for t in (matrix, u @ matrix @ u.conj().T):
+        report = analyze(t, label)
+        assert report.spectral_status == "degenerate"
+        assert report.conflicts == []
+        assert report.uecsm is expected
 
 
 def test_analyze_conflict_detection():

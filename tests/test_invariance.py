@@ -70,3 +70,16 @@ def test_gallery_status_at_extreme_scales_and_shift(label, scale, shift):
     assert report.error is None
     assert report.conflicts == []
     assert report.uecsm is expected
+
+
+@pytest.mark.parametrize("label", sorted(GALLERY))
+def test_gallery_status_under_haar_conjugation(label):
+    # the LAPACK eigensolver splits a repeated eigenvalue of a rotated
+    # matrix by rounding; the angle tests must refuse it, not conflict
+    matrix, expected = GALLERY[label]
+    gen = rng(sum(map(ord, label)))
+    for _ in range(3):
+        u = random_unitary(gen, matrix.shape[0])
+        report = analyze(u @ matrix @ u.conj().T, label)
+        assert report.conflicts == []
+        assert report.uecsm is expected

@@ -131,6 +131,19 @@ class TestFindSymmetrizer:
         shifted = symmetry_residual(WAT_COUNTEREXAMPLE + 1e3j * np.eye(4), u)
         assert shifted == pytest.approx(base, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+    def test_search_is_scale_free(self, scale):
+        # the search runs on the normalized matrix: no underflow to a false
+        # witness at 1e-170, no overflow at 1e170
+        result = find_symmetrizer(scale * WAT_COUNTEREXAMPLE, restarts=2)
+        assert result.status == "inconclusive"
+        assert result.residual == pytest.approx(0.1291630315, rel=1e-6)
+        w = random_unitary(rng(97), 4)
+        t = scale * (w @ random_symmetric_matrix(rng(98), 4) @ w.conj().T)
+        result = find_symmetrizer(t)
+        assert result.found
+        assert verify_witness(t, result.u).passed
+
     def test_scalar_matrix_is_a_witness(self):
         result = find_symmetrizer((2 - 1j) * np.eye(3, dtype=complex))
         assert result.found

@@ -1,8 +1,10 @@
 """Tests for the eigensolver pipeline.
 
-Independent oracle for eigenvalues: companion-matrix roots via LAPACK
-(numpy), never the package's own Faddeev-LeVerrier / Durand-Kerner
-path.
+``eigensystem`` runs on LAPACK, and so do ``np.poly`` and companion
+matrices, so its eigenvalues are checked against independent references:
+matrices ``V diag(lambda) V^-1`` with a unimodular integer ``V``, whose
+spectrum is known exactly, and the package's own Faddeev-LeVerrier /
+Durand-Kerner path, which shares no code with ``eigensystem``.
 """
 
 import numpy as np
@@ -20,17 +22,24 @@ from uecsm import (
 )
 from uecsm.gallery import WAT_COUNTEREXAMPLE
 
-from _util import random_integer_matrix, rng
+from _util import random_integer_matrix, random_unitary, rng
 
 
-def companion_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Oracle: roots of the characteristic polynomial via a companion matrix."""
-    coeffs = np.poly(t)
-    n = len(coeffs) - 1
-    comp = np.zeros((n, n), dtype=complex)
-    comp[0, :] = -np.asarray(coeffs[1:], dtype=complex) / coeffs[0]
-    comp[1:, :-1] = np.eye(n - 1)
-    return np.linalg.eigvals(comp)
+def unimodular(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An integer matrix with determinant 1 and its integer inverse."""
+    lower = np.tril(gen.integers(-2, 3, size=(n, n)), -1) + np.eye(n, dtype=int)
+    upper = np.triu(gen.integers(-2, 3, size=(n, n)), 1) + np.eye(n, dtype=int)
+    v = lower @ upper
+    v_inv = np.rint(np.linalg.inv(v)).astype(int)
+    assert np.array_equal(v @ v_inv, np.eye(n, dtype=int))
+    return v, v_inv
+
+
+def jordan_embedding(k: int, n: int = 4) -> np.ndarray:
+    """A k x k nilpotent Jordan block followed by distinct eigenvalues away from 0."""
+    t = np.diag([0.0] * k + [1.5 + 0.7j * i for i in range(1, n - k + 1)]).astype(complex)
+    t[np.arange(k - 1), np.arange(1, k)] = 1.0
+    return t
 
 
 def sorted_by_parts(values) -> np.ndarray:
@@ -88,7 +97,7 @@ class TestEigensystem:
     def test_integer_example(self):
         t = WAT_COUNTEREXAMPLE
         s = eigensystem(t)
-        assert_same_multiset(s.eigenvalues, companion_eigenvalues(t), atol=1e-8)
+        assert_same_multiset(s.eigenvalues, durand_kerner(characteristic_polynomial(t)), atol=1e-8)
         # residuals and biorthogonality
         for i in range(4):
             assert np.linalg.norm(t @ s.x[:, i] - s.eigenvalues[i] * s.x[:, i]) < 1e-8
@@ -100,6 +109,31 @@ class TestEigensystem:
         t = build_matrix(NilpotentParams(1.0, 2.0, 0.5j, -1.0, 2j, 3.0))
         with pytest.raises(DegenerateSpectrum):
             eigensystem(t)
+
+    def test_known_spectrum(self):
+        # V diag(lambda) V^-1 is an exact integer matrix with spectrum lambda
+        gen = rng(11)
+        for n in (2, 3, 4, 4, 4):
+            for _ in range(10):
+                # distinct real parts, so rounding cannot reorder a tie
+                lam = gen.choice(np.arange(-6, 7), n, replace=False) + 1j * gen.integers(-6, 7, n)
+                v, v_inv = unimodular(gen, n)
+                t = (v @ np.diag(lam) @ v_inv).astype(complex)
+                s = eigensystem(t)
+                assert np.allclose(s.eigenvalues, sorted_by_parts(lam), rtol=0, atol=1e-9)
+                assert s.gap == pytest.approx(min(
+                    abs(a - b) for i, a in enumerate(lam) for b in lam[i + 1:]
+                ), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rotated_jordan_block_is_degenerate(self, k):
+        # rounding splits a k-fold eigenvalue by about eps**(1/k), above
+        # distinct_tol for k >= 3; the condition-number test refuses anyway
+        gen = rng(12 + k)
+        for _ in range(20):
+            u = random_unitary(gen, 4)
+            with pytest.raises(DegenerateSpectrum):
+                eigensystem(u @ jordan_embedding(k) @ u.conj().T)
 
     def test_unit_vectors_and_phase(self):
         s = eigensystem(WAT_COUNTEREXAMPLE)
