@@ -16,7 +16,8 @@ Subcommands:
   matrix from the indefinite-unitary machinery;
 * ``uecsm batch DIR`` processes a directory of documents and exits 1
   when any file shows a conflict between criteria, else 2 when any file
-  could not be read or analyzed, else 0.
+  could not be read or analyzed, else 0.  With ``--json`` every field
+  except the top-level ``timings`` block is the same on every run.
 
 The ``UECSM_TOL`` environment variable overrides the default tolerance
 of 1e-8; ``--tol`` overrides both.  Every tolerance must be a finite
@@ -84,7 +85,9 @@ class MatrixDocument:
 def parse_document_text(text: str) -> MatrixDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers longer than
+        # Python's digit limit; RecursionError is nesting too deep to decode
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
@@ -110,7 +113,10 @@ def parse_document_text(text: str) -> MatrixDocument:
                 )
             ):
                 raise ParseError(f"entry ({i},{j}) must be a [re, im] pair")
-            data[i, j] = complex(float(cell[0]), float(cell[1]))
+            try:
+                data[i, j] = complex(float(cell[0]), float(cell[1]))
+            except OverflowError as exc:
+                raise ParseError(f"entry ({i},{j}) is too large for a float") from exc
     try:
         matrix = cmatrix(data)
     except ValueError as exc:
@@ -136,7 +142,7 @@ def document_to_text(doc: MatrixDocument) -> str:
 def load_matrix_document(path: Path) -> MatrixDocument:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     doc = parse_document_text(text)
     if doc.label is None:
@@ -516,8 +522,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 "not_uecsm": n_fail,
                 "conflicts": n_conflict,
                 "errors": n_error,
-                "runtime_seconds": {name: t for name, _, t in results},
             },
+            # the only part of the payload that differs between runs
+            "timings": {"runtime_seconds": {name: t for name, _, t in results}},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

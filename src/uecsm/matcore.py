@@ -5,12 +5,18 @@ Matrices are plain ``numpy.ndarray`` values with dtype ``complex128``;
 array, so every value in this package can be shared freely across
 threads.  Words over the alphabet ``{x, y}`` are stored as run-length
 sequences, e.g. ``x^2 y^2 x y`` is ``Word.from_string("x2y2xy")``.
+:func:`word_traces` is the one trace engine: every word trace in the
+package is read from it, and :func:`evaluate_word` (the matrix value of
+one word) is its reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -162,17 +168,22 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
-        """Parse compact notation such as ``"x2y2xy"`` (digits are exponents)."""
+        """Parse compact notation such as ``"x2y2xy"`` (digits are exponents).
+
+        A letter without digits has exponent 1; an explicit exponent of 0
+        raises ``ValueError``.
+        """
         runs: list[tuple[str, int]] = []
         i = 0
         while i < len(text):
             sym = text[i]
             i += 1
-            exp = 0
+            digits = i
             while i < len(text) and text[i].isdigit():
-                exp = 10 * exp + int(text[i])
                 i += 1
-            exp = exp or 1
+            exp = int(text[digits:i]) if i > digits else 1
+            if exp == 0:
+                raise ValueError(f"explicit exponent 0 in {text!r}")
             if runs and runs[-1][0] == sym:
                 runs[-1] = (sym, runs[-1][1] + exp)
             else:
@@ -212,5 +223,69 @@ def evaluate_word(w: Word, x: CMatrix, y: CMatrix) -> CMatrix:
     return out
 
 
+@dataclass(frozen=True)
+class _TracePlan:
+    """Index arrays that evaluate the traces of a fixed tuple of words.
+
+    Row 0 of the product table is the identity and rows 1 and 2 are the
+    letters; every other row is one distinct prefix of a word half, and
+    ``levels`` fills the rows of each prefix length from their parents in
+    one batched product.
+    """
+
+    rows: int
+    levels: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    left: np.ndarray
+    right: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _trace_plan(words: tuple[Word, ...]) -> _TracePlan:
+    halves = []
+    for w in words:
+        letters = "".join(sym * exp for sym, exp in w.runs)
+        cut = (len(letters) + 1) // 2
+        halves.append((letters[:cut], letters[cut:]))
+    # rows 1 and 2 are the letters x and y themselves
+    prefixes = sorted(
+        {"x", "y"} | {h[:k] for pair in halves for h in pair for k in range(2, len(h) + 1)},
+        key=lambda p: (len(p), p),
+    )
+    index = {"": 0}
+    index.update((p, row) for row, p in enumerate(prefixes, start=1))
+    levels = []
+    for _, group in groupby(prefixes[2:], key=len):
+        group = list(group)
+        start = index[group[0]]
+        parents = np.array([index[p[:-1]] for p in group], dtype=np.intp)
+        last = np.array([index[p[-1]] for p in group], dtype=np.intp)
+        levels.append((start, start + len(group), parents, last))
+    left = np.array([index[a] for a, _ in halves], dtype=np.intp)
+    right = np.array([index[b] for _, b in halves], dtype=np.intp)
+    return _TracePlan(len(index), tuple(levels), left, right)
+
+
+def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
+    """``tr w(x, y)`` for every word in ``words``, as a complex vector.
+
+    Each word is split as ``w = l r`` with ``l`` its first ``ceil(d/2)``
+    letters, and ``tr w = sum_ij l_ij r_ji`` is read from a table that
+    holds every distinct prefix of every half once, so words share their
+    products and the table grows with the total word length, not with the
+    number of words of a degree.  The index plan is cached per word tuple.
+    """
+    n = _require_square(x)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"letter matrices differ in shape: {x.shape} vs {y.shape}")
+    plan = _trace_plan(tuple(words))
+    table = np.empty((plan.rows, n, n), dtype=complex)
+    table[0] = np.eye(n)
+    table[1] = x
+    table[2] = y
+    for start, stop, parents, last in plan.levels:
+        np.matmul(table[parents], table[last], out=table[start:stop])
+    return np.einsum("kij,kji->k", table[plan.left], table[plan.right])
+
+
 def word_trace(w: Word, x: CMatrix, y: CMatrix) -> complex:
-    return complex(np.trace(evaluate_word(w, x, y)))
+    return complex(word_traces((w,), x, y)[0])

@@ -66,6 +66,9 @@ class TestDocuments:
             '{"n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], ["x", 0]]]}',
             '{"n": "2", "entries": []}',
             "[1, 2, 3]",
+            pytest.param('{"n": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}', id="beyond-float"),
+            pytest.param('{"n": 1, "entries": [[[1' + "0" * 5000 + ', 0]]]}', id="beyond-int-digits"),
+            pytest.param("[" * 100_000, id="deep-nesting"),
         ],
     )
     def test_parse_errors(self, text):
@@ -79,6 +82,15 @@ class TestDocuments:
             assert path.exists(), path
             expected = document_to_text(MatrixDocument(matrix=matrix, label=label))
             assert path.read_text(encoding="utf-8") == expected
+
+
+#: documents that once escaped the parser as OverflowError, RecursionError
+#: and UnicodeDecodeError
+UNPARSABLE = {
+    "huge_int.json": ('{"n": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}').encode(),
+    "deep.json": b"[" * 100_000,
+    "utf16_bom.json": b"\xff\xfe",
+}
 
 
 class TestExitCodes:
@@ -110,6 +122,14 @@ class TestExitCodes:
         code = main(["test", str(bad)])
         assert code == EXIT_INCONCLUSIVE
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(UNPARSABLE))
+    def test_cmd_test_unparsable_bytes(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(UNPARSABLE[name])
+        assert main(["test", str(path)]) == EXIT_INCONCLUSIVE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_cmd_test_unsupported_dimension(self, tmp_path):
         doc = MatrixDocument(matrix=np.eye(5, dtype=complex), label="big")
@@ -275,6 +295,29 @@ class TestBatch:
         assert payload["summary"]["errors"] == 1
         assert payload["summary"]["conflicts"] == 0
         assert code == EXIT_INCONCLUSIVE  # a file that was not analyzed leaves the sweep open
+
+    def test_unparsable_files_counted(self, fixture_dir, capsys):
+        for name, data in UNPARSABLE.items():
+            (fixture_dir / name).write_bytes(data)
+        code = main(["batch", str(fixture_dir), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_INCONCLUSIVE
+        assert payload["summary"]["files"] == len(GALLERY) + len(UNPARSABLE)
+        assert payload["summary"]["errors"] == len(UNPARSABLE)
+        assert payload["summary"]["uecsm"] + payload["summary"]["not_uecsm"] == len(GALLERY)
+        for name in UNPARSABLE:
+            assert payload["reports"][name]["error"]
+
+    def test_json_is_byte_stable_apart_from_timings(self, fixture_dir, capsys):
+        (fixture_dir / "zz_broken.json").write_text("{nope")
+        outputs = []
+        for _ in range(2):
+            main(["batch", str(fixture_dir), "--json"])
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert set(outputs[0]["timings"]["runtime_seconds"]) == set(outputs[0]["reports"])
+        assert "runtime_seconds" not in outputs[0]["summary"]
+        stable = [json.dumps({k: v for k, v in p.items() if k != "timings"}) for p in outputs]
+        assert stable[0] == stable[1]
 
     def test_conflict_code_outranks_errors(self, fixture_dir, capsys):
         # --tol-angle 10 makes sat pass on the counterexample: a conflict

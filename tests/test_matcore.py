@@ -20,8 +20,10 @@ from uecsm import (
     trace,
     transpose,
     word_trace,
+    word_traces,
 )
 from uecsm.gallery import WAT_COUNTEREXAMPLE
+from uecsm.matcore import _trace_plan
 from uecsm.spectra import eigensystem
 
 from _util import random_complex_matrix, rng
@@ -167,6 +169,15 @@ class TestWords:
         with pytest.raises(ValueError):
             Word(())
 
+    @pytest.mark.parametrize("text", ["x0y", "x0x", "y0", "x00", "xy0"])
+    def test_explicit_zero_exponent_rejected(self, text):
+        with pytest.raises(ValueError):
+            Word.from_string(text)
+
+    def test_missing_exponent_means_one(self):
+        assert Word.from_string("xy") == Word.from_string("x1y1")
+        assert Word.from_string("x10y").runs == (("x", 10), ("y", 1))
+
     def test_single_letter_evaluates_to_matrix(self):
         t = random_complex_matrix(rng(20), 3)
         assert np.array_equal(evaluate_word(Word.from_string("x"), t, adjoint(t)), t)
@@ -206,3 +217,69 @@ def test_word_norm_submultiplicative(letters, seed):
     r = max(np.linalg.norm(x, 2), np.linalg.norm(y, 2))
     value = np.linalg.norm(evaluate_word(w, x, y), 2)
     assert value <= r**w.degree * (1 + 1e-12)
+
+
+def _letters(gen, n):
+    # unit spectral norm keeps every word value of order n, at every degree
+    x = random_complex_matrix(gen, n)
+    y = random_complex_matrix(gen, n)
+    return x / np.linalg.norm(x, 2), y / np.linalg.norm(y, 2)
+
+
+def _reference_traces(words, x, y):
+    return np.array([trace(evaluate_word(w, x, y)) for w in words])
+
+
+_words = st.lists(st.sampled_from("xy"), min_size=1, max_size=12).map(
+    lambda letters: Word.from_string("".join(letters))
+)
+
+
+class TestWordTraces:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_words, min_size=1, max_size=12),
+        st.integers(1, 5),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_evaluate_word(self, words, n, seed):
+        x, y = _letters(rng(seed), n)
+        words = tuple(words)
+        values = word_traces(words, x, y)
+        assert values.shape == (len(words),)
+        assert np.allclose(values, _reference_traces(words, x, y), rtol=0, atol=1e-12 * n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(_words, min_size=1, max_size=6), st.integers(0, 2**31 - 1))
+    def test_duplicates_and_reversals_share_rows(self, words, seed):
+        # every word repeated and followed by its reversal: same values as
+        # one word at a time, and a duplicate reads exactly its original
+        x, y = _letters(rng(seed), 4)
+        doubled = tuple(words) * 2 + tuple(reverse_word(w) for w in words)
+        values = word_traces(doubled, x, y)
+        k = len(words)
+        assert np.array_equal(values[:k], values[k : 2 * k])
+        singles = np.array([word_trace(w, x, y) for w in doubled])
+        assert np.allclose(values, singles, rtol=0, atol=1e-12)
+
+    def test_degree_forty_word(self):
+        x, y = _letters(rng(23), 4)
+        w = Word.from_string("x3y2xyx2y" * 4)
+        assert w.degree == 40
+        (value,) = word_traces((w,), x, y)
+        assert abs(value - trace(evaluate_word(w, x, y))) <= 1e-12
+        # one table row per distinct prefix: linear in the word length
+        assert _trace_plan((w,)).rows <= w.degree + 3
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (identity(3), identity(4)),
+            (np.ones((3, 4), dtype=complex), np.ones((3, 4), dtype=complex)),
+            (np.ones(3, dtype=complex), np.ones(3, dtype=complex)),
+        ],
+        ids=["unequal-sizes", "non-square", "vector"],
+    )
+    def test_dimension_mismatch(self, x, y):
+        with pytest.raises(DimensionMismatch):
+            word_traces((Word.from_string("xy"),), x, y)

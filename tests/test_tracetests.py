@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uecsm import (
     DJOKOVIC_WORDS,
@@ -11,6 +13,7 @@ from uecsm import (
     cmatrix,
     djokovic_signature,
     frobenius_norm,
+    normalize,
     phi3,
     psi7,
     reverse_word,
@@ -21,6 +24,7 @@ from uecsm import (
     word_trace,
 )
 from uecsm.gallery import (
+    GALLERY,
     NILPOTENT_QUARTET,
     SCALAR_PLUS_SHIFT_12,
     SCALAR_PLUS_SHIFT_22,
@@ -195,6 +199,58 @@ class TestTransposeEquivalence:
                 s = u @ random_symmetric_matrix(gen, n) @ u.conj().T
                 assert transpose_equivalence(s).passed
                 assert uecsm_verdict(s).passed
+
+
+def reference_transpose_equivalence(t, tol=1e-8):
+    """Transpose equivalence by evaluating the words on T^t itself."""
+    n = t.shape[0]
+    if n == 3:
+        rep, _, _ = normalize(t)
+        residuals = tuple(
+            (f"phi{i}", abs(a - b))
+            for i, (a, b) in enumerate(zip(phi3(rep).values, phi3(rep.T).values), start=1)
+        )
+        return max(r for _, r in residuals) <= tol, residuals
+    inner = unitary_equivalence_4(t, t.T, tol)
+    return inner.passed, inner.residuals
+
+
+def assert_matches_reference(t):
+    v = transpose_equivalence(t)
+    passed, residuals = reference_transpose_equivalence(t)
+    assert [name for name, _ in v.residuals] == [name for name, _ in residuals]
+    assert v.passed is passed
+    assert np.allclose([r for _, r in v.residuals], [r for _, r in residuals], rtol=0, atol=1e-12)
+
+
+class TestTransposeReversalIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([3, 4]), st.booleans())
+    def test_matches_words_on_the_transpose(self, seed, n, uecsm):
+        gen = rng(seed)
+        if uecsm:
+            u = random_unitary(gen, n)
+            t = u @ random_symmetric_matrix(gen, n) @ u.conj().T
+        else:
+            t = random_complex_matrix(gen, n, scale=2.0)
+        assert_matches_reference(t)
+        assert transpose_equivalence(t).passed is uecsm
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("label", sorted(GALLERY))
+    def test_gallery(self, label, scale):
+        matrix, expected = GALLERY[label]
+        t = scale * np.asarray(matrix)
+        assert_matches_reference(t)
+        assert transpose_equivalence(t).passed is expected
+
+    def test_residual_names(self):
+        gen = rng(41)
+        v3 = transpose_equivalence(random_complex_matrix(gen, 3))
+        v4 = transpose_equivalence(random_complex_matrix(gen, 4))
+        assert [name for name, _ in v3.residuals] == [f"phi{i}" for i in range(1, 8)]
+        assert [name for name, _ in v4.residuals] == [f"w{i:02d}" for i in range(1, 21)]
+        assert all(isinstance(r, float) for _, r in v3.residuals + v4.residuals)
 
 
 class TestWordReductions:
