@@ -118,39 +118,6 @@ def normalize(t: CMatrix) -> tuple[CMatrix, complex, float]:
     return centered / r, mu / f1 / f2, r / f1 / f2
 
 
-def _det3(a: CMatrix) -> complex:
-    return (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-
-
-def determinant(a: CMatrix) -> complex:
-    """Determinant: cofactor expansion for n <= 4, pivoted LU above.
-
-    The cofactor path keeps small integer inputs exact up to rounding of
-    the individual products, which the 3x3 determinant criterion relies
-    on; larger sizes fall back to LAPACK.
-    """
-    n = _require_square(a)
-    if n == 1:
-        return complex(a[0, 0])
-    if n == 2:
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return complex(_det3(a))
-    if n == 4:
-        total = 0.0 + 0.0j
-        rows = [1, 2, 3]
-        for j in range(4):
-            cols = [c for c in range(4) if c != j]
-            minor = a[np.ix_(rows, cols)]
-            total += (-1) ** j * a[0, j] * _det3(minor)
-        return complex(total)
-    return complex(np.linalg.det(a))
-
-
 @dataclass(frozen=True)
 class Word:
     """A word in two noncommuting letters, stored as (symbol, exponent) runs."""

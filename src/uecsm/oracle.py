@@ -1,12 +1,19 @@
 """Brute-force witness search: symmetrize a matrix over the unitary group.
 
 Minimizes f(U) = |U T U* - (U T U*)^t|_F^2 by Riemannian descent on the
-unitary group: steps are Cayley transforms of skew-Hermitian
-directions, with a plain step-halving line search and multiple random
-restarts.  A small enough final residual yields a constructive witness
-that T is UECSM; a large floor after many restarts is only evidence in
-the other direction, never a proof, so the failure status is
-``inconclusive`` rather than a negative verdict.
+unitary group: steps are Cayley transforms along the gradient, with a
+plain step-halving line search and multiple random restarts.  One
+``eigh`` of the Hermitian ``i grad f`` per iteration gives the Cayley
+step of every trial length in eigen form, with no linear solve.
+Restart 0 (the identity) descends alone; the random restarts then
+descend in lockstep, in waves of stacked ``(lanes, n, n)`` arrays, and
+the search reports exactly what running the restarts one by one would:
+the same status, residual, witness, restart count and iterations.
+
+A small enough final residual yields a constructive witness that T is
+UECSM; a large floor after many restarts is only evidence in the other
+direction, never a proof, so the failure status is ``inconclusive``
+rather than a negative verdict.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ _LINE_SEARCH_HALVINGS = 40
 # scale as 1 / |T|^2, and in the long narrow valleys of badly conditioned
 # inputs the BB step of the normalized cost runs far above 1e3.
 _MAX_STEP = 1e9
+# Random restarts descend together in waves of at most this many lanes,
+# so memory stays bounded whatever the restart budget.
+_WAVE = 32
 
 
 @dataclass(frozen=True)
@@ -44,15 +54,52 @@ class OracleResult:
         return self.status == "witness"
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(A B*) of one matrix or of each matrix of a stack."""
+    flat = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
+    return np.vecdot(a.reshape(flat), b.reshape(flat)).real
+
+
+def _evaluate(t: CMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S = U T U*, its asymmetry G = S - S^t and the cost |G|^2 at one U or a stack."""
+    s = u @ t @ _adjoint(u)
+    g = s - s.swapaxes(-1, -2)
+    return s, g, _inner(g, g)
+
+
+def _residual(cost):
+    return np.sqrt(np.maximum(cost, 0.0))
+
+
+def _generator(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``i`` times the Riemannian gradient of |G|^2, from S and G = S - S^t.
+
+    The gradient is skew-Hermitian, so this is Hermitian, and ``eigh``
+    of it gives every Cayley step along the gradient (see :func:`_cayley`).
+    """
+    g_bar = g.conj()  # equals -G*, since G^t = -G exactly
+    c = g_bar @ s - s @ g_bar  # S G* - G* S
+    return 2j * (_adjoint(c) - c)  # i times -4 times the skew part of c
+
+
+def _cayley(z: np.ndarray, v: np.ndarray, vh_u: np.ndarray) -> np.ndarray:
+    """Cayley step (I - K/2)^{-1} (I + K/2) U of a skew-Hermitian K = V diag(2z) V*.
+
+    ``z = i tau lam / 2``, where ``lam, v`` is the ``eigh`` of the
+    Hermitian ``-iK / tau``, and ``vh_u`` is ``V* U``.  The step factor
+    is V diag((1 + z) / (1 - z)) V*, so one ``eigh`` serves every step
+    length tau, each at the cost of a diagonal scaling and one product.
+    """
+    return (v * ((1 + z) / (1 - z))[..., None, :]) @ vh_u
+
+
 def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
     """f(U) = |U T U* - (U T U*)^t|_F^2."""
-    s = u @ t @ u.conj().T
-    g = s - s.T
-    return float(np.real(np.trace(g @ g.conj().T)))
-
-
-def _residual(cost: float) -> float:
-    return float(np.sqrt(max(cost, 0.0)))
+    return float(_evaluate(t, u)[2])
 
 
 def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
@@ -63,7 +110,7 @@ def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
     :func:`~uecsm.matcore.normalize`, which cannot overflow or
     underflow; a scalar matrix (all-zero representative) gives 0.
     """
-    return _residual(symmetry_cost(normalize(t)[0], u))
+    return float(_residual(symmetry_cost(normalize(t)[0], u)))
 
 
 def cost_gradient(t: CMatrix, u: CMatrix) -> CMatrix:
@@ -74,18 +121,14 @@ def cost_gradient(t: CMatrix, u: CMatrix) -> CMatrix:
     order by Re tr(G K*).  Derived analytically; validated against
     central finite differences in the test suite.
     """
-    s = u @ t @ u.conj().T
-    g = s - s.T
-    c = s @ g.conj().T - g.conj().T @ s
-    skew = (c - c.conj().T) / 2
-    return -4.0 * skew
+    s, g, _ = _evaluate(t, u)
+    return -1j * _generator(s, g)
 
 
 def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
-    """Move from ``u`` along skew direction ``k``: (I - k/2)^{-1} (I + k/2) u."""
-    n = k.shape[0]
-    eye = np.eye(n, dtype=complex)
-    return np.linalg.solve(eye - k / 2, (eye + k / 2) @ u)
+    """Move from ``u`` along skew-Hermitian ``k``: (I - k/2)^{-1} (I + k/2) u."""
+    lam, v = np.linalg.eigh(-1j * k)
+    return _cayley(0.5j * lam, v, _adjoint(v) @ u)
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> CMatrix:
@@ -94,47 +137,94 @@ def _random_unitary(rng: np.random.Generator, n: int) -> CMatrix:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _real_inner(a: CMatrix, b: CMatrix) -> float:
-    return float(np.real(np.trace(a @ b.conj().T)))
+def _descend(
+    t: CMatrix, u: np.ndarray, max_iters: int, target_cost: float, witness_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descend the restarts stacked in ``u`` (lanes, n, n) in lockstep.
 
+    Each lane runs a step-halving line search along its negative
+    gradient, the first trial being the Barzilai-Borwein length, which
+    keeps progress through the long narrow valleys this cost has.  One
+    ``eigh`` of the Hermitian ``i grad`` per iteration serves every trial
+    length (see :func:`_cayley`).  A lane finishes when its cost reaches
+    ``target_cost``, its gradient vanishes, no trial lowers its cost, or
+    the cap is reached, and then drops out of the stack.
 
-def _descend(t: CMatrix, u0: CMatrix, max_iters: int, target_cost: float) -> tuple[CMatrix, float, int]:
-    # Step-halving line search along the negative gradient; the initial
-    # trial step each iteration is the Barzilai-Borwein length, which
-    # keeps progress through the long narrow valleys this cost has.
-    u = u0
-    f = symmetry_cost(t, u)
-    tau = 1.0
-    prev_grad: Optional[CMatrix] = None
-    prev_step: Optional[CMatrix] = None
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        if f <= target_cost:
-            break
-        grad = cost_gradient(t, u)
-        if float(np.linalg.norm(grad)) < 1e-16:
-            break
-        if prev_grad is not None and prev_step is not None:
-            denom = _real_inner(prev_step, grad - prev_grad)
-            if abs(denom) > 1e-300:
-                bb = abs(_real_inner(prev_step, prev_step) / denom)
-                if np.isfinite(bb) and bb > 0.0:
-                    tau = min(max(bb, 1e-12), _MAX_STEP)
-        improved = False
-        trial_tau = tau
-        for _ in range(_LINE_SEARCH_HALVINGS):
-            step = -trial_tau * grad
-            u_try = cayley_retract(step, u)
-            f_try = symmetry_cost(t, u_try)
-            if f_try < f:
-                u, f = u_try, f_try
-                prev_grad, prev_step = grad, step
-                improved = True
+    The lanes are consecutive restarts.  Once a finished lane has
+    residual <= ``witness_tol``, the lanes above it no longer matter and
+    drop out, and the search stops when every lane below it has
+    finished.  Returns the final point, cost and iteration count of the
+    lanes up to and including that witness (of all lanes if there is
+    none); each lane's numbers are those it gives descending alone.
+    """
+    u = np.array(u, dtype=complex)
+    lanes = u.shape[0]
+    out_u = np.empty_like(u)
+    out_f = np.empty(lanes)
+    out_iters = np.full(lanes, max_iters)
+    done = np.zeros(lanes, dtype=bool)
+    won = lanes  # lowest finished lane with a witness residual
+    live = np.arange(lanes)
+    s, g, f = _evaluate(t, u)
+    tau = np.ones(lanes)
+    # each lane's last accepted step was K = i prev_tau prev_h, with
+    # prev_hh = |prev_h|^2; a lane with no step yet has prev_tau = 0
+    prev_h = np.zeros_like(u)
+    prev_hh = np.zeros(lanes)
+    prev_tau = np.zeros(lanes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iters + 1):
+            h = _generator(s, g)
+            lam, v = np.linalg.eigh(h)
+            hh = np.vecdot(lam, lam)  # |h|^2, the squared gradient norm
+            stop = (f <= target_cost) | (hh < 1e-32)
+            # Barzilai-Borwein length |<p, p> / <p, q>| for the last step p
+            # and the gradient change q; where it is undefined, tau stays
+            bb = prev_tau * prev_hh / np.abs(_inner(prev_h, h - prev_h))
+            tau = np.where(np.isfinite(bb), np.minimum(np.maximum(bb, 1e-12), _MAX_STEP), tau)
+            half_lam = 0.5j * lam
+            vh_u = _adjoint(v) @ u
+            trial = tau.copy()
+            ending = bool(stop.any())
+            # the lanes still without a step: every lane, or an index array
+            todo = np.flatnonzero(~stop) if ending else slice(None)
+            for _ in range(_LINE_SEARCH_HALVINGS):
+                u_try = _cayley(trial[todo, None] * half_lam[todo], v[todo], vh_u[todo])
+                s_try, g_try, f_try = _evaluate(t, u_try)
+                better = f_try < f[todo]
+                if better.all():
+                    took, todo = todo, None
+                elif better.any():
+                    todo = np.arange(lanes)[todo]
+                    took, todo = todo[better], todo[~better]
+                    u_try, s_try, g_try, f_try = u_try[better], s_try[better], g_try[better], f_try[better]
+                else:
+                    trial[todo] /= 2.0
+                    continue
+                u[took], s[took], g[took], f[took] = u_try, s_try, g_try, f_try
+                prev_h[took], prev_hh[took], prev_tau[took] = h[took], hh[took], trial[took]
+                if todo is None:
+                    break
+                trial[todo] /= 2.0
+            else:
+                stop[todo] = ending = True  # no trial length lowered the cost
+            if not ending:
+                continue
+            ended = live[stop]
+            out_u[ended], out_f[ended], out_iters[ended] = u[stop], f[stop], it
+            done[ended] = True
+            wins = ended[_residual(f[stop]) <= witness_tol]
+            if wins.size:
+                won = min(won, int(wins[0]))
+            if done[:won].all():
                 break
-            trial_tau /= 2.0
-        if not improved:
-            break
-    return u, f, iters
+            keep = ~stop & (live < won)
+            live, u, s, g, f = live[keep], u[keep], s[keep], g[keep], f[keep]
+            tau, prev_h, prev_hh, prev_tau = tau[keep], prev_h[keep], prev_hh[keep], prev_tau[keep]
+            lanes = live.size
+        else:
+            out_u[live], out_f[live] = u, f  # still descending at the cap
+    return out_u[: won + 1], out_f[: won + 1], out_iters[: won + 1]
 
 
 def find_symmetrizer(
@@ -151,10 +241,15 @@ def find_symmetrizer(
     scale and shift of ``t``; a scalar matrix is a witness at once.
     Restart 0 starts from the identity (free win for inputs that are
     already symmetric); the remaining starts are Haar-ish random
-    unitaries.  Returns a witness as soon as some restart reaches the
-    normalized residual target, otherwise reports the best residual
-    seen.  An ``inconclusive`` result carries no information that T is
-    not UECSM.
+    unitaries.  Returns the witness of the first restart that reaches
+    the normalized residual target, with the iterations of every
+    restart up to it, otherwise reports the best residual seen.  An
+    ``inconclusive`` result carries no information that T is not UECSM.
+
+    Restarts after the first descend in lockstep waves of at most
+    ``_WAVE`` lanes, whose starts are drawn only when the wave runs, so
+    memory does not grow with ``restarts``.  The result is the one the
+    restarts give when run one by one, in order.
 
     The generous default iteration cap costs nothing on inputs with a
     positive residual floor (those searches stall long before the cap)
@@ -179,21 +274,24 @@ def find_symmetrizer(
     target_cost = 0.25 * witness_tol**2  # stop once safely inside
     rng = np.random.default_rng(seed)
 
-    best_u: Optional[CMatrix] = None
-    best_residual = float("inf")
+    # restart 0 (the identity) alone, then the random restarts in lockstep
+    # waves; a wave's starts are drawn only when it runs, in restart order
     total_iters = 0
-    for restart in range(restarts):
-        u0 = np.eye(n, dtype=complex) if restart == 0 else _random_unitary(rng, n)
-        u, f, iters = _descend(rep, u0, max_iters, target_cost)
-        total_iters += iters
-        residual = _residual(f)  # rep has unit norm
-        if residual < best_residual:
-            best_residual = residual
-            best_u = u
-        if best_residual <= witness_tol:
-            out = np.array(best_u)
-            out.flags.writeable = False
-            return OracleResult("witness", out, best_residual, total_iters, restart + 1)
+    best_residual = float("inf")
+    first = 0
+    while first < restarts:
+        stop = min(first + _WAVE, restarts) if first else 1
+        starts = [np.eye(n, dtype=complex) if r == 0 else _random_unitary(rng, n) for r in range(first, stop)]
+        us, costs, iters = _descend(rep, np.stack(starts), max_iters, target_cost, witness_tol)
+        for lane, (u, cost, lane_iters) in enumerate(zip(us, costs, iters)):
+            total_iters += int(lane_iters)
+            residual = float(_residual(cost))  # rep has unit norm
+            best_residual = min(best_residual, residual)
+            if residual <= witness_tol:
+                out = np.array(u)
+                out.flags.writeable = False
+                return OracleResult("witness", out, residual, total_iters, first + lane + 1)
+        first = stop
     return OracleResult("inconclusive", None, best_residual, total_iters, restarts)
 
 

@@ -10,7 +10,6 @@ from uecsm import (
     Word,
     adjoint,
     cmatrix,
-    determinant,
     evaluate_word,
     frobenius_norm,
     identity,
@@ -24,7 +23,6 @@ from uecsm import (
 )
 from uecsm.gallery import WAT_COUNTEREXAMPLE
 from uecsm.matcore import _trace_plan
-from uecsm.spectra import eigensystem
 
 from _util import random_complex_matrix, rng
 
@@ -130,24 +128,6 @@ class TestNormalize:
         rep_c, _, s_c = normalize(image)
         assert np.allclose(rep_c, c / abs(c) * rep, atol=1e-12)
         assert s_c == pytest.approx(abs(c) * s, rel=1e-12)
-
-
-class TestDeterminant:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_matches_lapack(self, n):
-        m = random_complex_matrix(rng(10 + n), n)
-        assert determinant(m) == pytest.approx(complex(np.linalg.det(m)), rel=1e-10)
-
-    def test_det_vs_eigenvalue_product(self):
-        # independent route: determinant against the spectral product
-        s = eigensystem(WAT_COUNTEREXAMPLE)
-        product = np.prod(np.array(s.eigenvalues))
-        det = determinant(WAT_COUNTEREXAMPLE)
-        assert abs(det - product) <= 1e-8 * abs(det)
-
-    def test_singularity(self):
-        m = cmatrix([[1, 2], [2, 4]])
-        assert abs(determinant(m)) < 1e-12
 
 
 class TestWords:

@@ -6,16 +6,21 @@ import pytest
 from uecsm import (
     CostGuard,
     NilpotentParams,
+    Signature,
     build_matrix,
     cayley_retract,
+    conjugated_diagonal,
     cost_gradient,
     find_symmetrizer,
+    normalize,
+    random_su,
     symmetrizing_witness,
     symmetry_cost,
     symmetry_residual,
     verify_witness,
 )
-from uecsm.gallery import SCALAR_PLUS_SHIFT_22, WAT_COUNTEREXAMPLE
+from uecsm import oracle
+from uecsm.gallery import GALLERY, SCALAR_PLUS_SHIFT_22, WAT_COUNTEREXAMPLE
 
 from _util import (
     random_complex_matrix,
@@ -158,6 +163,112 @@ class TestFindSymmetrizer:
         b = find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=3, seed=5)
         assert a.residual == b.residual
         assert a.iterations == b.iterations
+
+
+def _restarts_alone(t, restarts, max_iters, until_witness=False):
+    """The restarts of the search run one by one, as (u, residual, iterations).
+
+    The reference for the lockstep search: the same starts, drawn in the
+    same order, each descended alone as a stack of one lane.  Stops after
+    the first witness only when ``until_witness`` is set.
+    """
+    rep = normalize(t)[0]
+    n = t.shape[0]
+    gen = np.random.default_rng(0)
+    target = 0.25 * oracle.WITNESS_TOL**2
+    runs = []
+    for r in range(restarts):
+        u0 = np.eye(n, dtype=complex) if r == 0 else oracle._random_unitary(gen, n)
+        us, costs, iters = oracle._descend(rep, u0[None], max_iters, target, oracle.WITNESS_TOL)
+        runs.append((us[0], float(np.sqrt(max(costs[0], 0.0))), int(iters[0])))
+        if until_witness and runs[-1][1] <= oracle.WITNESS_TOL:
+            break
+    return runs
+
+
+def _sequential_result(runs, restarts):
+    """The result of the plain restart loop over the first ``restarts`` runs."""
+    total = 0
+    for r, (u, residual, iters) in enumerate(runs[:restarts]):
+        total += iters
+        if residual <= oracle.WITNESS_TOL:
+            return "witness", r + 1, total, residual, u
+    return "inconclusive", restarts, total, min(res for _, res, _ in runs[:restarts]), None
+
+
+def _c11_fixture(seed):
+    return conjugated_diagonal(random_su(Signature(3, 4), seed=seed), [-1.0, 0.0, 1.0, 2.0])
+
+
+_BUDGETS = (1, 2, 20, oracle._WAVE + 3)
+
+
+class TestLockstepRestarts:
+    """The lockstep waves report exactly what restarts run one by one report."""
+
+    def _check(self, t, max_iters):
+        runs = _restarts_alone(t, max(_BUDGETS), max_iters, until_witness=True)
+        for restarts in _BUDGETS:
+            result = find_symmetrizer(t, restarts=restarts, max_iters=max_iters)
+            status, used, iters, residual, u = _sequential_result(runs, restarts)
+            assert (result.status, result.restarts_used, result.iterations) == (status, used, iters), restarts
+            assert abs(result.residual - residual) <= 1e-12
+            if u is not None:
+                assert np.array_equal(result.u, u)
+        return runs
+
+    @pytest.mark.parametrize("label", sorted(GALLERY))
+    def test_gallery(self, label):
+        self._check(GALLERY[label][0], max_iters=120)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_gaussian(self, n):
+        self._check(random_complex_matrix(rng(100 + n), n), max_iters=120)
+
+    @pytest.mark.parametrize("seed, max_iters", [(402, 1000), (404, 400)])
+    def test_c11_fixtures(self, seed, max_iters):
+        # a tight cap makes the identity start fail on these fixtures, so
+        # the witness comes from the first wave of random restarts
+        runs = self._check(_c11_fixture(seed), max_iters)
+        assert len(runs) > 1 and runs[-1][1] <= oracle.WITNESS_TOL
+
+    def test_lowest_witness_restart_wins(self):
+        # restart 2 finds a witness in more iterations than restart 3:
+        # the lockstep wave must wait for restart 2 and report it
+        t = _c11_fixture(402)
+        runs = _restarts_alone(t, 4, max_iters=1000)
+        wins = [r for r, (_, residual, _) in enumerate(runs) if residual <= oracle.WITNESS_TOL]
+        assert wins[:2] == [2, 3] and runs[3][2] < runs[2][2]
+        result = find_symmetrizer(t, max_iters=1000)
+        assert result.found and result.restarts_used == 3
+        assert result.iterations == sum(iters for _, _, iters in runs[:3])
+
+
+class TestBoundedWaves:
+    def test_huge_budget_with_a_first_restart_witness(self):
+        s = random_symmetric_matrix(rng(101), 4)
+        result = find_symmetrizer(s, restarts=10**6)
+        assert result.found
+        assert result.restarts_used == 1
+
+    def test_waves_are_bounded_and_drawn_when_run(self, monkeypatch):
+        lanes, draws = [], []
+        descend, draw = oracle._descend, oracle._random_unitary
+
+        def spy_descend(t, u, *args):
+            lanes.append(u.shape[0])
+            return descend(t, u, *args)
+
+        def spy_draw(gen, n):
+            draws.append(n)
+            return draw(gen, n)
+
+        monkeypatch.setattr(oracle, "_descend", spy_descend)
+        monkeypatch.setattr(oracle, "_random_unitary", spy_draw)
+        result = find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=2 * oracle._WAVE + 5, max_iters=5)
+        assert result.restarts_used == 2 * oracle._WAVE + 5
+        assert lanes == [1, oracle._WAVE, oracle._WAVE, 4]
+        assert len(draws) == 2 * oracle._WAVE + 4
 
 
 class TestVerifyWitness:
