@@ -8,8 +8,14 @@ for distinct spectra; the linear variant drops the conjugation and
 instead detects conjugation-by-D similarity through an indefinite
 special unitary group.  Triple products are invariant under re-phasing
 of individual eigenvectors, so none of this depends on the phase
-convention used upstream.  WAT, SAT and LSAT read every inner product
-from the Gram matrices ``X*X`` and ``Y*Y``.
+convention used upstream.  Every test reads its inner products from
+the Gram matrices ``X*X`` and ``Y*Y`` that the eigensystem returns.
+
+The deviations are computed on a ``(B, 2, n, n)`` stack of Gram
+matrices.  :func:`wat`, :func:`sat`, :func:`lsat` and
+:func:`det_criterion_3` are its one-matrix case, and
+:func:`angle_verdicts` runs all four on every row of a
+:class:`~uecsm.spectra.SpectralStack` at once.
 """
 
 from __future__ import annotations
@@ -17,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConsistencyError, OrthogonalEigenvectors
+from .errors import ConsistencyError, OrthogonalEigenvectors, UecsmError
 from .matcore import CMatrix
-from .spectra import SpectralData, eigensystem
+from .spectra import SpectralData, SpectralStack, eigensystem
 from .tracetests import DEFAULT_TOL, Verdict
 
 _IDENTITY_CHECK_TOL = 1e-9
@@ -37,11 +43,6 @@ _ORTHOGONAL_FLOOR = 1e-10
 _TRIPLE_FLOOR = 1e-4
 
 
-def _inner(u: np.ndarray, v: np.ndarray) -> complex:
-    # <u, v> = sum_j u_j conj(v_j), linear in the first argument
-    return complex(np.vdot(v, u))
-
-
 @dataclass(frozen=True)
 class AngleReport:
     """Verdict plus the per-pair or per-triple deviations behind it.
@@ -52,11 +53,6 @@ class AngleReport:
     verdict: Verdict
     pair_deviations: tuple[tuple[tuple[int, int], float], ...] = ()
     triple_deviations: tuple[tuple[tuple[int, int, int], float], ...] = ()
-
-
-def _grams(s: SpectralData) -> tuple[np.ndarray, np.ndarray]:
-    # Gx[j, i] = <x_i, x_j> and Gy[j, i] = <y_i, y_j>
-    return s.x.conj().T @ s.x, s.y.conj().T @ s.y
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -82,27 +78,42 @@ def _triple_index(n: int) -> tuple:
     return i, j, k, keys, tuple(f"triple_{a}_{b}_{c}" for a, b, c in keys)
 
 
-def wat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:
-    """Weak Angle Test: |<x_i,x_j>| = |<y_i,y_j>| for all pairs i < j."""
-    gx, gy = _grams(s)
-    i, j, keys, names = _pair_index(s.n)
-    devs = np.abs(np.abs(gx[j, i]) - np.abs(gy[j, i])).tolist()
-    verdict = Verdict("wat", max(devs, default=0.0) <= tol, tuple(zip(names, devs)), tol)
-    return AngleReport(verdict, pair_deviations=tuple(zip(keys, devs)))
+def _pair_deviations(grams: np.ndarray) -> np.ndarray:
+    """``| |<x_i,x_j>| - |<y_i,y_j>| |`` for the pairs i < j, as a ``(B, pairs)`` array.
+
+    ``grams`` is a ``(B, 2, n, n)`` stack of ``X*X`` and ``Y*Y``, whose
+    ``[j, i]`` entries are ``<x_i, x_j>`` and ``<y_i, y_j>``.
+    """
+    i, j = _pair_index(grams.shape[-1])[:2]
+    moduli = np.abs(grams[:, :, j, i])
+    return np.abs(moduli[:, 0] - moduli[:, 1])
 
 
-def _triple_report(s: SpectralData, tol: float, conjugate: bool, name: str) -> AngleReport:
-    # lhs_ijk = <x_i,x_j> <x_j,x_k> <x_k,x_i>, rhs likewise from the y system
-    gx, gy = _grams(s)
-    i, j, k, keys, names = _triple_index(s.n)
-    lhs = gx[j, i] * gx[k, j] * gx[i, k]
-    rhs = gy[j, i] * gy[k, j] * gy[i, k]
+def _triple_deviations(grams: np.ndarray, conjugate: bool) -> np.ndarray:
+    """Relative triple-product deviations for the triples i <= j <= k, as a ``(B, triples)`` array."""
+    # <x_i,x_j> <x_j,x_k> <x_k,x_i> and likewise from the y system
+    i, j, k = _triple_index(grams.shape[-1])[:3]
+    products = grams[:, :, j, i] * grams[:, :, k, j] * grams[:, :, i, k]
+    lhs, rhs = products[:, 0], products[:, 1]
     if conjugate:
         rhs = rhs.conj()
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TRIPLE_FLOOR)
-    devs = (np.abs(lhs - rhs) / scale).tolist()
-    verdict = Verdict(name, max(devs) <= tol, tuple(zip(names, devs)), tol)
-    return AngleReport(verdict, triple_deviations=tuple(zip(keys, devs)))
+    return np.abs(lhs - rhs) / scale
+
+
+def wat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:
+    """Weak Angle Test: |<x_i,x_j>| = |<y_i,y_j>| for all pairs i < j."""
+    devs = _pair_deviations(s.grams[None])
+    _, _, keys, names = _pair_index(s.n)
+    verdict = Verdict.from_rows("wat", names, devs, tol)[0]
+    return AngleReport(verdict, pair_deviations=tuple(zip(keys, (r for _, r in verdict.residuals))))
+
+
+def _triple_report(s: SpectralData, tol: float, conjugate: bool, name: str) -> AngleReport:
+    devs = _triple_deviations(s.grams[None], conjugate)
+    _, _, _, keys, names = _triple_index(s.n)
+    verdict = Verdict.from_rows(name, names, devs, tol)[0]
+    return AngleReport(verdict, triple_deviations=tuple(zip(keys, (r for _, r in verdict.residuals))))
 
 
 def sat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:
@@ -121,6 +132,57 @@ def lsat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:
     return _triple_report(s, tol, conjugate=False, name="lsat")
 
 
+_DET3_NAMES = (
+    "determinant_gap",
+    "det_vs_pairing_1",
+    "det_vs_pairing_2",
+    "det_vs_pairing_3",
+    "dual_det_vs_pairing",
+)
+
+
+def _det3_residuals(
+    x: np.ndarray, y: np.ndarray, grams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The determinant criterion's residuals ``(B, 5)`` and smallest pairwise ``|<x_i,x_j>|`` ``(B,)``.
+
+    The residuals are the determinant gap followed by the four
+    cross-check identities, named as in :data:`_DET3_NAMES`.
+    """
+    # |<x_1,x_2>|, |<x_2,x_3>|, |<x_3,x_1>| and |<y_2,y_3>|
+    p = np.abs(grams[:, 0, (1, 2, 0), (0, 1, 2)])
+    q23 = np.abs(grams[:, 1, 2, 1])
+    apart = 1 - p**2
+    dets = np.linalg.det(grams).real  # det X*X, det Y*Y
+    # |<x_i, y_i>|^2
+    pairing = np.abs(np.sum(y.conj() * x, axis=1)) ** 2
+    expected = np.concatenate(
+        [
+            apart.prod(axis=1, keepdims=True),
+            # cross-check identities tying det X*X and det Y*Y to the dual pairings
+            pairing * apart[:, (1, 2, 0)],
+            (pairing[:, 0] * (1 - q23**2))[:, None],
+        ],
+        axis=1,
+    )
+    return np.abs(dets[:, (0, 0, 0, 0, 1)] - expected), p.min(axis=1)
+
+
+def _det3_outcome(residuals: np.ndarray, smallest: float) -> Optional[UecsmError]:
+    """Why the determinant criterion does not apply to one row, or None."""
+    if smallest < _ORTHOGONAL_FLOOR:
+        return OrthogonalEigenvectors(
+            "a pairwise eigenvector inner product vanishes; criterion inapplicable"
+        )
+    worst_check = float(residuals[1:].max())
+    if worst_check > _IDENTITY_CHECK_TOL:
+        return ConsistencyError(
+            f"determinant identity cross-check failed at {worst_check:.3e}; "
+            "spectral data is not trustworthy"
+        )
+    return None
+
+
 def det_criterion_3(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     """3x3 determinant criterion det X*X = prod (1 - |<x_i,x_j>|^2).
 
@@ -132,36 +194,11 @@ def det_criterion_3(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     """
     if s.n != 3:
         raise OrthogonalEigenvectors("determinant criterion is defined for n = 3 only")
-    p12 = _inner(s.x[:, 0], s.x[:, 1])
-    p23 = _inner(s.x[:, 1], s.x[:, 2])
-    p31 = _inner(s.x[:, 2], s.x[:, 0])
-    if min(abs(p12), abs(p23), abs(p31)) < _ORTHOGONAL_FLOOR:
-        raise OrthogonalEigenvectors(
-            "a pairwise eigenvector inner product vanishes; criterion inapplicable"
-        )
-    det_xx = complex(np.linalg.det(s.x.conj().T @ s.x)).real
-    det_yy = complex(np.linalg.det(s.y.conj().T @ s.y)).real
-    product = (1 - abs(p12) ** 2) * (1 - abs(p23) ** 2) * (1 - abs(p31) ** 2)
-    residual = abs(det_xx - product)
-
-    # cross-check identities tying det X*X and det Y*Y to the dual pairings
-    q23 = _inner(s.y[:, 1], s.y[:, 2])
-    diag = [abs(_inner(s.x[:, i], s.y[:, i])) ** 2 for i in range(3)]
-    checks = (
-        ("det_vs_pairing_1", abs(det_xx - diag[0] * (1 - abs(p23) ** 2))),
-        ("det_vs_pairing_2", abs(det_xx - diag[1] * (1 - abs(p31) ** 2))),
-        ("det_vs_pairing_3", abs(det_xx - diag[2] * (1 - abs(p12) ** 2))),
-        ("dual_det_vs_pairing", abs(det_yy - diag[0] * (1 - abs(q23) ** 2))),
-    )
-    worst_check = max(v for _, v in checks)
-    if worst_check > _IDENTITY_CHECK_TOL:
-        raise ConsistencyError(
-            f"determinant identity cross-check failed at {worst_check:.3e}; "
-            "spectral data is not trustworthy"
-        )
-    residuals = (("determinant_gap", residual),) + checks
-    worst = max(v for _, v in residuals)
-    return Verdict("det_criterion_3", worst <= tol, residuals, tol)
+    residuals, smallest = _det3_residuals(s.x[None], s.y[None], s.grams[None])
+    refusal = _det3_outcome(residuals[0], float(smallest[0]))
+    if refusal is not None:
+        raise refusal
+    return Verdict.from_rows("det_criterion_3", _DET3_NAMES, residuals, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -179,6 +216,13 @@ class AngleSuite:
     lsat: AngleReport
     det3: Optional[Verdict]
     uecsm: bool
+
+    def verdicts(self) -> dict[str, Verdict]:
+        """The verdicts by report key: ``wat``, ``sat``, ``lsat`` and, when it applied, ``det3``."""
+        out = {"wat": self.wat.verdict, "sat": self.sat.verdict, "lsat": self.lsat.verdict}
+        if self.det3 is not None:
+            out["det3"] = self.det3
+        return out
 
 
 def angle_suite(t: CMatrix, tol: float = DEFAULT_TOL, distinct_tol: float = 1e-6) -> AngleSuite:
@@ -206,3 +250,43 @@ def angle_suite(t: CMatrix, tol: float = DEFAULT_TOL, distinct_tol: float = 1e-6
         det3=det3,
         uecsm=sat_report.verdict.passed,
     )
+
+
+def angle_verdicts(
+    spectral: SpectralStack, tol: float = DEFAULT_TOL
+) -> list[Union[dict[str, Verdict], UecsmError]]:
+    """:meth:`AngleSuite.verdicts` of every row of a spectral stack.
+
+    One pair of stacked Gram matrices serves WAT, SAT, LSAT and, at
+    n = 3, the determinant criterion.  A row that the eigensystem refused
+    gets its refusal; a row whose determinant cross-check fails gets the
+    :class:`ConsistencyError` that :func:`angle_suite` raises.
+    """
+    out: list[Union[dict[str, Verdict], UecsmError]] = list(spectral.refusals)
+    rows = [b for b, refusal in enumerate(spectral.refusals) if refusal is None]
+    if not rows:
+        return out
+    grams = spectral.grams[rows]
+    n = grams.shape[-1]
+    _, _, _, pair_names = _pair_index(n)
+    triple_names = _triple_index(n)[4]
+    columns = {
+        "wat": Verdict.from_rows("wat", pair_names, _pair_deviations(grams), tol),
+        "sat": Verdict.from_rows("sat", triple_names, _triple_deviations(grams, True), tol),
+        "lsat": Verdict.from_rows("lsat", triple_names, _triple_deviations(grams, False), tol),
+    }
+    det3_outcomes: list[Optional[UecsmError]] = [None] * len(rows)
+    if n == 3:
+        residuals, smallest = _det3_residuals(spectral.x[rows], spectral.y[rows], grams)
+        det3_outcomes = [_det3_outcome(r, m) for r, m in zip(residuals, smallest.tolist())]
+        columns["det3"] = Verdict.from_rows("det_criterion_3", _DET3_NAMES, residuals, tol)
+    for r, (b, det3_outcome) in enumerate(zip(rows, det3_outcomes)):
+        if isinstance(det3_outcome, ConsistencyError):
+            out[b] = det3_outcome
+            continue
+        out[b] = {
+            key: verdicts[r]
+            for key, verdicts in columns.items()
+            if key != "det3" or det3_outcome is None
+        }
+    return out

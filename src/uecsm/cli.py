@@ -16,8 +16,15 @@ Subcommands:
   matrix from the indefinite-unitary machinery;
 * ``uecsm batch DIR`` processes a directory of documents and exits 1
   when any file shows a conflict between criteria, else 2 when any file
-  could not be read or analyzed, else 0.  With ``--json`` every field
-  except the top-level ``timings`` block is the same on every run.
+  could not be read or analyzed, else 0.  It parses every file, then
+  runs :func:`analyze_stack` once per matrix size, so each criterion
+  runs once on the stack of that size's matrices.  With ``--json`` it
+  prints one compact JSON document, and every field except the
+  top-level ``timings`` block is the same on every run.
+
+:func:`analyze` runs the one-matrix criteria; :func:`analyze_stack`
+gives a stack of matrices the same reports, and both fill their
+reports through one helper.
 
 The ``UECSM_TOL`` environment variable overrides the default tolerance
 of 1e-8; ``--tol`` overrides both.  Every tolerance must be a finite
@@ -38,12 +45,12 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import gallery
-from .angletests import AngleSuite, angle_suite
+from .angletests import angle_suite, angle_verdicts
 from .constructors import (
     Signature,
     conjugated_diagonal,
@@ -53,17 +60,25 @@ from .constructors import (
     su_membership,
 )
 from .errors import (
+    ConsistencyError,
     DegenerateSpectrum,
     NoConvergence,
     ParseError,
     UecsmError,
     UnsupportedDimension,
 )
-from .matcore import CMatrix, cmatrix
+from .matcore import CMatrix, _require_square, cmatrix, normalize_stack
 from .nilpotent4 import NilpotentParams, build_matrix, classify, psi_closed_forms
 from .oracle import WITNESS_TOL, OracleResult, find_symmetrizer
-from .spectra import eigensystem
-from .tracetests import DEFAULT_TOL, Verdict, transpose_equivalence, uecsm_verdict
+from .spectra import eigensystem, eigensystem_stack
+from .tracetests import (
+    DEFAULT_TOL,
+    Verdict,
+    transpose_equivalence,
+    transpose_verdicts,
+    uecsm_verdict,
+    uecsm_verdicts,
+)
 
 EXIT_UECSM = 0
 EXIT_NOT_UECSM = 1
@@ -237,6 +252,39 @@ def _find_conflicts(report: Report) -> list[tuple[str, str]]:
     return conflicts
 
 
+def _spectral_refusal(exc: UecsmError) -> tuple[str, str]:
+    """The spectral status and note of a report whose angle tests did not run."""
+    if isinstance(exc, DegenerateSpectrum):
+        return "degenerate", f"angle tests inapplicable: {exc}"
+    return "no_convergence", f"eigensolver failed, angle tests skipped: {exc}"
+
+
+def _finish(
+    report: Report,
+    trace: Verdict,
+    transpose: Verdict,
+    angles: Union[dict[str, Verdict], tuple[str, str]],
+    oracle: Optional[OracleResult],
+) -> Report:
+    """Fill ``report`` from one matrix's outcomes; shared by :func:`analyze` and :func:`analyze_stack`.
+
+    ``angles`` holds the angle verdicts by key, or the spectral status
+    and note of :func:`_spectral_refusal` when they did not run.
+    """
+    report.verdicts["uecsm"] = trace
+    report.verdicts["transpose_equivalence"] = transpose
+    if isinstance(angles, tuple):
+        report.spectral_status, note = angles
+        report.notes.append(note)
+    else:
+        report.verdicts.update(angles)
+    report.oracle = oracle
+    report.conflicts = _find_conflicts(report)
+    if not report.conflicts:
+        report.uecsm = trace.passed
+    return report
+
+
 def analyze(
     t: CMatrix,
     label: str,
@@ -253,41 +301,74 @@ def analyze(
 
     ``tol`` governs everything unless a per-criterion override is given.
     """
-    report = Report(label=label, dimension=t.shape[0], tol=tol)
+    report = Report(label=label, dimension=_require_square(t), tol=tol)
     try:
-        report.verdicts["uecsm"] = uecsm_verdict(t, tol if trace_tol is None else trace_tol)
-        report.verdicts["transpose_equivalence"] = transpose_equivalence(
-            t, tol if transpose_tol is None else transpose_tol
-        )
+        trace = uecsm_verdict(t, tol if trace_tol is None else trace_tol)
+        transpose = transpose_equivalence(t, tol if transpose_tol is None else transpose_tol)
     except UnsupportedDimension as exc:
         report.error = str(exc)
         return report
 
-    suite: Optional[AngleSuite] = None
+    angles: Union[dict[str, Verdict], tuple[str, str]]
     try:
-        suite = angle_suite(t, tol if angle_tol is None else angle_tol)
-    except DegenerateSpectrum as exc:
-        report.spectral_status = "degenerate"
-        report.notes.append(f"angle tests inapplicable: {exc}")
-    except NoConvergence as exc:
-        report.spectral_status = "no_convergence"
-        report.notes.append(f"eigensolver failed, angle tests skipped: {exc}")
-    if suite is not None:
-        report.verdicts["wat"] = suite.wat.verdict
-        report.verdicts["sat"] = suite.sat.verdict
-        report.verdicts["lsat"] = suite.lsat.verdict
-        if suite.det3 is not None:
-            report.verdicts["det3"] = suite.det3
-
+        angles = angle_suite(t, tol if angle_tol is None else angle_tol).verdicts()
+    except (DegenerateSpectrum, NoConvergence) as exc:
+        angles = _spectral_refusal(exc)
+    oracle = None
     if run_oracle:
-        report.oracle = find_symmetrizer(
-            t, restarts=oracle_restarts, witness_tol=oracle_tol, seed=seed
-        )
+        oracle = find_symmetrizer(t, restarts=oracle_restarts, witness_tol=oracle_tol, seed=seed)
+    return _finish(report, trace, transpose, angles, oracle)
 
-    report.conflicts = _find_conflicts(report)
-    if not report.conflicts:
-        report.uecsm = report.verdicts["uecsm"].passed
-    return report
+
+def analyze_stack(
+    ts: np.ndarray,
+    labels: Sequence[str],
+    tol: float = DEFAULT_TOL,
+    run_oracle: bool = False,
+    oracle_restarts: int = 20,
+    oracle_tol: float = WITNESS_TOL,
+    seed: int = 0,
+    trace_tol: Optional[float] = None,
+    angle_tol: Optional[float] = None,
+    transpose_tol: Optional[float] = None,
+) -> list[Report]:
+    """:func:`analyze` of every matrix of a ``(B, n, n)`` stack, one report per matrix.
+
+    Each matrix is normalized once, and every criterion runs on the
+    whole stack at once.  The reports equal those of :func:`analyze`
+    with the same arguments; where :func:`analyze` raises a
+    :class:`~uecsm.errors.ConsistencyError` from the determinant
+    criterion, that matrix's report carries the error instead.  With
+    ``run_oracle`` the search runs matrix by matrix after the criteria.
+    """
+    n = _require_square(ts, stacked=True)
+    if len(labels) != len(ts):
+        raise ValueError(f"{len(labels)} labels for {len(ts)} matrices")
+    reps, mu, s = normalize_stack(ts)
+    try:
+        traces = uecsm_verdicts(reps, tol if trace_tol is None else trace_tol)
+        transposes = transpose_verdicts(reps, tol if transpose_tol is None else transpose_tol)
+    except UnsupportedDimension as exc:
+        return [Report(label=label, dimension=n, tol=tol, error=str(exc)) for label in labels]
+    angles = angle_verdicts(eigensystem_stack(reps, mu, s), tol if angle_tol is None else angle_tol)
+
+    reports = []
+    for b, label in enumerate(labels):
+        report = Report(label=label, dimension=n, tol=tol)
+        outcome = angles[b]
+        if isinstance(outcome, ConsistencyError):
+            report.error = str(outcome)
+        else:
+            if isinstance(outcome, UecsmError):
+                outcome = _spectral_refusal(outcome)
+            oracle = None
+            if run_oracle:
+                oracle = find_symmetrizer(
+                    ts[b], restarts=oracle_restarts, witness_tol=oracle_tol, seed=seed
+                )
+            _finish(report, traces[b], transposes[b], outcome, oracle)
+        reports.append(report)
+    return reports
 
 
 def exit_code_for(report: Report) -> int:
@@ -487,26 +568,40 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    results: list[tuple[str, Report, float]] = []
+    names: list[str] = []
+    reports: dict[str, Report] = {}
+    seconds: dict[str, float] = {}
+    groups: dict[int, list[tuple[str, MatrixDocument]]] = {}
     for path in sorted(directory.glob("*.json")):
         start = time.perf_counter()
         try:
             doc = load_matrix_document(path)
-            report = analyze(
-                doc.matrix,
-                doc.label or path.stem,
-                tol=args.tol,
-                run_oracle=args.oracle,
-                oracle_restarts=args.restarts,
-                oracle_tol=args.tol_oracle,
-                seed=args.seed,
-                trace_tol=args.tol_trace,
-                angle_tol=args.tol_angle,
-                transpose_tol=args.tol_transpose,
-            )
+            groups.setdefault(doc.matrix.shape[0], []).append((path.name, doc))
         except UecsmError as exc:
-            report = Report(label=path.stem, dimension=0, tol=args.tol, error=str(exc))
-        results.append((path.name, report, time.perf_counter() - start))
+            reports[path.name] = Report(label=path.stem, dimension=0, tol=args.tol, error=str(exc))
+        names.append(path.name)
+        seconds[path.name] = time.perf_counter() - start
+
+    # one stacked analysis per dimension; each file is charged an equal share
+    for members in groups.values():
+        start = time.perf_counter()
+        group_reports = analyze_stack(
+            np.stack([doc.matrix for _, doc in members]),
+            [doc.label or Path(name).stem for name, doc in members],
+            tol=args.tol,
+            run_oracle=args.oracle,
+            oracle_restarts=args.restarts,
+            oracle_tol=args.tol_oracle,
+            seed=args.seed,
+            trace_tol=args.tol_trace,
+            angle_tol=args.tol_angle,
+            transpose_tol=args.tol_transpose,
+        )
+        share = (time.perf_counter() - start) / len(members)
+        for (name, _), report in zip(members, group_reports):
+            reports[name] = report
+            seconds[name] += share
+    results = [(name, reports[name], seconds[name]) for name in names]
 
     n_conflict = sum(1 for _, r, _ in results if r.conflicts)
     n_error = sum(1 for _, r, _ in results if r.error is not None)
@@ -526,7 +621,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             # the only part of the payload that differs between runs
             "timings": {"runtime_seconds": {name: t for name, _, t in results}},
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # compact, so that the C encoder runs (indent falls back to Python)
+        print(json.dumps(payload, sort_keys=True))
     else:
         for name, report, elapsed in results:
             if report.error is not None:

@@ -8,11 +8,14 @@ sequences, e.g. ``x^2 y^2 x y`` is ``Word.from_string("x2y2xy")``.
 :func:`word_traces` is the one trace engine: every word trace in the
 package is read from it, and :func:`evaluate_word` (the matrix value of
 one word) is its reference.
+
+:func:`normalize_stack`, :func:`word_traces` and :func:`adjoint` also
+take a ``(B, n, n)`` stack of matrices of one size; the one-matrix
+:func:`normalize` is the ``B = 1`` case of :func:`normalize_stack`.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,8 +38,7 @@ def cmatrix(data) -> CMatrix:
     on NaN/Inf entries.
     """
     arr = np.array(data, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    _require_square(arr)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("matrix entries must be finite")
     arr.flags.writeable = False
@@ -47,24 +49,23 @@ def identity(n: int) -> CMatrix:
     return np.eye(n, dtype=complex)
 
 
-def _require_square(a: CMatrix) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a.shape[0]
+def _require_square(a: CMatrix, stacked: bool = False) -> int:
+    """The size ``n`` of a square matrix, or of each matrix of a ``(B, n, n)`` stack.
 
-
-def mul(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Matrix product of two equal-size square matrices."""
-    _require_square(a)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
+    Raises :class:`DimensionMismatch` on any other shape, ``n = 0``
+    included; every public entry point and stacked kernel runs it first.
+    """
+    ndim = 3 if stacked else 2
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        what = "a stack of square matrices" if stacked else "a square matrix"
+        raise DimensionMismatch(f"expected {what}, got shape {a.shape}")
+    return a.shape[-1]
 
 
 def adjoint(a: CMatrix) -> CMatrix:
-    """Conjugate transpose."""
-    _require_square(a)
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a ``(B, n, n)`` stack."""
+    _require_square(a, stacked=a.ndim == 3)
+    return a.conj().swapaxes(-1, -2)
 
 
 def transpose(a: CMatrix) -> CMatrix:
@@ -77,11 +78,6 @@ def trace(a: CMatrix) -> complex:
     return complex(np.trace(a))
 
 
-def frobenius_norm(a: CMatrix) -> float:
-    _require_square(a)
-    return float(np.linalg.norm(a))
-
-
 def normalize(t: CMatrix) -> tuple[CMatrix, complex, float]:
     """The centered, normalized representative ``(T - mu I) / s`` of ``T``.
 
@@ -90,32 +86,78 @@ def normalize(t: CMatrix) -> tuple[CMatrix, complex, float]:
     systems are unchanged by ``T -> aT + bI`` (``a != 0``), so every
     criterion decides on this trace-free, unit-norm matrix and needs no
     scale convention of its own.  A scalar matrix comes back as zeros
-    with ``s = 0``.
+    with ``s = 0``.  This is the one-matrix case of
+    :func:`normalize_stack`; the representative is read-only.
+    """
+    reps, mu, s = representative(t)
+    return reps[0], complex(mu[0]), float(s[0])
 
-    The entries are scaled by a power of two near the largest real or
-    imaginary part before anything else is computed, so no finite input
-    overflows or underflows on the way to the representative.  Only
-    ``mu`` and ``s`` themselves can overflow, when they exceed the
-    largest float.
+
+def representative(t: CMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`normalize_stack` of the one-matrix stack ``t[None]``, read-only.
+
+    For the sizes the criteria decide, the result is memoized by the
+    entries of ``t``: each criterion of one analysis normalizes the same
+    matrix in turn, and all of them read the same representative.
     """
     n = _require_square(t)
-    big = max(float(np.abs(t.real).max()), float(np.abs(t.imag).max()))
-    if big == 0.0:
-        return np.zeros((n, n), dtype=complex), 0j, 0.0
-    # multiply by 2**-e in two factors, neither of which can overflow (as
-    # 1 / big does for subnormal input); scaling by a power of two is exact
-    e = math.frexp(big)[1]
-    f1, f2 = 2.0 ** (-e // 2), 2.0 ** (-e - (-e // 2))
-    m = t * f1 * f2
-    d = m.diagonal()
+    t = np.ascontiguousarray(t, dtype=complex)
+    if n > _MEMO_MAX_N:
+        return _read_only(normalize_stack(t[None]))
+    return _representative(t.tobytes(), n)
+
+
+#: Largest size whose representative is memoized, so that the memo's 16
+#: entries hold at most about 40 KB.
+_MEMO_MAX_N = 8
+
+
+@lru_cache(maxsize=16)
+def _representative(entries: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _read_only(normalize_stack(np.frombuffer(entries, dtype=complex).reshape(1, n, n)))
+
+
+def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def normalize_stack(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`normalize` of every matrix of a ``(B, n, n)`` stack.
+
+    Returns the representatives ``(B, n, n)``, the shifts ``mu`` and the
+    scales ``s`` (each of shape ``(B,)``).
+
+    The entries of each matrix are scaled by a power of two near its
+    largest real or imaginary part before anything else is computed, so
+    no finite input overflows or underflows on the way to the
+    representative.  Only ``mu`` and ``s`` themselves can overflow, when
+    they exceed the largest float.
+    """
+    n = _require_square(ts, stacked=True)
+    count = len(ts)
+    # each matrix as a row of 2 n^2 reals, real and imaginary parts interleaved
+    parts = np.asarray(ts, dtype=complex).reshape(count, n * n).view(float)
+    # scale by 2**-e, exactly, with 2**e near the largest part; a zero
+    # matrix keeps e = 0
+    e = np.frexp(np.abs(parts).max(axis=1))[1]
+    m = np.ldexp(parts, -e[:, None]).view(complex)
+    d = m[:, :: n + 1]  # the diagonals, a view
     # the mean taken relative to d[0] is exactly d[0] when every diagonal
     # entry equals it, so a scalar matrix centers to exact zeros
-    mu = complex(d[0]) + complex((d - d[0]).sum()) / n
-    centered = m - mu * np.eye(n)
-    r = float(np.linalg.norm(centered))
-    if r == 0.0:
-        return np.zeros((n, n), dtype=complex), mu / f1 / f2, 0.0
-    return centered / r, mu / f1 / f2, r / f1 / f2
+    mu = d[:, 0] + (d - d[:, :1]).sum(axis=1) / n
+    d -= mu[:, None]
+    flat = m.view(float)
+    r = np.sqrt(np.einsum("bi,bi->b", flat, flat))
+    if r.all():
+        reps = m.reshape(ts.shape) / r[:, None, None]
+    else:
+        # a scalar matrix (r = 0) comes back as zeros with s = 0
+        reps = m.reshape(ts.shape) / np.where(r == 0.0, np.inf, r)[:, None, None]
+    # undo the scaling of mu, real and imaginary parts alike
+    mu = np.ldexp(mu.view(float).reshape(count, 2), e[:, None]).view(complex)[:, 0]
+    return reps, mu, np.ldexp(r, e)
 
 
 @dataclass(frozen=True)
@@ -233,25 +275,31 @@ def _trace_plan(words: tuple[Word, ...]) -> _TracePlan:
 
 
 def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
-    """``tr w(x, y)`` for every word in ``words``, as a complex vector.
+    """``tr w(x, y)`` for every word in ``words``.
 
-    Each word is split as ``w = l r`` with ``l`` its first ``ceil(d/2)``
-    letters, and ``tr w = sum_ij l_ij r_ji`` is read from a table that
-    holds every distinct prefix of every half once, so words share their
-    products and the table grows with the total word length, not with the
-    number of words of a degree.  The index plan is cached per word tuple.
+    ``x`` and ``y`` are two ``(n, n)`` matrices, giving a vector of
+    ``len(words)`` traces, or two ``(B, n, n)`` stacks, giving a
+    ``(len(words), B)`` array.  Each word is split as ``w = l r`` with
+    ``l`` its first ``ceil(d/2)`` letters, and ``tr w = sum_ij l_ij r_ji``
+    is read from a ``(rows, B, n, n)`` table that holds every distinct
+    prefix of every half once, so words share their products and the
+    table grows with the total word length, not with the number of words
+    of a degree.  The index plan is cached per word tuple.
     """
-    n = _require_square(x)
+    stacked = x.ndim == 3
+    n = _require_square(x, stacked)
     if x.shape != y.shape:
         raise DimensionMismatch(f"letter matrices differ in shape: {x.shape} vs {y.shape}")
     plan = _trace_plan(tuple(words))
-    table = np.empty((plan.rows, n, n), dtype=complex)
+    xs, ys = (x, y) if stacked else (x[None], y[None])
+    table = np.empty((plan.rows, len(xs), n, n), dtype=complex)
     table[0] = np.eye(n)
-    table[1] = x
-    table[2] = y
+    table[1] = xs
+    table[2] = ys
     for start, stop, parents, last in plan.levels:
         np.matmul(table[parents], table[last], out=table[start:stop])
-    return np.einsum("kij,kji->k", table[plan.left], table[plan.right])
+    traces = np.einsum("kbij,kbji->kb", table[plan.left], table[plan.right])
+    return traces if stacked else traces[:, 0]
 
 
 def word_trace(w: Word, x: CMatrix, y: CMatrix) -> complex:

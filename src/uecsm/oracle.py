@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuard, DimensionMismatch
-from .matcore import CMatrix, normalize
+from .matcore import CMatrix, _require_square, normalize
 from .tracetests import Verdict
 
 WITNESS_TOL = 1e-6
@@ -256,9 +256,7 @@ def find_symmetrizer(
     and is needed for symmetrizable inputs whose eigenbasis is badly
     conditioned, where the descent valley is long and narrow.
     """
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {t.shape}")
-    n = t.shape[0]
+    n = _require_square(t)
     if n > _MAX_DIM:
         raise CostGuard(f"search limited to n <= {_MAX_DIM}, got n = {n}")
     if restarts < 1:

@@ -18,6 +18,12 @@ they read rounding only, and ``w12``/``w13`` and ``w16``/``w17`` have
 equal gaps; the information sits in ``phi7`` and in the gaps of
 ``w12``, ``w14``-``w16`` and ``w18``-``w20``.
 
+The verdicts are computed for a ``(B, n, n)`` stack of normalized
+representatives at once: :func:`uecsm_verdicts` and
+:func:`transpose_verdicts` are the kernels, and :func:`uecsm_verdict`,
+:func:`trace_test_3`, :func:`psi7` and :func:`transpose_equivalence` run
+them on a one-matrix stack.
+
 Tolerance convention (a numerical convention, not part of the algebra):
 the verdicts evaluate their traces on the centered, normalized
 representative ``(T - mu I) / s`` of :func:`~uecsm.matcore.normalize`,
@@ -36,7 +42,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
-from .matcore import CMatrix, Word, adjoint, normalize, reverse_word, word_traces
+from .matcore import (
+    CMatrix,
+    Word,
+    _require_square,
+    adjoint,
+    normalize,
+    representative,
+    reverse_word,
+    word_traces,
+)
 
 # Not called in this module: ``perfbench/tracing.py`` counts word traces by
 # wrapping this binding, so removing it breaks every traced benchmark run.
@@ -93,6 +108,8 @@ _REVERSAL_CHECKS: dict[int, tuple[tuple[Word, ...], tuple[str, ...]]] = {
 #: Letter counts of the words behind psi_1 .. psi_7.
 PSI_DEGREES: tuple[int, ...] = (6, 7, 8, 8, 9, 9, 10)
 
+_PSI_NAMES: tuple[str, ...] = tuple(f"psi{i}" for i in range(1, len(PSI_DEGREES) + 1))
+
 
 @dataclass(frozen=True)
 class TraceSignature:
@@ -116,6 +133,19 @@ class Verdict:
     def max_residual(self) -> float:
         return max((r for _, r in self.residuals), default=0.0)
 
+    @classmethod
+    def from_rows(
+        cls, criterion: str, names: tuple[str, ...], residuals: np.ndarray, tol: float
+    ) -> list["Verdict"]:
+        """One verdict per row of a ``(B, len(names))`` residual array.
+
+        A row passes when its largest residual is at most ``tol``.
+        """
+        return [
+            cls(criterion, max(row, default=0.0) <= tol, tuple(zip(names, row)), tol)
+            for row in residuals.tolist()
+        ]
+
 
 def _require_dim(t: CMatrix, n: int, who: str) -> None:
     if t.shape != (n, n):
@@ -132,11 +162,25 @@ def phi3(t: CMatrix) -> TraceSignature:
 def trace_test_3(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """UECSM test for 3x3: tr[T*T (T*T - TT*) TT*] must vanish."""
     _require_dim(t, 3, "trace_test_3")
-    rep, _, _ = normalize(t)
-    h1 = adjoint(rep) @ rep
-    h2 = rep @ adjoint(rep)
-    residual = abs(complex(np.trace(h1 @ (h1 - h2) @ h2)))
-    return Verdict("trace_test_3", residual <= tol, (("commutator_trace", residual),), tol)
+    residual = _commutator_trace(representative(t)[0])
+    return Verdict.from_rows("trace_test_3", ("commutator_trace",), residual, tol)[0]
+
+
+def _products(lefts: tuple[np.ndarray, ...], rights: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``lefts[k] @ rights[k]`` for every k, as one array of shape ``(k, B, n, n)``.
+
+    Each operand is a ``(B, n, n)`` stack.  One stacked product replaces
+    ``k`` calls, each of which costs more in overhead than a small
+    product does in arithmetic.
+    """
+    out = np.matmul(np.concatenate(lefts), np.concatenate(rights))
+    return out.reshape(len(lefts), -1, *out.shape[1:])
+
+
+def _commutator_trace(reps: np.ndarray) -> np.ndarray:
+    """``|tr[X*X (X*X - XX*) XX*]|`` of each 3x3 matrix of a stack, as a ``(B, 1)`` column."""
+    h1, h2 = _products((adjoint(reps), reps), (reps, adjoint(reps)))
+    return np.abs(np.einsum("bij,bji->b", h1 @ (h1 - h2), h2))[:, None]
 
 
 def djokovic_signature(t: CMatrix) -> TraceSignature:
@@ -171,60 +215,73 @@ def unitary_equivalence_4(a: CMatrix, b: CMatrix, tol: float = DEFAULT_TOL) -> V
 
 
 def psi7(t: CMatrix) -> TraceSignature:
-    """The seven commutator traces whose vanishing characterizes UECSM at n = 4.
-
-    Each value is computed from its grouped product form (difference
-    taken before the outer products) so the analytically cancelling
-    terms never meet in floating point.
-    """
+    """The seven commutator traces whose vanishing characterizes UECSM at n = 4."""
     _require_dim(t, 4, "psi7")
-    x = np.asarray(t, dtype=complex)
-    y = adjoint(t)
-    x2 = x @ x
-    y2 = y @ y
-    y3 = y2 @ y
-    xy = x @ y
-    m = x2 @ y
-    w = y @ x2
-    values = (
-        np.trace(x @ (x @ y2 - y2 @ x) @ xy),
-        np.trace(x @ (x2 @ y2 - y2 @ x2) @ xy),
-        np.trace(x2 @ (x @ y2 - y2 @ x) @ x2 @ y),
-        np.trace(x @ (x2 @ y3 - y3 @ x2) @ xy),
-        np.trace(x @ (m @ m - w @ w) @ xy),
-        np.trace(x2 @ y @ (y @ x - x @ y) @ y @ x2 @ y),
-        np.trace(x2 @ (x @ y3 - y3 @ x) @ x2 @ y2),
+    values = _psi7_values(np.asarray(t, dtype=complex)[None])[0]
+    return TraceSignature("psi7", tuple(values.tolist()), PSI_DEGREES)
+
+
+def _psi7_values(x: np.ndarray) -> np.ndarray:
+    """``psi_1 .. psi_7`` of each 4x4 matrix of a stack, as a ``(B, 7)`` array.
+
+    Each value is ``tr(L R)`` with the commutator inside ``L``: the
+    difference is taken before the outer products, so the analytically
+    cancelling terms never meet in floating point.  The products of each
+    length are formed in one stacked call.
+    """
+    y = adjoint(x)
+    x2, y2, xy, yx = _products((x, y, x, y), (x, y, y, x))
+    y3, xy2, y2x, x2y2, y2x2, x2y, yx2 = _products(
+        (y2, x, y2, x2, y2, x2, y), (y, y2, x, y2, x2, y, x2)
     )
-    return TraceSignature("psi7", tuple(complex(v) for v in values), PSI_DEGREES)
+    x2y3, y3x2, xy3, y3x, x2yx2y, yx2yx2, yx2y = _products(
+        (x2, y3, x, y3, x2y, yx2, yx2), (y3, x2, y3, x, x2y, yx2, y)
+    )
+    lefts = _products(
+        (x, x, x2, x, x, x2y, x2),
+        (
+            xy2 - y2x,  # [x, y^2]
+            x2y2 - y2x2,  # [x^2, y^2]
+            xy2 - y2x,
+            x2y3 - y3x2,  # [x^2, y^3]
+            x2yx2y - yx2yx2,
+            yx - xy,  # [y, x]
+            xy3 - y3x,  # [x, y^3]
+        ),
+    )
+    rights = np.concatenate((xy, xy, x2y, xy, xy, yx2y, x2y2)).reshape(lefts.shape)
+    return np.einsum("kbij,kbji->bk", lefts, rights)
 
 
-def _psi_verdict(t: CMatrix, tol: float) -> Verdict:
-    rep, _, _ = normalize(t)
-    residuals = tuple((f"psi{i}", abs(v)) for i, v in enumerate(psi7(rep).values, start=1))
-    worst = max(r for _, r in residuals)
-    return Verdict("uecsm_psi7", worst <= tol, residuals, tol)
+def _trace_dimension(n: int, what: str) -> None:
+    if n >= 5:
+        raise UnsupportedDimension(f"no {what} for n = {n}")
 
 
 def uecsm_verdict(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """Decide UECSM by the dimension-appropriate trace criterion.
 
     n = 1 and n = 2 matrices are always UECSM, so they pass
-    unconditionally; n = 3 dispatches to :func:`trace_test_3`; n = 4 to
-    the seven-trace test.  Larger sizes raise
+    unconditionally; n = 3 reads the trace of :func:`trace_test_3`; n = 4
+    the seven traces of :func:`psi7`.  Larger sizes raise
     :class:`UnsupportedDimension` since no complete word criterion is
-    implemented there.
+    implemented there.  This is the one-matrix case of
+    :func:`uecsm_verdicts`.
     """
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {t.shape}")
-    n = t.shape[0]
-    if n >= 5:
-        raise UnsupportedDimension(f"no complete trace criterion for n = {n}")
+    _trace_dimension(_require_square(t), "complete trace criterion")
+    return uecsm_verdicts(representative(t)[0], tol)[0]
+
+
+def uecsm_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
+    """:func:`uecsm_verdict` of each matrix of a ``(B, n, n)`` stack of
+    normalized representatives (:func:`~uecsm.matcore.normalize_stack`)."""
+    n = _require_square(reps, stacked=True)
+    _trace_dimension(n, "complete trace criterion")
     if n <= 2:
-        return Verdict("uecsm_small_n", True, (("small_n", 0.0),), tol)
+        return [Verdict("uecsm_small_n", True, (("small_n", 0.0),), tol)] * len(reps)
     if n == 3:
-        v = trace_test_3(t, tol)
-        return Verdict("uecsm_trace3", v.passed, v.residuals, tol)
-    return _psi_verdict(t, tol)
+        return Verdict.from_rows("uecsm_trace3", ("commutator_trace",), _commutator_trace(reps), tol)
+    return Verdict.from_rows("uecsm_psi7", _PSI_NAMES, np.abs(_psi7_values(reps)), tol)
 
 
 def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
@@ -237,19 +294,21 @@ def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     ``|tr w_i - tr rev(w_i)|`` on the normalized representative, named
     ``phi1..phi7`` or ``w01..w20``.  Equivalent to the UECSM property for
     these sizes, so the verdict must agree with :func:`uecsm_verdict` up
-    to tolerance effects.
+    to tolerance effects.  This is the one-matrix case of
+    :func:`transpose_verdicts`.
     """
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {t.shape}")
-    n = t.shape[0]
-    if n >= 5:
-        raise UnsupportedDimension(f"no word criterion for n = {n}")
+    _trace_dimension(_require_square(t), "word criterion")
+    return transpose_verdicts(representative(t)[0], tol)[0]
+
+
+def transpose_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
+    """:func:`transpose_equivalence` of each matrix of a ``(B, n, n)``
+    stack of normalized representatives, from one word-trace table."""
+    n = _require_square(reps, stacked=True)
+    _trace_dimension(n, "word criterion")
     if n <= 2:
-        return Verdict("transpose_equivalence", True, (("small_n", 0.0),), tol)
+        return [Verdict("transpose_equivalence", True, (("small_n", 0.0),), tol)] * len(reps)
     words, names = _REVERSAL_CHECKS[n]
-    rep, _, _ = normalize(t)
-    values = word_traces(words, rep, adjoint(rep))
-    gaps = np.abs(values[: len(names)] - values[len(names) :]).tolist()
-    residuals = tuple(zip(names, gaps))
-    worst = max(gaps)
-    return Verdict("transpose_equivalence", worst <= tol, residuals, tol)
+    values = word_traces(words, reps, adjoint(reps))
+    gaps = np.abs(values[: len(names)] - values[len(names) :]).T
+    return Verdict.from_rows("transpose_equivalence", names, gaps, tol)

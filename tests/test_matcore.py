@@ -11,9 +11,7 @@ from uecsm import (
     adjoint,
     cmatrix,
     evaluate_word,
-    frobenius_norm,
     identity,
-    mul,
     normalize,
     reverse_word,
     trace,
@@ -22,19 +20,9 @@ from uecsm import (
     word_traces,
 )
 from uecsm.gallery import WAT_COUNTEREXAMPLE
-from uecsm.matcore import _trace_plan
+from uecsm.matcore import _trace_plan, normalize_stack
 
 from _util import random_complex_matrix, rng
-
-
-def naive_product(a, b):
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
 
 
 class TestConstruction:
@@ -53,26 +41,6 @@ class TestConstruction:
 
 
 class TestArithmetic:
-    def test_identity_product(self):
-        m = random_complex_matrix(rng(1), 3)
-        assert np.allclose(mul(identity(3), m), m)
-
-    def test_diagonal_product(self):
-        assert np.allclose(
-            mul(np.diag([1.0, 2.0]).astype(complex), np.diag([3.0, 4.0]).astype(complex)),
-            np.diag([3.0, 8.0]),
-        )
-
-    def test_product_matches_triple_loop(self):
-        gen = rng(2)
-        a = random_complex_matrix(gen, 4)
-        b = random_complex_matrix(gen, 4)
-        assert np.allclose(mul(a, b), naive_product(a, b), atol=1e-12)
-
-    def test_mul_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mul(identity(3), identity(4))
-
     def test_trace_identity(self):
         assert trace(identity(4)) == 4
 
@@ -84,19 +52,13 @@ class TestArithmetic:
         m = random_complex_matrix(rng(4), 4)
         assert trace(transpose(m)) == trace(m)
 
-    def test_frobenius_norm_identity(self):
-        m = random_complex_matrix(rng(5), 4)
-        value = trace(mul(adjoint(m), m))
-        assert abs(value.imag) < 1e-12
-        assert frobenius_norm(m) ** 2 == pytest.approx(value.real, rel=1e-12)
-
     def test_trace_commutativity(self):
         gen = rng(6)
         for _ in range(20):
             a = random_complex_matrix(gen, 4, scale=3.0)
             b = random_complex_matrix(gen, 4, scale=3.0)
-            bound = 1e-12 * frobenius_norm(a) * frobenius_norm(b)
-            assert abs(trace(mul(a, b)) - trace(mul(b, a))) <= bound
+            bound = 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
+            assert abs(trace(a @ b) - trace(b @ a)) <= bound
 
 
 class TestNormalize:
@@ -119,6 +81,18 @@ class TestNormalize:
     def test_zero_matrix(self):
         rep, mu, s = normalize(np.zeros((3, 3), dtype=complex))
         assert not np.any(rep) and mu == 0 and s == 0.0
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_representative_is_read_only_and_matches_the_stack(self, n):
+        # up to n = 8 equal entries share one memoized representative
+        t = random_complex_matrix(rng(7), n)
+        rep, mu, s = normalize(t)
+        again = normalize(t.copy())
+        assert np.shares_memory(again[0], rep) == (n <= 8)
+        with pytest.raises(ValueError):
+            rep[0, 0] = 0
+        reps, mus, ss = normalize_stack(np.stack([t, 2 * t]))
+        assert np.array_equal(reps[0], rep) and mus[0] == mu and ss[0] == s
 
     @pytest.mark.parametrize("c", [1e-320, 1e-300, 1e-7j, 3.0, 1e300, -1e306])
     def test_affine_image_has_the_same_representative(self, c):
@@ -165,7 +139,7 @@ class TestWords:
     def test_word12_matches_chained_product(self):
         t = random_complex_matrix(rng(21), 4)
         ta = adjoint(t)
-        explicit = mul(mul(mul(mul(t, t), mul(ta, ta)), t), ta)
+        explicit = t @ t @ (ta @ ta) @ t @ ta
         assert np.allclose(evaluate_word(Word.from_string("x2y2xy"), t, ta), explicit, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -183,7 +157,7 @@ def test_trace_reversal_transpose_identity(letters, seed):
     y = random_complex_matrix(gen, 3)
     lhs = word_trace(w, x, y)
     rhs = word_trace(reverse_word(w), x.T, y.T)
-    scale = max(1.0, frobenius_norm(x), frobenius_norm(y)) ** w.degree
+    scale = max(1.0, np.linalg.norm(x), np.linalg.norm(y)) ** w.degree
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
