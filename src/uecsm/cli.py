@@ -397,11 +397,12 @@ def _print_report(report: Report, as_json: bool) -> None:
         print(f"  {key:<22} {status}  max residual {verdict.max_residual:.3e}")
     print(f"spectrum : {report.spectral_status}")
     if report.oracle is not None:
-        print(
-            f"oracle   : {report.oracle.status}"
-            f" (residual {report.oracle.residual:.3e},"
-            f" restarts {report.oracle.restarts_used})"
-        )
+        oracle = report.oracle
+        if oracle.restarts_used == 0:  # the closed-form witness, before any restart
+            detail = f"closed form, residual {oracle.residual:.3e}"
+        else:
+            detail = f"residual {oracle.residual:.3e}, restarts {oracle.restarts_used}"
+        print(f"oracle   : {oracle.status} ({detail})")
     for note in report.notes:
         print(f"note     : {note}")
     if report.conflicts:

@@ -1,14 +1,26 @@
-"""Brute-force witness search: symmetrize a matrix over the unitary group.
+"""Witness search: symmetrize a matrix over the unitary group.
 
-Minimizes f(U) = |U T U* - (U T U*)^t|_F^2 by Riemannian descent on the
-unitary group: steps are Cayley transforms along the gradient, with a
-plain step-halving line search and multiple random restarts.  One
-``eigh`` of the Hermitian ``i grad f`` per iteration gives the Cayley
-step of every trial length in eigen form, with no linear solve.
-Restart 0 (the identity) descends alone; the random restarts then
-descend in lockstep, in waves of stacked ``(lanes, n, n)`` arrays, and
-the search reports exactly what running the restarts one by one would:
-the same status, residual, witness, restart count and iterations.
+A closed-form stage runs first.  It is the Cartesian criterion of
+Tener, "Unitary equivalence to a complex symmetric matrix: an algorithm"
+(JMAA 2008), which rests on Garcia-Putinar (TAMS 2006): T is UECSM
+exactly when CTC = T* for some conjugation C, that is, when one unitary
+makes both Hermitian parts of T real symmetric.  If Re(cT) has a simple
+spectrum for one of eight fixed phases c, one ``eigh`` of it and phases
+solved along a maximum spanning tree give the witness.  It declines when
+every Re(cT) has a repeated eigenvalue, or when its candidate misses the
+witness tolerance, as it does on inputs that are not UECSM.  A witness
+from it is reported with ``restarts_used = 0`` and ``iterations = 0``.
+
+When it declines, a descent searches.  It minimizes
+f(U) = |U T U* - (U T U*)^t|_F^2 by Riemannian descent on the unitary
+group: steps are Cayley transforms along the gradient, with a plain
+step-halving line search and multiple random restarts.  One ``eigh`` of
+the Hermitian ``i grad f`` per iteration gives the Cayley step of every
+trial length in eigen form, with no linear solve.  Restart 0 (the
+identity) descends alone; the random restarts then descend in lockstep,
+in waves of stacked ``(lanes, n, n)`` arrays, and the search reports
+exactly what running the restarts one by one would: the same status,
+residual, witness, restart count and iterations.
 
 A small enough final residual yields a constructive witness that T is
 UECSM; a large floor after many restarts is only evidence in the other
@@ -37,6 +49,13 @@ _MAX_STEP = 1e9
 # Random restarts descend together in waves of at most this many lanes,
 # so memory stays bounded whatever the restart budget.
 _WAVE = 32
+# Phases c = e^{i pi k / 8} of the closed-form stage: one of them gives
+# Re(cT) a simple spectrum unless every Hermitian part of T has a
+# repeated eigenvalue.  Re(-cT) = -Re(cT), so half a turn covers them all.
+_PHASES = np.exp(1j * np.pi * np.arange(8) / 8)
+# Smallest eigenvalue gap of Re(cT), on the unit-norm representative,
+# for which the closed-form stage trusts the eigenbasis.
+_GAP_MIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -227,6 +246,94 @@ def _descend(
     return out_u[: won + 1], out_f[: won + 1], out_iters[: won + 1]
 
 
+def _tree_phases(b: np.ndarray) -> np.ndarray:
+    """Phases ``alpha`` making every ``e^{i(alpha_i - alpha_j)} b_ij`` real on a tree.
+
+    The tree is a maximum spanning tree of ``|b_ij|`` (Prim's algorithm
+    from vertex 0), so no phase comes from a rounding-sized entry; along
+    it ``alpha_j = alpha_parent + arg b_parent,j``, which makes the tree
+    entries positive.  Plain Python, since ``n <= _MAX_DIM``.
+    """
+    n = b.shape[0]
+    weight = np.abs(b).tolist()
+    angle = np.angle(b).tolist()
+    alpha = [0.0] * n
+    best = weight[0][:]  # heaviest edge from the tree to each vertex
+    parent = [0] * n
+    outside = list(range(1, n))
+    while outside:
+        j = max(outside, key=best.__getitem__)
+        outside.remove(j)
+        alpha[j] = alpha[parent[j]] + angle[parent[j]][j]
+        for v in outside:
+            if weight[j][v] > best[v]:
+                best[v], parent[v] = weight[j][v], j
+    return np.array(alpha)
+
+
+def _closed_form(rep: CMatrix, witness_tol: float) -> Optional[OracleResult]:
+    """The Cartesian witness of Tener (2008), or None where it gives none.
+
+    ``T`` is UECSM exactly when ``CTC = T*`` for some conjugation ``C``
+    (Garcia-Putinar 2006), that is, when some unitary makes both
+    Hermitian parts ``A = Re T`` and ``B = Im T`` real symmetric at once.
+    If ``A = V D V*`` has a simple spectrum, such a unitary is
+    ``diag(e^{i alpha}) V*`` with phases making ``B' = V* B V`` real, and
+    those phases follow from a spanning tree of ``B'``.  ``T`` is turned
+    by the phase ``c`` of ``_PHASES`` whose ``Re(cT)`` has the widest
+    smallest eigenvalue gap; the stage declines when that gap is at
+    most ``_GAP_MIN`` or when the witness misses ``witness_tol``.
+    """
+    turned = _PHASES[:, None, None] * rep
+    herm = 0.5 * (turned + _adjoint(turned))  # Re(cT) for every phase c
+    gaps = np.diff(np.linalg.eigvalsh(herm), axis=-1).min(axis=-1)
+    k = int(np.argmax(gaps))
+    if gaps[k] <= _GAP_MIN:
+        return None
+    _, v = np.linalg.eigh(herm[k])
+    vh = _adjoint(v)
+    b = -1j * (vh @ (turned[k] - herm[k]) @ v)  # B' = V* Im(cT) V
+    u = np.exp(1j * _tree_phases(b))[:, None] * vh
+    residual = float(_residual(_evaluate(rep, u)[2]))  # rep has unit norm
+    if residual > witness_tol:
+        return None
+    u.flags.writeable = False
+    return OracleResult("witness", u, residual, 0, 0)
+
+
+def _search_restarts(
+    rep: CMatrix, restarts: int, max_iters: int, witness_tol: float, seed: int
+) -> OracleResult:
+    """The descent: restart 0 (the identity) alone, then the random restarts.
+
+    The random restarts descend in lockstep waves of at most ``_WAVE``
+    lanes, and a wave's starts are drawn only when it runs, in restart
+    order.  Returns the witness of the first restart that reaches
+    ``witness_tol``, with the iterations of every restart up to it, or
+    the best residual of all of them.
+    """
+    n = rep.shape[0]
+    target_cost = 0.25 * witness_tol**2  # stop once safely inside
+    rng = np.random.default_rng(seed)
+    total_iters = 0
+    best_residual = float("inf")
+    first = 0
+    while first < restarts:
+        stop = min(first + _WAVE, restarts) if first else 1
+        starts = [np.eye(n, dtype=complex) if r == 0 else _random_unitary(rng, n) for r in range(first, stop)]
+        us, costs, iters = _descend(rep, np.stack(starts), max_iters, target_cost, witness_tol)
+        for lane, (u, cost, lane_iters) in enumerate(zip(us, costs, iters)):
+            total_iters += int(lane_iters)
+            residual = float(_residual(cost))  # rep has unit norm
+            best_residual = min(best_residual, residual)
+            if residual <= witness_tol:
+                out = np.array(u)
+                out.flags.writeable = False
+                return OracleResult("witness", out, residual, total_iters, first + lane + 1)
+        first = stop
+    return OracleResult("inconclusive", None, best_residual, total_iters, restarts)
+
+
 def find_symmetrizer(
     t: CMatrix,
     restarts: int = 20,
@@ -239,12 +346,22 @@ def find_symmetrizer(
     The search runs on the centered, normalized representative of
     :func:`~uecsm.matcore.normalize`, so it behaves the same at every
     scale and shift of ``t``; a scalar matrix is a witness at once.
-    Restart 0 starts from the identity (free win for inputs that are
-    already symmetric); the remaining starts are Haar-ish random
-    unitaries.  Returns the witness of the first restart that reaches
-    the normalized residual target, with the iterations of every
-    restart up to it, otherwise reports the best residual seen.  An
-    ``inconclusive`` result carries no information that T is not UECSM.
+
+    The closed-form Cartesian witness comes first (see
+    :func:`_closed_form`): one stacked ``eigvalsh`` and one ``eigh``.  A
+    witness from it has ``iterations = 0`` and ``restarts_used = 0``.
+    It declines when no turned Hermitian part ``Re(cT)`` has a simple
+    spectrum (a normal matrix such as ``Q diag(1, 1, 2) Q*``) or when its
+    candidate misses ``witness_tol``, as it does on matrices that are not
+    UECSM.  The descent then runs exactly as it would without the
+    stage: the stage draws nothing from the restart generator.
+
+    In the descent, restart 0 starts from the identity; the remaining
+    starts are Haar-ish random unitaries.  It returns the witness of the
+    first restart that reaches the normalized residual target, with the
+    iterations of every restart up to it, otherwise reports the best
+    residual seen.  An ``inconclusive`` result carries no information
+    that T is not UECSM.
 
     Restarts after the first descend in lockstep waves of at most
     ``_WAVE`` lanes, whose starts are drawn only when the wave runs, so
@@ -269,28 +386,7 @@ def find_symmetrizer(
         u = np.eye(n, dtype=complex)
         u.flags.writeable = False
         return OracleResult("witness", u, 0.0, 0, 1)
-    target_cost = 0.25 * witness_tol**2  # stop once safely inside
-    rng = np.random.default_rng(seed)
-
-    # restart 0 (the identity) alone, then the random restarts in lockstep
-    # waves; a wave's starts are drawn only when it runs, in restart order
-    total_iters = 0
-    best_residual = float("inf")
-    first = 0
-    while first < restarts:
-        stop = min(first + _WAVE, restarts) if first else 1
-        starts = [np.eye(n, dtype=complex) if r == 0 else _random_unitary(rng, n) for r in range(first, stop)]
-        us, costs, iters = _descend(rep, np.stack(starts), max_iters, target_cost, witness_tol)
-        for lane, (u, cost, lane_iters) in enumerate(zip(us, costs, iters)):
-            total_iters += int(lane_iters)
-            residual = float(_residual(cost))  # rep has unit norm
-            best_residual = min(best_residual, residual)
-            if residual <= witness_tol:
-                out = np.array(u)
-                out.flags.writeable = False
-                return OracleResult("witness", out, residual, total_iters, first + lane + 1)
-        first = stop
-    return OracleResult("inconclusive", None, best_residual, total_iters, restarts)
+    return _closed_form(rep, witness_tol) or _search_restarts(rep, restarts, max_iters, witness_tol, seed)
 
 
 def verify_witness(t: CMatrix, u: CMatrix, tol: float = WITNESS_TOL) -> Verdict:

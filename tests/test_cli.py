@@ -384,7 +384,19 @@ class TestTolerancePlumbing:
         path = str(fixture_dir / "scalar_plus_shift_22.json")
         assert main(["test", path, "--json", "--oracle", "--restarts", "1"]) == EXIT_UECSM
         payload = json.loads(capsys.readouterr().out)
-        assert payload["oracle"]["restarts_used"] == 1
+        # the closed-form witness comes before any restart
+        assert (payload["oracle"]["restarts_used"], payload["oracle"]["iterations"]) == (0, 0)
+
+    def test_oracle_text_names_the_closed_form(self, fixture_dir, capsys):
+        path = str(fixture_dir / "scalar_plus_shift_22.json")
+        assert main(["test", path, "--oracle"]) == EXIT_UECSM
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
+        assert line.startswith("oracle   : witness (closed form, residual ")
+        assert "restarts" not in line
+        path = str(fixture_dir / "wat_counterexample.json")
+        assert main(["test", path, "--oracle", "--restarts", "1"]) == EXIT_NOT_UECSM
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
+        assert line.startswith("oracle   : inconclusive (residual ") and line.endswith(", restarts 1)")
 
     def test_small_override_is_kept(self):
         # an override is used as given, never replaced by the common tol

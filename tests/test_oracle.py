@@ -1,7 +1,13 @@
 """Tests for the unitary-group symmetrizer search."""
 
+import cmath
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uecsm import (
     CostGuard,
@@ -81,7 +87,13 @@ class TestFindSymmetrizer:
         s = random_symmetric_matrix(rng(95), 4)
         result = find_symmetrizer(s)
         assert result.found
-        assert result.restarts_used == 1
+        assert (result.restarts_used, result.iterations) == (0, 0)
+        assert result.residual < 1e-12
+        assert verify_witness(s, result.u).passed
+        # the descent alone takes the identity start at once
+        result = _descent(s, restarts=20)
+        assert result.found
+        assert (result.restarts_used, result.iterations) == (1, 1)
         assert result.residual < 1e-12
         assert np.allclose(result.u, np.eye(4))
 
@@ -165,6 +177,11 @@ class TestFindSymmetrizer:
         assert a.iterations == b.iterations
 
 
+def _descent(t, restarts, max_iters=20000, seed=0):
+    """The descent of :func:`find_symmetrizer` alone, without the closed form."""
+    return oracle._search_restarts(normalize(t)[0], restarts, max_iters, oracle.WITNESS_TOL, seed)
+
+
 def _restarts_alone(t, restarts, max_iters, until_witness=False):
     """The restarts of the search run one by one, as (u, residual, iterations).
 
@@ -209,7 +226,7 @@ class TestLockstepRestarts:
     def _check(self, t, max_iters):
         runs = _restarts_alone(t, max(_BUDGETS), max_iters, until_witness=True)
         for restarts in _BUDGETS:
-            result = find_symmetrizer(t, restarts=restarts, max_iters=max_iters)
+            result = _descent(t, restarts, max_iters)
             status, used, iters, residual, u = _sequential_result(runs, restarts)
             assert (result.status, result.restarts_used, result.iterations) == (status, used, iters), restarts
             assert abs(result.residual - residual) <= 1e-12
@@ -239,7 +256,7 @@ class TestLockstepRestarts:
         runs = _restarts_alone(t, 4, max_iters=1000)
         wins = [r for r, (_, residual, _) in enumerate(runs) if residual <= oracle.WITNESS_TOL]
         assert wins[:2] == [2, 3] and runs[3][2] < runs[2][2]
-        result = find_symmetrizer(t, max_iters=1000)
+        result = _descent(t, restarts=20, max_iters=1000)
         assert result.found and result.restarts_used == 3
         assert result.iterations == sum(iters for _, _, iters in runs[:3])
 
@@ -248,6 +265,9 @@ class TestBoundedWaves:
     def test_huge_budget_with_a_first_restart_witness(self):
         s = random_symmetric_matrix(rng(101), 4)
         result = find_symmetrizer(s, restarts=10**6)
+        assert result.found
+        assert (result.restarts_used, result.iterations) == (0, 0)
+        result = _descent(s, restarts=10**6)
         assert result.found
         assert result.restarts_used == 1
 
@@ -269,6 +289,105 @@ class TestBoundedWaves:
         assert result.restarts_used == 2 * oracle._WAVE + 5
         assert lanes == [1, oracle._WAVE, oracle._WAVE, 4]
         assert len(draws) == 2 * oracle._WAVE + 4
+
+
+def _closed_form(t):
+    return oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL)
+
+
+class TestClosedForm:
+    """The Cartesian witness that runs ahead of the descent."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(3, 6),
+        st.floats(-150, 150),
+        st.floats(0, 2 * math.pi),
+        st.floats(-6, 6),
+        st.floats(0, 2 * math.pi),
+    )
+    def test_built_uecsm_inputs_get_closed_form_witnesses(self, seed, n, exponent, theta, shift_exponent, phi):
+        gen = rng(seed)
+        w = random_unitary(gen, n)
+        t = w @ random_symmetric_matrix(gen, n) @ w.conj().T
+        images = {
+            "base": t,
+            "scale": 10.0**exponent * cmath.exp(1j * theta) * t,
+            "shift": t + 10.0**shift_exponent * cmath.exp(1j * theta) * np.eye(n),
+            "phase": cmath.exp(1j * phi) * t,
+        }
+        for name, image in images.items():
+            result = find_symmetrizer(image)
+            assert result.found, name
+            assert (result.restarts_used, result.iterations) == (0, 0), name
+            assert verify_witness(image, result.u).passed, name
+
+    def test_direct_sum_with_zero_coupling(self):
+        # B' splits into blocks, so the spanning tree crosses an exact zero
+        gen = rng(102)
+        w = random_unitary(gen, 5)
+        s = np.zeros((5, 5), dtype=complex)
+        s[:2, :2] = random_symmetric_matrix(gen, 2)
+        s[2:, 2:] = random_symmetric_matrix(gen, 3)
+        t = w @ s @ w.conj().T
+        result = find_symmetrizer(t)
+        assert result.found and result.restarts_used == 0
+        assert verify_witness(t, result.u).passed
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_gaussian_inputs_fall_through_to_the_descent(self, n):
+        t = random_complex_matrix(rng(110 + n), n)
+        assert _closed_form(t) is None
+        result = find_symmetrizer(t, restarts=3, max_iters=200)
+        assert result.status == "inconclusive"
+        assert result == _descent(t, restarts=3, max_iters=200)
+
+    def test_repeated_hermitian_parts_decline(self):
+        # a normal matrix: every Re(cT) is a multiple of Q diag(1, 1, 2) Q*
+        # or of the zero matrix, so each has a repeated eigenvalue
+        q = random_unitary(rng(103), 3)
+        t = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T
+        assert _closed_form(t) is None
+        result = find_symmetrizer(t)
+        assert result.found and result.restarts_used >= 1
+        assert verify_witness(t, result.u).passed
+        reference = _descent(t, restarts=20)
+        assert dataclasses.replace(result, u=None) == dataclasses.replace(reference, u=None)
+        assert np.array_equal(result.u, reference.u)
+
+    @pytest.mark.parametrize("label", sorted(GALLERY))
+    def test_gallery(self, label):
+        matrix, expected = GALLERY[label]
+        result = _closed_form(matrix)
+        assert (result is not None) is (label in ("nilpotent-e6", "scalar-plus-shift-22"))
+        if result is not None:
+            assert expected
+            assert verify_witness(matrix, result.u).passed
+            assert find_symmetrizer(matrix).restarts_used == 0
+
+    @pytest.mark.parametrize("seed", [1018, 1028, 1035])
+    def test_long_valley_inputs(self, seed):
+        # the descent ran every restart to the iteration cap on these
+        # and ended inconclusive
+        t = _c11_fixture(seed)
+        result = find_symmetrizer(t)
+        assert result.found
+        assert (result.restarts_used, result.iterations) == (0, 0)
+        assert verify_witness(t, result.u).passed
+
+
+def test_descent_alone_finds_the_c11_witnesses():
+    # the c11 fixtures get closed-form witnesses now, so the descent
+    # keeps its own cross-validation here
+    fixtures = [_c11_fixture(400 + k) for k in range(5)]
+    fixtures += [
+        conjugated_diagonal(random_su(Signature(2, 3), seed=500 + k), [-1.0, 0.5, 2.0]) for k in range(5)
+    ]
+    for t in fixtures:
+        result = _descent(t, restarts=20)
+        assert result.found and result.restarts_used >= 1
+        assert verify_witness(t, result.u).passed
 
 
 class TestVerifyWitness:
