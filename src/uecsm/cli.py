@@ -22,9 +22,9 @@ Subcommands:
   prints one compact JSON document, and every field except the
   top-level ``timings`` block is the same on every run.
 
-:func:`analyze` runs the one-matrix criteria; :func:`analyze_stack`
-gives a stack of matrices the same reports, and both fill their
-reports through one helper.
+:func:`analyze_stack` is the one analysis: it normalizes a stack of
+matrices of one size once and runs every criterion on the whole stack.
+:func:`analyze` is its one-matrix case, which ``uecsm test`` calls.
 
 The ``UECSM_TOL`` environment variable overrides the default tolerance
 of 1e-8; ``--tol`` overrides both.  Every tolerance must be a finite
@@ -45,7 +45,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .constructors import (
 from .errors import (
     ConsistencyError,
     DegenerateSpectrum,
-    NoConvergence,
     ParseError,
     UecsmError,
     UnsupportedDimension,
@@ -74,11 +73,15 @@ from .spectra import eigensystem, eigensystem_stack
 from .tracetests import (
     DEFAULT_TOL,
     Verdict,
-    transpose_equivalence,
     transpose_verdicts,
     uecsm_verdict,
     uecsm_verdicts,
 )
+
+# Not called in this module: ``perfbench/tracing.py`` times transpose
+# equivalence by wrapping this binding, so removing it breaks every traced
+# benchmark run.
+from .tracetests import transpose_equivalence  # noqa: F401
 
 EXIT_UECSM = 0
 EXIT_NOT_UECSM = 1
@@ -259,32 +262,6 @@ def _spectral_refusal(exc: UecsmError) -> tuple[str, str]:
     return "no_convergence", f"eigensolver failed, angle tests skipped: {exc}"
 
 
-def _finish(
-    report: Report,
-    trace: Verdict,
-    transpose: Verdict,
-    angles: Union[dict[str, Verdict], tuple[str, str]],
-    oracle: Optional[OracleResult],
-) -> Report:
-    """Fill ``report`` from one matrix's outcomes; shared by :func:`analyze` and :func:`analyze_stack`.
-
-    ``angles`` holds the angle verdicts by key, or the spectral status
-    and note of :func:`_spectral_refusal` when they did not run.
-    """
-    report.verdicts["uecsm"] = trace
-    report.verdicts["transpose_equivalence"] = transpose
-    if isinstance(angles, tuple):
-        report.spectral_status, note = angles
-        report.notes.append(note)
-    else:
-        report.verdicts.update(angles)
-    report.oracle = oracle
-    report.conflicts = _find_conflicts(report)
-    if not report.conflicts:
-        report.uecsm = trace.passed
-    return report
-
-
 def analyze(
     t: CMatrix,
     label: str,
@@ -300,24 +277,22 @@ def analyze(
     """Run every applicable criterion on one matrix and collect conflicts.
 
     ``tol`` governs everything unless a per-criterion override is given.
+    This is the one-matrix case of :func:`analyze_stack`: the report is
+    that of the stack ``t[None]``.
     """
-    report = Report(label=label, dimension=_require_square(t), tol=tol)
-    try:
-        trace = uecsm_verdict(t, tol if trace_tol is None else trace_tol)
-        transpose = transpose_equivalence(t, tol if transpose_tol is None else transpose_tol)
-    except UnsupportedDimension as exc:
-        report.error = str(exc)
-        return report
-
-    angles: Union[dict[str, Verdict], tuple[str, str]]
-    try:
-        angles = angle_suite(t, tol if angle_tol is None else angle_tol).verdicts()
-    except (DegenerateSpectrum, NoConvergence) as exc:
-        angles = _spectral_refusal(exc)
-    oracle = None
-    if run_oracle:
-        oracle = find_symmetrizer(t, restarts=oracle_restarts, witness_tol=oracle_tol, seed=seed)
-    return _finish(report, trace, transpose, angles, oracle)
+    _require_square(t)
+    return analyze_stack(
+        t[None],
+        [label],
+        tol=tol,
+        run_oracle=run_oracle,
+        oracle_restarts=oracle_restarts,
+        oracle_tol=oracle_tol,
+        seed=seed,
+        trace_tol=trace_tol,
+        angle_tol=angle_tol,
+        transpose_tol=transpose_tol,
+    )[0]
 
 
 def analyze_stack(
@@ -332,14 +307,15 @@ def analyze_stack(
     angle_tol: Optional[float] = None,
     transpose_tol: Optional[float] = None,
 ) -> list[Report]:
-    """:func:`analyze` of every matrix of a ``(B, n, n)`` stack, one report per matrix.
+    """Run every applicable criterion on each matrix of a ``(B, n, n)`` stack.
 
     Each matrix is normalized once, and every criterion runs on the
-    whole stack at once.  The reports equal those of :func:`analyze`
-    with the same arguments; where :func:`analyze` raises a
-    :class:`~uecsm.errors.ConsistencyError` from the determinant
-    criterion, that matrix's report carries the error instead.  With
-    ``run_oracle`` the search runs matrix by matrix after the criteria.
+    whole stack at once; the reports equal those each matrix gets
+    alone.  A matrix whose angle tests refuse it gets its spectral
+    status and a note; one whose determinant identity cross-check
+    fails (:class:`~uecsm.errors.ConsistencyError`) gets a report with
+    ``error`` set.  With ``run_oracle`` the search runs matrix by
+    matrix after the criteria.
     """
     n = _require_square(ts, stacked=True)
     if len(labels) != len(ts):
@@ -355,19 +331,25 @@ def analyze_stack(
     reports = []
     for b, label in enumerate(labels):
         report = Report(label=label, dimension=n, tol=tol)
+        reports.append(report)
         outcome = angles[b]
         if isinstance(outcome, ConsistencyError):
             report.error = str(outcome)
+            continue
+        report.verdicts["uecsm"] = traces[b]
+        report.verdicts["transpose_equivalence"] = transposes[b]
+        if isinstance(outcome, UecsmError):
+            report.spectral_status, note = _spectral_refusal(outcome)
+            report.notes.append(note)
         else:
-            if isinstance(outcome, UecsmError):
-                outcome = _spectral_refusal(outcome)
-            oracle = None
-            if run_oracle:
-                oracle = find_symmetrizer(
-                    ts[b], restarts=oracle_restarts, witness_tol=oracle_tol, seed=seed
-                )
-            _finish(report, traces[b], transposes[b], outcome, oracle)
-        reports.append(report)
+            report.verdicts.update(outcome)
+        if run_oracle:
+            report.oracle = find_symmetrizer(
+                ts[b], restarts=oracle_restarts, witness_tol=oracle_tol, seed=seed
+            )
+        report.conflicts = _find_conflicts(report)
+        if not report.conflicts:
+            report.uecsm = traces[b].passed
     return reports
 
 
@@ -398,7 +380,7 @@ def _print_report(report: Report, as_json: bool) -> None:
     print(f"spectrum : {report.spectral_status}")
     if report.oracle is not None:
         oracle = report.oracle
-        if oracle.restarts_used == 0:  # the closed-form witness, before any restart
+        if oracle.restarts_used == 0:  # a witness in closed form, before any restart
             detail = f"closed form, residual {oracle.residual:.3e}"
         else:
             detail = f"residual {oracle.residual:.3e}, restarts {oracle.restarts_used}"

@@ -94,30 +94,9 @@ def normalize(t: CMatrix) -> tuple[CMatrix, complex, float]:
 
 
 def representative(t: CMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`normalize_stack` of the one-matrix stack ``t[None]``, read-only.
-
-    For the sizes the criteria decide, the result is memoized by the
-    entries of ``t``: each criterion of one analysis normalizes the same
-    matrix in turn, and all of them read the same representative.
-    """
-    n = _require_square(t)
-    t = np.ascontiguousarray(t, dtype=complex)
-    if n > _MEMO_MAX_N:
-        return _read_only(normalize_stack(t[None]))
-    return _representative(t.tobytes(), n)
-
-
-#: Largest size whose representative is memoized, so that the memo's 16
-#: entries hold at most about 40 KB.
-_MEMO_MAX_N = 8
-
-
-@lru_cache(maxsize=16)
-def _representative(entries: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _read_only(normalize_stack(np.frombuffer(entries, dtype=complex).reshape(1, n, n)))
-
-
-def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """:func:`normalize_stack` of the one-matrix stack ``t[None]``, read-only."""
+    _require_square(t)
+    arrays = normalize_stack(t[None])
     for a in arrays:
         a.flags.writeable = False
     return arrays

@@ -345,7 +345,8 @@ def find_symmetrizer(
 
     The search runs on the centered, normalized representative of
     :func:`~uecsm.matcore.normalize`, so it behaves the same at every
-    scale and shift of ``t``; a scalar matrix is a witness at once.
+    scale and shift of ``t``; a scalar matrix is a witness at once, with
+    ``iterations = 0`` and ``restarts_used = 0``.
 
     The closed-form Cartesian witness comes first (see
     :func:`_closed_form`): one stacked ``eigvalsh`` and one ``eigh``.  A
@@ -385,7 +386,7 @@ def find_symmetrizer(
     if s == 0.0:
         u = np.eye(n, dtype=complex)
         u.flags.writeable = False
-        return OracleResult("witness", u, 0.0, 0, 1)
+        return OracleResult("witness", u, 0.0, 0, 0)
     return _closed_form(rep, witness_tol) or _search_restarts(rep, restarts, max_iters, witness_tol, seed)
 
 

@@ -30,9 +30,8 @@ stacked ``eig`` or ``inv`` that LAPACK fails on is retried row by row.
 The result carries the Gram matrices ``X*X`` and ``Y*Y``, which every
 angle test reads.
 
-:func:`characteristic_polynomial` (Faddeev-LeVerrier) and
-:func:`durand_kerner` are standalone utilities; :func:`eigensystem`
-does not use them.
+:func:`durand_kerner` is a standalone root finder; :func:`eigensystem`
+does not use it.
 """
 
 from __future__ import annotations
@@ -51,25 +50,6 @@ _RESIDUAL_TOL = 1e-7
 _BIORTHO_TOL = 1e-7
 # c in the refusal test c n eps kappa_i >= distance to the nearest eigenvalue
 _CLUSTER_FACTOR = 100.0
-
-
-def characteristic_polynomial(t: CMatrix) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest degree first.
-
-    Faddeev-LeVerrier recursion: M_1 = T, c_1 = -tr M_1, and
-    M_{k} = T (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k.
-    """
-    n = t.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    m = np.array(t, dtype=complex)
-    c = -np.trace(m)
-    coeffs[1] = c
-    for k in range(2, n + 1):
-        m = t @ (m + c * np.eye(n, dtype=complex))
-        c = -np.trace(m) / k
-        coeffs[k] = c
-    return coeffs
 
 
 def _poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -22,11 +22,13 @@ from uecsm.cli import (
     write_gallery_fixtures,
     write_matrix_document,
 )
-import uecsm.cli
-from uecsm.errors import NoConvergence, ParseError
+import uecsm.angletests
+import uecsm.spectra
+from uecsm.errors import ParseError
 from uecsm.gallery import GALLERY, WAT_COUNTEREXAMPLE
+from uecsm.matcore import cmatrix, normalize
 
-from _util import random_unitary, rng
+from _util import random_complex_matrix, random_unitary, rng
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SCHEMA = json.loads(
@@ -388,11 +390,14 @@ class TestTolerancePlumbing:
         assert (payload["oracle"]["restarts_used"], payload["oracle"]["iterations"]) == (0, 0)
 
     def test_oracle_text_names_the_closed_form(self, fixture_dir, capsys):
-        path = str(fixture_dir / "scalar_plus_shift_22.json")
-        assert main(["test", path, "--oracle"]) == EXIT_UECSM
-        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
-        assert line.startswith("oracle   : witness (closed form, residual ")
-        assert "restarts" not in line
+        # a scalar matrix is a witness at once, also before any restart
+        scalar = fixture_dir / "scalar.json"
+        write_matrix_document(MatrixDocument(cmatrix((2 - 1j) * np.eye(3)), "scalar"), scalar)
+        for path in (str(fixture_dir / "scalar_plus_shift_22.json"), str(scalar)):
+            assert main(["test", path, "--oracle"]) == EXIT_UECSM
+            line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
+            assert line.startswith("oracle   : witness (closed form, residual ")
+            assert "restarts" not in line
         path = str(fixture_dir / "wat_counterexample.json")
         assert main(["test", path, "--oracle", "--restarts", "1"]) == EXIT_NOT_UECSM
         line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
@@ -424,10 +429,16 @@ class TestTolerancePlumbing:
 
 
 def test_solver_failure_is_not_called_degenerate(monkeypatch, fixture_dir, capsys):
-    def no_convergence(*args, **kwargs):
-        raise NoConvergence("eigenvector residual too large")
+    # LAPACK fails on this one matrix, whether alone or in a stack
+    bad = normalize(WAT_COUNTEREXAMPLE)[0]
+    eig = np.linalg.eig
 
-    monkeypatch.setattr(uecsm.cli, "angle_suite", no_convergence)
+    def failing_eig(a):
+        if any(np.array_equal(m, bad) for m in a.reshape(-1, 4, 4)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(uecsm.spectra.np.linalg, "eig", failing_eig)
     report = analyze(WAT_COUNTEREXAMPLE, "x")
     assert report.spectral_status == "no_convergence"
     assert report.uecsm is False
@@ -435,6 +446,21 @@ def test_solver_failure_is_not_called_degenerate(monkeypatch, fixture_dir, capsy
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, SCHEMA)
     assert payload["spectral_status"] == "no_convergence"
+
+
+def test_failed_cross_check_is_an_error_report(monkeypatch, tmp_path, capsys):
+    # every 3x3 determinant identity cross-check fails below a negative bound
+    monkeypatch.setattr(uecsm.angletests, "_IDENTITY_CHECK_TOL", -1.0)
+    t = random_complex_matrix(rng(31), 3)
+    report = analyze(t, "x")
+    assert report.error.startswith("determinant identity cross-check failed")
+    assert exit_code_for(report) == EXIT_INCONCLUSIVE
+    path = tmp_path / "gauss3.json"
+    write_matrix_document(MatrixDocument(cmatrix(t), "gauss3"), path)
+    assert main(["test", str(path), "--json"]) == EXIT_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["error"] == report.error
 
 
 @pytest.mark.parametrize("label", ["scalar-plus-shift-12", "scalar-plus-shift-22"])

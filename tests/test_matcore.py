@@ -84,11 +84,8 @@ class TestNormalize:
 
     @pytest.mark.parametrize("n", [4, 10])
     def test_representative_is_read_only_and_matches_the_stack(self, n):
-        # up to n = 8 equal entries share one memoized representative
         t = random_complex_matrix(rng(7), n)
         rep, mu, s = normalize(t)
-        again = normalize(t.copy())
-        assert np.shares_memory(again[0], rep) == (n <= 8)
         with pytest.raises(ValueError):
             rep[0, 0] = 0
         reps, mus, ss = normalize_stack(np.stack([t, 2 * t]))

@@ -165,6 +165,8 @@ class TestFindSymmetrizer:
         result = find_symmetrizer((2 - 1j) * np.eye(3, dtype=complex))
         assert result.found
         assert result.residual == 0.0
+        # no restart runs, as for the closed-form witness
+        assert (result.restarts_used, result.iterations) == (0, 0)
 
     def test_cost_guard(self):
         with pytest.raises(CostGuard):

@@ -1,10 +1,11 @@
 """Tests for the eigensolver pipeline.
 
-``eigensystem`` runs on LAPACK, and so do ``np.poly`` and companion
-matrices, so its eigenvalues are checked against independent references:
-matrices ``V diag(lambda) V^-1`` with a unimodular integer ``V``, whose
-spectrum is known exactly, and the package's own Faddeev-LeVerrier /
-Durand-Kerner path, which shares no code with ``eigensystem``.
+``eigensystem`` runs on LAPACK, and so do ``np.poly`` of a matrix and
+companion matrices, so its eigenvalues are checked against independent
+references: matrices ``V diag(lambda) V^-1`` with a unimodular integer
+``V``, whose spectrum is known exactly, and the characteristic
+polynomial of an integer matrix, computed here in exact integer
+arithmetic.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from uecsm import (
     DegenerateSpectrum,
     NilpotentParams,
     build_matrix,
-    characteristic_polynomial,
     durand_kerner,
     eigensystem,
 )
@@ -31,6 +31,25 @@ def unimodular(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray
     v_inv = np.rint(np.linalg.inv(v)).astype(int)
     assert np.array_equal(v @ v_inv, np.eye(n, dtype=int))
     return v, v_inv
+
+
+def integer_charpoly(t: np.ndarray) -> list[int]:
+    """det(xI - T) of an integer matrix, highest degree first, in exact arithmetic.
+
+    Faddeev-LeVerrier: ``M_1 = T``, ``c_k = -tr(M_k) / k`` and
+    ``M_{k+1} = T (M_k + c_k I)``; every division is exact.
+    """
+    a = t.real.astype(int).astype(object)  # Python integers
+    assert np.array_equal(a.astype(complex), t)
+    eye = np.eye(len(a), dtype=int).astype(object)
+    coeffs, m = [1], eye
+    for k in range(1, len(a) + 1):
+        m = a.dot(m)
+        c, remainder = divmod(-np.trace(m), k)
+        assert remainder == 0
+        coeffs.append(c)
+        m = m + c * eye
+    return coeffs
 
 
 def jordan_embedding(k: int, n: int = 4) -> np.ndarray:
@@ -53,20 +72,6 @@ def assert_same_multiset(found, expected, atol):
         assert abs(remaining[i] - v) <= atol, (v, remaining)
         remaining.pop(i)
     assert not remaining
-
-
-class TestCharacteristicPolynomial:
-    def test_diagonal(self):
-        t = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        coeffs = characteristic_polynomial(t)
-        # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-        assert np.allclose(coeffs, [1, -6, 11, -6])
-
-    def test_matches_numpy_poly(self):
-        gen = rng(7)
-        for _ in range(25):
-            t = random_integer_matrix(gen, 4)
-            assert np.allclose(characteristic_polynomial(t), np.poly(t), atol=1e-6)
 
 
 class TestDurandKerner:
@@ -95,7 +100,10 @@ class TestEigensystem:
     def test_integer_example(self):
         t = WAT_COUNTEREXAMPLE
         s = eigensystem(t)
-        assert_same_multiset(s.eigenvalues, durand_kerner(characteristic_polynomial(t)), atol=1e-8)
+        # the polynomial with the found eigenvalues as roots (np.poly of a
+        # vector multiplies out its factors) against the exact one
+        coeffs = integer_charpoly(t)
+        assert np.allclose(np.poly(s.eigenvalues), coeffs, rtol=0, atol=1e-12 * max(map(abs, coeffs)))
         # residuals and biorthogonality
         for i in range(4):
             assert np.linalg.norm(t @ s.x[:, i] - s.eigenvalues[i] * s.x[:, i]) < 1e-8

@@ -1,11 +1,12 @@
-"""The stacked path: ``analyze_stack`` and ``uecsm batch`` against ``analyze``.
+"""Stacks of matrices: ``analyze_stack``, ``uecsm batch`` and shape checks.
 
-Every criterion runs on a ``(B, n, n)`` stack, and the one-matrix
-functions are its ``B = 1`` case.  These tests check that a stack gives
-each matrix the report ``analyze`` gives it alone, that ``uecsm batch``
-groups documents by dimension without changing what it reports, and
-that every public entry point rejects a shape that is not a square
-matrix.
+Every criterion runs on a ``(B, n, n)`` stack; ``analyze`` and the
+one-matrix criteria are its ``B = 1`` case.  These tests check that a
+matrix gets the same report in a stack of any size and content as it
+gets alone from ``analyze``, so no row of a stack leaks into another,
+that ``uecsm batch`` groups documents by dimension without changing what
+it reports, and that every public entry point rejects a shape that is
+not a square matrix.
 """
 
 import json

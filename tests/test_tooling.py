@@ -11,7 +11,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import uecsm.cli
 import uecsm.tracetests
+from uecsm.gallery import GALLERY
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,3 +39,15 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert {(id(o), a): o.__dict__[a] for o, a in targets} == before
+
+
+def test_traced_analyze_is_one_root_span(monkeypatch):
+    # ``cli.analyze`` is the root span of the traced one-matrix workloads
+    tracing = _load_tracing(monkeypatch)
+    matrix, _ = GALLERY["su22-lsat-example"]
+    expected = uecsm.cli.analyze(matrix, "x").to_dict()
+    with tracing.Tracer() as tracer:
+        report = uecsm.cli.analyze(matrix, "x")
+    assert report.to_dict() == expected
+    last = tracer.spans[-1]
+    assert (last.name, last.parent) == ("cli.analyze", None)
