@@ -12,15 +12,16 @@ convention used upstream.  Every test reads its inner products from
 the Gram matrices ``X*X`` and ``Y*Y`` that the eigensystem returns.
 
 The deviations are computed on a ``(B, 2, n, n)`` stack of Gram
-matrices.  :func:`wat`, :func:`sat`, :func:`lsat` and
-:func:`det_criterion_3` are its one-matrix case, and
-:func:`angle_verdicts` runs all four on every row of a
-:class:`~uecsm.spectra.SpectralStack` at once.
+matrices, and every test returns a :class:`~uecsm.tracetests.Verdict`
+per row.  :func:`wat`, :func:`sat`, :func:`lsat` and
+:func:`det_criterion_3` are their one-matrix case.  One row kernel
+composes all four: :func:`angle_verdicts` runs it on every row of a
+:class:`~uecsm.spectra.SpectralStack` at once, and :func:`angle_suite`
+is its one-matrix case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Optional, Union
@@ -43,18 +44,6 @@ _ORTHOGONAL_FLOOR = 1e-10
 _TRIPLE_FLOOR = 1e-4
 
 
-@dataclass(frozen=True)
-class AngleReport:
-    """Verdict plus the per-pair or per-triple deviations behind it.
-
-    Indices in the deviation keys are 1-based.
-    """
-
-    verdict: Verdict
-    pair_deviations: tuple[tuple[tuple[int, int], float], ...] = ()
-    triple_deviations: tuple[tuple[tuple[int, int, int], float], ...] = ()
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
@@ -63,73 +52,65 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _pair_index(n: int) -> tuple:
-    """Index arrays of the pairs i < j in lexicographic order, their 1-based keys and names."""
+    """Index arrays of the pairs i < j in lexicographic order and their 1-based names."""
     i, j = _read_only(*np.triu_indices(n, 1))
-    keys = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
-    return i, j, keys, tuple(f"pair_{a}_{b}" for a, b in keys)
+    return i, j, tuple(f"pair_{a + 1}_{b + 1}" for a, b in zip(i.tolist(), j.tolist()))
 
 
 @lru_cache(maxsize=None)
 def _triple_index(n: int) -> tuple:
-    """Index arrays of the triples i <= j <= k in lexicographic order, their 1-based keys and names."""
+    """Index arrays of the triples i <= j <= k in lexicographic order and their 1-based names."""
     triples = list(combinations_with_replacement(range(n), 3))
     i, j, k = _read_only(*(np.array(col, dtype=np.intp) for col in zip(*triples)))
-    keys = tuple((a + 1, b + 1, c + 1) for a, b, c in triples)
-    return i, j, k, keys, tuple(f"triple_{a}_{b}_{c}" for a, b, c in keys)
+    return i, j, k, tuple(f"triple_{a + 1}_{b + 1}_{c + 1}" for a, b, c in triples)
 
 
-def _pair_deviations(grams: np.ndarray) -> np.ndarray:
-    """``| |<x_i,x_j>| - |<y_i,y_j>| |`` for the pairs i < j, as a ``(B, pairs)`` array.
+def _wat_rows(grams: np.ndarray, tol: float) -> list[Verdict]:
+    """WAT of every row: ``| |<x_i,x_j>| - |<y_i,y_j>| |`` for the pairs i < j.
 
     ``grams`` is a ``(B, 2, n, n)`` stack of ``X*X`` and ``Y*Y``, whose
     ``[j, i]`` entries are ``<x_i, x_j>`` and ``<y_i, y_j>``.
     """
-    i, j = _pair_index(grams.shape[-1])[:2]
+    i, j, names = _pair_index(grams.shape[-1])
     moduli = np.abs(grams[:, :, j, i])
-    return np.abs(moduli[:, 0] - moduli[:, 1])
+    return Verdict.from_rows("wat", names, np.abs(moduli[:, 0] - moduli[:, 1]), tol)
 
 
-def _triple_deviations(grams: np.ndarray, conjugate: bool) -> np.ndarray:
-    """Relative triple-product deviations for the triples i <= j <= k, as a ``(B, triples)`` array."""
+def _triple_rows(grams: np.ndarray, tol: float, conjugate: bool) -> list[Verdict]:
+    """SAT (``conjugate``) or LSAT of every row: relative deviations for the triples i <= j <= k."""
     # <x_i,x_j> <x_j,x_k> <x_k,x_i> and likewise from the y system
-    i, j, k = _triple_index(grams.shape[-1])[:3]
+    i, j, k, names = _triple_index(grams.shape[-1])
     products = grams[:, :, j, i] * grams[:, :, k, j] * grams[:, :, i, k]
     lhs, rhs = products[:, 0], products[:, 1]
     if conjugate:
         rhs = rhs.conj()
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TRIPLE_FLOOR)
-    return np.abs(lhs - rhs) / scale
+    return Verdict.from_rows("sat" if conjugate else "lsat", names, np.abs(lhs - rhs) / scale, tol)
 
 
-def wat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:
-    """Weak Angle Test: |<x_i,x_j>| = |<y_i,y_j>| for all pairs i < j."""
-    devs = _pair_deviations(s.grams[None])
-    _, _, keys, names = _pair_index(s.n)
-    verdict = Verdict.from_rows("wat", names, devs, tol)[0]
-    return AngleReport(verdict, pair_deviations=tuple(zip(keys, (r for _, r in verdict.residuals))))
+def wat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
+    """Weak Angle Test: |<x_i,x_j>| = |<y_i,y_j>| for all pairs i < j.
+
+    The residuals are named ``pair_i_j`` with 1-based indices.
+    """
+    return _wat_rows(s.grams[None], tol)[0]
 
 
-def _triple_report(s: SpectralData, tol: float, conjugate: bool, name: str) -> AngleReport:
-    devs = _triple_deviations(s.grams[None], conjugate)
-    _, _, _, keys, names = _triple_index(s.n)
-    verdict = Verdict.from_rows(name, names, devs, tol)[0]
-    return AngleReport(verdict, triple_deviations=tuple(zip(keys, (r for _, r in verdict.residuals))))
-
-
-def sat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:
+def sat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     """Strong Angle Test over all triples i <= j <= k.
 
     Cyclic triple products of the x system must equal the conjugated
     triple products of the y system; deviations are relative to the
     larger product magnitude.  Passing is equivalent to UECSM when the
-    spectrum is distinct.
+    spectrum is distinct.  The residuals are named ``triple_i_j_k`` with
+    1-based indices.
     """
-    return _triple_report(s, tol, conjugate=True, name="sat")
+    return _triple_rows(s.grams[None], tol, conjugate=True)[0]
 
 
-def lsat(s: SpectralData, tol: float = DEFAULT_TOL) -> AngleReport:
+def lsat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     """Linear Strong Angle Test: same triples as SAT without the conjugation."""
-    return _triple_report(s, tol, conjugate=False, name="lsat")
+    return _triple_rows(s.grams[None], tol, conjugate=False)[0]
 
 
 _DET3_NAMES = (
@@ -201,92 +182,78 @@ def det_criterion_3(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     return Verdict.from_rows("det_criterion_3", _DET3_NAMES, residuals, tol)[0]
 
 
-@dataclass(frozen=True)
-class AngleSuite:
-    """All angle reports for one matrix plus the implied UECSM verdict.
+def _angle_rows(
+    x: np.ndarray, y: np.ndarray, grams: np.ndarray, rows: Union[list[int], slice], tol: float
+) -> list[Union[dict[str, Verdict], ConsistencyError]]:
+    """The angle verdicts of the given rows of stacked eigenvector systems.
 
-    ``det3`` is None when the determinant criterion was inapplicable
-    (orthogonal eigenvector pair).  ``uecsm`` mirrors the SAT verdict,
-    which is the equivalence; WAT and LSAT are diagnostics.
+    ``x`` and ``y`` are ``(B, n, n)`` stacks and ``grams`` their
+    ``(B, 2, n, n)`` Gram matrices.  One pair of Gram matrices serves
+    WAT, SAT, LSAT and, at n = 3, the determinant criterion, whose
+    verdict a row gets only when the criterion applies to it.  A row
+    whose determinant cross-check fails gets its
+    :class:`ConsistencyError` in place of the verdicts.
     """
+    grams = grams[rows]
+    columns = {
+        "wat": _wat_rows(grams, tol),
+        "sat": _triple_rows(grams, tol, conjugate=True),
+        "lsat": _triple_rows(grams, tol, conjugate=False),
+    }
+    det3_outcomes: list[Optional[UecsmError]] = [None] * len(grams)
+    if grams.shape[-1] == 3:
+        residuals, smallest = _det3_residuals(x[rows], y[rows], grams)
+        det3_outcomes = [_det3_outcome(r, m) for r, m in zip(residuals, smallest.tolist())]
+        columns["det3"] = Verdict.from_rows("det_criterion_3", _DET3_NAMES, residuals, tol)
+    out: list[Union[dict[str, Verdict], ConsistencyError]] = []
+    for r, outcome in enumerate(det3_outcomes):
+        if isinstance(outcome, ConsistencyError):
+            out.append(outcome)
+            continue
+        out.append(
+            {
+                key: verdicts[r]
+                for key, verdicts in columns.items()
+                if key != "det3" or outcome is None
+            }
+        )
+    return out
 
-    spectral: SpectralData
-    wat: AngleReport
-    sat: AngleReport
-    lsat: AngleReport
-    det3: Optional[Verdict]
-    uecsm: bool
 
-    def verdicts(self) -> dict[str, Verdict]:
-        """The verdicts by report key: ``wat``, ``sat``, ``lsat`` and, when it applied, ``det3``."""
-        out = {"wat": self.wat.verdict, "sat": self.sat.verdict, "lsat": self.lsat.verdict}
-        if self.det3 is not None:
-            out["det3"] = self.det3
-        return out
+def angle_suite(
+    t: CMatrix, tol: float = DEFAULT_TOL, distinct_tol: float = 1e-6
+) -> dict[str, Verdict]:
+    """Run the eigensystem and every applicable angle criterion on one matrix.
 
-
-def angle_suite(t: CMatrix, tol: float = DEFAULT_TOL, distinct_tol: float = 1e-6) -> AngleSuite:
-    """Run the eigensystem and every applicable angle criterion.
-
-    Propagates :class:`~uecsm.errors.DegenerateSpectrum` when the
-    spectrum is not distinct; callers should then rely on the trace
-    criteria alone.
+    Returns the verdicts by report key: ``wat``, ``sat``, ``lsat`` and,
+    when it applies, ``det3``.  SAT is the equivalence for a distinct
+    spectrum; WAT and LSAT are diagnostics.  Raises the refusal of the
+    eigensystem (:class:`~uecsm.errors.DegenerateSpectrum` or
+    :class:`~uecsm.errors.NoConvergence`), after which callers should
+    rely on the trace criteria alone, and :class:`ConsistencyError` when
+    the determinant cross-check fails.  This is the one-matrix case of
+    :func:`angle_verdicts`.
     """
     s = eigensystem(t, distinct_tol=distinct_tol)
-    wat_report = wat(s, tol)
-    sat_report = sat(s, tol)
-    lsat_report = lsat(s, tol)
-    det3 = None
-    if s.n == 3:
-        try:
-            det3 = det_criterion_3(s, tol)
-        except OrthogonalEigenvectors:
-            det3 = None
-    return AngleSuite(
-        spectral=s,
-        wat=wat_report,
-        sat=sat_report,
-        lsat=lsat_report,
-        det3=det3,
-        uecsm=sat_report.verdict.passed,
-    )
+    outcome = _angle_rows(s.x[None], s.y[None], s.grams[None], slice(None), tol)[0]
+    if isinstance(outcome, ConsistencyError):
+        raise outcome
+    return outcome
 
 
 def angle_verdicts(
     spectral: SpectralStack, tol: float = DEFAULT_TOL
 ) -> list[Union[dict[str, Verdict], UecsmError]]:
-    """:meth:`AngleSuite.verdicts` of every row of a spectral stack.
+    """:func:`angle_suite` of every row of a spectral stack.
 
-    One pair of stacked Gram matrices serves WAT, SAT, LSAT and, at
-    n = 3, the determinant criterion.  A row that the eigensystem refused
-    gets its refusal; a row whose determinant cross-check fails gets the
-    :class:`ConsistencyError` that :func:`angle_suite` raises.
+    A row that the eigensystem refused gets its refusal; a row whose
+    determinant cross-check fails gets the :class:`ConsistencyError`
+    that :func:`angle_suite` raises.
     """
     out: list[Union[dict[str, Verdict], UecsmError]] = list(spectral.refusals)
     rows = [b for b, refusal in enumerate(spectral.refusals) if refusal is None]
-    if not rows:
-        return out
-    grams = spectral.grams[rows]
-    n = grams.shape[-1]
-    _, _, _, pair_names = _pair_index(n)
-    triple_names = _triple_index(n)[4]
-    columns = {
-        "wat": Verdict.from_rows("wat", pair_names, _pair_deviations(grams), tol),
-        "sat": Verdict.from_rows("sat", triple_names, _triple_deviations(grams, True), tol),
-        "lsat": Verdict.from_rows("lsat", triple_names, _triple_deviations(grams, False), tol),
-    }
-    det3_outcomes: list[Optional[UecsmError]] = [None] * len(rows)
-    if n == 3:
-        residuals, smallest = _det3_residuals(spectral.x[rows], spectral.y[rows], grams)
-        det3_outcomes = [_det3_outcome(r, m) for r, m in zip(residuals, smallest.tolist())]
-        columns["det3"] = Verdict.from_rows("det_criterion_3", _DET3_NAMES, residuals, tol)
-    for r, (b, det3_outcome) in enumerate(zip(rows, det3_outcomes)):
-        if isinstance(det3_outcome, ConsistencyError):
-            out[b] = det3_outcome
-            continue
-        out[b] = {
-            key: verdicts[r]
-            for key, verdicts in columns.items()
-            if key != "det3" or det3_outcome is None
-        }
+    if rows:
+        outcomes = _angle_rows(spectral.x, spectral.y, spectral.grams, rows, tol)
+        for b, outcome in zip(rows, outcomes):
+            out[b] = outcome
     return out

@@ -38,6 +38,7 @@ tool can produce.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -422,14 +423,15 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 def _parse_complex_component(text: str) -> complex:
     parts = text.split(":")
+    if len(parts) > 2:
+        raise ParseError(f"cannot parse complex component {text!r} (use re or re:im)")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        value = complex(*(float(part) for part in parts))
     except ValueError as exc:
         raise ParseError(f"cannot parse complex component {text!r}: {exc}") from exc
-    raise ParseError(f"cannot parse complex component {text!r} (use re or re:im)")
+    if not cmath.isfinite(value):
+        raise ParseError(f"complex component {text!r} is not finite")
+    return value
 
 
 def _parse_params(text: str) -> NilpotentParams:
@@ -448,8 +450,13 @@ def _cmd_classify_nilpotent(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    result = classify(params, args.tol)
-    forms = psi_closed_forms(params)
+    try:
+        result = classify(params, args.tol)
+        forms = psi_closed_forms(params)
+    except OverflowError as exc:
+        # |v|^2 and its products are Python floats, which raise on overflow
+        print(f"error: parameters too large for the closed forms: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     t = build_matrix(params)
     trace = uecsm_verdict(t, args.tol)
     agree = result.uecsm == trace.passed
@@ -519,7 +526,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             q = random_su(sig, seed=args.seed * 1_000_003 + attempt)
             candidate = conjugated_diagonal(q, diag)
             membership = su_membership(q, sig)
-            if membership.passed and angle_suite(candidate).uecsm:
+            if membership.passed and angle_suite(candidate)["sat"].passed:
                 t = candidate
                 break
         if t is None:
@@ -639,15 +646,25 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """Parse a count that must be at least 1 (the argparse type of --restarts)."""
+def _int_at_least(text: str, minimum: int, what: str) -> int:
+    """Parse an integer option value that must be at least ``minimum``, described as ``what``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Parse a count that must be at least 1 (the argparse type of --restarts)."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _non_negative_int(text: str) -> int:
+    """Parse a seed, which numpy requires to be at least 0 (the argparse type of --seed)."""
+    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def _default_tol() -> float:
@@ -665,7 +682,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=_tolerance, default=None, help="tolerance for all criteria")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--oracle", action="store_true", help="also run the unitary search")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized pieces")
+    parser.add_argument(
+        "--seed", type=_non_negative_int, default=0, help="seed for randomized pieces"
+    )
     parser.add_argument(
         "--restarts", type=_positive_int, default=20, help="oracle restart budget"
     )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angletests import lsat, sat, wat
+from .angletests import angle_suite
 from .errors import (
     DimensionMismatch,
     ExhaustedRetries,
@@ -28,7 +28,6 @@ from .errors import (
     SingularMatrix,
 )
 from .matcore import CMatrix, EPS
-from .spectra import eigensystem
 from .tracetests import DEFAULT_TOL, Verdict
 
 log = logging.getLogger(__name__)
@@ -233,12 +232,9 @@ def generate_wat_not_sat(
             rejected_real += 1
             continue
         t = conjugated_diagonal(q, entries)
-        s = eigensystem(t)
-        wat_report = wat(s)
-        lsat_report = lsat(s)
-        sat_report = sat(s)
-        solid_fail = sat_report.verdict.max_residual > 10 * sat_report.verdict.tol
-        if wat_report.verdict.passed and lsat_report.verdict.passed and solid_fail:
+        suite = angle_suite(t)
+        solid_fail = suite["sat"].max_residual > 10 * suite["sat"].tol
+        if suite["wat"].passed and suite["lsat"].passed and solid_fail:
             log.debug(
                 "generate_wat_not_sat: seed=%d attempts=%d all-real rejections=%d",
                 seed,

@@ -99,9 +99,9 @@ def test_c02_shift_trace_vectors():
 def test_c03_integer_counterexample_profile():
     tol = 1e-7
     s = eigensystem(WAT_COUNTEREXAMPLE)
-    wat_ok = wat(s, tol).verdict.passed
-    lsat_ok = lsat(s, tol).verdict.passed
-    sat_bad = not sat(s, tol).verdict.passed
+    wat_ok = wat(s, tol).passed
+    lsat_ok = lsat(s, tol).passed
+    sat_bad = not sat(s, tol).passed
     trace_bad = not uecsm_verdict(WAT_COUNTEREXAMPLE, tol).passed
     transpose_bad = not transpose_equivalence(WAT_COUNTEREXAMPLE, tol).passed
     ok = wat_ok and lsat_ok and sat_bad and trace_bad and transpose_bad
@@ -135,7 +135,7 @@ def test_c05_wat_equals_trace_test_3x3():
             s = eigensystem(t)
         except (DegenerateSpectrum, NoConvergence):
             continue
-        wat_v = wat(s, TOL).verdict
+        wat_v = wat(s, TOL)
         trace_v = trace_test_3(t, TOL)
         tr_eq = transpose_equivalence(t, TOL)
         if not (boundary(trace_v.max_residual, TOL) or boundary(tr_eq.max_residual, TOL)):
@@ -172,7 +172,7 @@ def test_c06_sat_equals_psi_4x4():
             s = eigensystem(t)
         except (DegenerateSpectrum, NoConvergence):
             continue
-        sat_v = sat(s, TOL).verdict
+        sat_v = sat(s, TOL)
         psi_v = uecsm_verdict(t, TOL)
         tr_eq = transpose_equivalence(t, TOL)
         if not (boundary(psi_v.max_residual, TOL) or boundary(tr_eq.max_residual, TOL)):
@@ -274,7 +274,7 @@ def test_c08_su22_constructions_pass_lsat():
         worst_membership = max(worst_membership, membership.max_residual)
         t = conjugated_diagonal(q, [-1.0, 0.0, 1.0, 2.0])
         try:
-            verdict = lsat(eigensystem(t), tol=1e-7).verdict
+            verdict = lsat(eigensystem(t), tol=1e-7)
         except (DegenerateSpectrum, NoConvergence):
             continue
         checked += 1
@@ -304,7 +304,7 @@ def test_c09_one_dimensional_cone_always_uecsm():
             except (DegenerateSpectrum, NoConvergence):
                 continue
             checked += 1
-            ok &= sat(s, TOL).verdict.passed
+            ok &= sat(s, TOL).passed
             trace_ok = trace_test_3(t, TOL).passed if n == 3 else uecsm_verdict(t, TOL).passed
             ok &= trace_ok
             if not ok:

@@ -205,6 +205,24 @@ class TestClassifyNilpotent:
         assert main(["classify-nilpotent", "--params", "a,b,c,d,e,f"]) == EXIT_INCONCLUSIVE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params", ["nan,1,1,1,1,1", "1,inf,1,1,1,1", "1,1,0:nan,1,1,1", "1e400,1,1,1,1,1"]
+    )
+    def test_non_finite_params_are_an_error(self, capsys, params):
+        assert main(["classify-nilpotent", "--params", params]) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: complex component")
+        assert "is not finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("params", ["1e200,1,1,1,1,1", "1e100,1e100,1e100,1e100,1e100,1e100"])
+    def test_overflowing_params_are_an_error(self, capsys, params):
+        # |v|^2 of a finite parameter overflows a float in the closed forms
+        assert main(["classify-nilpotent", "--params", params]) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: parameters too large for the closed forms")
+        assert captured.out == ""
+
     def test_negative_leading_params(self, capsys):
         code = main(["classify-nilpotent", "--params", "-1,2,3,4,5,6", "--json"])
         payload = json.loads(capsys.readouterr().out)
@@ -255,6 +273,14 @@ class TestConstruct:
             main(["construct", "--sig", "2,2", "--diag", "-1,0,1", "--seed", "1"])
             == EXIT_INCONCLUSIVE
         )
+
+    @pytest.mark.parametrize("diag", ["nan,0,1,2", "-1,0,inf,2", "-1,0:-inf,1,2"])
+    def test_non_finite_diag_is_an_error(self, capsys, diag):
+        assert main(["construct", "--sig", "3,1", "--diag", diag]) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: complex component")
+        assert "is not finite" in captured.err
+        assert captured.out == ""
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "m.json"
@@ -381,6 +407,18 @@ class TestTolerancePlumbing:
             main(["test", path, "--oracle", f"--restarts={value}"])
         assert exc.value.code == EXIT_INCONCLUSIVE
         assert "--restarts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["test", "batch", "construct"])
+    def test_negative_seed_is_a_usage_error(self, fixture_dir, capsys, command):
+        args = {
+            "test": ["test", str(fixture_dir / "wat_counterexample.json"), "--oracle"],
+            "batch": ["batch", str(fixture_dir), "--oracle"],
+            "construct": ["construct", "--sig", "3,1", "--diag", "-1,0,1,2"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--seed", "-1"])
+        assert exc.value.code == EXIT_INCONCLUSIVE
+        assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
     def test_one_restart_is_accepted(self, fixture_dir, capsys):
         path = str(fixture_dir / "scalar_plus_shift_22.json")

@@ -153,7 +153,7 @@ class TestConjugatedDiagonal:
         for seed in range(10):
             q = random_su(SIG22, seed=7000 + seed)
             t = conjugated_diagonal(q, [-1.0, 0.0, 1.0, 2.0])
-            assert lsat(eigensystem(t), tol=1e-8).verdict.passed
+            assert lsat(eigensystem(t), tol=1e-8).passed
 
 
 class TestSatObstruction:
@@ -180,9 +180,9 @@ class TestGenerator:
     def test_produces_wat_not_sat(self):
         t = generate_wat_not_sat(11, SIG22)
         suite = angle_suite(t, tol=1e-8)
-        assert suite.wat.verdict.passed
-        assert suite.lsat.verdict.passed
-        assert not suite.sat.verdict.passed
+        assert suite["wat"].passed
+        assert suite["lsat"].passed
+        assert not suite["sat"].passed
         assert not uecsm_verdict(t).passed
 
     def test_deterministic(self):
@@ -203,7 +203,7 @@ class TestOneDimensionalCone:
             q = random_su(SIG31, seed=100 + seed)
             t = conjugated_diagonal(q, [-1.0, 0.0, 1.0, 2.0])
             s = eigensystem(t)
-            assert sat(s).verdict.passed
+            assert sat(s).passed
             assert uecsm_verdict(t).passed
 
     def test_sig21_always_uecsm(self):
@@ -211,7 +211,7 @@ class TestOneDimensionalCone:
             q = random_su(SIG21, seed=200 + seed)
             t = conjugated_diagonal(q, [-1.0, 1.0, 2.0])
             s = eigensystem(t)
-            assert sat(s).verdict.passed
+            assert sat(s).passed
             assert trace_test_3(t).passed
 
     def test_sig12_never_fails_sat(self):
@@ -219,9 +219,9 @@ class TestOneDimensionalCone:
         for seed in range(10):
             q = random_su(Signature(1, 3), seed=300 + seed)
             t = conjugated_diagonal(q, [-1.0, 1.0, 2.0])
-            assert sat(eigensystem(t)).verdict.passed
+            assert sat(eigensystem(t)).passed
 
     def test_wat_passes_too(self):
         q = random_su(SIG31, seed=400)
         t = conjugated_diagonal(q, [-1.0, 0.0, 1.0, 2.0])
-        assert wat(eigensystem(t)).verdict.passed
+        assert wat(eigensystem(t)).passed

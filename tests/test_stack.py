@@ -4,9 +4,10 @@ Every criterion runs on a ``(B, n, n)`` stack; ``analyze`` and the
 one-matrix criteria are its ``B = 1`` case.  These tests check that a
 matrix gets the same report in a stack of any size and content as it
 gets alone from ``analyze``, so no row of a stack leaks into another,
-that ``uecsm batch`` groups documents by dimension without changing what
-it reports, and that every public entry point rejects a shape that is
-not a square matrix.
+that ``angle_suite`` gives the angle verdicts, refusal or error of that
+report, that ``uecsm batch`` groups documents by dimension without
+changing what it reports, and that every public entry point rejects a
+shape that is not a square matrix.
 """
 
 import json
@@ -16,8 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uecsm.angletests
+import uecsm.spectra
 from uecsm import (
+    ConsistencyError,
+    DegenerateSpectrum,
     DimensionMismatch,
+    NoConvergence,
     angle_suite,
     eigensystem,
     find_symmetrizer,
@@ -95,6 +101,65 @@ def test_stack_outside_the_trace_criteria(n):
     ts = np.array([random_complex_matrix(rng(n), n) for _ in range(2)])
     for t, label, report in zip(ts, "ab", analyze_stack(ts, ["a", "b"])):
         _same_report(analyze(t, label), report)
+
+
+ANGLE_KEYS = ("wat", "sat", "lsat", "det3")
+REFUSALS = {"degenerate": DegenerateSpectrum, "no_convergence": NoConvergence}
+
+
+def _same_angle_outcome(t):
+    """Assert ``angle_suite(t)`` is the angle part of ``analyze(t)``: verdicts, refusal or error."""
+    report = analyze(t, "x")
+    if report.error is not None:
+        with pytest.raises(ConsistencyError, match="cross-check failed") as caught:
+            angle_suite(t)
+        assert str(caught.value) == report.error
+    elif report.spectral_status != "ok":
+        with pytest.raises(REFUSALS[report.spectral_status]):
+            angle_suite(t)
+    else:
+        expected = {key: v for key, v in report.verdicts.items() if key in ANGLE_KEYS}
+        assert angle_suite(t) == expected
+    return report
+
+
+@pytest.mark.parametrize("label", list(GALLERY))
+def test_angle_suite_is_the_one_matrix_angle_path_on_the_gallery(label):
+    _same_angle_outcome(GALLERY[label][0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([3, 4]),
+    st.lists(st.sampled_from(["uecsm", "gauss", "nilpotent"]), min_size=1, max_size=3),
+)
+def test_angle_suite_is_the_one_matrix_angle_path(seed, n, kinds):
+    for t in _stack(rng(seed), n, kinds)[: len(kinds)]:
+        _same_angle_outcome(t)
+
+
+def test_angle_suite_raises_the_refusal_analyze_reports(monkeypatch):
+    # degenerate: a nilpotent matrix; no convergence: LAPACK fails on the matrix
+    nilpotent = np.triu(random_complex_matrix(rng(8), 4), 1)
+    assert _same_angle_outcome(nilpotent).spectral_status == "degenerate"
+    t = random_complex_matrix(rng(9), 4)
+    bad = normalize(t)[0]
+    eig = np.linalg.eig
+
+    def failing_eig(a):
+        if any(np.array_equal(m, bad) for m in a.reshape(-1, 4, 4)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(uecsm.spectra.np.linalg, "eig", failing_eig)
+    assert _same_angle_outcome(t).spectral_status == "no_convergence"
+
+
+def test_angle_suite_raises_the_failed_cross_check(monkeypatch):
+    # every 3x3 determinant identity cross-check fails below a negative bound
+    monkeypatch.setattr(uecsm.angletests, "_IDENTITY_CHECK_TOL", -1.0)
+    assert _same_angle_outcome(random_complex_matrix(rng(31), 3)).error is not None
 
 
 def test_stack_labels_must_match_the_stack():
