@@ -56,10 +56,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gallery
-from .angletests import angle_suite, angle_verdicts
+from .angletests import angle_verdicts
 from .constructors import (
     Signature,
     conjugated_diagonal,
+    diagonal_angle_suite,
     generate_wat_not_sat,
     random_su,
     sat_obstruction,
@@ -85,8 +86,9 @@ from .tracetests import (
 )
 
 # Not called in this module: ``perfbench/tracing.py`` times transpose
-# equivalence by wrapping this binding, so removing it breaks every traced
-# benchmark run.
+# equivalence and the one-matrix angle tests by wrapping these bindings, so
+# removing them breaks every traced benchmark run.
+from .angletests import angle_suite  # noqa: F401
 from .tracetests import transpose_equivalence  # noqa: F401
 
 EXIT_UECSM = 0
@@ -256,7 +258,9 @@ def _find_conflicts(report: Report) -> list[tuple[str, str]]:
     wat_v = verdicts.get("wat")
     if wat_v is not None and trace.passed and not wat_v.passed:
         conflicts.append(("uecsm", "wat"))
-    if report.oracle is not None and report.oracle.found and not trace.passed:
+    # a witness or a refutation decides; an inconclusive descent does not
+    oracle = report.oracle
+    if oracle is not None and oracle.status != "inconclusive" and oracle.found != trace.passed:
         conflicts.append(("uecsm", "oracle"))
     return conflicts
 
@@ -366,7 +370,7 @@ def _print_report(report: Report, as_json: bool) -> None:
     print(f"spectrum : {report.spectral_status}")
     if report.oracle is not None:
         oracle = report.oracle
-        if oracle.restarts_used == 0:  # a witness in closed form, before any restart
+        if oracle.restarts_used == 0:  # decided in closed form, before any restart
             detail = f"closed form, residual {oracle.residual:.3e}"
         else:
             detail = f"residual {oracle.residual:.3e}, restarts {oracle.restarts_used}"
@@ -490,7 +494,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             q = random_su(sig, seed=args.seed * 1_000_003 + attempt)
             candidate = conjugated_diagonal(q, diag)
             membership = su_membership(q, sig)
-            if membership.passed and angle_suite(candidate)["sat"].passed:
+            if membership.passed and diagonal_angle_suite(candidate, diag)["sat"].passed:
                 t = candidate
                 break
         if t is None:

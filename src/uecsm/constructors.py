@@ -12,6 +12,7 @@ rejection loop is the counterexample generator at the bottom.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,6 +21,7 @@ import numpy as np
 
 from .angletests import angle_suite
 from .errors import (
+    DegenerateSpectrum,
     DimensionMismatch,
     ExhaustedRetries,
     IsotropicVector,
@@ -190,6 +192,25 @@ def sat_obstruction(q: CMatrix, tol: float = DEFAULT_TOL) -> tuple[TripleProduct
     return tuple(out)
 
 
+def diagonal_angle_suite(t: CMatrix, d: Sequence[complex]) -> dict[str, Verdict]:
+    """:func:`~uecsm.angletests.angle_suite` of ``t = Q diag(d) Q^{-1}``.
+
+    The spectrum of ``t`` is ``d``, so when the angle tests refuse it as
+    degenerate, distinct entries of ``d`` sit too close together for the
+    spread of the others (``1e200, 0, 1, 2``).  That refusal is raised as
+    :class:`~uecsm.errors.RepeatedDiagonal` naming the closest pair of
+    entries, not the internal normalized matrix.
+    """
+    try:
+        return angle_suite(t)
+    except DegenerateSpectrum as exc:
+        a, b = min(itertools.combinations(d, 2), key=lambda pair: abs(pair[0] - pair[1]))
+        names = " and ".join(f"{v.real:g}" if v.imag == 0 else f"{v:g}" for v in (a, b))
+        raise RepeatedDiagonal(
+            f"diagonal entries {names} are too close together to tell apart at the spread of the diagonal"
+        ) from exc
+
+
 def _gaussian_integer_vectors(rng: np.random.Generator, n: int) -> list[np.ndarray]:
     re = rng.integers(-2, 3, size=(n, n))
     im = rng.integers(-2, 3, size=(n, n))
@@ -241,7 +262,7 @@ def generate_wat_not_sat(
             rejected_real += 1
             continue
         t = conjugated_diagonal(q, entries)
-        suite = angle_suite(t)
+        suite = diagonal_angle_suite(t, entries)
         solid_fail = suite["sat"].max_residual > 10 * suite["sat"].tol
         if suite["wat"].passed and suite["lsat"].passed and solid_fail:
             log.debug(

@@ -6,10 +6,14 @@ Tener, "Unitary equivalence to a complex symmetric matrix: an algorithm"
 exactly when CTC = T* for some conjugation C, that is, when one unitary
 makes both Hermitian parts of T real symmetric.  If Re(cT) has a simple
 spectrum for one of eight fixed phases c, one ``eigh`` of it and phases
-solved along a maximum spanning tree give the witness.  It declines when
-every Re(cT) has a repeated eigenvalue, or when its candidate misses the
-witness tolerance, as it does on inputs that are not UECSM.  A witness
-from it is reported with ``restarts_used = 0`` and ``iterations = 0``.
+solved along a maximum spanning tree give the candidate.  The stage
+decides both ways: a candidate within the witness tolerance is a
+witness, and one that misses it by more than rounding and eigenbasis
+error allow is a refutation, status ``refuted``: then no conjugation
+exists, and no unitary reaches the tolerance.  Both are reported with
+``restarts_used = 0`` and ``iterations = 0``.  The stage declines when
+every Re(cT) has a repeated eigenvalue, or when the candidate's miss
+lies in the band between the two.
 
 When it declines, a descent searches.  It minimizes
 f(U) = |U T U* - (U T U*)^t|_F^2 by Riemannian descent on the unitary
@@ -22,10 +26,11 @@ in waves of stacked ``(lanes, n, n)`` arrays, and the search reports
 exactly what running the restarts one by one would: the same status,
 residual, witness, restart count and iterations.
 
-A small enough final residual yields a constructive witness that T is
-UECSM; a large floor after many restarts is only evidence in the other
-direction, never a proof, so the failure status is ``inconclusive``
-rather than a negative verdict.
+A small enough final residual of the descent yields a constructive
+witness that T is UECSM; a large floor after many restarts is only
+evidence in the other direction, never a proof, so the descent's
+failure status is ``inconclusive``.  Only the closed-form stage says
+``refuted``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuard, DimensionMismatch
-from .matcore import CMatrix, _require_square, normalize
+from .matcore import EPS, CMatrix, _require_square, normalize
 from .tracetests import Verdict
 
 WITNESS_TOL = 1e-6
@@ -56,13 +61,16 @@ _PHASES = np.exp(1j * np.pi * np.arange(8) / 8)
 # Smallest eigenvalue gap of Re(cT), on the unit-norm representative,
 # for which the closed-form stage trusts the eigenbasis.
 _GAP_MIN = 1e-8
+# Margin of the closed-form refutation over (witness_tol + eps) / gap;
+# _closed_form derives it.
+_REFUTE_K = 128.0
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Outcome of the search; ``u`` is populated only for a witness."""
 
-    status: str  # "witness" | "inconclusive"
+    status: str  # "witness" | "refuted" (closed form) | "inconclusive"
     u: Optional[CMatrix]
     residual: float
     iterations: int
@@ -272,17 +280,53 @@ def _tree_phases(b: np.ndarray) -> np.ndarray:
 
 
 def _closed_form(rep: CMatrix, witness_tol: float) -> Optional[OracleResult]:
-    """The Cartesian witness of Tener (2008), or None where it gives none.
+    """The Cartesian criterion of Tener (2008): a witness, a refutation or None.
 
     ``T`` is UECSM exactly when ``CTC = T*`` for some conjugation ``C``
     (Garcia-Putinar 2006), that is, when some unitary makes both
     Hermitian parts ``A = Re T`` and ``B = Im T`` real symmetric at once.
-    If ``A = V D V*`` has a simple spectrum, such a unitary is
-    ``diag(e^{i alpha}) V*`` with phases making ``B' = V* B V`` real, and
-    those phases follow from a spanning tree of ``B'``.  ``T`` is turned
-    by the phase ``c`` of ``_PHASES`` whose ``Re(cT)`` has the widest
-    smallest eigenvalue gap; the stage declines when that gap is at
-    most ``_GAP_MIN`` or when the witness misses ``witness_tol``.
+    Such a ``C`` fixes ``A`` and ``B``.  If ``A = V D V*`` has a simple
+    spectrum, ``C`` is therefore ``V diag(e^{i theta}) J V*``, and the
+    unitary is ``diag(e^{i alpha}) V*`` with phases making
+    ``B' = V* B V`` real; a spanning tree of ``B'`` fixes them up to
+    sign.  ``T`` is turned by the phase ``c`` of ``_PHASES`` whose
+    ``Re(cT)`` has the widest smallest eigenvalue gap ``g``; the stage
+    declines when ``g <= _GAP_MIN``.  Otherwise the candidate is a
+    witness when its defect is within ``witness_tol``, and ``refuted``
+    when the defect exceeds ``_REFUTE_K (witness_tol + eps) / g``.  In
+    the band between, it declines.
+
+    The refutation threshold, with ``tau = witness_tol`` on the unit-norm
+    representative, in four steps:
+
+    1. If some unitary reaches ``tau``, then ``U T U*`` lies within
+       ``tau / 2`` of its symmetric part, so ``T`` lies within
+       ``delta = tau / 2`` of a UECSM ``T0``, and (Re and Im being
+       contractions) ``A``, ``B`` within ``delta`` of ``A0``, ``B0``.
+    2. Davis-Kahan, column by column: the sines of the angles between
+       the eigenvectors of ``A`` and ``A0`` have squares summing to at
+       most ``(delta / (g - delta))^2``.  So ``B'`` lies within
+       ``eta <= delta + 2 sqrt(2) delta / (g - delta) ~ 3 sqrt(2) delta / g``
+       of a matrix ``P X P*``, ``X`` real and ``P`` diagonal unitary
+       (using ``g <= sqrt(2)`` for a unit-norm ``A``).
+    3. The tree entries of the candidate are real.  An off-tree entry
+       ``(k, l)`` takes the phase error of the cycle it closes, and by
+       the cycle property of a maximum spanning tree every tree edge on
+       that cycle weighs at least ``|b'_kl|``; so its imaginary part is
+       at most ``pi`` times the summed perturbation of the cycle's
+       entries.  Small entries amplify nothing.  With at most ``n`` edges
+       per cycle and ``N = (n-1)(n-2)/2`` cycles through one edge, the
+       defect ``2 |Im M|_F`` is at most ``2 pi sqrt(n N) eta``.
+    4. Together: the defect is at most
+       ``3 sqrt(2) pi sqrt(n N) tau / g``, which is ``23 tau / g`` at
+       ``n = 3`` and ``103 tau / g`` at ``n = 6``.  ``_REFUTE_K = 128``
+       covers every ``n <= _MAX_DIM`` with room for the second-order
+       terms, and ``eps`` stands for the backward error of ``eigh`` and
+       of the products, which acts like ``delta``.
+
+    So a refutation never occurs where a descent could still reach
+    ``witness_tol``.  As a defect is at most 2, a refutation also needs
+    ``g > 64 tau``, where ``delta / g`` is small, as step 2 assumes.
     """
     turned = _PHASES[:, None, None] * rep
     herm = 0.5 * (turned + _adjoint(turned))  # Re(cT) for every phase c
@@ -295,10 +339,12 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> Optional[OracleResult]:
     b = -1j * (vh @ (turned[k] - herm[k]) @ v)  # B' = V* Im(cT) V
     u = np.exp(1j * _tree_phases(b))[:, None] * vh
     residual = float(_residual(_evaluate(rep, u)[2]))  # rep has unit norm
-    if residual > witness_tol:
-        return None
-    u.flags.writeable = False
-    return OracleResult("witness", u, residual, 0, 0)
+    if residual <= witness_tol:
+        u.flags.writeable = False
+        return OracleResult("witness", u, residual, 0, 0)
+    if residual > _REFUTE_K * (witness_tol + EPS) / gaps[k]:
+        return OracleResult("refuted", None, residual, 0, 0)
+    return None
 
 
 def _search_restarts(
@@ -358,21 +404,25 @@ def find_symmetrizer(
     scale and shift of ``t``; a scalar matrix is a witness at once, with
     ``iterations = 0`` and ``restarts_used = 0``.
 
-    The closed-form Cartesian witness comes first (see
-    :func:`_closed_form`): one stacked ``eigvalsh`` and one ``eigh``.  A
-    witness from it has ``iterations = 0`` and ``restarts_used = 0``.
-    It declines when no turned Hermitian part ``Re(cT)`` has a simple
-    spectrum (a normal matrix such as ``Q diag(1, 1, 2) Q*``) or when its
-    candidate misses ``witness_tol``, as it does on matrices that are not
-    UECSM.  The descent then runs exactly as it would without the
-    stage: the stage draws nothing from the restart generator.
+    The closed-form Cartesian criterion comes first (see
+    :func:`_closed_form`): one stacked ``eigvalsh`` and one ``eigh``.  It
+    returns a witness, or ``refuted`` (with ``u = None`` and the
+    candidate's defect as ``residual``) when no unitary can reach
+    ``witness_tol``; either has ``iterations = 0`` and
+    ``restarts_used = 0``.  It declines when no turned Hermitian part
+    ``Re(cT)`` has a simple spectrum (a normal matrix such as
+    ``Q diag(1, 1, 2) Q*``) or when its candidate's defect lies between
+    ``witness_tol`` and the refutation threshold, as on matrices within
+    about ``_REFUTE_K witness_tol / g`` of the UECSM set.  The descent
+    then runs exactly as it would without the stage: the stage draws
+    nothing from the restart generator.
 
     In the descent, restart 0 starts from the identity; the remaining
     starts are Haar-ish random unitaries.  It returns the witness of the
     first restart that reaches the normalized residual target, with the
     iterations of every restart up to it, otherwise reports the best
     residual seen.  An ``inconclusive`` result carries no information
-    that T is not UECSM.
+    that T is not UECSM; only ``refuted`` does.
 
     Restarts after the first descend in lockstep waves of at most
     ``_WAVE`` lanes, whose starts are drawn only when the wave runs, so

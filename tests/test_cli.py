@@ -284,6 +284,20 @@ class TestConstruct:
         assert "is not finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "sig, diag, pair",
+        [("2,2", "1e200,0,1,2", "0 and 1"), ("3,1", "1e-300,0,1e-310,2", "0 and 1e-310")],
+    )
+    def test_unresolvable_diag_names_its_entries(self, capsys, sig, diag, pair):
+        # distinct entries that the spread of the others makes degenerate,
+        # through the WAT-not-SAT generator and the one-dimensional cone
+        assert main(["construct", "--sig", sig, "--diag", diag]) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: diagonal entries {pair} are too close together to tell apart at the spread of the diagonal\n"
+        )
+        assert captured.out == ""
+
     def test_overflowing_diag_is_an_error(self, capsys):
         # finite entries whose conjugated product overflows a float
         assert main(["construct", "--sig", "3,1", "--diag", "1e308,0,1,2"]) == EXIT_INCONCLUSIVE
@@ -368,6 +382,16 @@ class TestBatch:
 
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "nope")]) == EXIT_INCONCLUSIVE
+
+    def test_oracle_refutes_in_closed_form(self, fixture_dir, capsys):
+        assert main(["batch", str(fixture_dir), "--oracle", "--json"]) == EXIT_UECSM
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["conflicts"] == 0
+        for label, (_, expected) in GALLERY.items():
+            report = payload["reports"][f"{label.replace('-', '_')}.json"]
+            jsonschema.validate(report, SCHEMA)
+            assert report["oracle"]["status"] == ("witness" if expected else "refuted"), label
+            assert (report["oracle"]["restarts_used"], report["oracle"]["iterations"]) == (0, 0)
 
 
 ANALYSIS_OPTIONS = {
@@ -494,10 +518,33 @@ class TestTolerancePlumbing:
             line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
             assert line.startswith("oracle   : witness (closed form, residual ")
             assert "restarts" not in line
+        # a refutation is decided in closed form too
         path = str(fixture_dir / "wat_counterexample.json")
         assert main(["test", path, "--oracle", "--restarts", "1"]) == EXIT_NOT_UECSM
         line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
-        assert line.startswith("oracle   : inconclusive (residual ") and line.endswith(", restarts 1)")
+        assert line.startswith("oracle   : refuted (closed form, residual ")
+        assert "restarts" not in line
+
+    def test_oracle_text_names_the_descent_restarts(self, tmp_path, capsys):
+        # a normal matrix with a repeated eigenvalue has no simple Re(cT),
+        # so the closed form declines and the descent finds the witness
+        q = random_unitary(rng(103), 3)
+        normal = cmatrix(q @ np.diag([1.0, 1.0, 2.0]) @ q.conj().T)
+        path = tmp_path / "normal.json"
+        write_matrix_document(MatrixDocument(normal, "normal"), path)
+        assert main(["test", str(path), "--oracle", "--restarts", "1"]) == EXIT_UECSM
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
+        assert line.startswith("oracle   : witness (residual ") and line.endswith(", restarts 1)")
+
+    def test_refutation_against_a_passing_trace_is_a_conflict(self, fixture_dir, capsys):
+        # --tol-trace 10 makes the trace verdict pass on the counterexample,
+        # which the closed form refutes
+        path = str(fixture_dir / "wat_counterexample.json")
+        assert main(["test", path, "--oracle", "--tol-trace", "10"]) == EXIT_INCONCLUSIVE
+        out = capsys.readouterr().out
+        assert "oracle   : refuted (closed form" in out
+        line = next(l for l in out.splitlines() if l.startswith("CONFLICT"))
+        assert "uecsm<->oracle" in line
 
     def test_small_override_is_kept(self):
         # an override is used as given, never replaced by the common tol

@@ -19,7 +19,10 @@ from uecsm import (
 
 
 def test_generated_counterexamples_fail_every_exact_criterion():
-    for seed in (1, 2):
+    # seed 1 lies within about 4e-5 of the UECSM set (descent floor
+    # 3.8e-5, closed-form defect 7.6e-5): too near to refute, too far for
+    # a witness, so the descent runs and gives up
+    for seed, status in ((1, "inconclusive"), (2, "refuted")):
         t = generate_wat_not_sat(seed, Signature(2, 4))
         assert not uecsm_verdict(t).passed
         assert not transpose_equivalence(t).passed
@@ -28,11 +31,12 @@ def test_generated_counterexamples_fail_every_exact_criterion():
         assert suite["lsat"].passed
         assert not suite["sat"].passed
         oracle = find_symmetrizer(t, restarts=8)
-        assert oracle.status == "inconclusive"
-        # floors are matrix-dependent and recorded, not asserted tightly;
+        assert oracle.status == status
+        assert oracle.restarts_used == (0 if status == "refuted" else 8)
+        # defects are matrix-dependent and recorded, not asserted tightly;
         # generated examples can sit much closer to the symmetrizable set
         # than the integer counterexample does
-        print(f"seed {seed}: observed residual floor {oracle.residual:.3e}")
+        print(f"seed {seed}: {status} with residual {oracle.residual:.3e}")
 
 
 def test_one_dimensional_cone_agrees_everywhere():
