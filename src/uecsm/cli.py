@@ -25,7 +25,14 @@ Subcommands, each of which takes only the options it reads:
   :func:`analyze_stack` once per matrix size, so each criterion runs
   once on the stack of that size's matrices.  With ``--json`` it prints
   one compact JSON document, and every field except the top-level
-  ``timings`` block is the same on every run.
+  ``timings`` block is the same on every run.  In text mode the row of
+  a file that could not be read or analyzed shows the reason.
+
+:func:`main` builds the argument parser once per process, on its first
+call, and every later call parses with the same parser.  A document is
+checked entry by entry in one pass that also collects the floats, and
+the matrix is built from them in one array operation; each error names
+the first entry at fault.
 
 :func:`analyze_stack` is the one analysis: it normalizes a stack of
 matrices of one size once and runs every criterion on the whole stack.
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -126,27 +134,31 @@ def parse_document_text(text: str) -> MatrixDocument:
         raise ParseError("field 'n' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError(f"'entries' must be a list of {n} rows")
-    data = np.zeros((n, n), dtype=complex)
+    # one pass over the entries; json.loads yields exact list, int, float
+    # and bool, so exact type checks also refuse true and false
+    parts: list[float] = []
     for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != n:
+        if type(row) is not list or len(row) != n:
             raise ParseError(f"row {i} must be a list of {n} entries")
         for j, cell in enumerate(row):
             if (
-                not isinstance(cell, list)
+                type(cell) is not list
                 or len(cell) != 2
-                or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell
-                )
+                or type(cell[0]) not in (int, float)
+                or type(cell[1]) not in (int, float)
             ):
                 raise ParseError(f"entry ({i},{j}) must be a [re, im] pair")
             try:
-                data[i, j] = complex(float(cell[0]), float(cell[1]))
+                parts += (float(cell[0]), float(cell[1]))
             except OverflowError as exc:
                 raise ParseError(f"entry ({i},{j}) is too large for a float") from exc
+    data = np.array(parts).view(complex).reshape(n, n)
     try:
         matrix = cmatrix(data)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        # json.loads reads 1e400, Infinity and NaN as floats that are not finite
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise ParseError(f"entry ({i},{j}) is not finite") from exc
     return MatrixDocument(matrix=matrix, label=label)
 
 
@@ -196,12 +208,14 @@ def write_gallery_fixtures(directory: Path) -> list[Path]:
 
 
 def _verdict_dict(v: Verdict) -> dict:
+    # every criterion names its residuals uniquely, so the dict keeps them all
+    residuals = dict(v.residuals)
     return {
         "criterion": v.criterion,
         "passed": v.passed,
         "tol": v.tol,
-        "max_residual": v.max_residual,
-        "residuals": {name: value for name, value in v.residuals},
+        "max_residual": max(residuals.values(), default=0.0),
+        "residuals": residuals,
     }
 
 
@@ -576,13 +590,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         for name, report, elapsed in results:
+            reason = ""
             if report.error is not None:
-                status = "ERROR"
+                status, reason = "ERROR", f"  {report.error}"
             elif report.conflicts:
                 status = "CONFLICT"
             else:
                 status = "uecsm" if report.uecsm else "not-uecsm"
-            print(f"{name:<40} {status:<10} {elapsed * 1e3:7.1f} ms")
+            print(f"{name:<40} {status:<10} {elapsed * 1e3:7.1f} ms{reason}")
         print(
             f"-- {len(results)} files: {n_pass} uecsm, {n_fail} not, "
             f"{n_conflict} conflicts, {n_error} errors"
@@ -730,9 +745,19 @@ def _merge_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built on its first call.
+
+    Parsing leaves no state in the parser: each ``parse_args`` call
+    starts from a fresh namespace filled with the declared defaults.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if "tol" in vars(args) and args.tol is None:
         args.tol = _default_tol()
     try:

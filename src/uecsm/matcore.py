@@ -39,7 +39,7 @@ def cmatrix(data) -> CMatrix:
     """
     arr = np.array(data, dtype=complex)
     _require_square(arr)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry is finite when both parts are
         raise ValueError("matrix entries must be finite")
     arr.flags.writeable = False
     return arr
@@ -259,6 +259,32 @@ def _trace_plan(words: tuple[Word, ...]) -> _TracePlan:
     return _TracePlan(len(index), tuple(levels), left, right)
 
 
+class _Identity:
+    """A cache key that hashes and compares a word tuple by identity.
+
+    Hashing the tuple itself rehashes every word on each lookup.  The key
+    holds its tuple, so no other object can take the tuple's id while the
+    key is cached.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[Word, ...]) -> None:
+        self.words = words
+
+    def __hash__(self) -> int:
+        return id(self.words)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Identity) and self.words is other.words
+
+
+@lru_cache(maxsize=256)
+def _plan_of(key: _Identity) -> _TracePlan:
+    """The plan of ``key.words``, found without rehashing them once this tuple was seen."""
+    return _trace_plan(key.words)
+
+
 def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
     """``tr w(x, y)`` for every word in ``words``.
 
@@ -269,13 +295,15 @@ def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
     is read from a ``(rows, B, n, n)`` table that holds every distinct
     prefix of every half once, so words share their products and the
     table grows with the total word length, not with the number of words
-    of a degree.  The index plan is cached per word tuple.
+    of a degree.  The index plan is cached per word tuple, and looked up
+    by the tuple's identity first, so passing the same tuple again does
+    not rehash its words.
     """
     stacked = x.ndim == 3
     n = _require_square(x, stacked)
     if x.shape != y.shape:
         raise DimensionMismatch(f"letter matrices differ in shape: {x.shape} vs {y.shape}")
-    plan = _trace_plan(tuple(words))
+    plan = _plan_of(_Identity(tuple(words)))  # tuple() of a tuple is that tuple
     xs, ys = (x, y) if stacked else (x[None], y[None])
     table = np.empty((plan.rows, len(xs), n, n), dtype=complex)
     table[0] = np.eye(n)

@@ -44,6 +44,14 @@ def fixture_dir(tmp_path):
     return tmp_path
 
 
+def _document_with(cell: str, at: tuple[int, int] = (1, 0)) -> str:
+    """A 2x2 document whose entry ``at`` is the JSON text ``cell``."""
+    rows = [["[1, 0]", "[0, 0]"], ["[0, 0]", "[1, 0]"]]
+    rows[at[0]][at[1]] = cell
+    entries = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    return '{"n": 2, "entries": [' + entries + "]}"
+
+
 class TestDocuments:
     def test_round_trip_bytes(self, tmp_path):
         doc = MatrixDocument(matrix=WAT_COUNTEREXAMPLE, label="round-trip")
@@ -78,6 +86,43 @@ class TestDocuments:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_document_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                '{"n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}',
+                "row 1 must be a list of 2 entries",
+                id="ragged-row",
+            ),
+            *(
+                pytest.param(_document_with(cell), "entry (1,0) must be a [re, im] pair", id=name)
+                for name, cell in [
+                    ("bool", "[true, 0]"),
+                    ("null", "[null, 0]"),
+                    ("string", '["1", 0]'),
+                    ("triple", "[1, 0, 0]"),
+                    ("bare-number", "7"),
+                ]
+            ),
+            pytest.param(
+                _document_with("[1" + "0" * 400 + ", 0]"),
+                "entry (1,0) is too large for a float",
+                id="beyond-float",
+            ),
+        ],
+    )
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_document_text(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("cell", ["[1e400, 0]", "[0, -1e400]", "[NaN, 0]", "[0, Infinity]"])
+    def test_non_finite_entry_is_named(self, cell):
+        # json.loads reads each of these as a float that is not finite
+        with pytest.raises(ParseError) as exc:
+            parse_document_text(_document_with(cell, at=(1, 1)))
+        assert str(exc.value) == "entry (1,1) is not finite"
 
     def test_shipped_fixtures_match_gallery(self):
         # the repository fixtures are exactly the canonical gallery documents
@@ -383,6 +428,16 @@ class TestBatch:
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "nope")]) == EXIT_INCONCLUSIVE
 
+    def test_text_error_row_shows_the_reason(self, fixture_dir, capsys):
+        (fixture_dir / "zz_broken.json").write_text("{nope")
+        (fixture_dir / "zz_infinite.json").write_text(_document_with("[1e400, 0]", at=(1, 1)))
+        assert main(["batch", str(fixture_dir)]) == EXIT_INCONCLUSIVE
+        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert " ERROR " in rows["zz_broken.json"]
+        assert " ms  invalid JSON: " in rows["zz_broken.json"]
+        assert rows["zz_infinite.json"].endswith("ms  entry (1,1) is not finite")
+        assert rows["wat_counterexample.json"].endswith(" ms")
+
     def test_oracle_refutes_in_closed_form(self, fixture_dir, capsys):
         assert main(["batch", str(fixture_dir), "--oracle", "--json"]) == EXIT_UECSM
         payload = json.loads(capsys.readouterr().out)
@@ -392,6 +447,46 @@ class TestBatch:
             jsonschema.validate(report, SCHEMA)
             assert report["oracle"]["status"] == ("witness" if expected else "refuted"), label
             assert (report["oracle"]["restarts_used"], report["oracle"]["iterations"]) == (0, 0)
+
+
+class TestRepeatedCalls:
+    """Calls of ``main`` in one process, which reuse one parser, behave like fresh ones."""
+
+    def test_options_do_not_carry_over(self, fixture_dir, capsys):
+        # --tol-angle 10 makes sat pass on the counterexample: a conflict
+        assert main(["batch", str(fixture_dir), "--json", "--tol-angle", "10.0"]) == EXIT_NOT_UECSM
+        assert json.loads(capsys.readouterr().out)["summary"]["conflicts"] >= 1
+        assert main(["batch", str(fixture_dir), "--json"]) == EXIT_UECSM
+        assert json.loads(capsys.readouterr().out)["summary"]["conflicts"] == 0
+
+    def test_env_tolerance_is_read_on_every_call(self, fixture_dir, capsys, monkeypatch):
+        argv = ["test", str(fixture_dir / "wat_counterexample.json"), "--json"]
+        tols = []
+        for env in ("1e-2", "1e-3", None):
+            if env is None:
+                monkeypatch.delenv("UECSM_TOL")
+            else:
+                monkeypatch.setenv("UECSM_TOL", env)
+            main(argv)
+            tols.append(json.loads(capsys.readouterr().out)["tol"])
+        assert tols == [1e-2, 1e-3, 1e-8]
+
+    def test_usage_error_leaves_the_next_call_working(self, fixture_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(fixture_dir), "--restarts", "0"])
+        assert exc.value.code == EXIT_INCONCLUSIVE
+        capsys.readouterr()
+        assert main(["batch", str(fixture_dir)]) == EXIT_UECSM
+        assert "8 files" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, fixture_dir, capsys, monkeypatch):
+        main(["batch", str(fixture_dir)])
+
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr("uecsm.cli.build_parser", rebuilt)
+        assert main(["batch", str(fixture_dir)]) == EXIT_UECSM
 
 
 ANALYSIS_OPTIONS = {

@@ -21,6 +21,7 @@ from uecsm import (
 )
 from uecsm.gallery import WAT_COUNTEREXAMPLE
 from uecsm.matcore import _trace_plan, normalize_stack
+from uecsm.tracetests import _REVERSAL_CHECKS
 
 from _util import random_complex_matrix, rng
 
@@ -31,8 +32,9 @@ class TestConstruction:
             cmatrix([[1, 2, 3], [4, 5, 6]])
 
     def test_cmatrix_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            cmatrix([[np.inf, 0], [0, 1]])
+        for bad in (np.inf, complex(0, np.nan), complex(1, -np.inf)):
+            with pytest.raises(ValueError):
+                cmatrix([[bad, 0], [0, 1]])
 
     def test_cmatrix_is_read_only(self):
         m = cmatrix([[1, 2], [3, 4]])
@@ -221,6 +223,26 @@ class TestWordTraces:
         assert abs(value - trace(evaluate_word(w, x, y))) <= 1e-12
         # one table row per distinct prefix: linear in the word length
         assert _trace_plan((w,)).rows <= w.degree + 3
+
+    def test_plan_lookup_by_identity_is_bit_identical(self, monkeypatch):
+        # the n = 4 reversal words: the same tuple object, a list of its
+        # words and an equal tuple of fresh words read the same traces
+        words = _REVERSAL_CHECKS[4][0]
+        gen = rng(31)
+        x = np.stack([random_complex_matrix(gen, 4) for _ in range(3)])
+        y = adjoint(x)
+        first = word_traces(words, x, y)
+        fresh = tuple(Word(w.runs) for w in words)
+        for again in (words, list(words), fresh):
+            assert np.array_equal(word_traces(again, x, y), first)
+        assert np.array_equal(word_traces(words, x[0], y[0]), first[:, 0])
+
+        # once a tuple was seen, looking up its plan hashes none of its words
+        def no_hash(self):
+            raise AssertionError("a word was rehashed")
+
+        monkeypatch.setattr(Word, "__hash__", no_hash)
+        assert np.array_equal(word_traces(words, x, y), first)
 
     @pytest.mark.parametrize(
         "x, y",
