@@ -28,6 +28,12 @@ Subcommands, each of which takes only the options it reads:
   ``timings`` block is the same on every run.  In text mode the row of
   a file that could not be read or analyzed shows the reason.
 
+Every ``--json`` report is encoded by :func:`_print_json` with orjson,
+keys sorted: compact for ``batch``, with a 2-space indent for ``test``
+and ``classify-nilpotent``.  Floats are written as the shortest text
+that reads back to the same value, and non-ASCII text as UTF-8.  Matrix
+documents are read and written with the stdlib :mod:`json`.
+
 :func:`main` builds the argument parser once per process, on its first
 call, and every later call parses with the same parser.  A document is
 checked entry by entry in one pass that also collects the floats, and
@@ -62,6 +68,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import orjson
 
 from . import gallery
 from .angletests import angle_verdicts
@@ -370,9 +377,22 @@ def exit_code_for(report: Report) -> int:
 # rendering
 
 
+def _print_json(payload: dict, indent: bool = False) -> None:
+    """Print ``payload`` as JSON with sorted keys, compact or with a 2-space indent."""
+    option = orjson.OPT_SORT_KEYS | (orjson.OPT_INDENT_2 if indent else 0)
+    try:
+        print(orjson.dumps(payload, option=option).decode())
+    except (orjson.JSONEncodeError, UnicodeEncodeError):
+        # orjson refuses a str holding a lone surrogate, which json.loads
+        # accepts in a label ("\ud800") and the file system gives for a file
+        # name that is not valid UTF-8; and a stream that cannot encode a
+        # non-ASCII label refuses orjson's UTF-8.  json.dumps escapes both.
+        print(json.dumps(payload, indent=2 if indent else None, sort_keys=True))
+
+
 def _print_report(report: Report, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _print_json(report.to_dict(), indent=True)
         return
     print(f"matrix   : {report.label} ({report.dimension}x{report.dimension})")
     if report.error is not None:
@@ -462,7 +482,7 @@ def _cmd_classify_nilpotent(args: argparse.Namespace) -> int:
         "agree": agree,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload, indent=True)
     else:
         print(f"satisfied conditions : {list(result.satisfied) or 'none'}")
         for idx, residual in result.residuals:
@@ -540,19 +560,28 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    try:
+        # one pass that keeps what glob("*.json") keeps: hidden files,
+        # directories (each becomes an error row), names matched case-sensitively
+        with os.scandir(directory) as entries:
+            listed = sorted(e.name for e in entries if e.name.endswith(".json"))
+    except OSError as exc:
+        print(f"error: cannot list {directory}: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     names: list[str] = []
     reports: dict[str, Report] = {}
     seconds: dict[str, float] = {}
     groups: dict[int, list[tuple[str, MatrixDocument]]] = {}
-    for path in sorted(directory.glob("*.json")):
+    for name in listed:
+        path = directory / name
         start = time.perf_counter()
         try:
             doc = load_matrix_document(path)
-            groups.setdefault(doc.matrix.shape[0], []).append((path.name, doc))
+            groups.setdefault(doc.matrix.shape[0], []).append((name, doc))
         except UecsmError as exc:
-            reports[path.name] = Report(label=path.stem, dimension=0, tol=args.tol, error=str(exc))
-        names.append(path.name)
-        seconds[path.name] = time.perf_counter() - start
+            reports[name] = Report(label=path.stem, dimension=0, tol=args.tol, error=str(exc))
+        names.append(name)
+        seconds[name] = time.perf_counter() - start
 
     # one stacked analysis per dimension; each file is charged an equal share
     for members in groups.values():
@@ -586,8 +615,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             # the only part of the payload that differs between runs
             "timings": {"runtime_seconds": {name: t for name, _, t in results}},
         }
-        # compact, so that the C encoder runs (indent falls back to Python)
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for name, report, elapsed in results:
             reason = ""

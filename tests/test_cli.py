@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import io
 import json
+import os
 from pathlib import Path
 
 import jsonschema
@@ -15,6 +17,7 @@ from uecsm.cli import (
     MatrixDocument,
     Report,
     analyze,
+    analyze_stack,
     build_parser,
     document_to_text,
     exit_code_for,
@@ -415,6 +418,19 @@ class TestBatch:
         assert "runtime_seconds" not in outputs[0]["summary"]
         stable = [json.dumps({k: v for k, v in p.items() if k != "timings"}) for p in outputs]
         assert stable[0] == stable[1]
+        # every value, each float to the last bit, is that of the stacked analysis
+        groups: dict[int, list[tuple[str, MatrixDocument]]] = {}
+        for path in sorted(fixture_dir.glob("*.json")):
+            if path.name == "zz_broken.json":
+                continue
+            doc = load_matrix_document(path)
+            groups.setdefault(doc.matrix.shape[0], []).append((path.name, doc))
+        expected = {}
+        for members in groups.values():
+            stack = np.stack([doc.matrix for _, doc in members])
+            reports = analyze_stack(stack, [doc.label for _, doc in members])
+            expected.update((name, r.to_dict()) for (name, _), r in zip(members, reports))
+        assert {k: v for k, v in outputs[0]["reports"].items() if k != "zz_broken.json"} == expected
 
     def test_conflict_code_outranks_errors(self, fixture_dir, capsys):
         # --tol-angle 10 makes sat pass on the counterexample: a conflict
@@ -427,6 +443,65 @@ class TestBatch:
 
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "nope")]) == EXIT_INCONCLUSIVE
+
+    def test_listing_keeps_hidden_files_and_directories(self, fixture_dir, capsys):
+        counterexample = (fixture_dir / "wat_counterexample.json").read_text()
+        (fixture_dir / ".hidden.json").write_text(counterexample)
+        (fixture_dir / "sub.json").mkdir()
+        (fixture_dir / "upper.JSON").write_text(counterexample)
+        assert main(["batch", str(fixture_dir), "--json"]) == EXIT_INCONCLUSIVE
+        payload = json.loads(capsys.readouterr().out)
+        gallery_names = [f"{label.replace('-', '_')}.json" for label in GALLERY]
+        assert list(payload["reports"]) == sorted([".hidden.json", "sub.json", *gallery_names])
+        assert payload["reports"][".hidden.json"]["label"] == "wat-counterexample"
+        assert payload["reports"]["sub.json"]["error"].startswith("cannot read ")
+        assert payload["summary"] == {
+            "files": len(GALLERY) + 2, "uecsm": 2, "not_uecsm": len(GALLERY) - 1,
+            "conflicts": 0, "errors": 1,
+        }
+
+    def test_unreadable_directory_is_an_error(self, fixture_dir, capsys, monkeypatch):
+        def refused(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "scandir", refused)
+        assert main(["batch", str(fixture_dir), "--json"]) == EXIT_INCONCLUSIVE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot list {fixture_dir}: ") and "Permission denied" in err
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_no_number_becomes_null(self, tmp_path, capsys, oracle):
+        # orjson writes a non-finite float as null, which the schema refuses
+        t3, t4 = random_complex_matrix(rng(41), 3), random_complex_matrix(rng(42), 4)
+        matrices = {
+            "tiny3": t3 * 1e-300,
+            "huge3": t3 * 4e307,
+            "tiny4": t4 * 1e-300,
+            "huge4": t4 * 4e307,
+            "edge": np.array([[1.7e308, -1.7e308], [1.7e308, 0]], dtype=complex),
+            "scalar": 3.5 * np.eye(4, dtype=complex),
+            "jordan": np.eye(4, k=1, dtype=complex),
+        }
+        for label, matrix in matrices.items():
+            write_matrix_document(MatrixDocument(cmatrix(matrix), label), tmp_path / f"{label}.json")
+        assert main(["batch", str(tmp_path), "--json", *oracle]) == EXIT_UECSM
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["files"] == len(matrices)
+        assert payload["summary"]["errors"] == 0
+        for report in payload["reports"].values():
+            jsonschema.validate(report, SCHEMA)
+
+    def test_reports_are_encoded_without_the_fallback(self, fixture_dir, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a report fell back to json.dumps")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dumps", refused)
+            assert main(["batch", str(fixture_dir), "--json", "--oracle"]) == EXIT_UECSM
+            counterexample = str(fixture_dir / "wat_counterexample.json")
+            assert main(["test", counterexample, "--json", "--oracle"]) == EXIT_NOT_UECSM
+            assert main(["classify-nilpotent", "--params", "1,2,3,4,5,6", "--json"]) == EXIT_NOT_UECSM
 
     def test_text_error_row_shows_the_reason(self, fixture_dir, capsys):
         (fixture_dir / "zz_broken.json").write_text("{nope")
@@ -447,6 +522,51 @@ class TestBatch:
             jsonschema.validate(report, SCHEMA)
             assert report["oracle"]["status"] == ("witness" if expected else "refuted"), label
             assert (report["oracle"]["restarts_used"], report["oracle"]["iterations"]) == (0, 0)
+
+
+SURROGATE_DOCUMENT = '{"label": "\\ud800", "n": 2, "entries": [[[1, 0], [2, 0]], [[0, 0], [3, 0]]]}'
+
+
+class TestInvalidUnicode:
+    """Text that orjson cannot encode is written by the stdlib encoder."""
+
+    def _check(self, directory: Path, name: str, capsys) -> None:
+        doc = load_matrix_document(directory / name)
+        report = analyze(doc.matrix, doc.label)
+        assert main(["test", str(directory / name), "--json"]) == EXIT_UECSM
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert json.loads(out) == json.loads(json.dumps(report.to_dict()))
+
+        assert main(["batch", str(directory), "--json"]) == EXIT_UECSM
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        payload = json.loads(out)
+        del payload["timings"]
+        summary = {"files": 1, "uecsm": 1, "not_uecsm": 0, "conflicts": 0, "errors": 0}
+        expected = {"reports": {name: report.to_dict()}, "summary": summary}
+        assert payload == json.loads(json.dumps(expected))
+
+    def test_lone_surrogate_in_label(self, tmp_path, capsys):
+        (tmp_path / "m.json").write_text(SURROGATE_DOCUMENT)
+        assert load_matrix_document(tmp_path / "m.json").label == "\ud800"
+        self._check(tmp_path, "m.json", capsys)
+
+    def test_undecodable_file_name(self, tmp_path, capsys):
+        name = os.fsdecode(b"\xff.json")
+        try:
+            write_matrix_document(MatrixDocument(np.diag([1, 3]).astype(complex)), tmp_path / name)
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the file system refuses a name that is not valid UTF-8")
+        self._check(tmp_path, name, capsys)
+
+    def test_stream_that_cannot_encode_the_label(self, tmp_path, monkeypatch):
+        (tmp_path / "m.json").write_text(SURROGATE_DOCUMENT.replace("\\ud800", "caf\\u00e9"))
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr("sys.stdout", stream)
+        assert main(["test", str(tmp_path / "m.json"), "--json"]) == EXIT_UECSM
+        stream.seek(0)
+        assert json.loads(stream.read())["label"] == "caf\u00e9"
 
 
 class TestRepeatedCalls:
