@@ -220,9 +220,7 @@ def _angle_rows(
     return out
 
 
-def angle_suite(
-    t: CMatrix, tol: float = DEFAULT_TOL, distinct_tol: float = 1e-6
-) -> dict[str, Verdict]:
+def angle_suite(t: CMatrix, tol: float = DEFAULT_TOL) -> dict[str, Verdict]:
     """Run the eigensystem and every applicable angle criterion on one matrix.
 
     Returns the verdicts by report key: ``wat``, ``sat``, ``lsat`` and,
@@ -234,7 +232,7 @@ def angle_suite(
     the determinant cross-check fails.  This is the one-matrix case of
     :func:`angle_verdicts`.
     """
-    s = eigensystem(t, distinct_tol=distinct_tol)
+    s = eigensystem(t)
     outcome = _angle_rows(s.x[None], s.y[None], s.grams[None], slice(None), tol)[0]
     if isinstance(outcome, ConsistencyError):
         raise outcome

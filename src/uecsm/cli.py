@@ -28,6 +28,10 @@ Subcommands, each of which takes only the options it reads:
   ``timings`` block is the same on every run.  In text mode the row of
   a file that could not be read or analyzed shows the reason.
 
+A text line that holds a label, a file name or an error writes each
+character stdout cannot encode as its backslash escape, so it exits
+with the code of the same run with ``--json``.
+
 Every ``--json`` report is encoded by :func:`_print_json` with orjson,
 keys sorted: compact for ``batch``, with a 2-space indent for ``test``
 and ``classify-nilpotent``.  Floats are written as the shortest text
@@ -390,13 +394,36 @@ def _print_json(payload: dict, indent: bool = False) -> None:
         print(json.dumps(payload, indent=2 if indent else None, sort_keys=True))
 
 
+def _echo(line: str) -> None:
+    """Print a line of text output that may hold a label, a file name or an error.
+
+    A character stdout cannot encode, such as a lone surrogate, or
+    non-ASCII text on an ASCII stream, is written as its backslash escape
+    (``\\ud800``, ``\\xe9``); every other character is written as
+    ``print`` writes it.
+    """
+    try:
+        print(line)
+    except UnicodeEncodeError:
+        print("".join(map(_encodable, line)))
+
+
+def _encodable(char: str) -> str:
+    """``char``, or its backslash escape where stdout cannot encode it."""
+    try:
+        char.encode(sys.stdout.encoding, sys.stdout.errors)
+        return char
+    except UnicodeEncodeError:
+        return char.encode("ascii", "backslashreplace").decode("ascii")
+
+
 def _print_report(report: Report, as_json: bool) -> None:
     if as_json:
         _print_json(report.to_dict(), indent=True)
         return
-    print(f"matrix   : {report.label} ({report.dimension}x{report.dimension})")
+    _echo(f"matrix   : {report.label} ({report.dimension}x{report.dimension})")
     if report.error is not None:
-        print(f"error    : {report.error}")
+        _echo(f"error    : {report.error}")
         return
     for key, verdict in report.verdicts.items():
         status = "pass" if verdict.passed else "FAIL"
@@ -410,7 +437,7 @@ def _print_report(report: Report, as_json: bool) -> None:
             detail = f"residual {oracle.residual:.3e}, restarts {oracle.restarts_used}"
         print(f"oracle   : {oracle.status} ({detail})")
     for note in report.notes:
-        print(f"note     : {note}")
+        _echo(f"note     : {note}")
     if report.conflicts:
         pairs = ", ".join(f"{a}<->{b}" for a, b in report.conflicts)
         print(f"CONFLICT : {pairs}")
@@ -543,7 +570,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_INCONCLUSIVE
-        print(f"wrote {args.out}")
+        _echo(f"wrote {args.out}")
     else:
         print(document_to_text(doc), end="")
 
@@ -625,7 +652,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 status = "CONFLICT"
             else:
                 status = "uecsm" if report.uecsm else "not-uecsm"
-            print(f"{name:<40} {status:<10} {elapsed * 1e3:7.1f} ms{reason}")
+            _echo(f"{name:<40} {status:<10} {elapsed * 1e3:7.1f} ms{reason}")
         print(
             f"-- {len(results)} files: {n_pass} uecsm, {n_fail} not, "
             f"{n_conflict} conflicts, {n_error} errors"

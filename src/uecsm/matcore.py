@@ -5,9 +5,11 @@ Matrices are plain ``numpy.ndarray`` values with dtype ``complex128``;
 array, so every value in this package can be shared freely across
 threads.  Words over the alphabet ``{x, y}`` are stored as run-length
 sequences, e.g. ``x^2 y^2 x y`` is ``Word.from_string("x2y2xy")``.
-:func:`word_traces` is the one trace engine: every word trace in the
-package is read from it, and :func:`evaluate_word` (the matrix value of
-one word) is its reference.
+:func:`word_traces` is the one trace engine, and :func:`evaluate_word`
+(the matrix value of one word) is its reference.  It compiles an index
+plan per word tuple, cached for tuples that callers pass, and evaluates
+it; each fixed word set of :mod:`uecsm.tracetests` compiles its plan
+once, at import, and evaluates that plan directly.
 
 :func:`normalize_stack`, :func:`word_traces` and :func:`adjoint` also
 take a ``(B, n, n)`` stack of matrices of one size; the one-matrix
@@ -227,10 +229,25 @@ class _TracePlan:
     one batched product.
     """
 
+    words: tuple[Word, ...]
     rows: int
     levels: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
     left: np.ndarray
     right: np.ndarray
+
+    def traces(self, x: CMatrix, y: CMatrix) -> np.ndarray:
+        """:func:`word_traces` of the plan's words, for letters already checked."""
+        stacked = x.ndim == 3
+        xs, ys = (x, y) if stacked else (x[None], y[None])
+        n = xs.shape[-1]
+        table = np.empty((self.rows, len(xs), n, n), dtype=complex)
+        table[0] = np.eye(n)
+        table[1] = xs
+        table[2] = ys
+        for start, stop, parents, last in self.levels:
+            np.matmul(table[parents], table[last], out=table[start:stop])
+        traces = np.einsum("kbij,kbji->kb", table[self.left], table[self.right])
+        return traces if stacked else traces[:, 0]
 
 
 @lru_cache(maxsize=256)
@@ -256,33 +273,7 @@ def _trace_plan(words: tuple[Word, ...]) -> _TracePlan:
         levels.append((start, start + len(group), parents, last))
     left = np.array([index[a] for a, _ in halves], dtype=np.intp)
     right = np.array([index[b] for _, b in halves], dtype=np.intp)
-    return _TracePlan(len(index), tuple(levels), left, right)
-
-
-class _Identity:
-    """A cache key that hashes and compares a word tuple by identity.
-
-    Hashing the tuple itself rehashes every word on each lookup.  The key
-    holds its tuple, so no other object can take the tuple's id while the
-    key is cached.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: tuple[Word, ...]) -> None:
-        self.words = words
-
-    def __hash__(self) -> int:
-        return id(self.words)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Identity) and self.words is other.words
-
-
-@lru_cache(maxsize=256)
-def _plan_of(key: _Identity) -> _TracePlan:
-    """The plan of ``key.words``, found without rehashing them once this tuple was seen."""
-    return _trace_plan(key.words)
+    return _TracePlan(words, len(index), tuple(levels), left, right)
 
 
 def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
@@ -295,24 +286,15 @@ def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
     is read from a ``(rows, B, n, n)`` table that holds every distinct
     prefix of every half once, so words share their products and the
     table grows with the total word length, not with the number of words
-    of a degree.  The index plan is cached per word tuple, and looked up
-    by the tuple's identity first, so passing the same tuple again does
-    not rehash its words.
+    of a degree.  The index plan of a word tuple is cached.  The fixed
+    word sets of :mod:`uecsm.tracetests` compile their plans once, at
+    import, and evaluate them without this function's lookup, which
+    hashes every word.
     """
-    stacked = x.ndim == 3
-    n = _require_square(x, stacked)
+    _require_square(x, x.ndim == 3)
     if x.shape != y.shape:
         raise DimensionMismatch(f"letter matrices differ in shape: {x.shape} vs {y.shape}")
-    plan = _plan_of(_Identity(tuple(words)))  # tuple() of a tuple is that tuple
-    xs, ys = (x, y) if stacked else (x[None], y[None])
-    table = np.empty((plan.rows, len(xs), n, n), dtype=complex)
-    table[0] = np.eye(n)
-    table[1] = xs
-    table[2] = ys
-    for start, stop, parents, last in plan.levels:
-        np.matmul(table[parents], table[last], out=table[start:stop])
-    traces = np.einsum("kbij,kbji->kb", table[plan.left], table[plan.right])
-    return traces if stacked else traces[:, 0]
+    return _trace_plan(tuple(words)).traces(x, y)
 
 
 def word_trace(w: Word, x: CMatrix, y: CMatrix) -> complex:

@@ -14,14 +14,14 @@ of both systems and the biorthogonality defect must be small, else
 :class:`NoConvergence`.  The angle tests are undefined for repeated
 eigenvalues, and we refuse rather than guess: :class:`DegenerateSpectrum`
 is raised when the representative has an eigenvalue gap at or below
-``distinct_tol`` (a gap of ``distinct_tol * |T - mu I|_F`` in the
+``_DISTINCT_TOL`` = 1e-6 (a gap of ``1e-6 * |T - mu I|_F`` in the
 caller's units), or when the first-order uncertainty
 ``c n eps kappa_i`` of some eigenvalue reaches its distance to another
 one, where ``kappa_i = 1 / |<x_i, y_i>|`` is Wilkinson's condition
 number.  The second test is what catches a repeated eigenvalue that
 rounding has split: ``eig`` resolves a k-fold eigenvalue only to about
 ``eps**(1/k)``, some 1e-4 for a 4x4 Jordan block, far above
-``distinct_tol``, but with a condition number near ``eps**(1/k - 1)``.
+``_DISTINCT_TOL``, but with a condition number near ``eps**(1/k - 1)``.
 
 The checks run on a ``(B, n, n)`` stack: :func:`eigensystem_stack`
 refuses row by row, with the refusal :func:`eigensystem` raises for
@@ -46,6 +46,8 @@ from .errors import DegenerateSpectrum, NoConvergence, UecsmError
 from .matcore import CMatrix, EPS, _require_square, adjoint, representative
 
 _DK_SEED = 0x5EED
+# eigenvalue gap of the representative at or below which the spectrum is degenerate
+_DISTINCT_TOL = 1e-6
 _RESIDUAL_TOL = 1e-7
 _BIORTHO_TOL = 1e-7
 # c in the refusal test c n eps kappa_i >= distance to the nearest eigenvalue
@@ -285,7 +287,7 @@ def _check_vectors(
     return x, y, grams
 
 
-def eigensystem(t: CMatrix, distinct_tol: float = 1e-6) -> SpectralData:
+def eigensystem(t: CMatrix) -> SpectralData:
     """Full spectral data for ``t``, or a refusal if eigenvalues collide.
 
     Eigenvalues are sorted lexicographically by (real, imag).  Each
@@ -294,12 +296,10 @@ def eigensystem(t: CMatrix, distinct_tol: float = 1e-6) -> SpectralData:
     ``_RESIDUAL_TOL`` and ``_BIORTHO_TOL``.  This is the one-matrix case
     of :func:`eigensystem_stack`.
     """
-    return eigensystem_stack(*representative(t), distinct_tol).row(0)
+    return eigensystem_stack(*representative(t)).row(0)
 
 
-def eigensystem_stack(
-    reps: np.ndarray, mu: np.ndarray, s: np.ndarray, distinct_tol: float = 1e-6
-) -> SpectralStack:
+def eigensystem_stack(reps: np.ndarray, mu: np.ndarray, s: np.ndarray) -> SpectralStack:
     """:func:`eigensystem` of every matrix of a stack, refusing row by row.
 
     Takes the output of :func:`~uecsm.matcore.normalize_stack`: the
@@ -309,8 +309,6 @@ def eigensystem_stack(
     :func:`eigensystem` runs them.
     """
     n = _require_square(reps, stacked=True)
-    if distinct_tol <= 0:
-        raise ValueError("distinct_tol must be positive")
     count = len(reps)
     rows = np.arange(count)[:, None]
     refusals: list[Optional[UecsmError]] = [None] * count
@@ -331,12 +329,12 @@ def eigensystem_stack(
     with np.errstate(over="ignore", invalid="ignore"):
         values = mu[:, None] + s[:, None] * lam
         scaled_gap = s * gap if n > 1 else np.full(count, math.inf)
-    degenerate = gap <= distinct_tol
+    degenerate = gap <= _DISTINCT_TOL
     _refuse(
         refusals,
         degenerate,
         lambda b: DegenerateSpectrum(
-            f"eigenvalue gap {gap[b]:.3e} of the normalized matrix at or below {distinct_tol:.1e}"
+            f"eigenvalue gap {gap[b]:.3e} of the normalized matrix at or below {_DISTINCT_TOL:.1e}"
         ),
     )
 

@@ -9,8 +9,12 @@ point:
 * the seven derived commutator traces ``psi_1 .. psi_7`` whose joint
   vanishing characterizes UECSM at n = 4.
 
-Every word trace comes from :func:`~uecsm.matcore.word_traces`, one call
-per signature.  Transpose equivalence uses the reversal identity
+Every word trace comes from the word-trace engine of
+:mod:`uecsm.matcore`: the plan of each fixed word set (:data:`PHI3_WORDS`,
+:data:`DJOKOVIC_WORDS` and each of them followed by its reversals) is
+compiled once, at import, and each signature evaluates its plan in one
+call, so no call hashes a word or looks up a plan.  Transpose
+equivalence uses the reversal identity
 ``tr w(T^t, conj T) = tr rev(w)(T, T*)``: its residuals are the gaps
 ``|tr w - tr rev(w)|``.  Of these, ``phi1``-``phi6`` and ``w01``-``w11``
 vanish identically (each word is a cyclic shift of its reversal), so
@@ -46,11 +50,12 @@ from .matcore import (
     CMatrix,
     Word,
     _require_square,
+    _trace_plan,
+    _TracePlan,
     adjoint,
     normalize,
     representative,
     reverse_word,
-    word_traces,
 )
 
 # Not called in this module: ``perfbench/tracing.py`` counts word traces by
@@ -92,17 +97,21 @@ DJOKOVIC_WORDS: tuple[Word, ...] = tuple(
     )
 )
 
-#: n -> (the complete word set followed by its reversals, residual names),
-#: for :func:`transpose_equivalence`.
-_REVERSAL_CHECKS: dict[int, tuple[tuple[Word, ...], tuple[str, ...]]] = {
-    3: (
-        PHI3_WORDS + tuple(reverse_word(w) for w in PHI3_WORDS),
-        tuple(f"phi{i}" for i in range(1, len(PHI3_WORDS) + 1)),
-    ),
-    4: (
-        DJOKOVIC_WORDS + tuple(reverse_word(w) for w in DJOKOVIC_WORDS),
-        tuple(f"w{i:02d}" for i in range(1, len(DJOKOVIC_WORDS) + 1)),
-    ),
+_PHI3_PLAN = _trace_plan(PHI3_WORDS)
+_DJOKOVIC_PLAN = _trace_plan(DJOKOVIC_WORDS)
+
+
+def _reversal_check(words: tuple[Word, ...], name: str) -> tuple[_TracePlan, tuple[str, ...]]:
+    """The plan of ``words`` followed by their reversals, and the residual names."""
+    plan = _trace_plan(words + tuple(map(reverse_word, words)))
+    return plan, tuple(name.format(i) for i in range(1, len(words) + 1))
+
+
+#: n -> (the plan of the complete word set followed by its reversals,
+#: residual names), for :func:`transpose_equivalence`.
+_REVERSAL_CHECKS: dict[int, tuple[_TracePlan, tuple[str, ...]]] = {
+    3: _reversal_check(PHI3_WORDS, "phi{}"),
+    4: _reversal_check(DJOKOVIC_WORDS, "w{:02d}"),
 }
 
 #: Letter counts of the words behind psi_1 .. psi_7.
@@ -155,7 +164,7 @@ def _require_dim(t: CMatrix, n: int, who: str) -> None:
 def phi3(t: CMatrix) -> TraceSignature:
     """Seven-word trace signature of a 3x3 matrix (a complete unitary invariant)."""
     _require_dim(t, 3, "phi3")
-    values = tuple(complex(v) for v in word_traces(PHI3_WORDS, t, adjoint(t)))
+    values = tuple(complex(v) for v in _PHI3_PLAN.traces(t, adjoint(t)))
     return TraceSignature("phi3", values, tuple(w.degree for w in PHI3_WORDS))
 
 
@@ -186,7 +195,7 @@ def _commutator_trace(reps: np.ndarray) -> np.ndarray:
 def djokovic_signature(t: CMatrix) -> TraceSignature:
     """The twenty word traces tr w_i(T, T*) for a 4x4 matrix."""
     _require_dim(t, 4, "djokovic_signature")
-    values = tuple(complex(v) for v in word_traces(DJOKOVIC_WORDS, t, adjoint(t)))
+    values = tuple(complex(v) for v in _DJOKOVIC_PLAN.traces(t, adjoint(t)))
     return TraceSignature("djokovic20", values, tuple(w.degree for w in DJOKOVIC_WORDS))
 
 
@@ -308,7 +317,7 @@ def transpose_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdi
     _trace_dimension(n, "word criterion")
     if n <= 2:
         return [Verdict("transpose_equivalence", True, (("small_n", 0.0),), tol)] * len(reps)
-    words, names = _REVERSAL_CHECKS[n]
-    values = word_traces(words, reps, adjoint(reps))
+    plan, names = _REVERSAL_CHECKS[n]
+    values = plan.traces(reps, adjoint(reps))
     gaps = np.abs(values[: len(names)] - values[len(names) :]).T
     return Verdict.from_rows("transpose_equivalence", names, gaps, tol)

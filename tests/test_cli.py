@@ -4,6 +4,8 @@ import argparse
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -567,6 +569,29 @@ class TestInvalidUnicode:
         assert main(["test", str(tmp_path / "m.json"), "--json"]) == EXIT_UECSM
         stream.seek(0)
         assert json.loads(stream.read())["label"] == "caf\u00e9"
+
+    def test_text_output_escapes_what_the_stream_cannot_encode(self, tmp_path, capsys):
+        accented = SURROGATE_DOCUMENT.replace("\\ud800", "caf\\u00e9")
+        (tmp_path / "surrogate.json").write_text(SURROGATE_DOCUMENT)
+        (tmp_path / "accented.json").write_text(accented)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "caf\u00e9.json").write_text(accented)
+        (tmp_path / "dir" / "broken.json").write_text("{")
+        cases = [
+            (["test", str(tmp_path / "surrogate.json")], "matrix   : \\ud800 (2x2)\n"),
+            (["test", str(tmp_path / "accented.json")], "matrix   : caf\\xe9 (2x2)\n"),
+            (["batch", str(tmp_path / "dir")], "\ncaf\\xe9.json "),
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": src}
+        for argv, line in cases:
+            text = subprocess.run(
+                [sys.executable, "-m", "uecsm", *argv], env=env, capture_output=True, text=True
+            )
+            assert "Traceback" not in text.stderr
+            assert line in text.stdout
+            assert text.returncode == main([*argv, "--json"])
+            capsys.readouterr()
 
 
 class TestRepeatedCalls:

@@ -19,9 +19,10 @@ from uecsm import (
     word_trace,
     word_traces,
 )
+from uecsm import tracetests
+from uecsm.cli import analyze
 from uecsm.gallery import WAT_COUNTEREXAMPLE
 from uecsm.matcore import _trace_plan, normalize_stack
-from uecsm.tracetests import _REVERSAL_CHECKS
 
 from _util import random_complex_matrix, rng
 
@@ -224,25 +225,34 @@ class TestWordTraces:
         # one table row per distinct prefix: linear in the word length
         assert _trace_plan((w,)).rows <= w.degree + 3
 
-    def test_plan_lookup_by_identity_is_bit_identical(self, monkeypatch):
-        # the n = 4 reversal words: the same tuple object, a list of its
-        # words and an equal tuple of fresh words read the same traces
-        words = _REVERSAL_CHECKS[4][0]
+    def test_compiled_plans_read_word_traces_and_hash_no_word(self, monkeypatch):
+        # each fixed word set's plan, compiled at import, reads the traces
+        # word_traces gives for its words, bit for bit
+        plans = [(3, tracetests._PHI3_PLAN), (4, tracetests._DJOKOVIC_PLAN)]
+        plans += [(n, plan) for n, (plan, _) in tracetests._REVERSAL_CHECKS.items()]
         gen = rng(31)
-        x = np.stack([random_complex_matrix(gen, 4) for _ in range(3)])
-        y = adjoint(x)
-        first = word_traces(words, x, y)
-        fresh = tuple(Word(w.runs) for w in words)
-        for again in (words, list(words), fresh):
-            assert np.array_equal(word_traces(again, x, y), first)
-        assert np.array_equal(word_traces(words, x[0], y[0]), first[:, 0])
+        for n, plan in plans:
+            x = np.stack([random_complex_matrix(gen, n) for _ in range(3)])
+            y = adjoint(x)
+            expected = word_traces(plan.words, x, y)
+            assert np.array_equal(plan.traces(x, y), expected)
+            assert np.array_equal(plan.traces(x[0], y[0]), word_traces(plan.words, x[0], y[0]))
+            fresh = tuple(Word(w.runs) for w in plan.words)
+            for again in (list(plan.words), fresh):
+                assert np.array_equal(word_traces(again, x, y), expected)
 
-        # once a tuple was seen, looking up its plan hashes none of its words
+        # the analysis evaluates the compiled plans: it hashes no word and
+        # compiles no plan
+        matrices = [WAT_COUNTEREXAMPLE[:3, :3], WAT_COUNTEREXAMPLE]
+        expected = [analyze(t, "m").to_dict() for t in matrices]
+        misses = _trace_plan.cache_info().misses
+
         def no_hash(self):
-            raise AssertionError("a word was rehashed")
+            raise AssertionError("a word was hashed")
 
         monkeypatch.setattr(Word, "__hash__", no_hash)
-        assert np.array_equal(word_traces(words, x, y), first)
+        assert [analyze(t, "m").to_dict() for t in matrices] == expected
+        assert _trace_plan.cache_info().misses == misses
 
     @pytest.mark.parametrize(
         "x, y",

@@ -134,7 +134,7 @@ class TestEigensystem:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_rotated_jordan_block_is_degenerate(self, k):
         # rounding splits a k-fold eigenvalue by about eps**(1/k), above
-        # distinct_tol for k >= 3; the condition-number test refuses anyway
+        # the 1e-6 gap threshold for k >= 3; the condition-number test refuses anyway
         gen = rng(12 + k)
         for _ in range(20):
             u = random_unitary(gen, 4)
@@ -196,10 +196,6 @@ class TestEigensystem:
             expected = np.array(base.eigenvalues) * c + b
             assert_same_multiset(s.eigenvalues, expected, atol=1e-9 * abs(c) * 12 + 1e-16 * abs(b))
             assert s.gap == pytest.approx(abs(c) * base.gap, rel=1e-6)
-
-    def test_distinct_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            eigensystem(np.eye(2, dtype=complex), distinct_tol=0.0)
 
     def test_deterministic(self):
         a = eigensystem(WAT_COUNTEREXAMPLE)
