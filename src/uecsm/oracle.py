@@ -5,37 +5,38 @@ Tener, "Unitary equivalence to a complex symmetric matrix: an algorithm"
 (JMAA 2008), which rests on Garcia-Putinar (TAMS 2006): T is UECSM
 exactly when CTC = T* for some conjugation C, that is, when one unitary
 makes both Hermitian parts of T real symmetric.  If Re(cT) has a simple
-spectrum for one of eight fixed phases c, one ``eigh`` of it and phases
-solved along a maximum spanning tree give the candidate.  The stage
-decides both ways: a candidate within the witness tolerance is a
-witness, and one that misses it by more than rounding and eigenbasis
-error allow is a refutation, status ``refuted``: then no conjugation
-exists, and no unitary reaches the tolerance.  Both are reported with
-``restarts_used = 0`` and ``iterations = 0``.  The stage declines when
-every Re(cT) has a repeated eigenvalue, or when the candidate's miss
-lies in the band between the two.
+spectrum for one of eight phases c, one ``eigh`` of it and phases
+solved along a maximum spanning tree give the candidate.  The eight
+phases are turned by a phase invariant of T, so the stage's outcome does
+not depend on the phase of the input.  The stage decides both ways: a
+candidate within the witness tolerance is a witness, and one that misses
+it by more than rounding and eigenbasis error allow is a refutation,
+status ``refuted``: then no conjugation exists, and no unitary reaches
+the tolerance.  Both are reported with ``restarts_used = 0`` and
+``iterations = 0``.  The stage declines when every Re(cT) has a repeated
+eigenvalue, or when the candidate's miss lies in the band between the
+two.
 
-When it declines, a descent searches.  It minimizes
-f(U) = |U T U* - (U T U*)^t|_F^2 by Riemannian descent on the unitary
-group: steps are Cayley transforms along the gradient, with a plain
-step-halving line search and multiple random restarts.  One ``eigh`` of
-the Hermitian ``i grad f`` per iteration gives the Cayley step of every
-trial length in eigen form, with no linear solve.  Restart 0 (the
-identity) descends alone; the random restarts then descend in lockstep,
-in waves of stacked ``(lanes, n, n)`` arrays, and the search reports
-exactly what running the restarts one by one would: the same status,
-residual, witness, restart count and iterations.
+When it declines, a Levenberg-Marquardt search runs (Levenberg 1944,
+Marquardt 1963).  |U T U* - (U T U*)^t|_F^2 is a nonlinear least-squares
+cost with n(n-1) real residuals in n^2 real coordinates of u(n), and each
+step moves U by the exponential of a skew-Hermitian K (the retraction
+form of Absil-Mahony-Sepulchre 2008).  Start 0 is the closed-form
+candidate in the band and the identity below the gap threshold; seeded
+random unitaries follow, up to the restart budget, and the first start
+that reaches the witness tolerance wins.
 
-A small enough final residual of the descent yields a constructive
-witness that T is UECSM; a large floor after many restarts is only
-evidence in the other direction, never a proof, so the descent's
-failure status is ``inconclusive``.  Only the closed-form stage says
-``refuted``.
+A small enough final residual yields a constructive witness that T is
+UECSM; a large floor after many starts is only evidence in the other
+direction, never a proof, so the search's failure status is
+``inconclusive``.  Only the closed-form stage says ``refuted``.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -46,18 +47,15 @@ from .tracetests import Verdict
 
 WITNESS_TOL = 1e-6
 _MAX_DIM = 6
-_LINE_SEARCH_HALVINGS = 40
-# Cap on the Barzilai-Borwein step for a unit-norm cost.  Step lengths
-# scale as 1 / |T|^2, and in the long narrow valleys of badly conditioned
-# inputs the BB step of the normalized cost runs far above 1e3.
-_MAX_STEP = 1e9
-# Random restarts descend together in waves of at most this many lanes,
-# so memory stays bounded whatever the restart budget.
-_WAVE = 32
+# Cap on the Levenberg-Marquardt steps of one start.
+_LM_STEPS = 200
 # Phases c = e^{i pi k / 8} of the closed-form stage: one of them gives
 # Re(cT) a simple spectrum unless every Hermitian part of T has a
 # repeated eigenvalue.  Re(-cT) = -Re(cT), so half a turn covers them all.
 _PHASES = np.exp(1j * np.pi * np.arange(8) / 8)
+# Below this modulus, on the unit-norm representative, a phase invariant
+# is too small to fix the turn of _PHASES.
+_PHASE_MIN = 1e-3
 # Smallest eigenvalue gap of Re(cT), on the unit-norm representative,
 # for which the closed-form stage trusts the eigenbasis.
 _GAP_MIN = 1e-8
@@ -85,48 +83,20 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re tr(A B*) of one matrix or of each matrix of a stack."""
-    flat = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
-    return np.vecdot(a.reshape(flat), b.reshape(flat)).real
-
-
-def _evaluate(t: CMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S = U T U*, its asymmetry G = S - S^t and the cost |G|^2 at one U or a stack."""
+def _evaluate(t: CMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """S = U T U*, its asymmetry G = S - S^t and the cost |G|_F^2."""
     s = u @ t @ _adjoint(u)
-    g = s - s.swapaxes(-1, -2)
-    return s, g, _inner(g, g)
+    g = s - s.T
+    return s, g, float(np.vdot(g, g).real)
 
 
-def _residual(cost):
-    return np.sqrt(np.maximum(cost, 0.0))
-
-
-def _generator(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``i`` times the Riemannian gradient of |G|^2, from S and G = S - S^t.
-
-    The gradient is skew-Hermitian, so this is Hermitian, and ``eigh``
-    of it gives every Cayley step along the gradient (see :func:`_cayley`).
-    """
-    g_bar = g.conj()  # equals -G*, since G^t = -G exactly
-    c = g_bar @ s - s @ g_bar  # S G* - G* S
-    return 2j * (_adjoint(c) - c)  # i times -4 times the skew part of c
-
-
-def _cayley(z: np.ndarray, v: np.ndarray, vh_u: np.ndarray) -> np.ndarray:
-    """Cayley step (I - K/2)^{-1} (I + K/2) U of a skew-Hermitian K = V diag(2z) V*.
-
-    ``z = i tau lam / 2``, where ``lam, v`` is the ``eigh`` of the
-    Hermitian ``-iK / tau``, and ``vh_u`` is ``V* U``.  The step factor
-    is V diag((1 + z) / (1 - z)) V*, so one ``eigh`` serves every step
-    length tau, each at the cost of a diagonal scaling and one product.
-    """
-    return (v * ((1 + z) / (1 - z))[..., None, :]) @ vh_u
+def _residual(cost: float) -> float:
+    return float(np.sqrt(max(cost, 0.0)))
 
 
 def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
     """f(U) = |U T U* - (U T U*)^t|_F^2."""
-    return float(_evaluate(t, u)[2])
+    return _evaluate(t, u)[2]
 
 
 def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
@@ -137,7 +107,7 @@ def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
     :func:`~uecsm.matcore.normalize`, which cannot overflow or
     underflow; a scalar matrix (all-zero representative) gives 0.
     """
-    return float(_residual(symmetry_cost(normalize(t)[0], u)))
+    return _residual(symmetry_cost(normalize(t)[0], u))
 
 
 def cost_gradient(t: CMatrix, u: CMatrix) -> CMatrix:
@@ -149,13 +119,20 @@ def cost_gradient(t: CMatrix, u: CMatrix) -> CMatrix:
     central finite differences in the test suite.
     """
     s, g, _ = _evaluate(t, u)
-    return -1j * _generator(s, g)
+    g_bar = g.conj()  # equals -G*, since G^t = -G exactly
+    c = g_bar @ s - s @ g_bar  # S G* - G* S
+    return 2 * (_adjoint(c) - c)  # -4 times the skew part of c
 
 
 def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
-    """Move from ``u`` along skew-Hermitian ``k``: (I - k/2)^{-1} (I + k/2) u."""
+    """Move from ``u`` along skew-Hermitian ``k``: (I - k/2)^{-1} (I + k/2) u.
+
+    With ``-ik = V diag(lam) V*``, the step factor is
+    V diag((1 + z) / (1 - z)) V* for ``z = i lam / 2``.
+    """
     lam, v = np.linalg.eigh(-1j * k)
-    return _cayley(0.5j * lam, v, _adjoint(v) @ u)
+    z = 0.5j * lam
+    return (v * ((1 + z) / (1 - z))) @ (_adjoint(v) @ u)
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> CMatrix:
@@ -164,94 +141,113 @@ def _random_unitary(rng: np.random.Generator, n: int) -> CMatrix:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _descend(
-    t: CMatrix, u: np.ndarray, max_iters: int, target_cost: float, witness_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Descend the restarts stacked in ``u`` (lanes, n, n) in lockstep.
+@lru_cache(maxsize=None)
+def _skew_basis(n: int) -> np.ndarray:
+    """A basis E_a of u(n), the skew-Hermitian n x n matrices, as an (n^2, n, n) stack.
 
-    Each lane runs a step-halving line search along its negative
-    gradient, the first trial being the Barzilai-Borwein length, which
-    keeps progress through the long narrow valleys this cost has.  One
-    ``eigh`` of the Hermitian ``i grad`` per iteration serves every trial
-    length (see :func:`_cayley`).  A lane finishes when its cost reaches
-    ``target_cost``, its gradient vanishes, no trial lowers its cost, or
-    the cap is reached, and then drops out of the stack.
-
-    The lanes are consecutive restarts.  Once a finished lane has
-    residual <= ``witness_tol``, the lanes above it no longer matter and
-    drop out, and the search stops when every lane below it has
-    finished.  Returns the final point, cost and iteration count of the
-    lanes up to and including that witness (of all lanes if there is
-    none); each lane's numbers are those it gives descending alone.
+    The ``i e_jj``, then the ``e_jk - e_kj`` and the ``i (e_jk + e_kj)``
+    for ``j < k``, in the order of ``np.triu_indices``.
     """
-    u = np.array(u, dtype=complex)
-    lanes = u.shape[0]
-    out_u = np.empty_like(u)
-    out_f = np.empty(lanes)
-    out_iters = np.full(lanes, max_iters)
-    done = np.zeros(lanes, dtype=bool)
-    won = lanes  # lowest finished lane with a witness residual
-    live = np.arange(lanes)
-    s, g, f = _evaluate(t, u)
-    tau = np.ones(lanes)
-    # each lane's last accepted step was K = i prev_tau prev_h, with
-    # prev_hh = |prev_h|^2; a lane with no step yet has prev_tau = 0
-    prev_h = np.zeros_like(u)
-    prev_hh = np.zeros(lanes)
-    prev_tau = np.zeros(lanes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iters + 1):
-            h = _generator(s, g)
-            lam, v = np.linalg.eigh(h)
-            hh = np.vecdot(lam, lam)  # |h|^2, the squared gradient norm
-            stop = (f <= target_cost) | (hh < 1e-32)
-            # Barzilai-Borwein length |<p, p> / <p, q>| for the last step p
-            # and the gradient change q; where it is undefined, tau stays
-            bb = prev_tau * prev_hh / np.abs(_inner(prev_h, h - prev_h))
-            tau = np.where(np.isfinite(bb), np.minimum(np.maximum(bb, 1e-12), _MAX_STEP), tau)
-            half_lam = 0.5j * lam
-            vh_u = _adjoint(v) @ u
-            trial = tau.copy()
-            ending = bool(stop.any())
-            # the lanes still without a step: every lane, or an index array
-            todo = np.flatnonzero(~stop) if ending else slice(None)
-            for _ in range(_LINE_SEARCH_HALVINGS):
-                u_try = _cayley(trial[todo, None] * half_lam[todo], v[todo], vh_u[todo])
-                s_try, g_try, f_try = _evaluate(t, u_try)
-                better = f_try < f[todo]
-                if better.all():
-                    took, todo = todo, None
-                elif better.any():
-                    todo = np.arange(lanes)[todo]
-                    took, todo = todo[better], todo[~better]
-                    u_try, s_try, g_try, f_try = u_try[better], s_try[better], g_try[better], f_try[better]
-                else:
-                    trial[todo] /= 2.0
-                    continue
-                u[took], s[took], g[took], f[took] = u_try, s_try, g_try, f_try
-                prev_h[took], prev_hh[took], prev_tau[took] = h[took], hh[took], trial[took]
-                if todo is None:
-                    break
-                trial[todo] /= 2.0
-            else:
-                stop[todo] = ending = True  # no trial length lowered the cost
-            if not ending:
-                continue
-            ended = live[stop]
-            out_u[ended], out_f[ended], out_iters[ended] = u[stop], f[stop], it
-            done[ended] = True
-            wins = ended[_residual(f[stop]) <= witness_tol]
-            if wins.size:
-                won = min(won, int(wins[0]))
-            if done[:won].all():
+    j, k = np.triu_indices(n, 1)
+    a = n + np.arange(j.size)
+    b = a + j.size
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1j
+    basis[a, j, k], basis[a, k, j] = 1.0, -1.0
+    basis[b, j, k] = basis[b, k, j] = 1j
+    basis.flags.writeable = False
+    return basis
+
+
+def _upper(m: np.ndarray) -> np.ndarray:
+    """sqrt(2) times the real and imaginary parts of the strict upper triangle of ``m``.
+
+    ``m`` is one n x n matrix or a stack of them.  For an antisymmetric
+    ``m`` the vector has the Frobenius norm of ``m``.
+    """
+    j, k = np.triu_indices(m.shape[-1], 1)
+    x = m[..., j, k]
+    return np.sqrt(2.0) * np.concatenate((x.real, x.imag), axis=-1)
+
+
+def _jacobian(s: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_upper(G)`` at ``S`` along ``exp(K) U``, ``K = sum_a x_a E_a``.
+
+    Moving U to exp(K) U moves S by [K, S] at first order, so column
+    ``a`` is ``_upper`` of ``[E_a, S] - [E_a, S]^t``.  Returned as its
+    transpose, one row per basis element of :func:`_skew_basis`.
+    """
+    basis = _skew_basis(s.shape[0])
+    c = basis @ s - s @ basis
+    return _upper(c - c.swapaxes(-1, -2))
+
+
+def _levenberg_marquardt(rep: CMatrix, u: np.ndarray, target_cost: float) -> tuple[np.ndarray, float, int]:
+    """Minimize |G|_F^2 = |r|^2, r = ``_upper(G)``, by Levenberg-Marquardt from ``u``.
+
+    Each step solves ``(J^t J + mu I) x = -J^t r``, with the damping
+    ``mu`` a factor times the mean diagonal of ``J^t J``, and tries
+    ``U <- exp(K) U``, ``K = sum_a x_a E_a``, the exponential taken from
+    one ``eigh`` of ``-iK``.  A trial that does not lower the cost is
+    rejected and the factor is multiplied by 4; an accepted one divides
+    it by 3.  Stops once the cost is at most ``target_cost``, when an
+    accepted step lowers the cost by less than 1e-10 of it, when the
+    step vanishes before any damping lowers the cost, or after
+    ``_LM_STEPS`` steps.  Returns the final point, its cost and the
+    steps taken.
+    """
+    n2 = rep.shape[0] ** 2
+    basis = _skew_basis(rep.shape[0])
+    s, g, cost = _evaluate(rep, u)
+    factor = 1e-3
+    steps = 0
+    while cost > target_cost and steps < _LM_STEPS:
+        steps += 1
+        jac = _jacobian(s)
+        jtj = jac @ jac.T
+        jtr = jac @ _upper(g)
+        scale = np.trace(jtj) / n2
+        while True:
+            x = np.linalg.solve(jtj + factor * scale * np.eye(n2), -jtr)
+            if np.linalg.norm(x) <= EPS:
+                return u, cost, steps  # no damping lowers the cost
+            lam, v = np.linalg.eigh(-1j * np.tensordot(x, basis, 1))
+            u_try = (v * np.exp(1j * lam)) @ (_adjoint(v) @ u)
+            s_try, g_try, cost_try = _evaluate(rep, u_try)
+            if cost_try < cost:
                 break
-            keep = ~stop & (live < won)
-            live, u, s, g, f = live[keep], u[keep], s[keep], g[keep], f[keep]
-            tau, prev_h, prev_hh, prev_tau = tau[keep], prev_h[keep], prev_hh[keep], prev_tau[keep]
-            lanes = live.size
-        else:
-            out_u[live], out_f[live] = u, f  # still descending at the cap
-    return out_u[: won + 1], out_f[: won + 1], out_iters[: won + 1]
+            factor *= 4.0
+        factor /= 3.0
+        stalled = cost - cost_try <= 1e-10 * cost
+        u, s, g, cost = u_try, s_try, g_try, cost_try
+        if stalled:
+            break
+    return u, cost, steps
+
+
+def _search(rep: CMatrix, start: np.ndarray, restarts: int, witness_tol: float, seed: int) -> OracleResult:
+    """Levenberg-Marquardt from ``start``, then from seeded random unitaries.
+
+    Runs up to ``restarts`` starts in all, drawing each random start
+    only when it runs.  Returns the witness of the first start that
+    reaches ``witness_tol``, with the steps of every start up to it, or
+    the best residual of all of them.
+    """
+    rng = np.random.default_rng(seed)
+    target_cost = 0.25 * witness_tol**2  # stop once safely inside
+    steps = 0
+    best_residual = float("inf")
+    for r in range(restarts):
+        u0 = start if r == 0 else _random_unitary(rng, rep.shape[0])
+        u, cost, used = _levenberg_marquardt(rep, u0, target_cost)
+        steps += used
+        residual = _residual(cost)  # rep has unit norm
+        best_residual = min(best_residual, residual)
+        if residual <= witness_tol:
+            u = np.array(u)
+            u.flags.writeable = False
+            return OracleResult("witness", u, residual, steps, r + 1)
+    return OracleResult("inconclusive", None, best_residual, steps, restarts)
 
 
 def _tree_phases(b: np.ndarray) -> np.ndarray:
@@ -279,8 +275,28 @@ def _tree_phases(b: np.ndarray) -> np.ndarray:
     return np.array(alpha)
 
 
-def _closed_form(rep: CMatrix, witness_tol: float) -> Optional[OracleResult]:
-    """The Cartesian criterion of Tener (2008): a witness, a refutation or None.
+def _turned_phases(rep: CMatrix) -> np.ndarray:
+    """``_PHASES`` turned by a phase invariant of ``rep``, so ``c rep`` ignores the phase of ``rep``.
+
+    ``z = tr(rep^2 rep*)`` turns by ``e^{i phi}`` under ``rep -> e^{i phi} rep``
+    and is unchanged by ``U rep U*`` and ``rep^t``, so ``conj(z) / |z| rep``
+    is the same for every phase of the input.  Where ``|z| <= _PHASE_MIN``,
+    half the phase of ``tr(rep^2)``, which turns by ``e^{2 i phi}``, takes
+    its place; its sign is harmless, since ``Re(-cT) = -Re(cT)``.  Where
+    both are small, ``_PHASES`` is not turned.
+    """
+    square = rep @ rep
+    z = complex(np.vdot(rep, square))  # tr(rep^2 rep*)
+    if abs(z) > _PHASE_MIN:
+        return _PHASES * (z.conjugate() / abs(z))
+    w = complex(np.trace(square))
+    if abs(w) > _PHASE_MIN:
+        return _PHASES * cmath.exp(-0.5j * cmath.phase(w))
+    return _PHASES
+
+
+def _closed_form(rep: CMatrix, witness_tol: float) -> tuple[Optional[OracleResult], Optional[CMatrix]]:
+    """The Cartesian criterion of Tener (2008): a decision, or the candidate it declines.
 
     ``T`` is UECSM exactly when ``CTC = T*`` for some conjugation ``C``
     (Garcia-Putinar 2006), that is, when some unitary makes both
@@ -289,12 +305,14 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> Optional[OracleResult]:
     spectrum, ``C`` is therefore ``V diag(e^{i theta}) J V*``, and the
     unitary is ``diag(e^{i alpha}) V*`` with phases making
     ``B' = V* B V`` real; a spanning tree of ``B'`` fixes them up to
-    sign.  ``T`` is turned by the phase ``c`` of ``_PHASES`` whose
-    ``Re(cT)`` has the widest smallest eigenvalue gap ``g``; the stage
-    declines when ``g <= _GAP_MIN``.  Otherwise the candidate is a
-    witness when its defect is within ``witness_tol``, and ``refuted``
-    when the defect exceeds ``_REFUTE_K (witness_tol + eps) / g``.  In
-    the band between, it declines.
+    sign.  ``T`` is turned by the phase ``c`` of :func:`_turned_phases`
+    whose ``Re(cT)`` has the widest smallest eigenvalue gap ``g``.  The
+    candidate is a witness when its defect is within ``witness_tol``, and
+    ``refuted`` when the defect exceeds ``_REFUTE_K (witness_tol + eps) / g``.
+
+    Returns ``(decision, None)`` when the stage decides, ``(None,
+    candidate)`` when the defect lies in the band between the two, and
+    ``(None, None)`` when ``g <= _GAP_MIN``, where there is no candidate.
 
     The refutation threshold, with ``tau = witness_tol`` on the unit-norm
     representative, in four steps:
@@ -324,76 +342,32 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> Optional[OracleResult]:
        terms, and ``eps`` stands for the backward error of ``eigh`` and
        of the products, which acts like ``delta``.
 
-    So a refutation never occurs where a descent could still reach
+    So a refutation never occurs where a search could still reach
     ``witness_tol``.  As a defect is at most 2, a refutation also needs
     ``g > 64 tau``, where ``delta / g`` is small, as step 2 assumes.
     """
-    turned = _PHASES[:, None, None] * rep
+    turned = _turned_phases(rep)[:, None, None] * rep
     herm = 0.5 * (turned + _adjoint(turned))  # Re(cT) for every phase c
     gaps = np.diff(np.linalg.eigvalsh(herm), axis=-1).min(axis=-1)
     k = int(np.argmax(gaps))
     if gaps[k] <= _GAP_MIN:
-        return None
+        return None, None
     _, v = np.linalg.eigh(herm[k])
     vh = _adjoint(v)
     b = -1j * (vh @ (turned[k] - herm[k]) @ v)  # B' = V* Im(cT) V
     u = np.exp(1j * _tree_phases(b))[:, None] * vh
-    residual = float(_residual(_evaluate(rep, u)[2]))  # rep has unit norm
+    residual = _residual(_evaluate(rep, u)[2])  # rep has unit norm
     if residual <= witness_tol:
         u.flags.writeable = False
-        return OracleResult("witness", u, residual, 0, 0)
+        return OracleResult("witness", u, residual, 0, 0), None
     if residual > _REFUTE_K * (witness_tol + EPS) / gaps[k]:
-        return OracleResult("refuted", None, residual, 0, 0)
-    return None
-
-
-def _search_restarts(
-    rep: CMatrix, restarts: int, max_iters: int, witness_tol: float, seed: int
-) -> OracleResult:
-    """The descent: restart 0 (the identity) alone, then the random restarts.
-
-    The random restarts descend in lockstep waves of at most ``_WAVE``
-    lanes, and a wave's starts are drawn only when it runs, in restart
-    order.  Returns the witness of the first restart that reaches
-    ``witness_tol``, with the iterations of every restart up to it, or
-    the best residual of all of them.
-
-    Restart 0 is not lane 0 of the first wave because, on inputs where
-    the descent finds a witness, the identity start is often the one
-    that reaches it, and in a wave every other lane would descend
-    alongside it until it finishes.  With the closed-form stage bypassed,
-    16 such inputs (``conjugated_diagonal`` of SU(3,1) and SU(2,1)
-    samples, and ``Q diag(1, 1, 2) Q*``) each found the witness at
-    restart 0; folding it into the wave gave the same results but took
-    16.8-17.4 s in place of 4.2-4.6 s in total (2-vCPU VM).  Inputs
-    without a witness run every restart either way.
-    """
-    n = rep.shape[0]
-    target_cost = 0.25 * witness_tol**2  # stop once safely inside
-    rng = np.random.default_rng(seed)
-    total_iters = 0
-    best_residual = float("inf")
-    first = 0
-    while first < restarts:
-        stop = min(first + _WAVE, restarts) if first else 1
-        starts = [np.eye(n, dtype=complex) if r == 0 else _random_unitary(rng, n) for r in range(first, stop)]
-        us, costs, iters = _descend(rep, np.stack(starts), max_iters, target_cost, witness_tol)
-        for lane, (u, cost, lane_iters) in enumerate(zip(us, costs, iters)):
-            total_iters += int(lane_iters)
-            residual = float(_residual(cost))  # rep has unit norm
-            best_residual = min(best_residual, residual)
-            if residual <= witness_tol:
-                out = np.array(u)
-                out.flags.writeable = False
-                return OracleResult("witness", out, residual, total_iters, first + lane + 1)
-        first = stop
-    return OracleResult("inconclusive", None, best_residual, total_iters, restarts)
+        return OracleResult("refuted", None, residual, 0, 0), None
+    return None, u
 
 
 def find_symmetrizer(
     t: CMatrix,
     restarts: int = 20,
-    max_iters: int = 20000,
     witness_tol: float = WITNESS_TOL,
     seed: int = 0,
 ) -> OracleResult:
@@ -413,26 +387,17 @@ def find_symmetrizer(
     ``Re(cT)`` has a simple spectrum (a normal matrix such as
     ``Q diag(1, 1, 2) Q*``) or when its candidate's defect lies between
     ``witness_tol`` and the refutation threshold, as on matrices within
-    about ``_REFUTE_K witness_tol / g`` of the UECSM set.  The descent
-    then runs exactly as it would without the stage: the stage draws
-    nothing from the restart generator.
+    about ``_REFUTE_K witness_tol / g`` of the UECSM set.
 
-    In the descent, restart 0 starts from the identity; the remaining
-    starts are Haar-ish random unitaries.  It returns the witness of the
-    first restart that reaches the normalized residual target, with the
-    iterations of every restart up to it, otherwise reports the best
-    residual seen.  An ``inconclusive`` result carries no information
-    that T is not UECSM; only ``refuted`` does.
-
-    Restarts after the first descend in lockstep waves of at most
-    ``_WAVE`` lanes, whose starts are drawn only when the wave runs, so
-    memory does not grow with ``restarts``.  The result is the one the
-    restarts give when run one by one, in order.
-
-    The generous default iteration cap costs nothing on inputs with a
-    positive residual floor (those searches stall long before the cap)
-    and is needed for symmetrizable inputs whose eigenbasis is badly
-    conditioned, where the descent valley is long and narrow.
+    Then Levenberg-Marquardt runs (see :func:`_levenberg_marquardt`),
+    from the candidate when there is one and from the identity
+    otherwise, and then from seeded random unitaries, drawn one at a
+    time, up to ``restarts`` starts in all.  It returns the witness of
+    the first start that reaches ``witness_tol``, with ``restarts_used``
+    the starts run and ``iterations`` the LM steps of all of them;
+    otherwise ``inconclusive`` with the best residual seen.  An
+    ``inconclusive`` result carries no information that T is not UECSM;
+    only ``refuted`` does.
     """
     n = _require_square(t)
     if n > _MAX_DIM:
@@ -447,7 +412,11 @@ def find_symmetrizer(
         u = np.eye(n, dtype=complex)
         u.flags.writeable = False
         return OracleResult("witness", u, 0.0, 0, 0)
-    return _closed_form(rep, witness_tol) or _search_restarts(rep, restarts, max_iters, witness_tol, seed)
+    decision, candidate = _closed_form(rep, witness_tol)
+    if decision is not None:
+        return decision
+    start = np.eye(n, dtype=complex) if candidate is None else candidate
+    return _search(rep, start, restarts, witness_tol, seed)
 
 
 def verify_witness(t: CMatrix, u: CMatrix, tol: float = WITNESS_TOL) -> Verdict:

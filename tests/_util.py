@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -30,3 +32,42 @@ def random_symmetric_matrix(gen: np.random.Generator, n: int, scale: float = 1.0
 def random_skew_hermitian(gen: np.random.Generator, n: int) -> np.ndarray:
     z = random_complex_matrix(gen, n)
     return (z - z.conj().T) / 2
+
+
+@lru_cache(maxsize=None)
+def near_parallel_inputs(count: int) -> tuple[tuple[float, np.ndarray], ...]:
+    """The first ``count`` draws ``(d, T)`` of the near-parallel-eigenvector 3x3 corpus.
+
+    ``T = V diag(lam) V^-1`` whose eigenvector columns 0 and 1 lie a
+    relative distance ``d`` apart.  From ``numpy.random.default_rng(1)``,
+    each input draws ``log10 d`` uniform in [-6, 0), then ``V`` (3x3),
+    ``e`` (3) and ``lam`` (3) as complex Gaussians, in that order; ``e``
+    is scaled to unit length, and column 1 of ``V`` is set to
+    ``column 0 + d |column 0| e``.
+    """
+    gen = rng(1)
+    out = []
+    for _ in range(count):
+        d = 10.0 ** gen.uniform(-6, 0)
+        v = random_complex_matrix(gen, 3)
+        e = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+        lam = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+        v[:, 1] = v[:, 0] + d * np.linalg.norm(v[:, 0]) * e / np.linalg.norm(e)
+        out.append((d, v @ np.diag(lam) @ np.linalg.inv(v)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def phase_probe_inputs() -> tuple[tuple[np.ndarray, float, np.ndarray], ...]:
+    """The 20,000 draws ``(T, phi, Q)`` of the seed-777 phase probe.
+
+    From ``numpy.random.default_rng(777)``, each input draws a complex
+    Gaussian 3x3 ``T``, then ``phi`` uniform in [0, 2 pi), then the
+    unitary ``Q`` of :func:`random_unitary`.  The probe compares the
+    oracle's status on ``T`` with its status on ``e^{i phi} T``,
+    ``Q T Q*``, ``T^t`` and ``(2 - 3i) T + 5 I``.
+    """
+    gen = rng(777)
+    return tuple(
+        (random_complex_matrix(gen, 3), gen.uniform(0, 2 * np.pi), random_unitary(gen, 3)) for _ in range(20000)
+    )

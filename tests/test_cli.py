@@ -767,7 +767,7 @@ class TestTolerancePlumbing:
 
     def test_oracle_text_names_the_descent_restarts(self, tmp_path, capsys):
         # a normal matrix with a repeated eigenvalue has no simple Re(cT),
-        # so the closed form declines and the descent finds the witness
+        # so the closed form declines and the LM search finds the witness
         q = random_unitary(rng(103), 3)
         normal = cmatrix(q @ np.diag([1.0, 1.0, 2.0]) @ q.conj().T)
         path = tmp_path / "normal.json"

@@ -19,9 +19,9 @@ from uecsm import (
 
 
 def test_generated_counterexamples_fail_every_exact_criterion():
-    # seed 1 lies within about 4e-5 of the UECSM set (descent floor
-    # 3.8e-5, closed-form defect 7.6e-5): too near to refute, too far for
-    # a witness, so the descent runs and gives up
+    # seed 1 lies within about 4e-5 of the UECSM set (LM floor 3.8e-5,
+    # closed-form defect 7.6e-5): too near to refute, too far for a
+    # witness, so the LM search runs every start and gives up
     for seed, status in ((1, "inconclusive"), (2, "refuted")):
         t = generate_wat_not_sat(seed, Signature(2, 4))
         assert not uecsm_verdict(t).passed

@@ -11,9 +11,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import uecsm.cli
 import uecsm.tracetests
 from uecsm.gallery import GALLERY
+
+from _util import random_unitary, rng
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +55,17 @@ def test_traced_analyze_is_one_root_span(monkeypatch):
     assert report.to_dict() == expected
     last = tracer.spans[-1]
     assert (last.name, last.parent) == ("cli.analyze", None)
+
+
+def test_traced_search_records_lm_steps(monkeypatch):
+    # every Re(cT) of Q diag(1, 1, 2) Q* has a repeated eigenvalue, so the
+    # closed form declines and the LM search runs from the identity
+    tracing = _load_tracing(monkeypatch)
+    q = random_unitary(rng(103), 3)
+    t = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T
+    with tracing.Tracer() as tracer:
+        result = uecsm.cli.find_symmetrizer(t)
+    assert result.found
+    spans = [s for s in tracer.spans if s.name == "oracle.find_symmetrizer"]
+    assert [(s.outcome, s.iterations) for s in spans] == [("witness", result.iterations)]
+    assert result.iterations > 0
