@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConsistencyError, OrthogonalEigenvectors, UecsmError
+from .errors import ConsistencyError, DimensionMismatch, OrthogonalEigenvectors, UecsmError
 from .matcore import CMatrix
 from .spectra import SpectralData, SpectralStack, eigensystem
 from .tracetests import DEFAULT_TOL, Verdict
@@ -76,16 +76,21 @@ def _wat_rows(grams: np.ndarray, tol: float) -> list[Verdict]:
     return Verdict.from_rows("wat", names, np.abs(moduli[:, 0] - moduli[:, 1]), tol)
 
 
-def _triple_rows(grams: np.ndarray, tol: float, conjugate: bool) -> list[Verdict]:
-    """SAT (``conjugate``) or LSAT of every row: relative deviations for the triples i <= j <= k."""
+def _triple_rows(grams: np.ndarray, tol: float) -> dict[str, list[Verdict]]:
+    """SAT and LSAT of every row: relative deviations for the triples i <= j <= k.
+
+    Both compare the same triple products, SAT with the y products
+    conjugated; as ``|conj z| = |z|`` they also share the denominator.
+    """
     # <x_i,x_j> <x_j,x_k> <x_k,x_i> and likewise from the y system
     i, j, k, names = _triple_index(grams.shape[-1])
     products = grams[:, :, j, i] * grams[:, :, k, j] * grams[:, :, i, k]
     lhs, rhs = products[:, 0], products[:, 1]
-    if conjugate:
-        rhs = rhs.conj()
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TRIPLE_FLOOR)
-    return Verdict.from_rows("sat" if conjugate else "lsat", names, np.abs(lhs - rhs) / scale, tol)
+    return {
+        "sat": Verdict.from_rows("sat", names, np.abs(lhs - rhs.conj()) / scale, tol),
+        "lsat": Verdict.from_rows("lsat", names, np.abs(lhs - rhs) / scale, tol),
+    }
 
 
 def wat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
@@ -105,12 +110,12 @@ def sat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     spectrum is distinct.  The residuals are named ``triple_i_j_k`` with
     1-based indices.
     """
-    return _triple_rows(s.grams[None], tol, conjugate=True)[0]
+    return _triple_rows(s.grams[None], tol)["sat"][0]
 
 
 def lsat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     """Linear Strong Angle Test: same triples as SAT without the conjugation."""
-    return _triple_rows(s.grams[None], tol, conjugate=False)[0]
+    return _triple_rows(s.grams[None], tol)["lsat"][0]
 
 
 _DET3_NAMES = (
@@ -169,12 +174,13 @@ def det_criterion_3(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
 
     Requires all pairwise eigenvector inner products to be nonzero;
     otherwise raises :class:`OrthogonalEigenvectors` and the caller
-    should fall back to the trace test.  Four auxiliary determinant
+    should fall back to the trace test.  Spectral data of any other
+    size raises :class:`DimensionMismatch`.  Four auxiliary determinant
     identities are recomputed on every call as a consistency check of
     the spectral data.
     """
     if s.n != 3:
-        raise OrthogonalEigenvectors("determinant criterion is defined for n = 3 only")
+        raise DimensionMismatch(f"det_criterion_3 requires a 3x3 matrix, got n = {s.n}")
     residuals, smallest = _det3_residuals(s.x[None], s.y[None], s.grams[None])
     refusal = _det3_outcome(residuals[0], float(smallest[0]))
     if refusal is not None:
@@ -195,11 +201,7 @@ def _angle_rows(
     :class:`ConsistencyError` in place of the verdicts.
     """
     grams = grams[rows]
-    columns = {
-        "wat": _wat_rows(grams, tol),
-        "sat": _triple_rows(grams, tol, conjugate=True),
-        "lsat": _triple_rows(grams, tol, conjugate=False),
-    }
+    columns = {"wat": _wat_rows(grams, tol), **_triple_rows(grams, tol)}
     det3_outcomes: list[Optional[UecsmError]] = [None] * len(grams)
     if grams.shape[-1] == 3:
         residuals, smallest = _det3_residuals(x[rows], y[rows], grams)

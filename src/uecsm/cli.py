@@ -67,7 +67,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -189,12 +190,13 @@ def document_to_text(doc: MatrixDocument) -> str:
 
 
 def load_matrix_document(path: Path) -> MatrixDocument:
+    """Read the document at ``path``; a missing or empty label becomes the file stem."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     doc = parse_document_text(text)
-    if doc.label is None:
+    if not doc.label:
         doc = MatrixDocument(matrix=doc.matrix, label=path.stem)
     return doc
 
@@ -225,7 +227,7 @@ def _verdict_dict(v: Verdict) -> dict:
         "criterion": v.criterion,
         "passed": v.passed,
         "tol": v.tol,
-        "max_residual": max(residuals.values(), default=0.0),
+        "max_residual": v.max_residual,
         "residuals": residuals,
     }
 
@@ -368,13 +370,23 @@ def analyze_stack(
     return reports
 
 
+def _outcome(report: Report) -> str:
+    """What a report decided: ``error``, ``conflict``, ``uecsm`` or ``not_uecsm``."""
+    if report.error is not None:
+        return "error"
+    if report.conflicts:
+        return "conflict"
+    return "uecsm" if report.uecsm else "not_uecsm"
+
+
+#: The status column of each outcome in ``batch`` text output.
+_BATCH_STATUS = {"error": "ERROR", "conflict": "CONFLICT", "uecsm": "uecsm", "not_uecsm": "not-uecsm"}
+
+
 def exit_code_for(report: Report) -> int:
     """Pure mapping from a report to the process exit code."""
-    if report.error is not None:
-        return EXIT_INCONCLUSIVE
-    if report.conflicts:
-        return EXIT_INCONCLUSIVE
-    return EXIT_UECSM if report.uecsm else EXIT_NOT_UECSM
+    outcome = _outcome(report)
+    return {"uecsm": EXIT_UECSM, "not_uecsm": EXIT_NOT_UECSM}.get(outcome, EXIT_INCONCLUSIVE)
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +463,7 @@ def _print_report(report: Report, as_json: bool) -> None:
 
 def _cmd_test(args: argparse.Namespace) -> int:
     doc = load_matrix_document(Path(args.file))
-    report = analyze(doc.matrix, doc.label or "matrix", **_analysis_keywords(args))
+    report = analyze(doc.matrix, doc.label, **_analysis_keywords(args))
     _print_report(report, args.json)
     return exit_code_for(report)
 
@@ -496,14 +508,7 @@ def _cmd_classify_nilpotent(args: argparse.Namespace) -> int:
         "params": [[v.real, v.imag] for v in params.as_tuple()],
         "satisfied": list(result.satisfied),
         "condition_residuals": {str(i): r for i, r in result.residuals},
-        "closed_forms": {
-            "psi4": [forms.psi4.real, forms.psi4.imag],
-            "psi7": [forms.psi7.real, forms.psi7.imag],
-            "psi1_d0": [forms.psi1_d0.real, forms.psi1_d0.imag],
-            "psi6_d0": [forms.psi6_d0.real, forms.psi6_d0.imag],
-            "psi1_a0": [forms.psi1_a0.real, forms.psi1_a0.imag],
-            "psi6_a0": [forms.psi6_a0.real, forms.psi6_a0.imag],
-        },
+        "closed_forms": {name: [v.real, v.imag] for name, v in asdict(forms).items()},
         "uecsm_closed_form": result.uecsm,
         "uecsm_trace_test": trace.passed,
         "agree": agree,
@@ -595,71 +600,60 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot list {directory}: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    names: list[str] = []
-    reports: dict[str, Report] = {}
-    seconds: dict[str, float] = {}
+    # one [report, seconds] record per listed file, in listing order; a
+    # parsed file's report comes from the stacked analysis below
+    files: dict[str, list] = {}
     groups: dict[int, list[tuple[str, MatrixDocument]]] = {}
     for name in listed:
         path = directory / name
         start = time.perf_counter()
+        report = None
         try:
             doc = load_matrix_document(path)
             groups.setdefault(doc.matrix.shape[0], []).append((name, doc))
         except UecsmError as exc:
-            reports[name] = Report(label=path.stem, dimension=0, tol=args.tol, error=str(exc))
-        names.append(name)
-        seconds[name] = time.perf_counter() - start
+            report = Report(label=path.stem, dimension=0, tol=args.tol, error=str(exc))
+        files[name] = [report, time.perf_counter() - start]
 
     # one stacked analysis per dimension; each file is charged an equal share
+    keywords = _analysis_keywords(args)
     for members in groups.values():
         start = time.perf_counter()
         group_reports = analyze_stack(
-            np.stack([doc.matrix for _, doc in members]),
-            [doc.label or Path(name).stem for name, doc in members],
-            **_analysis_keywords(args),
+            np.stack([doc.matrix for _, doc in members]), [doc.label for _, doc in members], **keywords
         )
         share = (time.perf_counter() - start) / len(members)
         for (name, _), report in zip(members, group_reports):
-            reports[name] = report
-            seconds[name] += share
-    results = [(name, reports[name], seconds[name]) for name in names]
+            files[name][0] = report
+            files[name][1] += share
 
-    n_conflict = sum(1 for _, r, _ in results if r.conflicts)
-    n_error = sum(1 for _, r, _ in results if r.error is not None)
-    n_pass = sum(1 for _, r, _ in results if r.uecsm is True)
-    n_fail = sum(1 for _, r, _ in results if r.uecsm is False)
-
+    counts = Counter(_outcome(report) for report, _ in files.values())
     if args.json:
         payload = {
-            "reports": {name: r.to_dict() for name, r, _ in results},
+            "reports": {name: report.to_dict() for name, (report, _) in files.items()},
             "summary": {
-                "files": len(results),
-                "uecsm": n_pass,
-                "not_uecsm": n_fail,
-                "conflicts": n_conflict,
-                "errors": n_error,
+                "files": len(files),
+                "uecsm": counts["uecsm"],
+                "not_uecsm": counts["not_uecsm"],
+                "conflicts": counts["conflict"],
+                "errors": counts["error"],
             },
             # the only part of the payload that differs between runs
-            "timings": {"runtime_seconds": {name: t for name, _, t in results}},
+            "timings": {"runtime_seconds": {name: t for name, (_, t) in files.items()}},
         }
         _print_json(payload)
     else:
-        for name, report, elapsed in results:
-            reason = ""
-            if report.error is not None:
-                status, reason = "ERROR", f"  {report.error}"
-            elif report.conflicts:
-                status = "CONFLICT"
-            else:
-                status = "uecsm" if report.uecsm else "not-uecsm"
+        for name, (report, elapsed) in files.items():
+            status = _BATCH_STATUS[_outcome(report)]
+            reason = f"  {report.error}" if report.error is not None else ""
             _echo(f"{name:<40} {status:<10} {elapsed * 1e3:7.1f} ms{reason}")
         print(
-            f"-- {len(results)} files: {n_pass} uecsm, {n_fail} not, "
-            f"{n_conflict} conflicts, {n_error} errors"
+            f"-- {len(files)} files: {counts['uecsm']} uecsm, {counts['not_uecsm']} not, "
+            f"{counts['conflict']} conflicts, {counts['error']} errors"
         )
-    if n_conflict:
+    if counts["conflict"]:
         return EXIT_NOT_UECSM
-    return EXIT_INCONCLUSIVE if n_error else EXIT_UECSM
+    return EXIT_INCONCLUSIVE if counts["error"] else EXIT_UECSM
 
 
 # --------------------------------------------------------------------------
@@ -735,16 +729,18 @@ _OPTIONS: dict[str, dict] = {
     ),
 }
 
-#: The :func:`analyze_stack` keywords that ``test`` and ``batch`` forward.
-_ANALYSIS_KEYWORDS = (
-    "tol", "run_oracle", "oracle_restarts", "oracle_tol",
-    "seed", "trace_tol", "angle_tol", "transpose_tol",
-)
-
 
 def _analysis_keywords(args: argparse.Namespace) -> dict:
-    """The keyword arguments of :func:`analyze_stack` that ``args`` sets."""
-    return {name: getattr(args, name) for name in _ANALYSIS_KEYWORDS}
+    """The keyword arguments of :func:`analyze_stack` that ``args`` sets.
+
+    They are the ``dest`` of every analysis option but ``--json``.
+    """
+    dests = (
+        options.get("dest", flag[2:].replace("-", "_"))
+        for flag, options in _OPTIONS.items()
+        if flag != "--json"
+    )
+    return {dest: getattr(args, dest) for dest in dests}
 
 
 def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:

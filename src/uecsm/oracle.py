@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuard, DimensionMismatch
-from .matcore import EPS, CMatrix, _require_square, normalize
+from .matcore import EPS, CMatrix, _require_square, adjoint, normalize
 from .tracetests import Verdict
 
 WITNESS_TOL = 1e-6
@@ -79,13 +79,9 @@ class OracleResult:
         return self.status == "witness"
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
-
-
 def _evaluate(t: CMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """S = U T U*, its asymmetry G = S - S^t and the cost |G|_F^2."""
-    s = u @ t @ _adjoint(u)
+    s = u @ t @ adjoint(u)
     g = s - s.T
     return s, g, float(np.vdot(g, g).real)
 
@@ -121,7 +117,7 @@ def cost_gradient(t: CMatrix, u: CMatrix) -> CMatrix:
     s, g, _ = _evaluate(t, u)
     g_bar = g.conj()  # equals -G*, since G^t = -G exactly
     c = g_bar @ s - s @ g_bar  # S G* - G* S
-    return 2 * (_adjoint(c) - c)  # -4 times the skew part of c
+    return 2 * (adjoint(c) - c)  # -4 times the skew part of c
 
 
 def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
@@ -132,7 +128,7 @@ def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
     """
     lam, v = np.linalg.eigh(-1j * k)
     z = 0.5j * lam
-    return (v * ((1 + z) / (1 - z))) @ (_adjoint(v) @ u)
+    return (v * ((1 + z) / (1 - z))) @ (adjoint(v) @ u)
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> CMatrix:
@@ -212,7 +208,7 @@ def _levenberg_marquardt(rep: CMatrix, u: np.ndarray, target_cost: float) -> tup
             if np.linalg.norm(x) <= EPS:
                 return u, cost, steps  # no damping lowers the cost
             lam, v = np.linalg.eigh(-1j * np.tensordot(x, basis, 1))
-            u_try = (v * np.exp(1j * lam)) @ (_adjoint(v) @ u)
+            u_try = (v * np.exp(1j * lam)) @ (adjoint(v) @ u)
             s_try, g_try, cost_try = _evaluate(rep, u_try)
             if cost_try < cost:
                 break
@@ -347,13 +343,13 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> tuple[Optional[OracleResul
     ``g > 64 tau``, where ``delta / g`` is small, as step 2 assumes.
     """
     turned = _turned_phases(rep)[:, None, None] * rep
-    herm = 0.5 * (turned + _adjoint(turned))  # Re(cT) for every phase c
+    herm = 0.5 * (turned + adjoint(turned))  # Re(cT) for every phase c
     gaps = np.diff(np.linalg.eigvalsh(herm), axis=-1).min(axis=-1)
     k = int(np.argmax(gaps))
     if gaps[k] <= _GAP_MIN:
         return None, None
     _, v = np.linalg.eigh(herm[k])
-    vh = _adjoint(v)
+    vh = adjoint(v)
     b = -1j * (vh @ (turned[k] - herm[k]) @ v)  # B' = V* Im(cT) V
     u = np.exp(1j * _tree_phases(b))[:, None] * vh
     residual = _residual(_evaluate(rep, u)[2])  # rep has unit norm

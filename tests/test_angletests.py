@@ -5,6 +5,7 @@ import pytest
 
 from uecsm import (
     DegenerateSpectrum,
+    DimensionMismatch,
     OrthogonalEigenvectors,
     angle_suite,
     det_criterion_3,
@@ -147,6 +148,12 @@ class TestDetCriterion3:
     def test_orthogonal_eigenvectors_refused(self):
         data = eigensystem(np.diag([1.0, 2.0, 3.0]).astype(complex))
         with pytest.raises(OrthogonalEigenvectors):
+            det_criterion_3(data)
+
+    def test_other_sizes_are_a_dimension_mismatch(self):
+        # not the OrthogonalEigenvectors refusal, which asks for the trace test
+        data = eigensystem(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
+        with pytest.raises(DimensionMismatch):
             det_criterion_3(data)
 
     def test_wat_failure_implies_trace_failure(self):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import inspect
 import io
 import json
 import os
@@ -30,6 +31,7 @@ from uecsm.cli import (
     write_matrix_document,
 )
 import uecsm.angletests
+import uecsm.cli
 import uecsm.spectra
 from uecsm.errors import ParseError
 from uecsm.gallery import GALLERY, WAT_COUNTEREXAMPLE
@@ -74,6 +76,15 @@ class TestDocuments:
         path = tmp_path / "plain.json"
         write_matrix_document(doc, path)
         assert load_matrix_document(path).label == "plain"
+
+    def test_empty_label_is_the_stem_everywhere(self, tmp_path, capsys):
+        path = tmp_path / "blank.json"
+        write_matrix_document(MatrixDocument(matrix=np.eye(2, dtype=complex), label=""), path)
+        assert load_matrix_document(path).label == "blank"
+        main(["test", str(path), "--json"])
+        assert json.loads(capsys.readouterr().out)["label"] == "blank"
+        main(["batch", str(tmp_path), "--json"])
+        assert json.loads(capsys.readouterr().out)["reports"]["blank.json"]["label"] == "blank"
 
     @pytest.mark.parametrize(
         "text",
@@ -660,6 +671,12 @@ class TestOptionSurface:
             "classify-nilpotent": {"--params", "--tol", "--json"},
             "construct": {"--sig", "--diag", "--out", "--seed"},
         }
+
+    @pytest.mark.parametrize("command", ["test", "batch"])
+    def test_analysis_options_forward_exactly_the_analyze_stack_keywords(self, command):
+        args = build_parser().parse_args([command, "x"])
+        keywords = set(inspect.signature(analyze_stack).parameters) - {"ts", "labels"}
+        assert set(uecsm.cli._analysis_keywords(args)) == keywords
 
     @pytest.mark.parametrize(
         "argv",
