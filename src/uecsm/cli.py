@@ -95,20 +95,15 @@ from .errors import (
 )
 from .matcore import CMatrix, _require_square, cmatrix, normalize_stack
 from .nilpotent4 import NilpotentParams, build_matrix, classify, psi_closed_forms
-from .oracle import WITNESS_TOL, OracleResult, find_symmetrizer
+from .oracle import WITNESS_TOL, OracleResult, _symmetrizer
 from .spectra import eigensystem, eigensystem_stack
-from .tracetests import (
-    DEFAULT_TOL,
-    Verdict,
-    transpose_verdicts,
-    uecsm_verdict,
-    uecsm_verdicts,
-)
+from .tracetests import DEFAULT_TOL, Verdict, trace_verdicts, uecsm_verdict
 
 # Not called in this module: ``perfbench/tracing.py`` times transpose
-# equivalence and the one-matrix angle tests by wrapping these bindings, so
-# removing them breaks every traced benchmark run.
+# equivalence, the one-matrix angle tests and the oracle by wrapping these
+# bindings, so removing them breaks every traced benchmark run.
 from .angletests import angle_suite  # noqa: F401
+from .oracle import find_symmetrizer  # noqa: F401
 from .tracetests import transpose_equivalence  # noqa: F401
 
 EXIT_UECSM = 0
@@ -339,8 +334,11 @@ def analyze_stack(
         raise ValueError(f"{len(labels)} labels for {len(ts)} matrices")
     reps, mu, s = normalize_stack(ts)
     try:
-        traces = uecsm_verdicts(reps, tol if trace_tol is None else trace_tol)
-        transposes = transpose_verdicts(reps, tol if transpose_tol is None else transpose_tol)
+        traces, transposes = trace_verdicts(
+            reps,
+            tol if trace_tol is None else trace_tol,
+            tol if transpose_tol is None else transpose_tol,
+        )
     except UnsupportedDimension as exc:
         return [Report(label=label, dimension=n, tol=tol, error=str(exc)) for label in labels]
     angles = angle_verdicts(eigensystem_stack(reps, mu, s), tol if angle_tol is None else angle_tol)
@@ -361,9 +359,7 @@ def analyze_stack(
         else:
             report.verdicts.update(outcome)
         if run_oracle:
-            report.oracle = find_symmetrizer(
-                ts[b], restarts=oracle_restarts, witness_tol=oracle_tol, seed=seed
-            )
+            report.oracle = _symmetrizer(reps[b], s[b], oracle_restarts, oracle_tol, seed)
         report.conflicts = _find_conflicts(report)
         if not report.conflicts:
             report.uecsm = traces[b].passed

@@ -8,7 +8,11 @@ sequences, e.g. ``x^2 y^2 x y`` is ``Word.from_string("x2y2xy")``.
 :func:`word_traces` is the one trace engine, and :func:`evaluate_word`
 (the matrix value of one word) is its reference.  It compiles an index
 plan per word tuple, cached for tuples that callers pass, and evaluates
-it; each fixed word set of :mod:`uecsm.tracetests` compiles its plan
+it.  A plan's product table holds I, x, y and rows that are each the
+product or the difference of two earlier rows, so a plan can also hold
+traces ``tr(L R)`` of products that are not words read left to right;
+:mod:`uecsm.tracetests` compiles one plan per size for both of its
+trace families (the reversal words and the UECSM commutator traces)
 once, at import, and evaluates that plan directly.
 
 :func:`normalize_stack`, :func:`word_traces` and :func:`adjoint` also
@@ -18,10 +22,11 @@ take a ``(B, n, n)`` stack of matrices of one size; the one-matrix
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from typing import Optional
 
 import numpy as np
 
@@ -221,22 +226,28 @@ def evaluate_word(w: Word, x: CMatrix, y: CMatrix) -> CMatrix:
 
 @dataclass(frozen=True)
 class _TracePlan:
-    """Index arrays that evaluate the traces of a fixed tuple of words.
+    """Index arrays that evaluate a fixed tuple of traces.
 
     Row 0 of the product table is the identity and rows 1 and 2 are the
-    letters; every other row is one distinct prefix of a word half, and
-    ``levels`` fills the rows of each prefix length from their parents in
-    one batched product.
+    letters; every other row is the product or the difference of two
+    earlier rows.  Each of ``levels`` fills a run of rows from their
+    operands in one batched ``np.matmul`` or ``np.subtract``, and the
+    traces are ``tr(table[left] table[right])``: first those of
+    ``words``, then any further pairs the plan was compiled with.
     """
 
     words: tuple[Word, ...]
     rows: int
-    levels: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    levels: tuple[tuple[np.ufunc, int, int, np.ndarray, np.ndarray], ...]
     left: np.ndarray
     right: np.ndarray
 
     def traces(self, x: CMatrix, y: CMatrix) -> np.ndarray:
-        """:func:`word_traces` of the plan's words, for letters already checked."""
+        """The plan's traces for the letters ``x`` and ``y``, already checked.
+
+        Two ``(n, n)`` letters give a vector, two ``(B, n, n)`` stacks a
+        ``(traces, B)`` array.
+        """
         stacked = x.ndim == 3
         xs, ys = (x, y) if stacked else (x[None], y[None])
         n = xs.shape[-1]
@@ -244,36 +255,111 @@ class _TracePlan:
         table[0] = np.eye(n)
         table[1] = xs
         table[2] = ys
-        for start, stop, parents, last in self.levels:
-            np.matmul(table[parents], table[last], out=table[start:stop])
+        for op, start, stop, a, b in self.levels:
+            op(table[a], table[b], out=table[start:stop])
         traces = np.einsum("kbij,kbji->kb", table[self.left], table[self.right])
         return traces if stacked else traces[:, 0]
 
 
-@lru_cache(maxsize=256)
-def _trace_plan(words: tuple[Word, ...]) -> _TracePlan:
-    halves = []
+class _Row:
+    """A row of a product table being compiled; ``a @ b`` and ``a - b`` add rows."""
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, table: "_TableBuilder", index: int) -> None:
+        self.table = table
+        self.index = index
+
+    def __matmul__(self, other: "_Row") -> "_Row":
+        return self.table.row(np.matmul, self, other)
+
+    def __sub__(self, other: "_Row") -> "_Row":
+        return self.table.row(np.subtract, self, other)
+
+
+class _TableBuilder:
+    """The rows of a product table over the letters ``x`` and ``y``.
+
+    An expression built twice is one row, so trace families share every
+    product they spell the same way, association included.
+    """
+
+    def __init__(self) -> None:
+        self._ops: list[tuple[np.ufunc, int, int]] = []  # rows 3, 4, ...
+        self._index: dict[tuple[np.ufunc, int, int], int] = {}
+        self.identity, self.x, self.y = (_Row(self, k) for k in range(3))
+
+    def row(self, op: np.ufunc, a: _Row, b: _Row) -> _Row:
+        key = (op, a.index, b.index)
+        if key not in self._index:
+            self._index[key] = len(self._ops) + 3
+            self._ops.append(key)
+        return _Row(self, self._index[key])
+
+    def word(self, letters: str) -> _Row:
+        """The product of ``letters`` taken left to right: each prefix times a letter."""
+        row = self.identity
+        for sym in letters:
+            letter = self.x if sym == "x" else self.y
+            row = letter if row is self.identity else row @ letter
+        return row
+
+    def plan(self, words: tuple[Word, ...], pairs: Sequence[tuple[_Row, _Row]]) -> _TracePlan:
+        """The plan reading ``tr(L R)`` for each pair ``(L, R)`` of rows.
+
+        Each row runs as late as its readers allow, in levels that
+        alternate between products and differences only where an
+        expression needs it: every product level takes one batched
+        ``np.matmul``, and a difference runs in the level just before the
+        first product level that reads it.
+        """
+        # step 2d is product level d and step 2d - 1 the difference level
+        # before it; counting down from step 0, past the last level
+        latest = [0] * (len(self._ops) + 3)
+        for row in reversed(range(3, len(latest))):
+            op, a, b = self._ops[row - 3]
+            step = latest[row] - 1
+            latest[row] = step - (step % 2 != (op is np.subtract))
+            latest[a] = min(latest[a], latest[row])
+            latest[b] = min(latest[b], latest[row])
+        order = sorted(range(3, len(latest)), key=lambda row: (latest[row], row))
+        index = {0: 0, 1: 1, 2: 2}
+        index.update((row, k) for k, row in enumerate(order, start=3))
+        levels = []
+        for _, group in groupby(order, key=latest.__getitem__):
+            group = list(group)
+            ops = [self._ops[row - 3] for row in group]
+            a = np.array([index[a] for _, a, _ in ops], dtype=np.intp)
+            b = np.array([index[b] for _, _, b in ops], dtype=np.intp)
+            levels.append((ops[0][0], index[group[0]], index[group[0]] + len(group), a, b))
+        left = np.array([index[l.index] for l, _ in pairs], dtype=np.intp)
+        right = np.array([index[r.index] for _, r in pairs], dtype=np.intp)
+        return _TracePlan(words, len(index), tuple(levels), left, right)
+
+
+def _compile_plan(words: tuple[Word, ...], family: Optional[Callable] = None) -> _TracePlan:
+    """The plan of the traces of ``words``, then of ``tr(L R)`` for each
+    pair ``(L, R)`` of ``family(x, y)``.
+
+    Each word is split as ``w = l r`` with ``l`` its first ``ceil(d/2)``
+    letters, and ``l`` and ``r`` are prefix products, so words share
+    their prefixes.  ``family`` spells its products and differences with
+    ``@`` and ``-`` on the letter rows it is given.
+    """
+    table = _TableBuilder()
+    pairs = []
     for w in words:
         letters = "".join(sym * exp for sym, exp in w.runs)
         cut = (len(letters) + 1) // 2
-        halves.append((letters[:cut], letters[cut:]))
-    # rows 1 and 2 are the letters x and y themselves
-    prefixes = sorted(
-        {"x", "y"} | {h[:k] for pair in halves for h in pair for k in range(2, len(h) + 1)},
-        key=lambda p: (len(p), p),
-    )
-    index = {"": 0}
-    index.update((p, row) for row, p in enumerate(prefixes, start=1))
-    levels = []
-    for _, group in groupby(prefixes[2:], key=len):
-        group = list(group)
-        start = index[group[0]]
-        parents = np.array([index[p[:-1]] for p in group], dtype=np.intp)
-        last = np.array([index[p[-1]] for p in group], dtype=np.intp)
-        levels.append((start, start + len(group), parents, last))
-    left = np.array([index[a] for a, _ in halves], dtype=np.intp)
-    right = np.array([index[b] for _, b in halves], dtype=np.intp)
-    return _TracePlan(words, len(index), tuple(levels), left, right)
+        pairs.append((table.word(letters[:cut]), table.word(letters[cut:])))
+    if family is not None:
+        pairs.extend(family(table.x, table.y))
+    return table.plan(words, pairs)
+
+
+@lru_cache(maxsize=256)
+def _trace_plan(words: tuple[Word, ...]) -> _TracePlan:
+    return _compile_plan(words)
 
 
 def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:

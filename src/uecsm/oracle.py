@@ -398,12 +398,20 @@ def find_symmetrizer(
     n = _require_square(t)
     if n > _MAX_DIM:
         raise CostGuard(f"search limited to n <= {_MAX_DIM}, got n = {n}")
+    rep, _, s = normalize(t)
+    return _symmetrizer(rep, s, restarts, witness_tol, seed)
+
+
+def _symmetrizer(rep: CMatrix, s: float, restarts: int, witness_tol: float, seed: int) -> OracleResult:
+    """:func:`find_symmetrizer` of a matrix with representative ``rep`` and scale ``s``.
+
+    Searching on the representative loses nothing: U symmetrizes
+    ``T = s rep + mu I`` exactly when it symmetrizes ``rep``, and the
+    unit norm keeps the cost in range.
+    """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-
-    # search on the representative: U symmetrizes T = s rep + mu I exactly
-    # when it symmetrizes rep, and the unit norm keeps the cost in range
-    rep, _, s = normalize(t)
+    n = rep.shape[0]
     if s == 0.0:
         u = np.eye(n, dtype=complex)
         u.flags.writeable = False

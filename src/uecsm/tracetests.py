@@ -9,12 +9,15 @@ point:
 * the seven derived commutator traces ``psi_1 .. psi_7`` whose joint
   vanishing characterizes UECSM at n = 4.
 
-Every word trace comes from the word-trace engine of
-:mod:`uecsm.matcore`: the plan of each fixed word set (:data:`PHI3_WORDS`,
-:data:`DJOKOVIC_WORDS` and each of them followed by its reversals) is
-compiled once, at import, and each signature evaluates its plan in one
-call, so no call hashes a word or looks up a plan.  Transpose
-equivalence uses the reversal identity
+Every trace comes from the trace engine of :mod:`uecsm.matcore`, from
+plans compiled once, at import: one for each signature
+(:data:`PHI3_WORDS`, :data:`DJOKOVIC_WORDS`), and one per size n = 3, 4
+for both trace families, the complete word set followed by its
+reversals and then the UECSM family (the commutator trace at n = 3,
+``psi_1 .. psi_7`` at n = 4).  The families share every product they
+spell alike, and each call evaluates its plan once, so no call hashes a
+word or looks up a plan.  Transpose equivalence uses the reversal
+identity
 ``tr w(T^t, conj T) = tr rev(w)(T, T*)``: its residuals are the gaps
 ``|tr w - tr rev(w)|``.  Of these, ``phi1``-``phi6`` and ``w01``-``w11``
 vanish identically (each word is a cyclic shift of its reversal), so
@@ -23,10 +26,11 @@ equal gaps; the information sits in ``phi7`` and in the gaps of
 ``w12``, ``w14``-``w16`` and ``w18``-``w20``.
 
 The verdicts are computed for a ``(B, n, n)`` stack of normalized
-representatives at once: :func:`uecsm_verdicts` and
-:func:`transpose_verdicts` are the kernels, and :func:`uecsm_verdict`,
-:func:`trace_test_3`, :func:`psi7` and :func:`transpose_equivalence` run
-them on a one-matrix stack.
+representatives at once: :func:`trace_verdicts` gives both families'
+verdicts from one evaluation of the size's plan, :func:`uecsm_verdicts`
+and :func:`transpose_verdicts` each keep one family of them, and
+:func:`uecsm_verdict`, :func:`trace_test_3`, :func:`psi7` and
+:func:`transpose_equivalence` read the same plan for one matrix.
 
 Tolerance convention (a numerical convention, not part of the algebra):
 the verdicts evaluate their traces on the centered, normalized
@@ -41,7 +45,9 @@ caller's matrix and are not normalized.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +55,7 @@ from .errors import DimensionMismatch, UnsupportedDimension
 from .matcore import (
     CMatrix,
     Word,
+    _compile_plan,
     _require_square,
     _trace_plan,
     _TracePlan,
@@ -101,23 +108,75 @@ _PHI3_PLAN = _trace_plan(PHI3_WORDS)
 _DJOKOVIC_PLAN = _trace_plan(DJOKOVIC_WORDS)
 
 
-def _reversal_check(words: tuple[Word, ...], name: str) -> tuple[_TracePlan, tuple[str, ...]]:
-    """The plan of ``words`` followed by their reversals, and the residual names."""
-    plan = _trace_plan(words + tuple(map(reverse_word, words)))
-    return plan, tuple(name.format(i) for i in range(1, len(words) + 1))
-
-
-#: n -> (the plan of the complete word set followed by its reversals,
-#: residual names), for :func:`transpose_equivalence`.
-_REVERSAL_CHECKS: dict[int, tuple[_TracePlan, tuple[str, ...]]] = {
-    3: _reversal_check(PHI3_WORDS, "phi{}"),
-    4: _reversal_check(DJOKOVIC_WORDS, "w{:02d}"),
-}
-
 #: Letter counts of the words behind psi_1 .. psi_7.
 PSI_DEGREES: tuple[int, ...] = (6, 7, 8, 8, 9, 9, 10)
 
 _PSI_NAMES: tuple[str, ...] = tuple(f"psi{i}" for i in range(1, len(PSI_DEGREES) + 1))
+
+
+def _commutator_pairs(x, y):
+    """The pair whose ``tr(L R)`` is ``tr[X*X (X*X - XX*) XX*]``, for ``x = X``, ``y = X*``."""
+    h1, h2 = y @ x, x @ y
+    return ((h1 @ (h1 - h2), h2),)
+
+
+def _psi7_pairs(x, y):
+    """The pairs ``(L, R)`` with ``psi_k = tr(L R)``, for ``x = X``, ``y = X*``.
+
+    The commutator sits inside ``L``: the difference is taken before the
+    outer product, so the analytically cancelling terms never meet in
+    floating point.
+    """
+    x2, y2, xy, yx = x @ x, y @ y, x @ y, y @ x
+    y3, xy2, y2x, x2y2, y2x2, x2y, yx2 = y2 @ y, x @ y2, y2 @ x, x2 @ y2, y2 @ x2, x2 @ y, y @ x2
+    x2y3, y3x2, xy3, y3x = x2 @ y3, y3 @ x2, x @ y3, y3 @ x
+    x2yx2y, yx2yx2, yx2y = x2y @ x2y, yx2 @ yx2, yx2 @ y
+    lefts = (
+        x @ (xy2 - y2x),  # [x, y^2]
+        x @ (x2y2 - y2x2),  # [x^2, y^2]
+        x2 @ (xy2 - y2x),
+        x @ (x2y3 - y3x2),  # [x^2, y^3]
+        x @ (x2yx2y - yx2yx2),
+        x2y @ (yx - xy),  # [y, x]
+        x2 @ (xy3 - y3x),  # [x, y^3]
+    )
+    return tuple(zip(lefts, (xy, xy, x2y, xy, xy, yx2y, x2y2)))
+
+
+@dataclass(frozen=True)
+class _TraceChecks:
+    """One plan per size for both trace families of a stack.
+
+    The plan's traces are those of the complete word set followed by its
+    reversals (the transpose gaps, named ``gaps``), then the UECSM
+    family's ``tr(L R)`` values (named ``names``, criterion ``criterion``).
+    """
+
+    plan: _TracePlan
+    gaps: tuple[str, ...]
+    criterion: str
+    names: tuple[str, ...]
+
+
+def _trace_checks(
+    words: tuple[Word, ...], gap_name: str, criterion: str, names: tuple[str, ...], family: Callable
+) -> _TraceChecks:
+    plan = _compile_plan(words + tuple(map(reverse_word, words)), family)
+    gaps = tuple(gap_name.format(i) for i in range(1, len(words) + 1))
+    return _TraceChecks(plan, gaps, criterion, names)
+
+
+#: n -> the checks of :func:`trace_verdicts`, compiled at import.
+_TRACE_CHECKS: dict[int, _TraceChecks] = {
+    3: _trace_checks(PHI3_WORDS, "phi{}", "uecsm_trace3", ("commutator_trace",), _commutator_pairs),
+    4: _trace_checks(DJOKOVIC_WORDS, "w{:02d}", "uecsm_psi7", _PSI_NAMES, _psi7_pairs),
+}
+
+
+def _family_values(t: np.ndarray) -> np.ndarray:
+    """The UECSM family's traces of each matrix of a ``(B, n, n)`` stack, as ``(B, k)``."""
+    plan = _TRACE_CHECKS[t.shape[-1]].plan
+    return plan.traces(t, adjoint(t))[len(plan.words) :].T
 
 
 @dataclass(frozen=True)
@@ -138,7 +197,7 @@ class Verdict:
     residuals: tuple[tuple[str, float], ...]
     tol: float
 
-    @property
+    @cached_property
     def max_residual(self) -> float:
         return max((r for _, r in self.residuals), default=0.0)
 
@@ -148,12 +207,16 @@ class Verdict:
     ) -> list["Verdict"]:
         """One verdict per row of a ``(B, len(names))`` residual array.
 
-        A row passes when its largest residual is at most ``tol``.
+        A row passes when its largest residual is at most ``tol``; that
+        maximum is also the verdict's ``max_residual``.
         """
-        return [
-            cls(criterion, max(row, default=0.0) <= tol, tuple(zip(names, row)), tol)
-            for row in residuals.tolist()
-        ]
+        verdicts = []
+        for row in residuals.tolist():
+            worst = max(row, default=0.0)
+            verdict = cls(criterion, worst <= tol, tuple(zip(names, row)), tol)
+            verdict.__dict__["max_residual"] = worst  # seeds the cached property
+            verdicts.append(verdict)
+        return verdicts
 
 
 def _require_dim(t: CMatrix, n: int, who: str) -> None:
@@ -171,25 +234,8 @@ def phi3(t: CMatrix) -> TraceSignature:
 def trace_test_3(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """UECSM test for 3x3: tr[T*T (T*T - TT*) TT*] must vanish."""
     _require_dim(t, 3, "trace_test_3")
-    residual = _commutator_trace(representative(t)[0])
+    residual = np.abs(_family_values(representative(t)[0]))
     return Verdict.from_rows("trace_test_3", ("commutator_trace",), residual, tol)[0]
-
-
-def _products(lefts: tuple[np.ndarray, ...], rights: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``lefts[k] @ rights[k]`` for every k, as one array of shape ``(k, B, n, n)``.
-
-    Each operand is a ``(B, n, n)`` stack.  One stacked product replaces
-    ``k`` calls, each of which costs more in overhead than a small
-    product does in arithmetic.
-    """
-    out = np.matmul(np.concatenate(lefts), np.concatenate(rights))
-    return out.reshape(len(lefts), -1, *out.shape[1:])
-
-
-def _commutator_trace(reps: np.ndarray) -> np.ndarray:
-    """``|tr[X*X (X*X - XX*) XX*]|`` of each 3x3 matrix of a stack, as a ``(B, 1)`` column."""
-    h1, h2 = _products((adjoint(reps), reps), (reps, adjoint(reps)))
-    return np.abs(np.einsum("bij,bji->b", h1 @ (h1 - h2), h2))[:, None]
 
 
 def djokovic_signature(t: CMatrix) -> TraceSignature:
@@ -226,40 +272,8 @@ def unitary_equivalence_4(a: CMatrix, b: CMatrix, tol: float = DEFAULT_TOL) -> V
 def psi7(t: CMatrix) -> TraceSignature:
     """The seven commutator traces whose vanishing characterizes UECSM at n = 4."""
     _require_dim(t, 4, "psi7")
-    values = _psi7_values(np.asarray(t, dtype=complex)[None])[0]
+    values = _family_values(np.asarray(t, dtype=complex)[None])[0]
     return TraceSignature("psi7", tuple(values.tolist()), PSI_DEGREES)
-
-
-def _psi7_values(x: np.ndarray) -> np.ndarray:
-    """``psi_1 .. psi_7`` of each 4x4 matrix of a stack, as a ``(B, 7)`` array.
-
-    Each value is ``tr(L R)`` with the commutator inside ``L``: the
-    difference is taken before the outer products, so the analytically
-    cancelling terms never meet in floating point.  The products of each
-    length are formed in one stacked call.
-    """
-    y = adjoint(x)
-    x2, y2, xy, yx = _products((x, y, x, y), (x, y, y, x))
-    y3, xy2, y2x, x2y2, y2x2, x2y, yx2 = _products(
-        (y2, x, y2, x2, y2, x2, y), (y, y2, x, y2, x2, y, x2)
-    )
-    x2y3, y3x2, xy3, y3x, x2yx2y, yx2yx2, yx2y = _products(
-        (x2, y3, x, y3, x2y, yx2, yx2), (y3, x2, y3, x, x2y, yx2, y)
-    )
-    lefts = _products(
-        (x, x, x2, x, x, x2y, x2),
-        (
-            xy2 - y2x,  # [x, y^2]
-            x2y2 - y2x2,  # [x^2, y^2]
-            xy2 - y2x,
-            x2y3 - y3x2,  # [x^2, y^3]
-            x2yx2y - yx2yx2,
-            yx - xy,  # [y, x]
-            xy3 - y3x,  # [x, y^3]
-        ),
-    )
-    rights = np.concatenate((xy, xy, x2y, xy, xy, yx2y, x2y2)).reshape(lefts.shape)
-    return np.einsum("kbij,kbji->bk", lefts, rights)
 
 
 def _trace_dimension(n: int, what: str) -> None:
@@ -284,13 +298,35 @@ def uecsm_verdict(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
 def uecsm_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
     """:func:`uecsm_verdict` of each matrix of a ``(B, n, n)`` stack of
     normalized representatives (:func:`~uecsm.matcore.normalize_stack`)."""
+    return trace_verdicts(reps, tol, tol)[0]
+
+
+def trace_verdicts(
+    reps: np.ndarray, trace_tol: float = DEFAULT_TOL, transpose_tol: float = DEFAULT_TOL
+) -> tuple[list[Verdict], list[Verdict]]:
+    """:func:`uecsm_verdicts` and :func:`transpose_verdicts` of a stack, from one product table.
+
+    ``trace_tol`` governs the UECSM verdicts and ``transpose_tol`` the
+    transpose verdicts.  Raises :class:`UnsupportedDimension` for
+    ``n >= 5``.
+    """
     n = _require_square(reps, stacked=True)
     _trace_dimension(n, "complete trace criterion")
     if n <= 2:
-        return [Verdict("uecsm_small_n", True, (("small_n", 0.0),), tol)] * len(reps)
-    if n == 3:
-        return Verdict.from_rows("uecsm_trace3", ("commutator_trace",), _commutator_trace(reps), tol)
-    return Verdict.from_rows("uecsm_psi7", _PSI_NAMES, np.abs(_psi7_values(reps)), tol)
+        small = (("small_n", 0.0),)
+        return (
+            [Verdict("uecsm_small_n", True, small, trace_tol)] * len(reps),
+            [Verdict("transpose_equivalence", True, small, transpose_tol)] * len(reps),
+        )
+    checks = _TRACE_CHECKS[n]
+    values = checks.plan.traces(reps, adjoint(reps))
+    m = len(checks.gaps)
+    gaps = np.abs(values[:m] - values[m : 2 * m]).T
+    family = np.abs(values[2 * m :]).T
+    return (
+        Verdict.from_rows(checks.criterion, checks.names, family, trace_tol),
+        Verdict.from_rows("transpose_equivalence", checks.gaps, gaps, transpose_tol),
+    )
 
 
 def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
@@ -312,12 +348,6 @@ def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
 
 def transpose_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
     """:func:`transpose_equivalence` of each matrix of a ``(B, n, n)``
-    stack of normalized representatives, from one word-trace table."""
-    n = _require_square(reps, stacked=True)
-    _trace_dimension(n, "word criterion")
-    if n <= 2:
-        return [Verdict("transpose_equivalence", True, (("small_n", 0.0),), tol)] * len(reps)
-    plan, names = _REVERSAL_CHECKS[n]
-    values = plan.traces(reps, adjoint(reps))
-    gaps = np.abs(values[: len(names)] - values[len(names) :]).T
-    return Verdict.from_rows("transpose_equivalence", names, gaps, tol)
+    stack of normalized representatives."""
+    _trace_dimension(_require_square(reps, stacked=True), "word criterion")
+    return trace_verdicts(reps, tol, tol)[1]

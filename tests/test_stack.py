@@ -41,6 +41,7 @@ from uecsm.cli import (
     write_matrix_document,
 )
 from uecsm.gallery import GALLERY
+from uecsm.matcore import _TracePlan
 
 from _util import random_complex_matrix, random_symmetric_matrix, random_unitary, rng
 
@@ -101,6 +102,50 @@ def test_stack_outside_the_trace_criteria(n):
     ts = np.array([random_complex_matrix(rng(n), n) for _ in range(2)])
     for t, label, report in zip(ts, "ab", analyze_stack(ts, ["a", "b"])):
         _same_report(analyze(t, label), report)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_one_product_table_per_stack(monkeypatch, n):
+    # both trace families read one evaluation of one plan: its traces,
+    # replaced by NaN, become every residual of both trace verdicts
+    evaluations = []
+    evaluate = _TracePlan.traces
+
+    def counted(plan, x, y):
+        evaluations.append(plan)
+        return np.full_like(evaluate(plan, x, y), np.nan)
+
+    monkeypatch.setattr(_TracePlan, "traces", counted)
+    ts = _stack(rng(60 + n), n, ["uecsm", "gauss", "nilpotent"])
+    labels = [f"m{i}" for i in range(len(ts))]
+    for run in (lambda: [analyze(ts[0], "m")], lambda: analyze_stack(ts, labels)):
+        evaluations.clear()
+        reports = run()
+        assert len(evaluations) == 1
+        for report in reports:
+            for key in ("uecsm", "transpose_equivalence"):
+                assert all(np.isnan(r) for _, r in report.verdicts[key].residuals), key
+
+
+def test_stack_oracle_is_find_symmetrizer_on_each_row():
+    # the stacked analysis searches on the representatives it has already
+    # computed; every result equals find_symmetrizer's, bit for bit
+    gen = rng(70)
+    q = random_unitary(gen, 3)
+    normal = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T  # LM from the identity
+    for n, extra in ((3, [normal, 2j * np.eye(3)]), (4, [])):
+        ts = np.concatenate([_stack(gen, n, ["uecsm", "gauss", "nilpotent"]), np.reshape(extra, (-1, n, n))])
+        labels = [f"m{i}" for i in range(len(ts))]
+        for t, report in zip(ts, analyze_stack(ts, labels, run_oracle=True, oracle_restarts=2, seed=4)):
+            got, expected = report.oracle, find_symmetrizer(t, restarts=2, seed=4)
+            assert (got.status, got.iterations, got.restarts_used) == (
+                expected.status,
+                expected.iterations,
+                expected.restarts_used,
+            )
+            assert float(got.residual).hex() == float(expected.residual).hex()
+            assert (got.u is None) == (expected.u is None)
+            assert got.u is None or np.array_equal(got.u, expected.u)
 
 
 ANGLE_KEYS = ("wat", "sat", "lsat", "det3")

@@ -1,5 +1,7 @@
 """Tests for the trace-word criteria."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from uecsm import (
     DJOKOVIC_WORDS,
+    PHI3_WORDS,
     DimensionMismatch,
     UnsupportedDimension,
     adjoint,
@@ -21,7 +24,9 @@ from uecsm import (
     uecsm_verdict,
     unitary_equivalence_4,
     word_trace,
+    word_traces,
 )
+from uecsm import tracetests
 from uecsm.gallery import (
     GALLERY,
     NILPOTENT_QUARTET,
@@ -29,7 +34,10 @@ from uecsm.gallery import (
     SCALAR_PLUS_SHIFT_22,
     WAT_COUNTEREXAMPLE,
 )
+from uecsm.matcore import normalize_stack, representative
+from uecsm.tracetests import Verdict, _family_values, trace_verdicts
 
+from _trace_reference import commutator_trace, psi7_values
 from _util import random_complex_matrix, random_symmetric_matrix, random_unitary, rng
 
 # paper-layout proof matrix: rows (0,0,0), (a,1,0), (b,0,lam)
@@ -276,3 +284,76 @@ class TestWordReductions:
 
             assert abs(gap(12) - gap(13)) <= 1e-9 * norm**6
             assert abs(gap(16) - gap(17)) <= 1e-9 * norm**8
+
+
+def _residual_rows(verdicts, width):
+    return np.array([[r for _, r in v.residuals] for v in verdicts]).reshape(len(verdicts), width)
+
+
+def _plan_stacks():
+    """The gallery as one stack per size (its 4x4 matrices, and their leading
+    3x3 blocks), then seeded random stacks."""
+    for n in (3, 4):
+        yield np.stack([np.asarray(m)[:n, :n] for m, _ in GALLERY.values()])
+        gen = rng(50 + n)
+        for count in (0, 1, 7, 17):
+            yield 2.0 * (gen.standard_normal((count, n, n)) + 1j * gen.standard_normal((count, n, n)))
+
+
+class TestSharedPlans:
+    """One plan per size holds both trace families; its values are bit-identical
+    to ``word_traces`` and to the family's former stand-alone products."""
+
+    def test_reversal_gaps_read_word_traces(self):
+        for ts in _plan_stacks():
+            n = ts.shape[-1]
+            words = PHI3_WORDS if n == 3 else DJOKOVIC_WORDS
+            reps, _, _ = normalize_stack(ts)
+            ys = adjoint(reps)
+            reversed_words = tuple(map(reverse_word, words))
+            gaps = np.abs(word_traces(words, reps, ys) - word_traces(reversed_words, reps, ys)).T
+            _, transposes = trace_verdicts(reps)
+            assert np.array_equal(_residual_rows(transposes, len(words)), gaps)
+
+    def test_uecsm_family_matches_the_reference(self):
+        for ts in _plan_stacks():
+            n = ts.shape[-1]
+            reps, _, _ = normalize_stack(ts)
+            expected = commutator_trace(reps) if n == 3 else np.abs(psi7_values(reps))
+            traces, _ = trace_verdicts(reps)
+            assert np.array_equal(_residual_rows(traces, expected.shape[1]), expected)
+            if n == 4:
+                # the raw, unnormalized traces of psi7 too
+                assert np.array_equal(_family_values(ts), psi7_values(ts))
+
+    @pytest.mark.parametrize("label", sorted(GALLERY))
+    def test_one_matrix_criteria_match_the_reference(self, label):
+        t = np.asarray(GALLERY[label][0])
+        assert psi7(t).values == tuple(psi7_values(t[None])[0].tolist())
+        block = t[:3, :3]
+        residuals = [r for _, r in trace_test_3(block).residuals]
+        assert residuals == commutator_trace(representative(block)[0])[0].tolist()
+
+    @pytest.mark.parametrize("n, rows, levels", [(3, 13, 3), (4, 59, 5)])
+    def test_table_sizes(self, n, rows, levels):
+        # the families share every product they spell alike; differences run
+        # in one level just before the last product level
+        plan = tracetests._TRACE_CHECKS[n].plan
+        assert (plan.rows, len(plan.levels)) == (rows, levels)
+        assert [op for op, *_ in plan.levels][-2:] == [np.subtract, np.matmul]
+
+
+class TestVerdictMaxResidual:
+    def test_from_rows_seeds_the_python_max(self):
+        # Python's max keeps the first of incomparable values, so a NaN
+        # counts only when it comes first
+        rows = np.array([[1.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.5, 0.25, 0.0]])
+        for v, row in zip(Verdict.from_rows("c", ("a", "b", "c"), rows, 1.0), rows.tolist()):
+            assert "max_residual" in vars(v)
+            plain = Verdict(v.criterion, v.passed, v.residuals, v.tol)
+            assert "max_residual" not in vars(plain)
+            for value in (v.max_residual, plain.max_residual):
+                assert value == max(row) or (math.isnan(value) and math.isnan(max(row)))
+            assert v == plain and hash(v) == hash(plain)
+        (empty,) = Verdict.from_rows("c", (), np.zeros((1, 0)), 1.0)
+        assert empty.max_residual == 0.0 and empty.passed
