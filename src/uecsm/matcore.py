@@ -372,8 +372,8 @@ def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
     is read from a ``(rows, B, n, n)`` table that holds every distinct
     prefix of every half once, so words share their products and the
     table grows with the total word length, not with the number of words
-    of a degree.  The index plan of a word tuple is cached.  The fixed
-    word sets of :mod:`uecsm.tracetests` compile their plans once, at
+    of a degree.  The index plan of a word tuple is cached.  The trace
+    criteria of :mod:`uecsm.tracetests` compile their plans once, at
     import, and evaluate them without this function's lookup, which
     hashes every word.
     """

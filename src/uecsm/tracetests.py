@@ -9,15 +9,15 @@ point:
 * the seven derived commutator traces ``psi_1 .. psi_7`` whose joint
   vanishing characterizes UECSM at n = 4.
 
-Every trace comes from the trace engine of :mod:`uecsm.matcore`, from
-plans compiled once, at import: one for each signature
-(:data:`PHI3_WORDS`, :data:`DJOKOVIC_WORDS`), and one per size n = 3, 4
-for both trace families, the complete word set followed by its
-reversals and then the UECSM family (the commutator trace at n = 3,
-``psi_1 .. psi_7`` at n = 4).  The families share every product they
-spell alike, and each call evaluates its plan once, so no call hashes a
-word or looks up a plan.  Transpose equivalence uses the reversal
-identity
+Every trace comes from the trace engine of :mod:`uecsm.matcore`.  The
+raw signatures (:func:`phi3`, :func:`djokovic_signature`) are
+:func:`~uecsm.matcore.word_traces` of their words.  The criteria read
+one plan per size n = 3, 4, compiled once, at import, for both trace
+families: the complete word set followed by its reversals, then the
+UECSM family (the commutator trace at n = 3, ``psi_1 .. psi_7`` at
+n = 4).  The families share every product they spell alike, and each
+call evaluates its plan once, so no criterion hashes a word or looks up
+a plan.  Transpose equivalence uses the reversal identity
 ``tr w(T^t, conj T) = tr rev(w)(T, T*)``: its residuals are the gaps
 ``|tr w - tr rev(w)|``.  Of these, ``phi1``-``phi6`` and ``w01``-``w11``
 vanish identically (each word is a cyclic shift of its reversal), so
@@ -27,10 +27,10 @@ equal gaps; the information sits in ``phi7`` and in the gaps of
 
 The verdicts are computed for a ``(B, n, n)`` stack of normalized
 representatives at once: :func:`trace_verdicts` gives both families'
-verdicts from one evaluation of the size's plan, :func:`uecsm_verdicts`
-and :func:`transpose_verdicts` each keep one family of them, and
-:func:`uecsm_verdict`, :func:`trace_test_3`, :func:`psi7` and
-:func:`transpose_equivalence` read the same plan for one matrix.
+verdicts from one evaluation of the size's plan.  :func:`uecsm_verdict`
+(and :func:`trace_test_3`, its n = 3 case) and
+:func:`transpose_equivalence` are its one-row case, and :func:`psi7`
+reads the UECSM family from the same plan on the caller's matrix.
 
 Tolerance convention (a numerical convention, not part of the algebra):
 the verdicts evaluate their traces on the centered, normalized
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -57,12 +57,12 @@ from .matcore import (
     Word,
     _compile_plan,
     _require_square,
-    _trace_plan,
     _TracePlan,
     adjoint,
     normalize,
     representative,
     reverse_word,
+    word_traces,
 )
 
 # Not called in this module: ``perfbench/tracing.py`` counts word traces by
@@ -103,10 +103,6 @@ DJOKOVIC_WORDS: tuple[Word, ...] = tuple(
         "x3y3x2y2",
     )
 )
-
-_PHI3_PLAN = _trace_plan(PHI3_WORDS)
-_DJOKOVIC_PLAN = _trace_plan(DJOKOVIC_WORDS)
-
 
 #: Letter counts of the words behind psi_1 .. psi_7.
 PSI_DEGREES: tuple[int, ...] = (6, 7, 8, 8, 9, 9, 10)
@@ -173,12 +169,6 @@ _TRACE_CHECKS: dict[int, _TraceChecks] = {
 }
 
 
-def _family_values(t: np.ndarray) -> np.ndarray:
-    """The UECSM family's traces of each matrix of a ``(B, n, n)`` stack, as ``(B, k)``."""
-    plan = _TRACE_CHECKS[t.shape[-1]].plan
-    return plan.traces(t, adjoint(t))[len(plan.words) :].T
-
-
 @dataclass(frozen=True)
 class TraceSignature:
     """A tuple of word-trace values tagged with each word's degree."""
@@ -227,21 +217,20 @@ def _require_dim(t: CMatrix, n: int, who: str) -> None:
 def phi3(t: CMatrix) -> TraceSignature:
     """Seven-word trace signature of a 3x3 matrix (a complete unitary invariant)."""
     _require_dim(t, 3, "phi3")
-    values = tuple(complex(v) for v in _PHI3_PLAN.traces(t, adjoint(t)))
+    values = tuple(complex(v) for v in word_traces(PHI3_WORDS, t, adjoint(t)))
     return TraceSignature("phi3", values, tuple(w.degree for w in PHI3_WORDS))
 
 
 def trace_test_3(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """UECSM test for 3x3: tr[T*T (T*T - TT*) TT*] must vanish."""
     _require_dim(t, 3, "trace_test_3")
-    residual = np.abs(_family_values(representative(t)[0]))
-    return Verdict.from_rows("trace_test_3", ("commutator_trace",), residual, tol)[0]
+    return replace(uecsm_verdict(t, tol), criterion="trace_test_3")
 
 
 def djokovic_signature(t: CMatrix) -> TraceSignature:
     """The twenty word traces tr w_i(T, T*) for a 4x4 matrix."""
     _require_dim(t, 4, "djokovic_signature")
-    values = tuple(complex(v) for v in _DJOKOVIC_PLAN.traces(t, adjoint(t)))
+    values = tuple(complex(v) for v in word_traces(DJOKOVIC_WORDS, t, adjoint(t)))
     return TraceSignature("djokovic20", values, tuple(w.degree for w in DJOKOVIC_WORDS))
 
 
@@ -261,18 +250,15 @@ def unitary_equivalence_4(a: CMatrix, b: CMatrix, tol: float = DEFAULT_TOL) -> V
     pair = math.sqrt(2.0) * pair
     sig_a = djokovic_signature(pair[:4, :4])
     sig_b = djokovic_signature(pair[4:, 4:])
-    residuals = [
-        (f"w{i:02d}", abs(va - vb))
-        for i, (va, vb) in enumerate(zip(sig_a.values, sig_b.values), start=1)
-    ]
-    worst = max(r for _, r in residuals)
-    return Verdict("unitary_equivalence_4", worst <= tol, tuple(residuals), tol)
+    residuals = np.array([[abs(va - vb) for va, vb in zip(sig_a.values, sig_b.values)]])
+    return Verdict.from_rows("unitary_equivalence_4", _TRACE_CHECKS[4].gaps, residuals, tol)[0]
 
 
 def psi7(t: CMatrix) -> TraceSignature:
     """The seven commutator traces whose vanishing characterizes UECSM at n = 4."""
     _require_dim(t, 4, "psi7")
-    values = _family_values(np.asarray(t, dtype=complex)[None])[0]
+    plan = _TRACE_CHECKS[4].plan
+    values = plan.traces(t, adjoint(t))[len(plan.words) :]
     return TraceSignature("psi7", tuple(values.tolist()), PSI_DEGREES)
 
 
@@ -288,23 +274,19 @@ def uecsm_verdict(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     unconditionally; n = 3 reads the trace of :func:`trace_test_3`; n = 4
     the seven traces of :func:`psi7`.  Larger sizes raise
     :class:`UnsupportedDimension` since no complete word criterion is
-    implemented there.  This is the one-matrix case of
-    :func:`uecsm_verdicts`.
+    implemented there.  This is the one-row case of
+    :func:`trace_verdicts`.
     """
     _trace_dimension(_require_square(t), "complete trace criterion")
-    return uecsm_verdicts(representative(t)[0], tol)[0]
-
-
-def uecsm_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
-    """:func:`uecsm_verdict` of each matrix of a ``(B, n, n)`` stack of
-    normalized representatives (:func:`~uecsm.matcore.normalize_stack`)."""
-    return trace_verdicts(reps, tol, tol)[0]
+    return trace_verdicts(representative(t)[0], tol, tol)[0][0]
 
 
 def trace_verdicts(
     reps: np.ndarray, trace_tol: float = DEFAULT_TOL, transpose_tol: float = DEFAULT_TOL
 ) -> tuple[list[Verdict], list[Verdict]]:
-    """:func:`uecsm_verdicts` and :func:`transpose_verdicts` of a stack, from one product table.
+    """:func:`uecsm_verdict` and :func:`transpose_equivalence` of each
+    matrix of a ``(B, n, n)`` stack of normalized representatives
+    (:func:`~uecsm.matcore.normalize_stack`), from one product table.
 
     ``trace_tol`` governs the UECSM verdicts and ``transpose_tol`` the
     transpose verdicts.  Raises :class:`UnsupportedDimension` for
@@ -339,15 +321,8 @@ def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     ``|tr w_i - tr rev(w_i)|`` on the normalized representative, named
     ``phi1..phi7`` or ``w01..w20``.  Equivalent to the UECSM property for
     these sizes, so the verdict must agree with :func:`uecsm_verdict` up
-    to tolerance effects.  This is the one-matrix case of
-    :func:`transpose_verdicts`.
+    to tolerance effects.  This is the one-row case of
+    :func:`trace_verdicts`.
     """
     _trace_dimension(_require_square(t), "word criterion")
-    return transpose_verdicts(representative(t)[0], tol)[0]
-
-
-def transpose_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
-    """:func:`transpose_equivalence` of each matrix of a ``(B, n, n)``
-    stack of normalized representatives."""
-    _trace_dimension(_require_square(reps, stacked=True), "word criterion")
-    return trace_verdicts(reps, tol, tol)[1]
+    return trace_verdicts(representative(t)[0], tol, tol)[1][0]

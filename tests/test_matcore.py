@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uecsm import (
+    DJOKOVIC_WORDS,
+    PHI3_WORDS,
     DimensionMismatch,
     Word,
     adjoint,
@@ -226,10 +228,10 @@ class TestWordTraces:
         assert _trace_plan((w,)).rows <= w.degree + 3
 
     def test_compiled_plans_read_word_traces_and_hash_no_word(self, monkeypatch):
-        # each fixed plan, compiled at import, reads the traces word_traces
-        # gives for its words, bit for bit; the plans of both trace families
-        # read them first, then the UECSM family's traces
-        plans = [(3, tracetests._PHI3_PLAN), (4, tracetests._DJOKOVIC_PLAN)]
+        # each signature's plan and each plan compiled at import read the
+        # traces word_traces gives for their words, bit for bit; the plans of
+        # both trace families read them first, then the UECSM family's traces
+        plans = [(3, _trace_plan(PHI3_WORDS)), (4, _trace_plan(DJOKOVIC_WORDS))]
         plans += [(n, checks.plan) for n, checks in tracetests._TRACE_CHECKS.items()]
         gen = rng(31)
         for n, plan in plans:

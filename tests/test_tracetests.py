@@ -35,7 +35,7 @@ from uecsm.gallery import (
     WAT_COUNTEREXAMPLE,
 )
 from uecsm.matcore import normalize_stack, representative
-from uecsm.tracetests import Verdict, _family_values, trace_verdicts
+from uecsm.tracetests import Verdict, trace_verdicts
 
 from _trace_reference import commutator_trace, psi7_values
 from _util import random_complex_matrix, random_symmetric_matrix, random_unitary, rng
@@ -129,6 +129,33 @@ class TestDjokovic:
         sig2 = djokovic_signature(SCALAR_PLUS_SHIFT_12)
         assert sig1.values[2] == pytest.approx(9.0)
         assert sig2.values[2] == pytest.approx(6.0)
+
+    def test_residuals_are_the_signature_gaps_bit_for_bit(self):
+        # the residuals are Python's abs of the differences of two separate
+        # signatures, of the sqrt(2)-scaled blocks of normalize(diag(A, B));
+        # np.abs of the same differences differs in the last bit on some pairs
+        names = tuple(name for name, _ in transpose_equivalence(WAT_COUNTEREXAMPLE).residuals)
+        quartets = [np.asarray(m) for m, _ in GALLERY.values()]
+        pairs = [(a, b) for a in quartets for b in quartets]
+        gen = rng(33)
+        for i in range(50):
+            scale = 10.0 ** (20 if i % 2 else -20)
+            a = random_complex_matrix(gen, 4, scale)
+            u = random_unitary(gen, 4)
+            b = u @ a @ u.conj().T if i % 4 < 2 else random_complex_matrix(gen, 4, scale)
+            pairs.append((a, b))
+        equivalent = 0
+        for a, b in pairs:
+            v = unitary_equivalence_4(a, b)
+            assert tuple(name for name, _ in v.residuals) == names
+            z = np.zeros((4, 4))
+            pair = math.sqrt(2.0) * normalize(np.block([[a, z], [z, b]]))[0]
+            sig_a, sig_b = djokovic_signature(pair[:4, :4]), djokovic_signature(pair[4:, 4:])
+            expected = [abs(va - vb).hex() for va, vb in zip(sig_a.values, sig_b.values)]
+            assert [r.hex() for _, r in v.residuals] == expected
+            assert v.max_residual == max(r for _, r in v.residuals)
+            equivalent += v.passed
+        assert equivalent >= len(quartets) + 25
 
 
 class TestPsi7:
@@ -286,6 +313,15 @@ class TestWordReductions:
             assert abs(gap(16) - gap(17)) <= 1e-9 * norm**8
 
 
+def _bits(item):
+    """``item`` with every float spelled by ``float.hex``: a verdict as
+    ``(criterion, passed, residuals, tol)``, or a sequence of complex values."""
+    if isinstance(item, Verdict):
+        residuals = tuple((name, float(r).hex()) for name, r in item.residuals)
+        return (item.criterion, item.passed, residuals, item.tol.hex())
+    return tuple((complex(v).real.hex(), complex(v).imag.hex()) for v in item)
+
+
 def _residual_rows(verdicts, width):
     return np.array([[r for _, r in v.residuals] for v in verdicts]).reshape(len(verdicts), width)
 
@@ -324,7 +360,7 @@ class TestSharedPlans:
             assert np.array_equal(_residual_rows(traces, expected.shape[1]), expected)
             if n == 4:
                 # the raw, unnormalized traces of psi7 too
-                assert np.array_equal(_family_values(ts), psi7_values(ts))
+                assert [psi7(t).values for t in ts] == list(map(tuple, psi7_values(ts).tolist()))
 
     @pytest.mark.parametrize("label", sorted(GALLERY))
     def test_one_matrix_criteria_match_the_reference(self, label):
@@ -333,6 +369,17 @@ class TestSharedPlans:
         block = t[:3, :3]
         residuals = [r for _, r in trace_test_3(block).residuals]
         assert residuals == commutator_trace(representative(block)[0])[0].tolist()
+        # each one-matrix function is the one-row case of trace_verdicts or
+        # word_traces, bit for bit
+        signatures = ((block, phi3, PHI3_WORDS), (t, djokovic_signature, DJOKOVIC_WORDS))
+        for m, signature, words in signatures:
+            traces, transposes = trace_verdicts(representative(m)[0])
+            assert _bits(uecsm_verdict(m)) == _bits(traces[0])
+            assert _bits(transpose_equivalence(m)) == _bits(transposes[0])
+            assert _bits(signature(m).values) == _bits(word_traces(words, m, adjoint(m)).tolist())
+        test3 = trace_test_3(block)
+        assert test3.criterion == "trace_test_3"
+        assert _bits(test3)[1:] == _bits(uecsm_verdict(block))[1:]
 
     @pytest.mark.parametrize("n, rows, levels", [(3, 13, 3), (4, 59, 5)])
     def test_table_sizes(self, n, rows, levels):
