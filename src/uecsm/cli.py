@@ -21,7 +21,9 @@ Subcommands, each of which takes only the options it reads:
 * ``uecsm batch DIR`` (with the analysis options of ``test``) processes
   a directory of documents and exits 1 when any file shows a conflict
   between criteria, else 2 when any file could not be read or
-  analyzed, else 0.  It parses every file, then runs
+  analyzed, else 0.  A listed entry that is neither a file nor a
+  directory (a FIFO, socket or device) is an error row, decided without
+  opening it.  It parses every file, then runs
   :func:`analyze_stack` once per matrix size, so each criterion runs
   once on the stack of that size's matrices.  With ``--json`` it prints
   one compact JSON document, and every field except the top-level
@@ -36,13 +38,23 @@ Every ``--json`` report is encoded by :func:`_print_json` with orjson,
 keys sorted: compact for ``batch``, with a 2-space indent for ``test``
 and ``classify-nilpotent``.  Floats are written as the shortest text
 that reads back to the same value, and non-ASCII text as UTF-8.  Matrix
-documents are read and written with the stdlib :mod:`json`.
+documents are written with ``json.dumps``, whose text is the canonical
+form.
+
+A matrix document, a file read once as bytes or a string, is decoded by
+orjson where that gives what ``json.loads`` gives, and by ``json.loads``
+everywhere else: text with more than 1024 brackets, text orjson refuses
+(NaN, ``Infinity``, ``1e309``, a lone surrogate, a BOM, bad UTF-8), a
+key other than ``label``, ``n`` and ``entries``, and any document that
+fails its checks, such as an ``n`` beyond 64 bits, which orjson reads as
+a float.  So every document gives the values, or the error text, that
+the stdlib decoder alone gives.  The decoded document is checked entry
+by entry in one pass that also collects the floats, and the matrix is
+built from them in one array operation; each error names the first
+entry at fault.
 
 :func:`main` builds the argument parser once per process, on its first
-call, and every later call parses with the same parser.  A document is
-checked entry by entry in one pass that also collects the floats, and
-the matrix is built from them in one array operation; each error names
-the first entry at fault.
+call, and every later call parses with the same parser.
 
 :func:`analyze_stack` is the one analysis: it normalizes a stack of
 matrices of one size once and runs every criterion on the whole stack.
@@ -123,13 +135,21 @@ class MatrixDocument:
     label: Optional[str] = None
 
 
-def parse_document_text(text: str) -> MatrixDocument:
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and integers longer than
-        # Python's digit limit; RecursionError is nesting too deep to decode
-        raise ParseError(f"invalid JSON: {exc}") from exc
+#: The fields of a document.  orjson's reading of a document that holds
+#: any other key is not used, so that nesting under an unknown key is
+#: refused exactly when json.loads refuses it.
+_FIELDS = frozenset(("label", "n", "entries"))
+
+#: The most opening brackets a document may hold for orjson to decode it;
+#: 1024 takes every matrix up to 31x31.  orjson 3.8 descends one C stack
+#: frame per nesting level with no limit of its own, and a document nested
+#: 150,000 deep crashes the process on an 8 MiB stack; a document with more
+#: brackets goes to json.loads, which refuses deep nesting.
+_ORJSON_MAX_BRACKETS = 1024
+
+
+def _document(raw: object) -> MatrixDocument:
+    """Check a decoded document entry by entry and build its matrix."""
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
     label = raw.get("label")
@@ -141,7 +161,7 @@ def parse_document_text(text: str) -> MatrixDocument:
         raise ParseError("field 'n' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError(f"'entries' must be a list of {n} rows")
-    # one pass over the entries; json.loads yields exact list, int, float
+    # one pass over the entries; both decoders yield exact list, int, float
     # and bool, so exact type checks also refuse true and false
     parts: list[float] = []
     for i, row in enumerate(entries):
@@ -169,6 +189,40 @@ def parse_document_text(text: str) -> MatrixDocument:
     return MatrixDocument(matrix=matrix, label=label)
 
 
+def _orjson_document(data: bytes) -> Optional[MatrixDocument]:
+    """The valid document orjson reads from ``data``, or None wherever
+    ``json.loads`` might read it otherwise (the module docstring lists the
+    cases).  What remains is read alike: orjson reads an entry beyond 64
+    bits as the float that ``float(int)`` gives."""
+    if data.count(b"[") + data.count(b"{") > _ORJSON_MAX_BRACKETS:
+        return None
+    try:
+        raw = orjson.loads(data)
+        if type(raw) is dict and raw.keys() <= _FIELDS:
+            return _document(raw)
+    except (orjson.JSONDecodeError, ParseError):
+        pass
+    return None
+
+
+def _json_document(text: str) -> MatrixDocument:
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers longer than
+        # Python's digit limit; RecursionError is nesting too deep to decode
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    return _document(raw)
+
+
+def parse_document_text(text: str) -> MatrixDocument:
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate, which orjson refuses
+        return _json_document(text)
+    return _orjson_document(data) or _json_document(text)
+
+
 def document_to_text(doc: MatrixDocument) -> str:
     """Canonical serialization; parse followed by write is byte-stable."""
     n = doc.matrix.shape[0]
@@ -184,13 +238,24 @@ def document_to_text(doc: MatrixDocument) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _file_text(data: bytes, path: Path) -> str:
+    """``data`` as ``Path.read_text`` decodes it: UTF-8 with universal
+    newlines, whose line ends json's error positions count."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_matrix_document(path: Path) -> MatrixDocument:
     """Read the document at ``path``; a missing or empty label becomes the file stem."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb", buffering=0) as f:  # one read, no buffer to fill
+            data = f.read()
+    except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    doc = parse_document_text(text)
+    doc = _orjson_document(data) or _json_document(_file_text(data, path))
     if not doc.label:
         doc = MatrixDocument(matrix=doc.matrix, label=path.stem)
     return doc
@@ -583,6 +648,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_UECSM
 
 
+def _safe_to_open(entry: os.DirEntry) -> bool:
+    """False for a FIFO, socket or device, told without opening it: opening a
+    FIFO waits for a writer.  True for a directory or a link to nothing,
+    whose opening fails at once with its usual error."""
+    try:
+        return entry.is_file() or entry.is_dir() or not os.path.exists(entry.path)
+    except OSError:  # the target of a link cannot be examined; reading it says why
+        return True
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
@@ -592,7 +667,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # one pass that keeps what glob("*.json") keeps: hidden files,
         # directories (each becomes an error row), names matched case-sensitively
         with os.scandir(directory) as entries:
-            listed = sorted(e.name for e in entries if e.name.endswith(".json"))
+            listed = {e.name: _safe_to_open(e) for e in entries if e.name.endswith(".json")}
     except OSError as exc:
         print(f"error: cannot list {directory}: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -600,11 +675,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     # parsed file's report comes from the stacked analysis below
     files: dict[str, list] = {}
     groups: dict[int, list[tuple[str, MatrixDocument]]] = {}
-    for name in listed:
+    for name in sorted(listed):
         path = directory / name
         start = time.perf_counter()
         report = None
         try:
+            if not listed[name]:
+                raise ParseError(f"cannot read {path}: not a regular file")
             doc = load_matrix_document(path)
             groups.setdefault(doc.matrix.shape[0], []).append((name, doc))
         except UecsmError as exc:

@@ -158,6 +158,14 @@ UNPARSABLE = {
 }
 
 
+def _run_uecsm(*argv: str, input: bytes = b"") -> subprocess.CompletedProcess:
+    """``python -m uecsm ARGV`` in a child process, which fails the test if it hangs."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "uecsm", *argv], env=env, input=input, capture_output=True, timeout=20
+    )
+
+
 class TestExitCodes:
     def test_exit_code_pure_mapping(self):
         base = Report(label="x", dimension=4, tol=1e-8)
@@ -472,6 +480,28 @@ class TestBatch:
             "files": len(GALLERY) + 2, "uecsm": 2, "not_uecsm": len(GALLERY) - 1,
             "conflicts": 0, "errors": 1,
         }
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_is_an_error_row(self, fixture_dir):
+        # opening a FIFO waits for a writer; the command must not
+        os.mkfifo(fixture_dir / "pipe.json")
+        (fixture_dir / "nowhere.json").symlink_to(fixture_dir / "missing")
+        run = _run_uecsm("batch", str(fixture_dir), "--json")
+        assert run.returncode == EXIT_INCONCLUSIVE
+        payload = json.loads(run.stdout)
+        reports = payload["reports"]
+        assert reports["pipe.json"]["error"] == f"cannot read {fixture_dir / 'pipe.json'}: not a regular file"
+        # a link to nothing keeps the error its opening gives
+        assert reports["nowhere.json"]["error"].startswith(f"cannot read {fixture_dir / 'nowhere.json'}: [Errno")
+        assert payload["summary"]["errors"] == 2
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin on this platform")
+    def test_cmd_test_reads_a_pipe(self):
+        # as in `uecsm test <(cat m.json)`
+        document = (FIXTURES / "wat_counterexample.json").read_bytes()
+        run = _run_uecsm("test", "/dev/stdin", "--json", input=document)
+        assert run.returncode == EXIT_NOT_UECSM
+        assert json.loads(run.stdout)["label"] == "wat-counterexample"
 
     def test_unreadable_directory_is_an_error(self, fixture_dir, capsys, monkeypatch):
         def refused(path):

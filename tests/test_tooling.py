@@ -69,3 +69,57 @@ def test_traced_search_records_lm_steps(monkeypatch):
     spans = [s for s in tracer.spans if s.name == "oracle.find_symmetrizer"]
     assert [(s.outcome, s.iterations) for s in spans] == [("witness", result.iterations)]
     assert result.iterations > 0
+
+
+def _load_bench_pairs(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_alternates_and_summarizes(monkeypatch):
+    bench = _load_bench_pairs(monkeypatch)
+    spec = {
+        "end_to_end": [
+            {"name": "p50_ms", "better": "lower", "bound": 0.2},
+            {"name": "matrices_per_s", "better": "higher", "bound": 0.2},
+        ]
+    }
+    # the change is faster on every seed but the last; its failure count is 1 op
+    speeds = {"parent": [100, 104, 96, 102], "change": [110, 112, 108, 101]}
+    calls = []
+
+    def runner(checkout, argv):
+        side = checkout.name
+        seed = int(argv[argv.index("--seed") + 1])
+        calls.append((seed, side))
+        rate = speeds[side][seed - 1]
+        metrics = {"p50_ms": 1000 / rate, "matrices_per_s": rate}
+        return {
+            "correct": True,
+            "attempted": rate,
+            "failed": int(side == "change" and seed == 4),
+            "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()},
+        }
+
+    checkouts = {side: Path(side) for side in bench.SIDES}
+    pairs = bench.run_pairs(checkouts, "batch", [1, 2, 3, 4], 1.0, runner=runner)
+    assert calls == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+        (3, "parent"), (3, "change"), (4, "change"), (4, "parent"),
+    ]  # fmt: skip
+    record = bench.summarize(pairs, spec)
+    assert record["failed_ops"] == {"parent": 0, "change": 1}
+    rate = record["metrics"]["matrices_per_s"]
+    assert rate["parent"] == {"q25": 99.0, "median": 101.0, "q75": 102.5, "runs": speeds["parent"]}
+    assert rate["change"]["median"] == 109.0
+    assert rate["change_wins"] == 3
+    assert rate["relative_change_of_median"] == round(8 / 101, 4) and rate["within_bound"]
+    assert record["metrics"]["p50_ms"]["change_wins"] == 3
+    claimed = bench.claim("batch", record, "matrices_per_s", spec)
+    assert (claimed["wins"], claimed["median_gap"], claimed["parent_iqr"]) == (3, 8.0, 3.5)
+    assert not claimed["met"]  # 3 of 4 pairs is fewer than 9 in 10
+    assert bench._seeds(["9601-9603", "7"]) == [9601, 9602, 9603, 7]
