@@ -166,7 +166,7 @@ def test_benchmark_corpus(tmp_path, monkeypatch):
 def test_nesting_too_deep_for_the_c_stack(tmp_path):
     # orjson 3.8 overflows the C stack on about 150,000 nested lists, so
     # both entry points run in a child process: a crash fails this test
-    # without taking the test session with it
+    # without ending the rest of the test run
     path = tmp_path / "deep.json"
     path.write_bytes(_nested(300_000).encode())
     script = (
