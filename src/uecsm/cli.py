@@ -41,14 +41,15 @@ that reads back to the same value, and non-ASCII text as UTF-8.  Matrix
 documents are written with ``json.dumps``, whose text is the canonical
 form.
 
-A matrix document, a file read once as bytes or a string, is decoded by
-orjson where that gives what ``json.loads`` gives, and by ``json.loads``
+:func:`load_matrix_document` reads a document file once as bytes and
+decodes it with orjson where that gives what ``json.loads`` gives, and
+with :func:`parse_document_text` (``json.loads`` on the UTF-8 text)
 everywhere else: text with more than 1024 brackets, text orjson refuses
 (NaN, ``Infinity``, ``1e309``, a lone surrogate, a BOM, bad UTF-8), a
 key other than ``label``, ``n`` and ``entries``, and any document that
 fails its checks, such as an ``n`` beyond 64 bits, which orjson reads as
-a float.  So every document gives the values, or the error text, that
-the stdlib decoder alone gives.  The decoded document is checked entry
+a float.  So every file gives the values, or the error text, that the
+stdlib decoder alone gives.  The decoded document is checked entry
 by entry in one pass that also collects the floats, and the matrix is
 built from them in one array operation; each error names the first
 entry at fault.
@@ -205,7 +206,7 @@ def _orjson_document(data: bytes) -> Optional[MatrixDocument]:
     return None
 
 
-def _json_document(text: str) -> MatrixDocument:
+def parse_document_text(text: str) -> MatrixDocument:
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -213,14 +214,6 @@ def _json_document(text: str) -> MatrixDocument:
         # Python's digit limit; RecursionError is nesting too deep to decode
         raise ParseError(f"invalid JSON: {exc}") from exc
     return _document(raw)
-
-
-def parse_document_text(text: str) -> MatrixDocument:
-    try:
-        data = text.encode()
-    except UnicodeEncodeError:  # a lone surrogate, which orjson refuses
-        return _json_document(text)
-    return _orjson_document(data) or _json_document(text)
 
 
 def document_to_text(doc: MatrixDocument) -> str:
@@ -255,7 +248,7 @@ def load_matrix_document(path: Path) -> MatrixDocument:
             data = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    doc = _orjson_document(data) or _json_document(_file_text(data, path))
+    doc = _orjson_document(data) or parse_document_text(_file_text(data, path))
     if not doc.label:
         doc = MatrixDocument(matrix=doc.matrix, label=path.stem)
     return doc

@@ -1,9 +1,9 @@
 """Matrix documents are read exactly as the stdlib json reader read them.
 
-``uecsm.cli`` decodes a document with orjson and falls back to
-``json.loads`` wherever the two might disagree.  Every case here checks
-both entry points, ``load_matrix_document`` (a file) and
-``parse_document_text`` (a string), against the json-only reader kept in
+``load_matrix_document`` decodes a file with orjson and falls back to
+``parse_document_text``, which decodes a string with ``json.loads``
+alone, wherever the two might disagree.  Every case here checks both
+entry points against the json-only reader kept in
 ``_document_reference``: the same entries to the last bit and the same
 label, or a ``ParseError`` with the same text.
 """
@@ -123,12 +123,6 @@ def test_table(tmp_path, name):
     path = tmp_path / "m.json"
     path.write_bytes(CASES[name])
     _assert_same(path)
-
-
-def test_text_with_a_lone_surrogate():
-    text = VALID.replace('"m"', '"\ud800"')
-    assert _outcome(parse_document_text, text) == _outcome(reference.parse_document_text, text)
-    assert parse_document_text(text).label == "\ud800"
 
 
 def test_missing_file_and_directory(tmp_path):

@@ -84,7 +84,7 @@ def test_bench_pairs_alternates_and_summarizes(monkeypatch):
     bench = _load_bench_pairs(monkeypatch)
     spec = {
         "end_to_end": [
-            {"name": "p50_ms", "better": "lower", "bound": 0.2},
+            {"name": "p50_ms", "better": "lower", "bound": 0.05},
             {"name": "matrices_per_s", "better": "higher", "bound": 0.2},
         ]
     }
@@ -118,7 +118,16 @@ def test_bench_pairs_alternates_and_summarizes(monkeypatch):
     assert rate["change"]["median"] == 109.0
     assert rate["change_wins"] == 3
     assert rate["relative_change_of_median"] == round(8 / 101, 4) and rate["within_bound"]
-    assert record["metrics"]["p50_ms"]["change_wins"] == 3
+    # the parent's rates span 8 % of their median, inside a 20 % bound
+    assert rate["resolved"]
+    latency = record["metrics"]["p50_ms"]
+    assert latency["change_wins"] == 3 and latency["within_bound"]
+    # its latencies span 8 % too, wider than a 5 % bound, and one change run
+    # (seed 4) is slower than the parent's fastest
+    assert not latency["resolved"]
+    assert bench.resolved([10.0, 9.0, 11.0], [8.9, 8.0, 8.5], True, 0.05)
+    assert not bench.resolved([10.0, 9.0, 11.0], [9.1, 8.0, 8.5], True, 0.05)
+    assert bench.resolved([100, 120, 90], [121, 130], False, 0.05)
     claimed = bench.claim("batch", record, "matrices_per_s", spec)
     assert (claimed["wins"], claimed["median_gap"], claimed["parent_iqr"]) == (3, 8.0, 3.5)
     assert not claimed["met"]  # 3 of 4 pairs is fewer than 9 in 10

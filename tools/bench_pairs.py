@@ -6,8 +6,9 @@ compiles its sources).  Pair k runs the parent first when k is even and
 the change first when k is odd.  For every end-to-end metric that
 ``BENCHMARK.json`` lists, the record holds each side's runs and their
 quartiles (linear interpolation, as numpy's default percentiles), how
-many pairs the change won, the relative change of the median and
-whether it is within the metric's bound.  Standard library only::
+many pairs the change won, the relative change of the median, whether
+it is within the metric's bound, and whether the runs resolve the bound
+at all.  Standard library only::
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload batch \\
         --seeds 9601-9610 --seconds 30 --out BENCH_name.json \\
@@ -102,6 +103,15 @@ def quartiles(runs: list[float]) -> dict:
     return {"q25": round(q25, 4), "median": round(median, 4), "q75": round(q75, 4)}
 
 
+def resolved(parent: list[float], change: list[float], lower: bool, bound: float) -> bool:
+    """False when the parent's runs spread over more than ``bound`` of their
+    median, so a shift within the bound cannot be told from noise, unless
+    every run of the change beats every run of the parent."""
+    if (lower and max(change) < min(parent)) or (not lower and min(change) > max(parent)):
+        return True
+    return max(parent) - min(parent) <= bound * statistics.median(parent)
+
+
 def summarize(pairs: list[dict[str, dict]], spec: dict) -> dict:
     """The record of one workload's end-to-end pairs, with every metric against its bound."""
     record = {
@@ -124,6 +134,7 @@ def summarize(pairs: list[dict[str, dict]], spec: dict) -> dict:
             relative_change_of_median=round(relative, 4),
             bound=metric["bound"],
             within_bound=worse <= metric["bound"],
+            resolved=resolved(runs["parent"], runs["change"], lower, metric["bound"]),
         )
         record["metrics"][name] = entry
     return record
@@ -197,13 +208,12 @@ def parse_args(argv):
     parser.add_argument("--trace", action="store_true", help="one traced pair per seed, parent first")
     parser.add_argument("--claim", metavar="METRIC", help="end-to-end metric whose gain is claimed")
     parser.add_argument("--out", type=Path, required=True, help="record to write or update")
-    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    spec = json.loads(args.benchmark.read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = _seeds(args.seeds)
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
@@ -229,7 +239,7 @@ def main(argv=None) -> int:
             print(
                 f"{args.workload} {name}: {entry['parent']['median']:.6g} -> {entry['change']['median']:.6g} "
                 f"({entry['relative_change_of_median']:+.1%}, wins {entry['change_wins']}/{len(pairs)}, "
-                f"within bound {entry['within_bound']})"
+                f"within bound {entry['within_bound']}, resolved {entry['resolved']})"
             )
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
