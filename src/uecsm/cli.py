@@ -10,8 +10,8 @@ Subcommands, each of which takes only the options it reads:
   the matrix is UECSM, 1 when it is not, 2 on errors or when the
   criteria disagree.  It takes the analysis options ``--json`` and
   ``--tol``, ``--oracle``, ``--seed``, ``--restarts``, ``--tol-oracle``,
-  ``--tol-trace``, ``--tol-angle``, ``--tol-transpose``, which it
-  forwards to :func:`analyze_stack`;
+  ``--tol-trace``, ``--tol-angle``, which it forwards to
+  :func:`analyze_stack`;
 * ``uecsm classify-nilpotent --params a,b,c,d,e,f`` (with ``--tol``
   and ``--json``) runs the closed-form classification and cross-checks
   it against the trace test;
@@ -112,9 +112,9 @@ from .oracle import WITNESS_TOL, OracleResult, _symmetrizer
 from .spectra import eigensystem, eigensystem_stack
 from .tracetests import DEFAULT_TOL, Verdict, trace_verdicts, uecsm_verdict
 
-# Not called in this module: ``perfbench/tracing.py`` times transpose
-# equivalence, the one-matrix angle tests and the oracle by wrapping these
-# bindings, so removing them breaks every traced benchmark run.
+# Not called in this module: ``perfbench/tracing.py`` times the library's
+# transpose equivalence, the one-matrix angle tests and the oracle by
+# wrapping these bindings, so removing them breaks every traced benchmark run.
 from .angletests import angle_suite  # noqa: F401
 from .oracle import find_symmetrizer  # noqa: F401
 from .tracetests import transpose_equivalence  # noqa: F401
@@ -329,9 +329,6 @@ def _find_conflicts(report: Report) -> list[tuple[str, str]]:
     trace = verdicts.get("uecsm")
     if trace is None:
         return conflicts
-    transpose = verdicts.get("transpose_equivalence")
-    if transpose is not None and transpose.passed != trace.passed:
-        conflicts.append(("uecsm", "transpose_equivalence"))
     sat_v = verdicts.get("sat")
     if sat_v is not None and sat_v.passed != trace.passed:
         conflicts.append(("uecsm", "sat"))
@@ -373,12 +370,14 @@ def analyze_stack(
     seed: int = 0,
     trace_tol: Optional[float] = None,
     angle_tol: Optional[float] = None,
-    transpose_tol: Optional[float] = None,
 ) -> list[Report]:
     """Run every applicable criterion on each matrix of a ``(B, n, n)`` stack.
 
     ``tol`` governs every criterion unless its family's override
-    (``trace_tol``, ``angle_tol``, ``transpose_tol``) is given.  Each
+    (``trace_tol``, ``angle_tol``) is given.  The trace criterion is the
+    UECSM verdict of :func:`~uecsm.tracetests.trace_verdicts`; transpose
+    equivalence is not reported, since for n <= 4 its non-trivial
+    reversal gaps are the same traces.  Each
     matrix is normalized once, and every criterion runs on the whole
     stack at once; the reports equal those each matrix gets alone.  A
     matrix whose angle tests refuse it gets its spectral
@@ -392,11 +391,7 @@ def analyze_stack(
         raise ValueError(f"{len(labels)} labels for {len(ts)} matrices")
     reps, mu, s = normalize_stack(ts)
     try:
-        traces, transposes = trace_verdicts(
-            reps,
-            tol if trace_tol is None else trace_tol,
-            tol if transpose_tol is None else transpose_tol,
-        )
+        traces = trace_verdicts(reps, tol if trace_tol is None else trace_tol)
     except UnsupportedDimension as exc:
         return [Report(label=label, dimension=n, tol=tol, error=str(exc)) for label in labels]
     angles = angle_verdicts(eigensystem_stack(reps, mu, s), tol if angle_tol is None else angle_tol)
@@ -410,7 +405,6 @@ def analyze_stack(
             report.error = str(outcome)
             continue
         report.verdicts["uecsm"] = traces[b]
-        report.verdicts["transpose_equivalence"] = transposes[b]
         if isinstance(outcome, UecsmError):
             report.spectral_status, note = _spectral_refusal(outcome)
             report.notes.append(note)
@@ -789,9 +783,6 @@ _OPTIONS: dict[str, dict] = {
     ),
     "--tol-angle": dict(
         dest="angle_tol", type=_tolerance, default=None, help="override for angle criteria"
-    ),
-    "--tol-transpose": dict(
-        dest="transpose_tol", type=_tolerance, default=None, help="override for transpose equivalence"
     ),
 }
 

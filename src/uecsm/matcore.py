@@ -11,9 +11,8 @@ plan per word tuple, cached for tuples that callers pass, and evaluates
 it.  A plan's product table holds I, x, y and rows that are each the
 product or the difference of two earlier rows, so a plan can also hold
 traces ``tr(L R)`` of products that are not words read left to right;
-:mod:`uecsm.tracetests` compiles one plan per size for both of its
-trace families (the reversal words and the UECSM commutator traces)
-once, at import, and evaluates that plan directly.
+:mod:`uecsm.tracetests` compiles one plan per size for the UECSM
+commutator traces once, at import, and evaluates that plan directly.
 
 :func:`normalize_stack`, :func:`word_traces` and :func:`adjoint` also
 take a ``(B, n, n)`` stack of matrices of one size; the one-matrix
@@ -232,11 +231,10 @@ class _TracePlan:
     letters; every other row is the product or the difference of two
     earlier rows.  Each of ``levels`` fills a run of rows from their
     operands in one batched ``np.matmul`` or ``np.subtract``, and the
-    traces are ``tr(table[left] table[right])``: first those of
-    ``words``, then any further pairs the plan was compiled with.
+    traces are ``tr(table[left] table[right])``, in the order of the
+    pairs the plan was compiled from (:func:`_compile_plan`).
     """
 
-    words: tuple[Word, ...]
     rows: int
     levels: tuple[tuple[np.ufunc, int, int, np.ndarray, np.ndarray], ...]
     left: np.ndarray
@@ -304,7 +302,7 @@ class _TableBuilder:
             row = letter if row is self.identity else row @ letter
         return row
 
-    def plan(self, words: tuple[Word, ...], pairs: Sequence[tuple[_Row, _Row]]) -> _TracePlan:
+    def plan(self, pairs: Sequence[tuple[_Row, _Row]]) -> _TracePlan:
         """The plan reading ``tr(L R)`` for each pair ``(L, R)`` of rows.
 
         Each row runs as late as its readers allow, in levels that
@@ -334,7 +332,7 @@ class _TableBuilder:
             levels.append((ops[0][0], index[group[0]], index[group[0]] + len(group), a, b))
         left = np.array([index[l.index] for l, _ in pairs], dtype=np.intp)
         right = np.array([index[r.index] for _, r in pairs], dtype=np.intp)
-        return _TracePlan(words, len(index), tuple(levels), left, right)
+        return _TracePlan(len(index), tuple(levels), left, right)
 
 
 def _compile_plan(words: tuple[Word, ...], family: Optional[Callable] = None) -> _TracePlan:
@@ -354,7 +352,7 @@ def _compile_plan(words: tuple[Word, ...], family: Optional[Callable] = None) ->
         pairs.append((table.word(letters[:cut]), table.word(letters[cut:])))
     if family is not None:
         pairs.extend(family(table.x, table.y))
-    return table.plan(words, pairs)
+    return table.plan(pairs)
 
 
 @lru_cache(maxsize=256)
@@ -372,7 +370,7 @@ def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
     is read from a ``(rows, B, n, n)`` table that holds every distinct
     prefix of every half once, so words share their products and the
     table grows with the total word length, not with the number of words
-    of a degree.  The index plan of a word tuple is cached.  The trace
+    of a degree.  The index plan of a word tuple is cached.  The UECSM
     criteria of :mod:`uecsm.tracetests` compile their plans once, at
     import, and evaluate them without this function's lookup, which
     hashes every word.

@@ -11,26 +11,28 @@ point:
 
 Every trace comes from the trace engine of :mod:`uecsm.matcore`.  The
 raw signatures (:func:`phi3`, :func:`djokovic_signature`) are
-:func:`~uecsm.matcore.word_traces` of their words.  The criteria read
-one plan per size n = 3, 4, compiled once, at import, for both trace
-families: the complete word set followed by its reversals, then the
-UECSM family (the commutator trace at n = 3, ``psi_1 .. psi_7`` at
-n = 4).  The families share every product they spell alike, and each
-call evaluates its plan once, so no criterion hashes a word or looks up
-a plan.  Transpose equivalence uses the reversal identity
-``tr w(T^t, conj T) = tr rev(w)(T, T*)``: its residuals are the gaps
-``|tr w - tr rev(w)|``.  Of these, ``phi1``-``phi6`` and ``w01``-``w11``
-vanish identically (each word is a cyclic shift of its reversal), so
-they read rounding only, and ``w12``/``w13`` and ``w16``/``w17`` have
-equal gaps; the information sits in ``phi7`` and in the gaps of
-``w12``, ``w14``-``w16`` and ``w18``-``w20``.
+:func:`~uecsm.matcore.word_traces` of their words.  The UECSM criteria
+read one plan per size n = 3, 4, compiled once, at import: the
+commutator trace at n = 3, ``psi_1 .. psi_7`` at n = 4.  Each call
+evaluates its plan once, so no criterion hashes a word or looks up a
+plan.  :func:`trace_verdicts` gives the UECSM verdict of every matrix of
+a ``(B, n, n)`` stack of normalized representatives from one evaluation
+of the size's plan; :func:`uecsm_verdict` (and :func:`trace_test_3`, its
+n = 3 case) is its one-row case, and :func:`psi7` reads the same plan on
+the caller's matrix.
 
-The verdicts are computed for a ``(B, n, n)`` stack of normalized
-representatives at once: :func:`trace_verdicts` gives both families'
-verdicts from one evaluation of the size's plan.  :func:`uecsm_verdict`
-(and :func:`trace_test_3`, its n = 3 case) and
-:func:`transpose_equivalence` are its one-row case, and :func:`psi7`
-reads the UECSM family from the same plan on the caller's matrix.
+:func:`transpose_equivalence` is a library function of its own.  By the
+reversal identity ``tr w(T^t, conj T) = tr rev(w)(T, T*)`` its residuals
+are the gaps ``|tr w - tr rev(w)|`` of the complete word set, read by
+:func:`~uecsm.matcore.word_traces`.  These gaps are the UECSM family
+again: ``phi1``-``phi6`` and ``w01``-``w11`` vanish identically (each
+word is a cyclic shift of its reversal), ``w13`` and ``w17`` are the
+letter swaps of ``w12`` and ``w16`` and have their gaps with the sign
+flipped, the gap of ``phi7`` is the 3x3 commutator trace, and the gaps of
+``w12``, ``w14``-``w16`` and ``w18``-``w20`` are ``psi_1 .. psi_7``.  So
+for n <= 4 it decides what :func:`uecsm_verdict` decides (Garcia and
+Tener: for n <= 7, T is UECSM exactly when T is unitarily equivalent to
+its transpose), in another association order.
 
 Tolerance convention (a numerical convention, not part of the algebra):
 the verdicts evaluate their traces on the centered, normalized
@@ -45,7 +47,6 @@ caller's matrix and are not normalized.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -141,31 +142,29 @@ def _psi7_pairs(x, y):
 
 @dataclass(frozen=True)
 class _TraceChecks:
-    """One plan per size for both trace families of a stack.
-
-    The plan's traces are those of the complete word set followed by its
-    reversals (the transpose gaps, named ``gaps``), then the UECSM
-    family's ``tr(L R)`` values (named ``names``, criterion ``criterion``).
-    """
+    """The UECSM family of one size: its compiled plan, whose traces are
+    the ``tr(L R)`` values named ``names``, and its criterion."""
 
     plan: _TracePlan
-    gaps: tuple[str, ...]
     criterion: str
     names: tuple[str, ...]
 
 
-def _trace_checks(
-    words: tuple[Word, ...], gap_name: str, criterion: str, names: tuple[str, ...], family: Callable
-) -> _TraceChecks:
-    plan = _compile_plan(words + tuple(map(reverse_word, words)), family)
-    gaps = tuple(gap_name.format(i) for i in range(1, len(words) + 1))
-    return _TraceChecks(plan, gaps, criterion, names)
-
-
 #: n -> the checks of :func:`trace_verdicts`, compiled at import.
 _TRACE_CHECKS: dict[int, _TraceChecks] = {
-    3: _trace_checks(PHI3_WORDS, "phi{}", "uecsm_trace3", ("commutator_trace",), _commutator_pairs),
-    4: _trace_checks(DJOKOVIC_WORDS, "w{:02d}", "uecsm_psi7", _PSI_NAMES, _psi7_pairs),
+    3: _TraceChecks(_compile_plan((), _commutator_pairs), "uecsm_trace3", ("commutator_trace",)),
+    4: _TraceChecks(_compile_plan((), _psi7_pairs), "uecsm_psi7", _PSI_NAMES),
+}
+
+#: n -> the complete word set of :func:`transpose_equivalence`, then its reversals.
+_REVERSAL_WORDS: dict[int, tuple[Word, ...]] = {
+    n: words + tuple(map(reverse_word, words)) for n, words in ((3, PHI3_WORDS), (4, DJOKOVIC_WORDS))
+}
+
+#: n -> the names of the word comparisons: ``phi1..phi7`` or ``w01..w20``.
+_WORD_NAMES: dict[int, tuple[str, ...]] = {
+    3: tuple(f"phi{i}" for i in range(1, len(PHI3_WORDS) + 1)),
+    4: tuple(f"w{i:02d}" for i in range(1, len(DJOKOVIC_WORDS) + 1)),
 }
 
 
@@ -251,14 +250,13 @@ def unitary_equivalence_4(a: CMatrix, b: CMatrix, tol: float = DEFAULT_TOL) -> V
     sig_a = djokovic_signature(pair[:4, :4])
     sig_b = djokovic_signature(pair[4:, 4:])
     residuals = np.array([[abs(va - vb) for va, vb in zip(sig_a.values, sig_b.values)]])
-    return Verdict.from_rows("unitary_equivalence_4", _TRACE_CHECKS[4].gaps, residuals, tol)[0]
+    return Verdict.from_rows("unitary_equivalence_4", _WORD_NAMES[4], residuals, tol)[0]
 
 
 def psi7(t: CMatrix) -> TraceSignature:
     """The seven commutator traces whose vanishing characterizes UECSM at n = 4."""
     _require_dim(t, 4, "psi7")
-    plan = _TRACE_CHECKS[4].plan
-    values = plan.traces(t, adjoint(t))[len(plan.words) :]
+    values = _TRACE_CHECKS[4].plan.traces(t, adjoint(t))
     return TraceSignature("psi7", tuple(values.tolist()), PSI_DEGREES)
 
 
@@ -278,37 +276,23 @@ def uecsm_verdict(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     :func:`trace_verdicts`.
     """
     _trace_dimension(_require_square(t), "complete trace criterion")
-    return trace_verdicts(representative(t)[0], tol, tol)[0][0]
+    return trace_verdicts(representative(t)[0], tol)[0]
 
 
-def trace_verdicts(
-    reps: np.ndarray, trace_tol: float = DEFAULT_TOL, transpose_tol: float = DEFAULT_TOL
-) -> tuple[list[Verdict], list[Verdict]]:
-    """:func:`uecsm_verdict` and :func:`transpose_equivalence` of each
-    matrix of a ``(B, n, n)`` stack of normalized representatives
-    (:func:`~uecsm.matcore.normalize_stack`), from one product table.
+def trace_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
+    """:func:`uecsm_verdict` of each matrix of a ``(B, n, n)`` stack of
+    normalized representatives (:func:`~uecsm.matcore.normalize_stack`),
+    from one evaluation of the size's plan.
 
-    ``trace_tol`` governs the UECSM verdicts and ``transpose_tol`` the
-    transpose verdicts.  Raises :class:`UnsupportedDimension` for
-    ``n >= 5``.
+    Raises :class:`UnsupportedDimension` for ``n >= 5``.
     """
     n = _require_square(reps, stacked=True)
     _trace_dimension(n, "complete trace criterion")
     if n <= 2:
-        small = (("small_n", 0.0),)
-        return (
-            [Verdict("uecsm_small_n", True, small, trace_tol)] * len(reps),
-            [Verdict("transpose_equivalence", True, small, transpose_tol)] * len(reps),
-        )
+        return [Verdict("uecsm_small_n", True, (("small_n", 0.0),), tol)] * len(reps)
     checks = _TRACE_CHECKS[n]
-    values = checks.plan.traces(reps, adjoint(reps))
-    m = len(checks.gaps)
-    gaps = np.abs(values[:m] - values[m : 2 * m]).T
-    family = np.abs(values[2 * m :]).T
-    return (
-        Verdict.from_rows(checks.criterion, checks.names, family, trace_tol),
-        Verdict.from_rows("transpose_equivalence", checks.gaps, gaps, transpose_tol),
-    )
+    family = np.abs(checks.plan.traces(reps, adjoint(reps))).T
+    return Verdict.from_rows(checks.criterion, checks.names, family, tol)
 
 
 def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
@@ -319,10 +303,17 @@ def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     set (:data:`PHI3_WORDS` at n = 3, :data:`DJOKOVIC_WORDS` at n = 4) has
     the trace of its reversal.  The residuals are the reversal gaps
     ``|tr w_i - tr rev(w_i)|`` on the normalized representative, named
-    ``phi1..phi7`` or ``w01..w20``.  Equivalent to the UECSM property for
-    these sizes, so the verdict must agree with :func:`uecsm_verdict` up
-    to tolerance effects.  This is the one-row case of
-    :func:`trace_verdicts`.
+    ``phi1..phi7`` or ``w01..w20``; n = 1 and n = 2 pass unconditionally.
+    The gaps that do not vanish identically are the traces of
+    :func:`uecsm_verdict` up to sign, so the two verdicts agree up to
+    rounding; the analysis reports only the UECSM one.
     """
-    _trace_dimension(_require_square(t), "word criterion")
-    return trace_verdicts(representative(t)[0], tol, tol)[1][0]
+    n = _require_square(t)
+    _trace_dimension(n, "word criterion")
+    if n <= 2:
+        return Verdict("transpose_equivalence", True, (("small_n", 0.0),), tol)
+    reps = representative(t)[0]
+    values = word_traces(_REVERSAL_WORDS[n], reps, adjoint(reps))
+    m = len(_WORD_NAMES[n])
+    gaps = np.abs(values[:m] - values[m:]).T
+    return Verdict.from_rows("transpose_equivalence", _WORD_NAMES[n], gaps, tol)[0]

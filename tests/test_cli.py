@@ -677,7 +677,7 @@ class TestRepeatedCalls:
 
 ANALYSIS_OPTIONS = {
     "--tol", "--json", "--oracle", "--seed", "--restarts",
-    "--tol-oracle", "--tol-trace", "--tol-angle", "--tol-transpose",
+    "--tol-oracle", "--tol-trace", "--tol-angle",
 }
 
 
@@ -715,6 +715,8 @@ class TestOptionSurface:
             ["construct", "--sig", "2,1", "--diag", "1,2,3", "--tol", "1e-3"],
             ["classify-nilpotent", "--params", "1,2,3,4,5,6", "--oracle"],
             ["classify-nilpotent", "--params", "1,2,3,4,5,6", "--restarts", "3"],
+            # transpose equivalence is not an analysis criterion, so it has no tolerance
+            ["batch", "fixtures", "--tol-transpose", "1e-6"],
         ],
     )
     def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
@@ -749,7 +751,7 @@ class TestTolerancePlumbing:
         assert "UECSM_TOL" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", ["--tol", "--tol-trace", "--tol-angle", "--tol-transpose", "--tol-oracle"]
+        "flag", ["--tol", "--tol-trace", "--tol-angle", "--tol-oracle"]
     )
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_is_a_usage_error(self, fixture_dir, capsys, flag, value):

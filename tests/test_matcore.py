@@ -228,21 +228,19 @@ class TestWordTraces:
         assert _trace_plan((w,)).rows <= w.degree + 3
 
     def test_compiled_plans_read_word_traces_and_hash_no_word(self, monkeypatch):
-        # each signature's plan and each plan compiled at import read the
-        # traces word_traces gives for their words, bit for bit; the plans of
-        # both trace families read them first, then the UECSM family's traces
-        plans = [(3, _trace_plan(PHI3_WORDS)), (4, _trace_plan(DJOKOVIC_WORDS))]
-        plans += [(n, checks.plan) for n, checks in tracetests._TRACE_CHECKS.items()]
+        # the plan of each signature, and of the words and reversals of
+        # transpose_equivalence, reads the traces word_traces gives for its
+        # words, bit for bit, however the words are passed
         gen = rng(31)
-        for n, plan in plans:
+        for n, words in ((3, PHI3_WORDS), (4, DJOKOVIC_WORDS), *tracetests._REVERSAL_WORDS.items()):
+            plan = _trace_plan(words)
             x = np.stack([random_complex_matrix(gen, n) for _ in range(3)])
             y = adjoint(x)
-            expected = word_traces(plan.words, x, y)
-            words = len(plan.words)
-            assert np.array_equal(plan.traces(x, y)[:words], expected)
-            assert np.array_equal(plan.traces(x[0], y[0])[:words], word_traces(plan.words, x[0], y[0]))
-            fresh = tuple(Word(w.runs) for w in plan.words)
-            for again in (list(plan.words), fresh):
+            expected = word_traces(words, x, y)
+            assert np.array_equal(plan.traces(x, y), expected)
+            assert np.array_equal(plan.traces(x[0], y[0]), word_traces(words, x[0], y[0]))
+            fresh = tuple(Word(w.runs) for w in words)
+            for again in (list(words), fresh):
                 assert np.array_equal(word_traces(again, x, y), expected)
 
         # the analysis evaluates the compiled plans: it hashes no word and

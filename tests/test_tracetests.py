@@ -34,7 +34,7 @@ from uecsm.gallery import (
     SCALAR_PLUS_SHIFT_22,
     WAT_COUNTEREXAMPLE,
 )
-from uecsm.matcore import normalize_stack, representative
+from uecsm.matcore import Word, normalize_stack, representative
 from uecsm.tracetests import Verdict, trace_verdicts
 
 from _trace_reference import commutator_trace, psi7_values
@@ -313,6 +313,66 @@ class TestWordReductions:
             assert abs(gap(16) - gap(17)) <= 1e-9 * norm**8
 
 
+def _letters(w):
+    return "".join(sym * exp for sym, exp in w.runs)
+
+
+def _is_rotation(a, b):
+    return len(a) == len(b) and b in a + a
+
+
+def _swap(w):
+    return Word(tuple(("y" if sym == "x" else "x", exp) for sym, exp in w.runs))
+
+
+#: 1-based Djokovic word of each psi_k: psi_k is the reversal gap of that word
+PSI_WORDS = (12, 14, 15, 16, 18, 19, 20)
+
+
+class TestReversalGapsAreTheUecsmFamily:
+    """For n <= 4 the reversal gaps of :func:`transpose_equivalence` are the
+    UECSM traces, which is why the analysis reports only the UECSM verdict:
+    every other gap vanishes identically or repeats one of them."""
+
+    def test_gaps_that_vanish_by_rotation(self):
+        # tr rev(w) = tr w whenever rev(w) is a cyclic rotation of w
+        for words, trivial in ((PHI3_WORDS, 6), (DJOKOVIC_WORDS, 11)):
+            rotations = [_is_rotation(_letters(w), _letters(reverse_word(w))) for w in words]
+            assert rotations == [True] * trivial + [False] * (len(words) - trivial)
+
+    def test_gaps_that_pair_by_swap(self):
+        # with y = x*, conj tr w = tr swap(rev(w)); for w12 and w16, rev(w) is
+        # a rotation of swap(w), so their gaps are real, and the gaps of their
+        # swaps w13 and w17 are the same with the sign flipped
+        words = DJOKOVIC_WORDS
+        letters = [_letters(w) for w in words]
+        pairs = {
+            (i, j)
+            for i in range(11, 20)
+            for j in range(i + 1, 20)
+            if _is_rotation(letters[j], _letters(_swap(words[i])))
+        }
+        assert pairs == {(11, 12), (15, 16)}
+        for i, _ in pairs:
+            assert _is_rotation(_letters(reverse_word(words[i])), _letters(_swap(words[i])))
+
+    @pytest.mark.parametrize("seed", [5, 7, 11])
+    def test_family_is_the_gaps_of_the_remaining_words(self, seed):
+        gen = rng(seed)
+        for n, words in ((3, PHI3_WORDS), (4, DJOKOVIC_WORDS)):
+            t = random_complex_matrix(gen, n, scale=2.0)
+            ta = adjoint(t)
+            gaps = word_traces(words, t, ta) - word_traces(tuple(map(reverse_word, words)), t, ta)
+            if n == 3:
+                # the commutator trace is the gap of yx2y2x
+                family = tracetests._TRACE_CHECKS[3].plan.traces(t, ta)
+                np.testing.assert_allclose(family, [gaps[6]], rtol=1e-9)
+                continue
+            family = np.array(psi7(t).values)
+            np.testing.assert_allclose(family, gaps[[k - 1 for k in PSI_WORDS]], rtol=1e-9)
+            np.testing.assert_allclose(family[[0, 3]], -gaps[[12, 16]], rtol=1e-9)
+
+
 def _bits(item):
     """``item`` with every float spelled by ``float.hex``: a verdict as
     ``(criterion, passed, residuals, tol)``, or a sequence of complex values."""
@@ -337,8 +397,9 @@ def _plan_stacks():
 
 
 class TestSharedPlans:
-    """One plan per size holds both trace families; its values are bit-identical
-    to ``word_traces`` and to the family's former stand-alone products."""
+    """The reversal gaps of :func:`transpose_equivalence` are bit-identical to
+    ``word_traces``, and the UECSM plan's values to the family's former
+    stand-alone products."""
 
     def test_reversal_gaps_read_word_traces(self):
         for ts in _plan_stacks():
@@ -348,7 +409,7 @@ class TestSharedPlans:
             ys = adjoint(reps)
             reversed_words = tuple(map(reverse_word, words))
             gaps = np.abs(word_traces(words, reps, ys) - word_traces(reversed_words, reps, ys)).T
-            _, transposes = trace_verdicts(reps)
+            transposes = [transpose_equivalence(t) for t in ts]
             assert np.array_equal(_residual_rows(transposes, len(words)), gaps)
 
     def test_uecsm_family_matches_the_reference(self):
@@ -356,7 +417,7 @@ class TestSharedPlans:
             n = ts.shape[-1]
             reps, _, _ = normalize_stack(ts)
             expected = commutator_trace(reps) if n == 3 else np.abs(psi7_values(reps))
-            traces, _ = trace_verdicts(reps)
+            traces = trace_verdicts(reps)
             assert np.array_equal(_residual_rows(traces, expected.shape[1]), expected)
             if n == 4:
                 # the raw, unnormalized traces of psi7 too
@@ -373,18 +434,18 @@ class TestSharedPlans:
         # word_traces, bit for bit
         signatures = ((block, phi3, PHI3_WORDS), (t, djokovic_signature, DJOKOVIC_WORDS))
         for m, signature, words in signatures:
-            traces, transposes = trace_verdicts(representative(m)[0])
-            assert _bits(uecsm_verdict(m)) == _bits(traces[0])
-            assert _bits(transpose_equivalence(m)) == _bits(transposes[0])
+            (trace,) = trace_verdicts(representative(m)[0])
+            assert _bits(uecsm_verdict(m)) == _bits(trace)
             assert _bits(signature(m).values) == _bits(word_traces(words, m, adjoint(m)).tolist())
         test3 = trace_test_3(block)
         assert test3.criterion == "trace_test_3"
         assert _bits(test3)[1:] == _bits(uecsm_verdict(block))[1:]
 
-    @pytest.mark.parametrize("n, rows, levels", [(3, 13, 3), (4, 59, 5)])
+    @pytest.mark.parametrize("n, rows, levels", [(3, 7, 3), (4, 34, 5)])
     def test_table_sizes(self, n, rows, levels):
-        # the families share every product they spell alike; differences run
-        # in one level just before the last product level
+        # the plan holds the UECSM family alone, which shares every product
+        # it spells alike; differences run in one level just before the last
+        # product level
         plan = tracetests._TRACE_CHECKS[n].plan
         assert (plan.rows, len(plan.levels)) == (rows, levels)
         assert [op for op, *_ in plan.levels][-2:] == [np.subtract, np.matmul]
