@@ -49,10 +49,15 @@ everywhere else: text with more than 1024 brackets, text orjson refuses
 key other than ``label``, ``n`` and ``entries``, and any document that
 fails its checks, such as an ``n`` beyond 64 bits, which orjson reads as
 a float.  So every file gives the values, or the error text, that the
-stdlib decoder alone gives.  The decoded document is checked entry
-by entry in one pass that also collects the floats, and the matrix is
-built from them in one array operation; each error names the first
-entry at fault.
+stdlib decoder alone gives.  Where orjson decoded the document and its
+text holds no ``true`` or ``false``, the entries are converted as one
+array, which is the matrix when it is a finite float or integer
+``(n, n, 2)`` array.  Every other document is checked entry by entry,
+and each error names the first entry at fault.
+
+``batch`` passes each file's path as text, the text of ``DIR / name``,
+and makes a :class:`~pathlib.Path` only for the stem that labels an
+error row or a document without a label.
 
 :func:`main` builds the argument parser once per process, on its first
 call, and every later call parses with the same parser.
@@ -149,8 +154,17 @@ _FIELDS = frozenset(("label", "n", "entries"))
 _ORJSON_MAX_BRACKETS = 1024
 
 
-def _document(raw: object) -> MatrixDocument:
-    """Check a decoded document entry by entry and build its matrix."""
+def _document(raw: object, plain: bool = False) -> MatrixDocument:
+    """Check a decoded document and build its matrix.
+
+    With ``plain``, which says that the text holds no ``true`` or
+    ``false``, the entries are first converted as one array: a float or
+    integer ``(n, n, 2)`` array of finite numbers is the matrix.  numpy
+    gives an integer entry the float that ``float(int)`` gives, but reads
+    a boolean beside a float as a number, hence the flag.  Every other
+    document is checked entry by entry, and each error names the first
+    entry at fault.
+    """
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
     label = raw.get("label")
@@ -162,6 +176,16 @@ def _document(raw: object) -> MatrixDocument:
         raise ParseError("field 'n' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError(f"'entries' must be a list of {n} rows")
+    if plain:
+        try:
+            array = np.array(entries)
+        except ValueError:  # ragged, or nested too deep: the loop below says why
+            array = np.empty(0)
+        if array.dtype.kind in "fi" and array.shape == (n, n, 2):
+            matrix = array.astype(float, copy=False).view(complex)[..., 0]
+            if np.isfinite(matrix).all():
+                matrix.flags.writeable = False  # read-only complex128, as cmatrix builds it
+                return MatrixDocument(matrix=matrix, label=label)
     # one pass over the entries; both decoders yield exact list, int, float
     # and bool, so exact type checks also refuse true and false
     parts: list[float] = []
@@ -200,7 +224,7 @@ def _orjson_document(data: bytes) -> Optional[MatrixDocument]:
     try:
         raw = orjson.loads(data)
         if type(raw) is dict and raw.keys() <= _FIELDS:
-            return _document(raw)
+            return _document(raw, b"true" not in data and b"false" not in data)
     except (orjson.JSONDecodeError, ParseError):
         pass
     return None
@@ -231,7 +255,7 @@ def document_to_text(doc: MatrixDocument) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _file_text(data: bytes, path: Path) -> str:
+def _file_text(data: bytes, path: str | os.PathLike) -> str:
     """``data`` as ``Path.read_text`` decodes it: UTF-8 with universal
     newlines, whose line ends json's error positions count."""
     try:
@@ -241,7 +265,7 @@ def _file_text(data: bytes, path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def load_matrix_document(path: Path) -> MatrixDocument:
+def load_matrix_document(path: str | os.PathLike) -> MatrixDocument:
     """Read the document at ``path``; a missing or empty label becomes the file stem."""
     try:
         with open(path, "rb", buffering=0) as f:  # one read, no buffer to fill
@@ -250,7 +274,7 @@ def load_matrix_document(path: Path) -> MatrixDocument:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     doc = _orjson_document(data) or parse_document_text(_file_text(data, path))
     if not doc.label:
-        doc = MatrixDocument(matrix=doc.matrix, label=path.stem)
+        doc = MatrixDocument(matrix=doc.matrix, label=Path(path).stem)
     return doc
 
 
@@ -275,13 +299,12 @@ def write_gallery_fixtures(directory: Path) -> list[Path]:
 
 def _verdict_dict(v: Verdict) -> dict:
     # every criterion names its residuals uniquely, so the dict keeps them all
-    residuals = dict(v.residuals)
     return {
         "criterion": v.criterion,
         "passed": v.passed,
         "tol": v.tol,
         "max_residual": v.max_residual,
-        "residuals": residuals,
+        "residuals": dict(zip(v.names, v.row)),
     }
 
 
@@ -662,8 +685,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     # parsed file's report comes from the stacked analysis below
     files: dict[str, list] = {}
     groups: dict[int, list[tuple[str, MatrixDocument]]] = {}
+    # each path is the text of ``directory / name``, which drops a leading "."
+    base = str(directory)
     for name in sorted(listed):
-        path = directory / name
+        path = name if base == "." else os.path.join(base, name)
         start = time.perf_counter()
         report = None
         try:
@@ -672,7 +697,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             doc = load_matrix_document(path)
             groups.setdefault(doc.matrix.shape[0], []).append((name, doc))
         except UecsmError as exc:
-            report = Report(label=path.stem, dimension=0, tol=args.tol, error=str(exc))
+            report = Report(label=Path(name).stem, dimension=0, tol=args.tol, error=str(exc))
         files[name] = [report, time.perf_counter() - start]
 
     # one stacked analysis per dimension; each file is charged an equal share

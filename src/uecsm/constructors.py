@@ -120,8 +120,8 @@ def su_membership(q: CMatrix, sig: Signature, tol: float = DEFAULT_TOL) -> Verdi
     a = sig.matrix()
     form_residual = float(np.linalg.norm(q.conj().T @ a @ q - a))
     det_residual = abs(complex(np.linalg.det(q)) - 1.0)
-    residuals = (("form_preservation", form_residual), ("determinant", det_residual))
-    return Verdict("su_membership", max(form_residual, det_residual) <= tol, residuals, tol)
+    row = (form_residual, det_residual)
+    return Verdict("su_membership", max(row) <= tol, ("form_preservation", "determinant"), row, tol)
 
 
 def conjugated_diagonal(q: CMatrix, d: Sequence[complex]) -> CMatrix:

@@ -430,5 +430,5 @@ def verify_witness(t: CMatrix, u: CMatrix, tol: float = WITNESS_TOL) -> Verdict:
     n = t.shape[0]
     unitarity = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
     symmetry = symmetry_residual(t, u)
-    residuals = (("unitarity", unitarity), ("symmetry", symmetry))
-    return Verdict("witness", max(unitarity, symmetry) <= tol, residuals, tol)
+    row = (unitarity, symmetry)
+    return Verdict("witness", max(row) <= tol, ("unitarity", "symmetry"), row, tol)

@@ -179,16 +179,23 @@ class TraceSignature:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Pass/fail outcome of one criterion with its named residuals."""
+    """Pass/fail outcome of one criterion: its residuals, the floats of
+    ``row``, are named by ``names``."""
 
     criterion: str
     passed: bool
-    residuals: tuple[tuple[str, float], ...]
+    names: tuple[str, ...]
+    row: tuple[float, ...]
     tol: float
 
     @cached_property
+    def residuals(self) -> tuple[tuple[str, float], ...]:
+        """The ``(name, residual)`` pairs, built on first read."""
+        return tuple(zip(self.names, self.row))
+
+    @cached_property
     def max_residual(self) -> float:
-        return max((r for _, r in self.residuals), default=0.0)
+        return max(self.row, default=0.0)
 
     @classmethod
     def from_rows(
@@ -196,13 +203,14 @@ class Verdict:
     ) -> list["Verdict"]:
         """One verdict per row of a ``(B, len(names))`` residual array.
 
-        A row passes when its largest residual is at most ``tol``; that
-        maximum is also the verdict's ``max_residual``.
+        Each verdict keeps ``names`` and its row as a tuple of floats.  A
+        row passes when its largest residual, by Python's ``max``, is at
+        most ``tol``; that maximum is also the verdict's ``max_residual``.
         """
         verdicts = []
-        for row in residuals.tolist():
+        for row in map(tuple, residuals.tolist()):
             worst = max(row, default=0.0)
-            verdict = cls(criterion, worst <= tol, tuple(zip(names, row)), tol)
+            verdict = cls(criterion, worst <= tol, names, row, tol)
             verdict.__dict__["max_residual"] = worst  # seeds the cached property
             verdicts.append(verdict)
         return verdicts
@@ -289,7 +297,7 @@ def trace_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
     n = _require_square(reps, stacked=True)
     _trace_dimension(n, "complete trace criterion")
     if n <= 2:
-        return [Verdict("uecsm_small_n", True, (("small_n", 0.0),), tol)] * len(reps)
+        return [Verdict("uecsm_small_n", True, ("small_n",), (0.0,), tol)] * len(reps)
     checks = _TRACE_CHECKS[n]
     family = np.abs(checks.plan.traces(reps, adjoint(reps))).T
     return Verdict.from_rows(checks.criterion, checks.names, family, tol)
@@ -311,7 +319,7 @@ def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     n = _require_square(t)
     _trace_dimension(n, "word criterion")
     if n <= 2:
-        return Verdict("transpose_equivalence", True, (("small_n", 0.0),), tol)
+        return Verdict("transpose_equivalence", True, ("small_n",), (0.0,), tol)
     reps = representative(t)[0]
     values = word_traces(_REVERSAL_WORDS[n], reps, adjoint(reps))
     m = len(_WORD_NAMES[n])

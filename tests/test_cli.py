@@ -40,6 +40,7 @@ from uecsm.matcore import cmatrix, normalize
 from _util import random_complex_matrix, random_unitary, rng
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text()
 )
@@ -452,6 +453,47 @@ class TestBatch:
             reports = analyze_stack(stack, [doc.label for _, doc in members])
             expected.update((name, r.to_dict()) for (name, _), r in zip(members, reports))
         assert {k: v for k, v in outputs[0]["reports"].items() if k != "zz_broken.json"} == expected
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_output_equals_the_frozen_golden(self, capsys, monkeypatch, oracle):
+        # golden/batch_fixtures*.json are frozen copies of `uecsm batch fixtures
+        # --json` (and with --oracle) up to the run-dependent "timings" block;
+        # unlike the test above, they do not share code with the analysis
+        monkeypatch.delenv("UECSM_TOL", raising=False)
+        assert main(["batch", str(FIXTURES), "--json", *oracle]) == EXIT_UECSM
+        out = capsys.readouterr().out
+        stable = out[: out.rindex(',"timings":')] + "}\n"
+        golden = GOLDEN / f"batch_fixtures{'_oracle' if oracle else ''}.json"
+        assert stable == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("spelling", ["d/", "./d", "absolute", "."])
+    def test_error_rows_and_stems_name_the_joined_path(self, tmp_path, capsys, monkeypatch, spelling):
+        # every path in an error reads as the text of Path(DIR) / name, which
+        # drops a leading "./" and a trailing "/"
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "broken.json").write_bytes(b'{"label": "\xff"}')
+        (d / "nowhere.json").symlink_to(d / "missing")
+        (d / "sub.json").mkdir()
+        (d / "no_label.json").write_text(_document_with("[2, 0]"))
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(d / "pipe.json")
+        monkeypatch.chdir(d if spelling == "." else tmp_path)
+        directory = str(d) if spelling == "absolute" else spelling
+        assert main(["batch", directory, "--json"]) == EXIT_INCONCLUSIVE
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        for name in ("broken.json", "nowhere.json", "sub.json"):
+            path = Path(directory) / name
+            try:
+                path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                assert reports[name]["error"] == f"cannot read {path}: {exc}"
+            assert reports[name]["label"] == name[: -len(".json")]
+        if hasattr(os, "mkfifo"):
+            pipe = Path(directory) / "pipe.json"
+            assert reports["pipe.json"]["error"] == f"cannot read {pipe}: not a regular file"
+        assert reports["no_label.json"]["label"] == "no_label"
+        assert reports["no_label.json"]["error"] is None
 
     def test_conflict_code_outranks_errors(self, fixture_dir, capsys):
         # --tol-angle 10 makes sat pass on the counterexample: a conflict

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import uecsm.cli
 from uecsm.cli import MatrixDocument, load_matrix_document, parse_document_text, write_matrix_document
 from uecsm.errors import ParseError
 from uecsm.matcore import cmatrix
@@ -59,6 +60,20 @@ CASES = {
         ]
     },
     "imaginary part NaN": _document("[0, NaN]").encode(),
+    # integers that a float64 cannot hold, beside floats and alone
+    **{
+        f"entry [{text}]": _document(f"[{text}]").encode()
+        for text in [
+            f"{2**53 + 1}, 0.5", f"{2**63}, 0.5", f"{-(2**63)}, 0.5", f"0.5, {2**63}",
+            f"{2**53 + 1}, -7", f"{2**63 - 1}, {-(2**63)}", f"{2**63}, 0", "1.5, true", "false, 0",
+        ]
+    },
+    "entries all integers": _document("[-3, 7]").encode(),
+    "entries all floats": b'{"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.5]], [[1.5, -0.0], [1e-300, 2.5]]]}',
+    "row with n + 1 cells": _document("[1, 0], [2, 0]").encode(),
+    "every row with n + 1 cells": b'{"n": 2, "entries": [[[1, 0], [0, 0], [2, 0]], [[1, 0], [1, 0], [3, 0]]]}',
+    "entry nested one level deeper": _document("[[1], [0]]").encode(),
+    "entries of n + 1 rows": b'{"n": 2, "entries": [[[1, 0], [0, 0]], [[1, 0], [1, 0]], [[1, 0], [1, 0]]]}',
     "entry as a triple": _document("[1, 0, 0]").encode(),
     **{
         f"n {text}": _document(n=text).encode()
@@ -66,7 +81,10 @@ CASES = {
     },
     **{
         f"label {text}": _document(label=text).encode()
-        for text in ['"\\ud800"', '"\\udc00\\ud800"', '"\\ud83d\\ude00"', '" "', '""', "7", "null"]
+        for text in [
+            '"\\ud800"', '"\\udc00\\ud800"', '"\\ud83d\\ude00"', '" "', '""', "7", "null",
+            '"true"', '"a false start"', "true", "false",
+        ]
     },
     "label raw emoji": _document(label='"\U0001f600"').encode(),
     "label with a tab": _document(label='"a\tb"').encode(),
@@ -123,6 +141,24 @@ def test_table(tmp_path, name):
     path = tmp_path / "m.json"
     path.write_bytes(CASES[name])
     _assert_same(path)
+
+
+def test_array_conversion_agrees_with_the_entry_checks():
+    # where the text holds no JSON boolean, converting the entries as one
+    # array gives the matrix, or the error, that the entry-by-entry checks
+    # give; json.loads also yields the NaN, Infinity and 1e400 that orjson refuses
+    compared = 0
+    for name, data in CASES.items():
+        if b"true" in data or b"false" in data:
+            continue
+        try:
+            raw = json.loads(data)
+        except (ValueError, RecursionError):
+            continue
+        checks = uecsm.cli._document
+        assert _outcome(lambda r: checks(r, True), raw) == _outcome(checks, raw), name
+        compared += 1
+    assert compared >= 40
 
 
 def test_missing_file_and_directory(tmp_path):

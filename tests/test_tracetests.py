@@ -1,6 +1,9 @@
 """Tests for the trace-word criteria."""
 
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ from uecsm import (
     word_traces,
 )
 from uecsm import tracetests
+from uecsm.cli import analyze
+from uecsm.constructors import Signature, random_su, su_membership
+from uecsm.oracle import verify_witness
 from uecsm.gallery import (
     GALLERY,
     NILPOTENT_QUARTET,
@@ -458,10 +464,59 @@ class TestVerdictMaxResidual:
         rows = np.array([[1.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.5, 0.25, 0.0]])
         for v, row in zip(Verdict.from_rows("c", ("a", "b", "c"), rows, 1.0), rows.tolist()):
             assert "max_residual" in vars(v)
-            plain = Verdict(v.criterion, v.passed, v.residuals, v.tol)
+            plain = Verdict(v.criterion, v.passed, v.names, v.row, v.tol)
             assert "max_residual" not in vars(plain)
             for value in (v.max_residual, plain.max_residual):
                 assert value == max(row) or (math.isnan(value) and math.isnan(max(row)))
             assert v == plain and hash(v) == hash(plain)
         (empty,) = Verdict.from_rows("c", (), np.zeros((1, 0)), 1.0)
         assert empty.max_residual == 0.0 and empty.passed
+
+    def test_gallery_residuals_equal_the_frozen_record(self):
+        # golden/gallery_verdicts.json: label -> report key -> [criterion,
+        # passed, tol, max_residual, [[name, residual], ...]], floats by float.hex,
+        # frozen while verdicts still stored their (name, residual) pairs
+        record = json.loads((Path(__file__).parent / "golden" / "gallery_verdicts.json").read_text())
+        assert set(record) == set(GALLERY)
+        for label, (matrix, _) in GALLERY.items():
+            verdicts = analyze(matrix, label).verdicts
+            got = {
+                key: [v.criterion, v.passed, v.tol.hex(), v.max_residual.hex(),
+                      [[name, r.hex()] for name, r in v.residuals]]
+                for key, v in verdicts.items()
+            }  # fmt: skip
+            assert got == record[label], label
+            for v in verdicts.values():
+                assert v.residuals == tuple(zip(v.names, v.row))
+
+    def test_replace_keeps_the_row(self):
+        t = random_complex_matrix(rng(5), 3)
+        v = uecsm_verdict(t)
+        renamed = replace(v, criterion="renamed")
+        assert renamed.criterion == "renamed"
+        assert (renamed.passed, renamed.names, renamed.row, renamed.tol) == (v.passed, v.names, v.row, v.tol)
+        assert (renamed.residuals, renamed.max_residual) == (v.residuals, v.max_residual)
+        assert replace(renamed, criterion=v.criterion) == v
+        assert trace_test_3(t) == replace(v, criterion="trace_test_3")
+
+    def test_verdicts_built_by_the_constructor(self):
+        sig = Signature(k=2, n=4)
+        t = np.diag([1.0, 2.0]).astype(complex)
+        verdicts = {
+            "su_membership": su_membership(random_su(sig, seed=3), sig),
+            "witness": verify_witness(t, np.eye(2, dtype=complex)),
+            "uecsm_small_n": trace_verdicts(representative(t)[0])[0],
+            "transpose_equivalence": transpose_equivalence(t),
+        }
+        names = {
+            "su_membership": ("form_preservation", "determinant"),
+            "witness": ("unitarity", "symmetry"),
+            "uecsm_small_n": ("small_n",),
+            "transpose_equivalence": ("small_n",),
+        }
+        for criterion, v in verdicts.items():
+            assert v.criterion == criterion and v.names == names[criterion] and v.passed
+            assert "max_residual" not in vars(v)  # left to the cached property
+            assert v.max_residual == max(v.row) and v.residuals == tuple(zip(v.names, v.row))
+            assert v == Verdict(v.criterion, v.passed, v.names, v.row, v.tol)
+            assert hash(v) == hash(Verdict(v.criterion, v.passed, v.names, v.row, v.tol))
