@@ -484,10 +484,9 @@ class TestBatch:
         reports = json.loads(capsys.readouterr().out)["reports"]
         for name in ("broken.json", "nowhere.json", "sub.json"):
             path = Path(directory) / name
-            try:
+            with pytest.raises((OSError, UnicodeDecodeError)) as refused:
                 path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                assert reports[name]["error"] == f"cannot read {path}: {exc}"
+            assert reports[name]["error"] == f"cannot read {path}: {refused.value}"
             assert reports[name]["label"] == name[: -len(".json")]
         if hasattr(os, "mkfifo"):
             pipe = Path(directory) / "pipe.json"

@@ -32,7 +32,6 @@ from uecsm import (
 from uecsm import tracetests
 from uecsm.cli import analyze
 from uecsm.constructors import Signature, random_su, su_membership
-from uecsm.oracle import verify_witness
 from uecsm.gallery import (
     GALLERY,
     NILPOTENT_QUARTET,
@@ -41,6 +40,7 @@ from uecsm.gallery import (
     WAT_COUNTEREXAMPLE,
 )
 from uecsm.matcore import Word, normalize_stack, representative
+from uecsm.oracle import verify_witness
 from uecsm.tracetests import Verdict, trace_verdicts
 
 from _trace_reference import commutator_trace, psi7_values
