@@ -11,13 +11,14 @@ of individual eigenvectors, so none of this depends on the phase
 convention used upstream.  Every test reads its inner products from
 the Gram matrices ``X*X`` and ``Y*Y`` that the eigensystem returns.
 
-The deviations are computed on a ``(B, 2, n, n)`` stack of Gram
-matrices, and every test returns a :class:`~uecsm.tracetests.Verdict`
-per row.  :func:`wat`, :func:`sat`, :func:`lsat` and
-:func:`det_criterion_3` are their one-matrix case.  One row kernel
-composes all four: :func:`angle_verdicts` runs it on every row of a
-:class:`~uecsm.spectra.SpectralStack` at once, and :func:`angle_suite`
-is its one-matrix case.
+One kernel computes all four on a ``(B, 2, n, n)`` stack of Gram
+matrices: a single gather takes every pair entry and every triple
+factor, the residuals of every test fill one ``(B, m)`` array, and each
+:class:`~uecsm.tracetests.Verdict` is built from its slice of that
+array read back as Python floats.  :func:`angle_verdicts` runs the
+kernel on every row of a :class:`~uecsm.spectra.SpectralStack` at once;
+:func:`angle_suite`, :func:`wat`, :func:`sat`, :func:`lsat` and
+:func:`det_criterion_3` are its one-row cases.
 """
 
 from __future__ import annotations
@@ -44,53 +45,122 @@ _ORTHOGONAL_FLOOR = 1e-10
 _TRIPLE_FLOOR = 1e-4
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 @lru_cache(maxsize=None)
-def _pair_index(n: int) -> tuple:
-    """Index arrays of the pairs i < j in lexicographic order and their 1-based names."""
-    i, j = _read_only(*np.triu_indices(n, 1))
-    return i, j, tuple(f"pair_{a + 1}_{b + 1}" for a, b in zip(i.tolist(), j.tolist()))
+def _angle_index(n: int) -> tuple:
+    """The one gather of the angle tests from a Gram matrix, with the names of their residuals.
 
-
-@lru_cache(maxsize=None)
-def _triple_index(n: int) -> tuple:
-    """Index arrays of the triples i <= j <= k in lexicographic order and their 1-based names."""
+    Returns the row and column indices of the entries ``[j, i]`` of the
+    pairs i < j in lexicographic order (at n = 3 followed by ``[0, 2]``,
+    the entry of ``<x_3, x_1>`` that the determinant criterion reads),
+    then of the factors ``[j, i]``, ``[k, j]`` and ``[i, k]`` of the
+    triples i <= j <= k in lexicographic order; then the number of pair
+    entries, the number of triples, and the 1-based pair and triple names.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     triples = list(combinations_with_replacement(range(n), 3))
-    i, j, k = _read_only(*(np.array(col, dtype=np.intp) for col in zip(*triples)))
-    return i, j, k, tuple(f"triple_{a + 1}_{b + 1}_{c + 1}" for a, b, c in triples)
+    entries = [(j, i) for i, j in pairs] + ([(0, 2)] if n == 3 else [])
+    for a, b in ((1, 0), (2, 1), (0, 2)):
+        entries += [(t[a], t[b]) for t in triples]
+    rows, cols = (np.array(col, dtype=np.intp) for col in zip(*entries))
+    rows.flags.writeable = cols.flags.writeable = False
+    pair_names = tuple(f"pair_{i + 1}_{j + 1}" for i, j in pairs)
+    triple_names = tuple("triple_{}_{}_{}".format(*(a + 1 for a in t)) for t in triples)
+    return rows, cols, len(entries) - 3 * len(triples), len(triples), pair_names, triple_names
 
 
-def _wat_rows(grams: np.ndarray, tol: float) -> list[Verdict]:
-    """WAT of every row: ``| |<x_i,x_j>| - |<y_i,y_j>| |`` for the pairs i < j.
+_DET3_NAMES = (
+    "determinant_gap",
+    "det_vs_pairing_1",
+    "det_vs_pairing_2",
+    "det_vs_pairing_3",
+    "dual_det_vs_pairing",
+)
+_ORTHOGONAL = "a pairwise eigenvector inner product vanishes; criterion inapplicable"
 
-    ``grams`` is a ``(B, 2, n, n)`` stack of ``X*X`` and ``Y*Y``, whose
-    ``[j, i]`` entries are ``<x_i, x_j>`` and ``<y_i, y_j>``.
+
+def _angle_rows(
+    x: np.ndarray, y: np.ndarray, grams: np.ndarray, tol: float, det3: bool = True
+) -> list[Union[dict[str, Verdict], ConsistencyError]]:
+    """The angle verdicts of every row of stacked eigenvector systems.
+
+    ``x`` and ``y`` are ``(B, n, n)`` stacks and ``grams`` their
+    ``(B, 2, n, n)`` Gram matrices ``X*X`` and ``Y*Y``, whose ``[j, i]``
+    entries are ``<x_i, x_j>`` and ``<y_i, y_j>``.  One gather from the
+    Gram matrices serves WAT, SAT, LSAT and, at n = 3 and with ``det3``,
+    the determinant criterion, and their residuals fill one ``(B, m)``
+    array, read back as Python floats at once:
+
+    * WAT: ``| |<x_i,x_j>| - |<y_i,y_j>| |`` for the pairs i < j;
+    * SAT and LSAT: the cyclic triple products ``<x_i,x_j> <x_j,x_k>
+      <x_k,x_i>`` against those of the y system, conjugated for SAT,
+      relative to the larger modulus (``|conj z| = |z|``, so the two
+      share it) or to ``_TRIPLE_FLOOR``;
+    * the determinant criterion: the gap of ``det X*X`` from
+      ``prod (1 - |<x_i,x_j>|^2)``, then four cross-check identities
+      tying ``det X*X`` and ``det Y*Y`` to the dual pairings.
+
+    A row gets the determinant verdict only when the criterion applies
+    to it, and its :class:`ConsistencyError` in place of the verdicts
+    when the cross-check fails.
     """
-    i, j, names = _pair_index(grams.shape[-1])
-    moduli = np.abs(grams[:, :, j, i])
-    return Verdict.from_rows("wat", names, np.abs(moduli[:, 0] - moduli[:, 1]), tol)
-
-
-def _triple_rows(grams: np.ndarray, tol: float) -> dict[str, list[Verdict]]:
-    """SAT and LSAT of every row: relative deviations for the triples i <= j <= k.
-
-    Both compare the same triple products, SAT with the y products
-    conjugated; as ``|conj z| = |z|`` they also share the denominator.
-    """
-    # <x_i,x_j> <x_j,x_k> <x_k,x_i> and likewise from the y system
-    i, j, k, names = _triple_index(grams.shape[-1])
-    products = grams[:, :, j, i] * grams[:, :, k, j] * grams[:, :, i, k]
+    n = grams.shape[-1]
+    rows, cols, p, t, pair_names, triple_names = _angle_index(n)
+    det3 = det3 and n == 3
+    entries = grams[:, :, rows, cols]
+    moduli = np.abs(entries[:, :, :p])
+    factors = entries[:, :, p:].reshape(len(grams), 2, 3, t)
+    products = factors[:, :, 0] * factors[:, :, 1] * factors[:, :, 2]
     lhs, rhs = products[:, 0], products[:, 1]
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TRIPLE_FLOOR)
-    return {
-        "sat": Verdict.from_rows("sat", names, np.abs(lhs - rhs.conj()) / scale, tol),
-        "lsat": Verdict.from_rows("lsat", names, np.abs(lhs - rhs) / scale, tol),
-    }
+    # WAT, SAT, LSAT and the determinant criterion, side by side
+    m = len(pair_names)
+    sat_end, lsat_end = m + t, m + 2 * t
+    residuals = np.empty((len(grams), lsat_end + 5 * det3))
+    np.abs(moduli[:, 0, :m] - moduli[:, 1, :m], out=residuals[:, :m])
+    np.divide(np.abs(lhs - rhs.conj()), scale, out=residuals[:, m:sat_end])
+    np.divide(np.abs(lhs - rhs), scale, out=residuals[:, sat_end:lsat_end])
+    if det3:
+        # |<x_1,x_2>|, |<x_2,x_3>|, |<x_3,x_1>| and |<y_2,y_3>|
+        pm = moduli[:, 0, (0, 2, 3)]
+        q23 = moduli[:, 1, 2]
+        apart = 1 - pm**2
+        dets = np.linalg.det(grams).real  # det X*X, det Y*Y
+        # |<x_i, y_i>|^2
+        pairing = np.abs(np.add.reduce(y.conj() * x, axis=1)) ** 2
+        expected = np.concatenate(
+            [
+                np.multiply.reduce(apart, axis=1, keepdims=True),
+                pairing * apart[:, (1, 2, 0)],
+                (pairing[:, 0] * (1 - q23**2))[:, None],
+            ],
+            axis=1,
+        )
+        np.abs(dets[:, (0, 0, 0, 0, 1)] - expected, out=residuals[:, lsat_end:])
+        smallest = np.minimum.reduce(pm, axis=1).tolist()
+        worst_check = np.maximum.reduce(residuals[:, lsat_end + 1 :], axis=1).tolist()
+    out: list[Union[dict[str, Verdict], ConsistencyError]] = []
+    for b, row in enumerate(residuals.tolist()):
+        verdicts = {
+            "wat": Verdict.from_row("wat", pair_names, tuple(row[:m]), tol),
+            "sat": Verdict.from_row("sat", triple_names, tuple(row[m:sat_end]), tol),
+            "lsat": Verdict.from_row("lsat", triple_names, tuple(row[sat_end:lsat_end]), tol),
+        }
+        if det3 and not smallest[b] < _ORTHOGONAL_FLOOR:
+            if worst_check[b] > _IDENTITY_CHECK_TOL:
+                out.append(
+                    ConsistencyError(
+                        f"determinant identity cross-check failed at {worst_check[b]:.3e}; "
+                        "spectral data is not trustworthy"
+                    )
+                )
+                continue
+            verdicts["det3"] = Verdict.from_row("det_criterion_3", _DET3_NAMES, tuple(row[lsat_end:]), tol)
+        out.append(verdicts)
+    return out
+
+
+def _one_row(s: SpectralData, tol: float, det3: bool = True) -> Union[dict[str, Verdict], ConsistencyError]:
+    return _angle_rows(s.x[None], s.y[None], s.grams[None], tol, det3)[0]
 
 
 def wat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
@@ -98,7 +168,7 @@ def wat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
 
     The residuals are named ``pair_i_j`` with 1-based indices.
     """
-    return _wat_rows(s.grams[None], tol)[0]
+    return _one_row(s, tol, det3=False)["wat"]
 
 
 def sat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
@@ -110,63 +180,12 @@ def sat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     spectrum is distinct.  The residuals are named ``triple_i_j_k`` with
     1-based indices.
     """
-    return _triple_rows(s.grams[None], tol)["sat"][0]
+    return _one_row(s, tol, det3=False)["sat"]
 
 
 def lsat(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     """Linear Strong Angle Test: same triples as SAT without the conjugation."""
-    return _triple_rows(s.grams[None], tol)["lsat"][0]
-
-
-_DET3_NAMES = (
-    "determinant_gap",
-    "det_vs_pairing_1",
-    "det_vs_pairing_2",
-    "det_vs_pairing_3",
-    "dual_det_vs_pairing",
-)
-
-
-def _det3_residuals(
-    x: np.ndarray, y: np.ndarray, grams: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The determinant criterion's residuals ``(B, 5)`` and smallest pairwise ``|<x_i,x_j>|`` ``(B,)``.
-
-    The residuals are the determinant gap followed by the four
-    cross-check identities, named as in :data:`_DET3_NAMES`.
-    """
-    # |<x_1,x_2>|, |<x_2,x_3>|, |<x_3,x_1>| and |<y_2,y_3>|
-    p = np.abs(grams[:, 0, (1, 2, 0), (0, 1, 2)])
-    q23 = np.abs(grams[:, 1, 2, 1])
-    apart = 1 - p**2
-    dets = np.linalg.det(grams).real  # det X*X, det Y*Y
-    # |<x_i, y_i>|^2
-    pairing = np.abs(np.sum(y.conj() * x, axis=1)) ** 2
-    expected = np.concatenate(
-        [
-            apart.prod(axis=1, keepdims=True),
-            # cross-check identities tying det X*X and det Y*Y to the dual pairings
-            pairing * apart[:, (1, 2, 0)],
-            (pairing[:, 0] * (1 - q23**2))[:, None],
-        ],
-        axis=1,
-    )
-    return np.abs(dets[:, (0, 0, 0, 0, 1)] - expected), p.min(axis=1)
-
-
-def _det3_outcome(residuals: np.ndarray, smallest: float) -> Optional[UecsmError]:
-    """Why the determinant criterion does not apply to one row, or None."""
-    if smallest < _ORTHOGONAL_FLOOR:
-        return OrthogonalEigenvectors(
-            "a pairwise eigenvector inner product vanishes; criterion inapplicable"
-        )
-    worst_check = float(residuals[1:].max())
-    if worst_check > _IDENTITY_CHECK_TOL:
-        return ConsistencyError(
-            f"determinant identity cross-check failed at {worst_check:.3e}; "
-            "spectral data is not trustworthy"
-        )
-    return None
+    return _one_row(s, tol, det3=False)["lsat"]
 
 
 def det_criterion_3(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
@@ -181,45 +200,12 @@ def det_criterion_3(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     """
     if s.n != 3:
         raise DimensionMismatch(f"det_criterion_3 requires a 3x3 matrix, got n = {s.n}")
-    residuals, smallest = _det3_residuals(s.x[None], s.y[None], s.grams[None])
-    refusal = _det3_outcome(residuals[0], float(smallest[0]))
-    if refusal is not None:
-        raise refusal
-    return Verdict.from_rows("det_criterion_3", _DET3_NAMES, residuals, tol)[0]
-
-
-def _angle_rows(
-    x: np.ndarray, y: np.ndarray, grams: np.ndarray, rows: Union[list[int], slice], tol: float
-) -> list[Union[dict[str, Verdict], ConsistencyError]]:
-    """The angle verdicts of the given rows of stacked eigenvector systems.
-
-    ``x`` and ``y`` are ``(B, n, n)`` stacks and ``grams`` their
-    ``(B, 2, n, n)`` Gram matrices.  One pair of Gram matrices serves
-    WAT, SAT, LSAT and, at n = 3, the determinant criterion, whose
-    verdict a row gets only when the criterion applies to it.  A row
-    whose determinant cross-check fails gets its
-    :class:`ConsistencyError` in place of the verdicts.
-    """
-    grams = grams[rows]
-    columns = {"wat": _wat_rows(grams, tol), **_triple_rows(grams, tol)}
-    det3_outcomes: list[Optional[UecsmError]] = [None] * len(grams)
-    if grams.shape[-1] == 3:
-        residuals, smallest = _det3_residuals(x[rows], y[rows], grams)
-        det3_outcomes = [_det3_outcome(r, m) for r, m in zip(residuals, smallest.tolist())]
-        columns["det3"] = Verdict.from_rows("det_criterion_3", _DET3_NAMES, residuals, tol)
-    out: list[Union[dict[str, Verdict], ConsistencyError]] = []
-    for r, outcome in enumerate(det3_outcomes):
-        if isinstance(outcome, ConsistencyError):
-            out.append(outcome)
-            continue
-        out.append(
-            {
-                key: verdicts[r]
-                for key, verdicts in columns.items()
-                if key != "det3" or outcome is None
-            }
-        )
-    return out
+    outcome = _one_row(s, tol)
+    if isinstance(outcome, ConsistencyError):
+        raise outcome
+    if "det3" not in outcome:
+        raise OrthogonalEigenvectors(_ORTHOGONAL)
+    return outcome["det3"]
 
 
 def angle_suite(t: CMatrix, tol: float = DEFAULT_TOL) -> dict[str, Verdict]:
@@ -234,8 +220,7 @@ def angle_suite(t: CMatrix, tol: float = DEFAULT_TOL) -> dict[str, Verdict]:
     the determinant cross-check fails.  This is the one-matrix case of
     :func:`angle_verdicts`.
     """
-    s = eigensystem(t)
-    outcome = _angle_rows(s.x[None], s.y[None], s.grams[None], slice(None), tol)[0]
+    outcome = _one_row(eigensystem(t), tol)
     if isinstance(outcome, ConsistencyError):
         raise outcome
     return outcome
@@ -252,8 +237,10 @@ def angle_verdicts(
     """
     out: list[Union[dict[str, Verdict], UecsmError]] = list(spectral.refusals)
     rows = [b for b, refusal in enumerate(spectral.refusals) if refusal is None]
-    if rows:
-        outcomes = _angle_rows(spectral.x, spectral.y, spectral.grams, rows, tol)
-        for b, outcome in zip(rows, outcomes):
-            out[b] = outcome
+    if not rows:
+        return out
+    pick = slice(None) if len(rows) == len(out) else rows
+    outcomes = _angle_rows(spectral.x[pick], spectral.y[pick], spectral.grams[pick], tol)
+    for b, outcome in zip(rows, outcomes):
+        out[b] = outcome
     return out

@@ -219,7 +219,8 @@ def _orjson_document(data: bytes) -> Optional[MatrixDocument]:
     ``json.loads`` might read it otherwise (the module docstring lists the
     cases).  What remains is read alike: orjson reads an entry beyond 64
     bits as the float that ``float(int)`` gives."""
-    if data.count(b"[") + data.count(b"{") > _ORJSON_MAX_BRACKETS:
+    # a document no longer than the cap cannot hold more brackets than it
+    if len(data) > _ORJSON_MAX_BRACKETS and data.count(b"[") + data.count(b"{") > _ORJSON_MAX_BRACKETS:
         return None
     try:
         raw = orjson.loads(data)

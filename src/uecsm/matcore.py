@@ -55,6 +55,14 @@ def identity(n: int) -> CMatrix:
     return np.eye(n, dtype=complex)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> CMatrix:
+    """:func:`identity`, cached and read-only."""
+    eye = identity(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _require_square(a: CMatrix, stacked: bool = False) -> int:
     """The size ``n`` of a square matrix, or of each matrix of a ``(B, n, n)`` stack.
 
@@ -129,12 +137,12 @@ def normalize_stack(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     parts = np.asarray(ts, dtype=complex).reshape(count, n * n).view(float)
     # scale by 2**-e, exactly, with 2**e near the largest part; a zero
     # matrix keeps e = 0
-    e = np.frexp(np.abs(parts).max(axis=1))[1]
+    e = np.frexp(np.maximum.reduce(np.abs(parts), axis=1))[1]
     m = np.ldexp(parts, -e[:, None]).view(complex)
     d = m[:, :: n + 1]  # the diagonals, a view
     # the mean taken relative to d[0] is exactly d[0] when every diagonal
     # entry equals it, so a scalar matrix centers to exact zeros
-    mu = d[:, 0] + (d - d[:, :1]).sum(axis=1) / n
+    mu = d[:, 0] + np.add.reduce(d - d[:, :1], axis=1) / n
     d -= mu[:, None]
     flat = m.view(float)
     r = np.sqrt(np.einsum("bi,bi->b", flat, flat))
@@ -250,7 +258,7 @@ class _TracePlan:
         xs, ys = (x, y) if stacked else (x[None], y[None])
         n = xs.shape[-1]
         table = np.empty((self.rows, len(xs), n, n), dtype=complex)
-        table[0] = np.eye(n)
+        table[0] = _identity(n)
         table[1] = xs
         table[2] = ys
         for op, start, stop, a, b in self.levels:

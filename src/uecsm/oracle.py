@@ -35,6 +35,7 @@ direction, never a proof, so the search's failure status is
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -81,13 +82,13 @@ class OracleResult:
 
 def _evaluate(t: CMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """S = U T U*, its asymmetry G = S - S^t and the cost |G|_F^2."""
-    s = u @ t @ adjoint(u)
+    s = u @ t @ u.conj().T
     g = s - s.T
     return s, g, float(np.vdot(g, g).real)
 
 
 def _residual(cost: float) -> float:
-    return float(np.sqrt(max(cost, 0.0)))
+    return math.sqrt(max(cost, 0.0))
 
 
 def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
@@ -256,7 +257,7 @@ def _tree_phases(b: np.ndarray) -> np.ndarray:
     """
     n = b.shape[0]
     weight = np.abs(b).tolist()
-    angle = np.angle(b).tolist()
+    angle = np.arctan2(b.imag, b.real).tolist()  # np.angle(b)
     alpha = [0.0] * n
     best = weight[0][:]  # heaviest edge from the tree to each vertex
     parent = [0] * n
@@ -343,13 +344,14 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> tuple[Optional[OracleResul
     ``g > 64 tau``, where ``delta / g`` is small, as step 2 assumes.
     """
     turned = _turned_phases(rep)[:, None, None] * rep
-    herm = 0.5 * (turned + adjoint(turned))  # Re(cT) for every phase c
-    gaps = np.diff(np.linalg.eigvalsh(herm), axis=-1).min(axis=-1)
-    k = int(np.argmax(gaps))
+    herm = 0.5 * (turned + turned.conj().swapaxes(1, 2))  # Re(cT) for every phase c
+    values = np.linalg.eigvalsh(herm)
+    gaps = np.minimum.reduce(values[:, 1:] - values[:, :-1], axis=-1)  # np.diff, then min
+    k = int(gaps.argmax())
     if gaps[k] <= _GAP_MIN:
         return None, None
     _, v = np.linalg.eigh(herm[k])
-    vh = adjoint(v)
+    vh = v.conj().T
     b = -1j * (vh @ (turned[k] - herm[k]) @ v)  # B' = V* Im(cT) V
     u = np.exp(1j * _tree_phases(b))[:, None] * vh
     residual = _residual(_evaluate(rep, u)[2])  # rep has unit norm

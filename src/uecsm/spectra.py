@@ -28,7 +28,10 @@ refuses row by row, with the refusal :func:`eigensystem` raises for
 that matrix alone, and :func:`eigensystem` is its one-matrix case.  A
 stacked ``eig`` or ``inv`` that LAPACK fails on is retried row by row.
 The result carries the Gram matrices ``X*X`` and ``Y*Y``, which every
-angle test reads.
+angle test reads.  It keeps the eigenvalues of the representatives with
+their shifts and scales; the eigenvalues and gaps in the caller's units
+are computed on first read, and a refusal text computes the value it
+names only when it is written, since the analysis reads neither.
 
 :func:`durand_kerner` is a standalone root finder; :func:`eigensystem`
 does not use it.
@@ -38,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import cached_property, lru_cache
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -133,15 +137,30 @@ class SpectralStack:
     ``refusals[b]`` is ``None`` when row ``b`` passed every check, else
     the :class:`DegenerateSpectrum` or :class:`NoConvergence` that
     :func:`eigensystem` raises for that matrix; the arrays of a refused
-    row hold placeholders.
+    row hold placeholders.  The stack keeps the eigenvalues ``lam`` of
+    the representatives with their shifts ``mu`` and scales ``s``; the
+    eigenvalues and gaps in the caller's units are computed on first read.
     """
 
-    eigenvalues: np.ndarray  # (B, n), caller's units
+    lam: np.ndarray  # (B, n), of the representatives
+    mu: np.ndarray  # (B,)
+    s: np.ndarray  # (B,)
+    rep_gap: np.ndarray  # (B,), of the representatives
     x: np.ndarray  # (B, n, n)
     y: np.ndarray  # (B, n, n)
     grams: np.ndarray  # (B, 2, n, n)
-    gap: np.ndarray  # (B,), caller's units
     refusals: tuple[Optional[UecsmError], ...]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """``(B, n)``, in the caller's units."""
+        return _caller_units(self.lam, self.mu, self.s)
+
+    @cached_property
+    def gap(self) -> np.ndarray:
+        """``(B,)``, in the caller's units; inf or nan, without a warning, where ``s`` overflowed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.s * self.rep_gap if self.lam.shape[-1] > 1 else np.full(len(self.s), math.inf)
 
     def row(self, b: int) -> SpectralData:
         """The data of row ``b``, or its refusal raised."""
@@ -160,6 +179,20 @@ class SpectralStack:
         )
 
 
+def _caller_units(lam: np.ndarray, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``mu + s lam`` row by row: inf or nan, without a warning, where ``s`` overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mu[:, None] + s[:, None] * lam
+
+
+@lru_cache(maxsize=64)
+def _arange(k: int) -> np.ndarray:
+    """``np.arange(k)``, read-only."""
+    a = np.arange(k)
+    a.flags.writeable = False
+    return a
+
+
 def _grams(v: np.ndarray) -> np.ndarray:
     """``X*X`` and ``Y*Y`` as a ``(B, 2, n, n)`` array, from the stack of
     the ``B`` matrices ``X`` followed by the ``B`` matrices ``Y``."""
@@ -169,8 +202,8 @@ def _grams(v: np.ndarray) -> np.ndarray:
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each unit column positive real."""
-    lead = np.argmax(np.abs(v) > 1e-8, axis=1)
-    pivot = v[np.arange(len(v))[:, None], lead, np.arange(v.shape[-1])]
+    lead = (np.abs(v) > 1e-8).argmax(axis=1)
+    pivot = v[_arange(len(v))[:, None], lead, _arange(v.shape[-1])]
     return v * (pivot.conj() / np.abs(pivot))[:, None, :]
 
 
@@ -217,17 +250,19 @@ def _check_vectors(
     lam: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    values: np.ndarray,
     nearest: np.ndarray,
     refusals: list,
+    values: Callable[[], np.ndarray],
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Normalize, phase and check the eigenvector systems of :func:`eigensystem_stack`.
 
-    ``y`` is ``inv(X)*``.  Returns the unit vectors of both systems and
-    their Gram matrices; a row that fails a check gets its refusal,
-    unless it has one already.  The checks run in order: conditioning,
-    eigenvector residuals, biorthogonality.  When every row is refused
-    the remaining checks are skipped and None is returned.
+    ``y`` is ``inv(X)*``, and ``values()`` gives the eigenvalues in the
+    caller's units, which only a refusal text reads.  Returns the unit
+    vectors of both systems and their Gram matrices; a row that fails a
+    check gets its refusal, unless it has one already.  The checks run
+    in order: conditioning, eigenvector residuals, biorthogonality.
+    When every row is refused the remaining checks are skipped and None
+    is returned.
     """
     count, n = len(x), x.shape[-1]
 
@@ -238,17 +273,18 @@ def _check_vectors(
     # so kappa_i = 1 / |<x_i, y_i / |y_i|>| = |y_i|
     kappa = np.hypot.reduce(np.abs(y), axis=1)
     uncertainty = _CLUSTER_FACTOR * n * EPS * kappa
-    if not (uncertainty < nearest).all():
+    separated = uncertainty < nearest
+    if not np.logical_and.reduce(separated, axis=None):
 
         def ill_conditioned(b: int) -> DegenerateSpectrum:
             i = worst(uncertainty[b] / nearest[b])
             return DegenerateSpectrum(
-                f"eigenvalue {values[b, i]} has condition number {kappa[b, i]:.3e}: its "
+                f"eigenvalue {values()[b, i]} has condition number {kappa[b, i]:.3e}: its "
                 f"uncertainty {uncertainty[b, i]:.3e} reaches the distance {nearest[b, i]:.3e} "
                 "to another eigenvalue of the normalized matrix"
             )
 
-        _refuse(refusals, ~(uncertainty < nearest).all(axis=1), ill_conditioned)
+        _refuse(refusals, ~np.logical_and.reduce(separated, axis=1), ill_conditioned)
         if all(refusals):
             return None
 
@@ -266,20 +302,22 @@ def _check_vectors(
     cross.reshape(count, n * n)[:, :: n + 1] = 0.0
     cross = np.abs(cross)
 
-    if not (res <= _RESIDUAL_TOL).all():
+    accurate = res <= _RESIDUAL_TOL
+    if not np.logical_and.reduce(accurate, axis=None):
 
         def inaccurate(b: int) -> NoConvergence:
             i = worst(res[b])
             return NoConvergence(
                 f"eigenvector residual {res[b, i]:.3e} of the normalized matrix "
-                f"exceeds {_RESIDUAL_TOL:.1e} for eigenvalue {values[b, i]}"
+                f"exceeds {_RESIDUAL_TOL:.1e} for eigenvalue {values()[b, i]}"
             )
 
-        _refuse(refusals, ~(res <= _RESIDUAL_TOL).all(axis=1), inaccurate)
-    if not (cross <= _BIORTHO_TOL).all():
+        _refuse(refusals, ~np.logical_and.reduce(accurate, axis=1), inaccurate)
+    biorthogonal = cross <= _BIORTHO_TOL
+    if not np.logical_and.reduce(biorthogonal, axis=None):
         _refuse(
             refusals,
-            ~(cross <= _BIORTHO_TOL).all(axis=(1, 2)),
+            ~biorthogonal.all(axis=(1, 2)),
             lambda b: NoConvergence(
                 f"biorthogonality defect {cross[b].max():.3e} exceeds {_BIORTHO_TOL:.1e}"
             ),
@@ -310,7 +348,7 @@ def eigensystem_stack(reps: np.ndarray, mu: np.ndarray, s: np.ndarray) -> Spectr
     """
     n = _require_square(reps, stacked=True)
     count = len(reps)
-    rows = np.arange(count)[:, None]
+    rows = _arange(count)[:, None]
     refusals: list[Optional[UecsmError]] = [None] * count
 
     w, x = _rowwise(
@@ -319,28 +357,26 @@ def eigensystem_stack(reps: np.ndarray, mu: np.ndarray, s: np.ndarray) -> Spectr
     # complex values sort by real part, then imaginary part
     order = np.argsort(w, axis=1)
     lam = w[rows, order]
-    x = x.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+    x = x[rows, :, order].swapaxes(1, 2)
 
     dist = np.abs(lam[:, :, None] - lam[:, None, :])
     dist.reshape(count, n * n)[:, :: n + 1] = math.inf
-    nearest = dist.min(axis=2)
-    gap = nearest.min(axis=1)
-    # in the caller's units; inf or nan, without a warning, where s overflowed
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = mu[:, None] + s[:, None] * lam
-        scaled_gap = s * gap if n > 1 else np.full(count, math.inf)
+    nearest = np.minimum.reduce(dist, axis=2)
+    gap = np.minimum.reduce(nearest, axis=1)
     degenerate = gap <= _DISTINCT_TOL
-    _refuse(
-        refusals,
-        degenerate,
-        lambda b: DegenerateSpectrum(
-            f"eigenvalue gap {gap[b]:.3e} of the normalized matrix at or below {_DISTINCT_TOL:.1e}"
-        ),
-    )
+    any_degenerate = np.logical_or.reduce(degenerate)
+    if any_degenerate:
+        _refuse(
+            refusals,
+            degenerate,
+            lambda b: DegenerateSpectrum(
+                f"eigenvalue gap {gap[b]:.3e} of the normalized matrix at or below {_DISTINCT_TOL:.1e}"
+            ),
+        )
 
     checked = None
     if not all(refusals):
-        if degenerate.any():
+        if any_degenerate:
             # a refused row inverts the identity, so it cannot make the stack singular
             x = np.where(degenerate[:, None, None], np.eye(n), x)
         y = adjoint(
@@ -351,7 +387,7 @@ def eigensystem_stack(reps: np.ndarray, mu: np.ndarray, s: np.ndarray) -> Spectr
                 lambda exc: DegenerateSpectrum("eigenvector matrix is singular"),
             )
         )
-        checked = _check_vectors(reps, lam, x, y, values, nearest, refusals)
+        checked = _check_vectors(reps, lam, x, y, nearest, refusals, lambda: _caller_units(lam, mu, s))
     if checked is None:
         # every row was refused: the arrays are placeholders
         x = y = np.zeros((count, n, n), dtype=complex)
@@ -361,11 +397,4 @@ def eigensystem_stack(reps: np.ndarray, mu: np.ndarray, s: np.ndarray) -> Spectr
 
     for a in (x, y, grams):
         a.flags.writeable = False
-    return SpectralStack(
-        eigenvalues=values,
-        x=x,
-        y=y,
-        grams=grams,
-        gap=scaled_gap,
-        refusals=tuple(refusals),
-    )
+    return SpectralStack(lam, mu, s, gap, x, y, grams, tuple(refusals))

@@ -207,13 +207,22 @@ class Verdict:
         row passes when its largest residual, by Python's ``max``, is at
         most ``tol``; that maximum is also the verdict's ``max_residual``.
         """
-        verdicts = []
-        for row in map(tuple, residuals.tolist()):
-            worst = max(row, default=0.0)
-            verdict = cls(criterion, worst <= tol, names, row, tol)
-            verdict.__dict__["max_residual"] = worst  # seeds the cached property
-            verdicts.append(verdict)
-        return verdicts
+        return [cls.from_row(criterion, names, row, tol) for row in map(tuple, residuals.tolist())]
+
+    @classmethod
+    def from_row(cls, criterion: str, names: tuple[str, ...], row: tuple[float, ...], tol: float) -> "Verdict":
+        """The verdict of one row of :meth:`from_rows`, given as a tuple of floats.
+
+        The instance is the one the constructor builds, with its fields
+        set at once rather than one ``object.__setattr__`` each, and with
+        the cached ``max_residual`` seeded.
+        """
+        worst = max(row, default=0.0)
+        verdict = object.__new__(cls)
+        verdict.__dict__.update(
+            criterion=criterion, passed=worst <= tol, names=names, row=row, tol=tol, max_residual=worst
+        )
+        return verdict
 
 
 def _require_dim(t: CMatrix, n: int, who: str) -> None:

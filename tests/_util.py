@@ -71,3 +71,50 @@ def phase_probe_inputs() -> tuple[tuple[np.ndarray, float, np.ndarray], ...]:
     return tuple(
         (random_complex_matrix(gen, 3), gen.uniform(0, 2 * np.pi), random_unitary(gen, 3)) for _ in range(20000)
     )
+
+
+def _jordan_split(gen: np.random.Generator, n: int, k: int, eigenvalue: complex) -> np.ndarray:
+    """``W J W*`` for a Haar-ish ``W`` and ``J`` a k x k Jordan block at
+    ``eigenvalue`` followed by distinct eigenvalues ``1.5 + 0.7j i``.
+
+    Rounding splits the repeated eigenvalue by about ``eps**(1/k)``,
+    far above the gap threshold, with a condition number near
+    ``eps**(1/k - 1)``: the ill-conditioned refusal for ``k >= 3``.
+    """
+    j = np.diag([eigenvalue] * k + [1.5 + 0.7j * i for i in range(1, n - k + 1)]).astype(complex)
+    j[np.arange(k - 1), np.arange(1, k)] = 1.0
+    w = random_unitary(gen, n)
+    return w @ j @ w.conj().T
+
+
+@lru_cache(maxsize=None)
+def one_matrix_inputs() -> tuple[tuple[str, np.ndarray], ...]:
+    """Labelled inputs that reach every report shape of a one-matrix analysis.
+
+    From ``numpy.random.default_rng(2023)``, for n = 3 and then 4: three
+    UECSM matrices ``W* (Z + Z^t)/2 W``, three complex Gaussians, two
+    strictly upper triangular (nilpotent) Gaussians, a 2-block and an
+    n-block Jordan split at 0.5, and an n-block Jordan split at 0 scaled
+    to a largest part of 1.7e308, so ``s`` overflows inside an
+    ill-conditioned refusal.  Then ``Q diag(1, 1, 2) Q*``, which the
+    closed-form stage declines, and ``[[1.7e308, -1.7e308], [1.7e308, 0]]``
+    embedded in a 3x3, whose ``s`` overflows on an accepted row.
+    """
+    gen = rng(2023)
+    out = []
+    for n in (3, 4):
+        for k in range(3):
+            z = random_complex_matrix(gen, n)
+            w = random_unitary(gen, n)
+            out.append((f"uecsm{n}-{k}", w.conj().T @ ((z + z.T) / 2) @ w))
+        out.extend((f"gauss{n}-{k}", random_complex_matrix(gen, n)) for k in range(3))
+        out.extend((f"nilpotent{n}-{k}", np.triu(random_complex_matrix(gen, n), 1)) for k in range(2))
+        out.extend((f"jordan{n}-{k}", _jordan_split(gen, n, k, 0.5)) for k in (2, n))
+        t = _jordan_split(gen, n, n, 0.0)
+        out.append((f"overflow-jordan{n}", 1.7e308 * (t / np.abs(t.view(float)).max())))
+    q = random_unitary(gen, 3)
+    out.append(("normal-repeated3", q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T))
+    t = np.zeros((3, 3), dtype=complex)
+    t[:2, :2] = [[1.7e308, -1.7e308], [1.7e308, 0]]
+    out.append(("overflow3", t))
+    return tuple(out)

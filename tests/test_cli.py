@@ -37,7 +37,7 @@ from uecsm.errors import ParseError
 from uecsm.gallery import GALLERY, WAT_COUNTEREXAMPLE
 from uecsm.matcore import cmatrix, normalize
 
-from _util import random_complex_matrix, random_unitary, rng
+from _util import one_matrix_inputs, random_complex_matrix, random_unitary, rng
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -946,6 +946,30 @@ def test_repeated_eigenvalue_off_centre_is_degenerate(label):
         assert report.spectral_status == "degenerate"
         assert report.conflicts == []
         assert report.uecsm is expected
+
+
+def _hexed(value):
+    """``value`` with every float, nested in dicts and lists, replaced by its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def test_one_matrix_reports_equal_the_frozen_golden():
+    # golden/one_matrix_reports.json: label -> [to_dict() of analyze(T), of
+    # analyze(T, run_oracle=True)], every float by float.hex, one label a
+    # line, frozen before the spectral layer computed its values lazily; the
+    # inputs reach ill-conditioned and overflowing refusals and an LM witness
+    record = {
+        label: [_hexed(analyze(t, label, run_oracle=oracle).to_dict()) for oracle in (False, True)]
+        for label, t in one_matrix_inputs()
+    }
+    text = "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in record.items()) + "\n}\n"
+    assert text == (GOLDEN / "one_matrix_reports.json").read_text(encoding="utf-8")
 
 
 def test_analyze_conflict_detection():

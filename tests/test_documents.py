@@ -45,6 +45,13 @@ def _nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
+def _square_with_brackets(total: int) -> str:
+    """The 31x31 document of :func:`_square`, its label padded with ``[`` to ``total`` brackets."""
+    doc = json.loads(_square(31))
+    doc["label"] = "[" * (total - _square(31).count("[") - _square(31).count("{"))
+    return json.dumps(doc)
+
+
 VALID = _document()
 
 #: name -> document bytes; each is read as a file, and as text where it is UTF-8
@@ -113,6 +120,9 @@ CASES = {
     "nesting 100,000 deep, unclosed": b"[" * 100_000,
     # 31x31 is the largest matrix orjson decodes, 32x32 goes to json.loads
     **{f"{n}x{n} matrix": _square(n).encode() for n in (31, 32)},
+    # brackets inside strings count too: 1024 in all go to orjson, 1025 to json.loads
+    **{f"{total} brackets": _square_with_brackets(total).encode() for total in (1024, 1025)},
+    "1024 bytes, every one a bracket": b"[" * 1024,
 }
 
 
@@ -141,6 +151,15 @@ def test_table(tmp_path, name):
     path = tmp_path / "m.json"
     path.write_bytes(CASES[name])
     _assert_same(path)
+
+
+def test_bracket_cap_routes_documents():
+    # orjson decodes a document with at most _ORJSON_MAX_BRACKETS brackets,
+    # json.loads one with more; a document that short cannot exceed the cap
+    assert uecsm.cli._ORJSON_MAX_BRACKETS == 1024
+    assert uecsm.cli._orjson_document(CASES["1024 brackets"]).label == "[" * 30
+    assert uecsm.cli._orjson_document(CASES["1025 brackets"]) is None
+    assert uecsm.cli._orjson_document(VALID.encode()).label == "m"
 
 
 def test_array_conversion_agrees_with_the_entry_checks():

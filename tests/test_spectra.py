@@ -8,6 +8,10 @@ polynomial of an integer matrix, computed here in exact integer
 arithmetic.
 """
 
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,10 @@ from uecsm import (
 )
 from uecsm.gallery import WAT_COUNTEREXAMPLE
 
-from _util import random_integer_matrix, random_unitary, rng
+from uecsm.matcore import normalize_stack
+from uecsm.spectra import eigensystem_stack
+
+from _util import one_matrix_inputs, random_integer_matrix, random_unitary, rng
 
 
 def unimodular(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,3 +210,28 @@ class TestEigensystem:
         assert a.eigenvalues == b.eigenvalues
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
+
+
+class TestSpectralStackValues:
+    def test_caller_unit_values_equal_the_frozen_record(self):
+        # golden/spectral_stack.json: eigenvalues (real, imag) and gap of a
+        # stack mixing accepted, gap-refused, ill-conditioned and
+        # overflowing rows, by float.hex, frozen before they were computed
+        # on first read; refused rows keep their values too
+        record = json.loads((Path(__file__).parent / "golden" / "spectral_stack.json").read_text())
+        inputs = dict(one_matrix_inputs())
+        stack = eigensystem_stack(*normalize_stack(np.stack([inputs[label] for label in record["labels"]])))
+        eigenvalues = [[[z.real.hex(), z.imag.hex()] for z in row] for row in stack.eigenvalues.tolist()]
+        assert eigenvalues == record["eigenvalues"]
+        assert [g.hex() for g in stack.gap.tolist()] == record["gap"]
+        refusals = [None if r is None else f"{type(r).__name__}: {r}" for r in stack.refusals]
+        assert refusals == record["refusals"]
+
+    def test_overflowing_scale_reads_without_a_warning(self):
+        inputs = dict(one_matrix_inputs())
+        for label in ("overflow3", "overflow-jordan4"):
+            stack = eigensystem_stack(*normalize_stack(inputs[label][None]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values, gap = stack.eigenvalues, stack.gap
+            assert not np.isfinite(values).all() and gap[0] == np.inf, label

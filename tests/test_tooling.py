@@ -132,3 +132,21 @@ def test_bench_pairs_alternates_and_summarizes(monkeypatch):
     assert (claimed["wins"], claimed["median_gap"], claimed["parent_iqr"]) == (3, 8.0, 3.5)
     assert not claimed["met"]  # 3 of 4 pairs is fewer than 9 in 10
     assert bench._seeds(["9601-9603", "7"]) == [9601, 9602, 9603, 7]
+
+
+def test_stage_costs_prints_every_layer(monkeypatch, capsys):
+    # one round of the oracle workload's probe; the layers are put back afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "perfbench_corpus", None)  # loaded afresh, removed afterwards
+    path = Path(__file__).resolve().parents[1] / "tools" / "stage_costs.py"
+    spec = importlib.util.spec_from_file_location("stage_costs", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    layers = {name: getattr(uecsm.cli, name) for name in module.LAYERS}
+    assert module.main(["--workload", "oracle", "--rounds", "1"]) == 0
+    assert {name: getattr(uecsm.cli, name) for name in module.LAYERS} == layers
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "oracle, seed 0, 1 rounds: us per matrix"
+    assert [line.split()[0] for line in lines[2:]] == ["analyze", *module.LAYERS, "rest"]
+    assert float(lines[2].split()[1]) > 0
