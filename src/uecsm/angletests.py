@@ -51,7 +51,9 @@ def _angle_index(n: int) -> tuple:
 
     Returns the row and column indices of the entries ``[j, i]`` of the
     pairs i < j in lexicographic order (at n = 3 followed by ``[0, 2]``,
-    the entry of ``<x_3, x_1>`` that the determinant criterion reads),
+    the entry of ``<x_3, x_1>`` that the determinant criterion reads: the
+    stacked ``X*X`` is not Hermitian to the last bit, so the ``[2, 0]``
+    that WAT reads for that pair would change its residuals),
     then of the factors ``[j, i]``, ``[k, j]`` and ``[i, k]`` of the
     triples i <= j <= k in lexicographic order; then the number of pair
     entries, the number of triples, and the 1-based pair and triple names.
@@ -75,7 +77,6 @@ _DET3_NAMES = (
     "det_vs_pairing_3",
     "dual_det_vs_pairing",
 )
-_ORTHOGONAL = "a pairwise eigenvector inner product vanishes; criterion inapplicable"
 
 
 def _angle_rows(
@@ -204,7 +205,7 @@ def det_criterion_3(s: SpectralData, tol: float = DEFAULT_TOL) -> Verdict:
     if isinstance(outcome, ConsistencyError):
         raise outcome
     if "det3" not in outcome:
-        raise OrthogonalEigenvectors(_ORTHOGONAL)
+        raise OrthogonalEigenvectors("a pairwise eigenvector inner product vanishes; criterion inapplicable")
     return outcome["det3"]
 
 
