@@ -11,6 +11,7 @@ shape that is not a square matrix.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +42,10 @@ from uecsm.cli import (
     write_matrix_document,
 )
 from uecsm.gallery import GALLERY
-from uecsm.matcore import _TracePlan
+from uecsm.matcore import _TracePlan, adjoint, normalize_stack
+from uecsm.tracetests import _TRACE_CHECKS
 
-from _util import random_complex_matrix, random_symmetric_matrix, random_unitary, rng
+from _util import one_matrix_inputs, random_complex_matrix, random_symmetric_matrix, random_unitary, rng
 
 RESIDUAL_TOL = 1e-15
 
@@ -326,3 +328,67 @@ def test_solver_failure_refuses_only_its_row(monkeypatch):
     report = analyze_stack(ts, ["a", "b", "c"])[1]
     assert report.spectral_status == "no_convergence"
     assert report.notes[0].startswith("eigensolver failed, angle tests skipped: LAPACK")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _hex(a: np.ndarray) -> list:
+    """Every float of a real or complex array by ``float.hex``, complex
+    entries as their real part followed by their imaginary part."""
+    return [v.hex() for v in np.asarray(a).view(float).ravel().tolist()]
+
+
+def _mixed_stack(n: int) -> tuple[list[str], np.ndarray]:
+    """The labels of ``one_matrix_inputs()`` of size n, every fourth
+    from each start, then the first four again: 17 rows, with gap- and
+    ill-conditioned-refused rows between accepted ones."""
+    inputs = one_matrix_inputs()
+    labels = [label for label, t in inputs if len(t) == n]
+    labels = [label for k in range(4) for label in labels[k::4]]
+    labels += labels[: 17 - len(labels)]
+    return labels, np.stack([dict(inputs)[label] for label in labels])
+
+
+def _outcome(value) -> object:
+    if isinstance(value, Exception):
+        return f"{type(value).__name__}: {value}"
+    return {key: [v.criterion, v.passed, [r.hex() for r in v.row]] for key, v in value.items()}
+
+
+def _stacked_arrays() -> dict:
+    """The raw arrays of the stacked kernels on the mixed stacks of n = 3 and 4.
+
+    For each size: ``lam``, ``x``, ``y`` and ``grams`` of
+    ``eigensystem_stack`` (refused rows keep their placeholders), the
+    complex traces of the UECSM plan on the stack and on its first row
+    alone, before any modulus, and ``angle_verdicts`` of the stack and
+    of its accepted rows alone.
+    """
+    record = {}
+    for n in (3, 4):
+        labels, ts = _mixed_stack(n)
+        reps, mu, s = normalize_stack(ts)
+        spectral = uecsm.spectra.eigensystem_stack(reps, mu, s)
+        plan = _TRACE_CHECKS[n].plan
+        accepted = [b for b, r in enumerate(spectral.refusals) if r is None]
+        alone = uecsm.spectra.eigensystem_stack(reps[accepted], mu[accepted], s[accepted])
+        fields = {
+            "labels": labels,
+            **{name: _hex(getattr(spectral, name)) for name in ("lam", "x", "y", "grams")},
+            "traces": _hex(plan.traces(reps, adjoint(reps))),
+            "traces_row0": _hex(plan.traces(reps[0], adjoint(reps[0]))),
+            "angle_verdicts": [_outcome(v) for v in uecsm.angletests.angle_verdicts(spectral)],
+            "angle_verdicts_accepted": [_outcome(v) for v in uecsm.angletests.angle_verdicts(alone)],
+        }
+        record.update((f"n{n} {name}", value) for name, value in fields.items())
+    return record
+
+
+def test_stacked_arrays_equal_the_frozen_golden():
+    # golden/stacked_arrays.json: the eigen arrays, raw traces and angle
+    # verdicts of the mixed stacks, every float by float.hex, frozen
+    # before the kernels gathered with take; one size and field a line
+    record = _stacked_arrays()
+    text = "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in record.items()) + "\n}\n"
+    assert text == (GOLDEN / "stacked_arrays.json").read_text(encoding="utf-8")
