@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatch, OrthogonalEigenvectors, UecsmError
-from .matcore import CMatrix
+from .matcore import CMatrix, _indices
 from .spectra import SpectralData, SpectralStack, eigensystem
 from .tracetests import DEFAULT_TOL, Verdict
 
@@ -49,9 +49,10 @@ _TRIPLE_FLOOR = 1e-4
 def _angle_index(n: int) -> tuple:
     """The one gather of the angle tests from a Gram matrix, with the names of their residuals.
 
-    Returns the row and column indices of the entries ``[j, i]`` of the
-    pairs i < j in lexicographic order (at n = 3 followed by ``[0, 2]``,
-    the entry of ``<x_3, x_1>`` that the determinant criterion reads: the
+    Returns the flat indices ``row * n + column``, into a Gram matrix
+    read as ``n * n`` entries, of the entries ``[j, i]`` of the pairs
+    i < j in lexicographic order (at n = 3 followed by ``[0, 2]``, the
+    entry of ``<x_3, x_1>`` that the determinant criterion reads: the
     stacked ``X*X`` is not Hermitian to the last bit, so the ``[2, 0]``
     that WAT reads for that pair would change its residuals),
     then of the factors ``[j, i]``, ``[k, j]`` and ``[i, k]`` of the
@@ -63,12 +64,18 @@ def _angle_index(n: int) -> tuple:
     entries = [(j, i) for i, j in pairs] + ([(0, 2)] if n == 3 else [])
     for a, b in ((1, 0), (2, 1), (0, 2)):
         entries += [(t[a], t[b]) for t in triples]
-    rows, cols = (np.array(col, dtype=np.intp) for col in zip(*entries))
-    rows.flags.writeable = cols.flags.writeable = False
+    flat = _indices([row * n + col for row, col in entries])
     pair_names = tuple(f"pair_{i + 1}_{j + 1}" for i, j in pairs)
     triple_names = tuple("triple_{}_{}_{}".format(*(a + 1 for a in t)) for t in triples)
-    return rows, cols, len(entries) - 3 * len(triples), len(triples), pair_names, triple_names
+    return flat, len(entries) - 3 * len(triples), len(triples), pair_names, triple_names
 
+
+# the gathers of the determinant criterion: the pair entries of
+# <x_1,x_2>, <x_2,x_3> and <x_3,x_1>; the factors 1 - |<x_i,x_j>|^2
+# cycled to pair with |<x_i,y_i>|^2; det X*X four times, then det Y*Y
+_DET3_PAIRS = _indices((0, 2, 3))
+_DET3_CYCLE = _indices((1, 2, 0))
+_DET3_DETS = _indices((0, 0, 0, 0, 1))
 
 _DET3_NAMES = (
     "determinant_gap",
@@ -105,9 +112,9 @@ def _angle_rows(
     when the cross-check fails.
     """
     n = grams.shape[-1]
-    rows, cols, p, t, pair_names, triple_names = _angle_index(n)
+    flat, p, t, pair_names, triple_names = _angle_index(n)
     det3 = det3 and n == 3
-    entries = grams[:, :, rows, cols]
+    entries = grams.reshape(len(grams), 2, n * n).take(flat, 2)
     moduli = np.abs(entries[:, :, :p])
     factors = entries[:, :, p:].reshape(len(grams), 2, 3, t)
     products = factors[:, :, 0] * factors[:, :, 1] * factors[:, :, 2]
@@ -122,7 +129,7 @@ def _angle_rows(
     np.divide(np.abs(lhs - rhs), scale, out=residuals[:, sat_end:lsat_end])
     if det3:
         # |<x_1,x_2>|, |<x_2,x_3>|, |<x_3,x_1>| and |<y_2,y_3>|
-        pm = moduli[:, 0, (0, 2, 3)]
+        pm = moduli[:, 0].take(_DET3_PAIRS, 1)
         q23 = moduli[:, 1, 2]
         apart = 1 - pm**2
         dets = np.linalg.det(grams).real  # det X*X, det Y*Y
@@ -131,12 +138,12 @@ def _angle_rows(
         expected = np.concatenate(
             [
                 np.multiply.reduce(apart, axis=1, keepdims=True),
-                pairing * apart[:, (1, 2, 0)],
+                pairing * apart.take(_DET3_CYCLE, 1),
                 (pairing[:, 0] * (1 - q23**2))[:, None],
             ],
             axis=1,
         )
-        np.abs(dets[:, (0, 0, 0, 0, 1)] - expected, out=residuals[:, lsat_end:])
+        np.abs(dets.take(_DET3_DETS, 1) - expected, out=residuals[:, lsat_end:])
         smallest = np.minimum.reduce(pm, axis=1).tolist()
         worst_check = np.maximum.reduce(residuals[:, lsat_end + 1 :], axis=1).tolist()
     out: list[Union[dict[str, Verdict], ConsistencyError]] = []
@@ -240,8 +247,11 @@ def angle_verdicts(
     rows = [b for b, refusal in enumerate(spectral.refusals) if refusal is None]
     if not rows:
         return out
-    pick = slice(None) if len(rows) == len(out) else rows
-    outcomes = _angle_rows(spectral.x[pick], spectral.y[pick], spectral.grams[pick], tol)
+    x, y, grams = spectral.x, spectral.y, spectral.grams
+    if len(rows) < len(out):
+        pick = np.array(rows)
+        x, y, grams = (a.take(pick, 0) for a in (x, y, grams))
+    outcomes = _angle_rows(x, y, grams, tol)
     for b, outcome in zip(rows, outcomes):
         out[b] = outcome
     return out

@@ -55,6 +55,15 @@ def identity(n: int) -> CMatrix:
     return np.eye(n, dtype=complex)
 
 
+def _indices(values) -> np.ndarray:
+    """``values`` as a read-only ``intp`` array: the gather indices that
+    the stacked kernels pass to ``ndarray.take`` and share for the life
+    of the process."""
+    index = np.array(values, dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
 @lru_cache(maxsize=None)
 def _identity(n: int) -> CMatrix:
     """:func:`identity`, cached and read-only."""
@@ -240,7 +249,10 @@ class _TracePlan:
     earlier rows.  Each of ``levels`` fills a run of rows from their
     operands in one batched ``np.matmul`` or ``np.subtract``, and the
     traces are ``tr(table[left] table[right])``, in the order of the
-    pairs the plan was compiled from (:func:`_compile_plan`).
+    pairs the plan was compiled from (:func:`_compile_plan`).  The index
+    arrays are read-only, and every gather from the table is a
+    ``take``, which copies the same rows as fancy indexing at a fraction
+    of its cost on tables this small.
     """
 
     rows: int
@@ -262,8 +274,8 @@ class _TracePlan:
         table[1] = xs
         table[2] = ys
         for op, start, stop, a, b in self.levels:
-            op(table[a], table[b], out=table[start:stop])
-        traces = np.einsum("kbij,kbji->kb", table[self.left], table[self.right])
+            op(table.take(a, 0), table.take(b, 0), out=table[start:stop])
+        traces = np.einsum("kbij,kbji->kb", table.take(self.left, 0), table.take(self.right, 0))
         return traces if stacked else traces[:, 0]
 
 
@@ -335,11 +347,11 @@ class _TableBuilder:
         for _, group in groupby(order, key=latest.__getitem__):
             group = list(group)
             ops = [self._ops[row - 3] for row in group]
-            a = np.array([index[a] for _, a, _ in ops], dtype=np.intp)
-            b = np.array([index[b] for _, _, b in ops], dtype=np.intp)
+            a = _indices([index[a] for _, a, _ in ops])
+            b = _indices([index[b] for _, _, b in ops])
             levels.append((ops[0][0], index[group[0]], index[group[0]] + len(group), a, b))
-        left = np.array([index[l.index] for l, _ in pairs], dtype=np.intp)
-        right = np.array([index[r.index] for _, r in pairs], dtype=np.intp)
+        left = _indices([index[l.index] for l, _ in pairs])
+        right = _indices([index[r.index] for _, r in pairs])
         return _TracePlan(len(index), tuple(levels), left, right)
 
 

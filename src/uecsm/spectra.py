@@ -186,11 +186,22 @@ def _caller_units(lam: np.ndarray, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _arange(k: int) -> np.ndarray:
-    """``np.arange(k)``, read-only."""
-    a = np.arange(k)
-    a.flags.writeable = False
-    return a
+def _starts(count: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat offsets into ``count`` stacked ``(n,)`` rows or ``(n, n)`` matrices, read-only.
+
+    ``[b, i]`` of the first is ``b n``, where row b starts; ``[b, r, 0]``
+    of the second is ``(b n + r) n``, where row r of matrix b starts;
+    ``[b, j]`` of the third is ``b n^2 + j``, entry j of the first row
+    of matrix b.
+    """
+    starts = (
+        np.repeat(np.arange(0, count * n, n), n).reshape(count, n),
+        np.arange(0, count * n * n, n).reshape(count, n, 1),
+        np.arange(0, count * n * n, n * n)[:, None] + np.arange(n),
+    )
+    for a in starts:
+        a.flags.writeable = False
+    return starts
 
 
 def _grams(v: np.ndarray) -> np.ndarray:
@@ -202,8 +213,10 @@ def _grams(v: np.ndarray) -> np.ndarray:
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each unit column positive real."""
+    n = v.shape[-1]
     lead = (np.abs(v) > 1e-8).argmax(axis=1)
-    pivot = v[_arange(len(v))[:, None], lead, _arange(v.shape[-1])]
+    # v[b, lead[b, j], j], at the flat index lead[b, j] n + b n^2 + j
+    pivot = v.take(lead * n + _starts(len(v), n)[2])
     return v * (pivot.conj() / np.abs(pivot))[:, None, :]
 
 
@@ -348,16 +361,18 @@ def eigensystem_stack(reps: np.ndarray, mu: np.ndarray, s: np.ndarray) -> Spectr
     """
     n = _require_square(reps, stacked=True)
     count = len(reps)
-    rows = _arange(count)[:, None]
     refusals: list[Optional[UecsmError]] = [None] * count
 
     w, x = _rowwise(
         np.linalg.eig, reps, refusals, lambda exc: NoConvergence(f"LAPACK eigensolver failed: {exc}")
     )
-    # complex values sort by real part, then imaginary part
+    # complex values sort by real part, then imaginary part; lam[b, i] and
+    # x[b, r, i] are w and x at the flat indices b n + order[b, i] and
+    # (b n + r) n + order[b, i]
     order = np.argsort(w, axis=1)
-    lam = w[rows, order]
-    x = x[rows, :, order].swapaxes(1, 2)
+    row_starts, matrix_rows, _ = _starts(count, n)
+    lam = w.take(order + row_starts)
+    x = x.take(order[:, None, :] + matrix_rows)
 
     dist = np.abs(lam[:, :, None] - lam[:, None, :])
     dist.reshape(count, n * n)[:, :: n + 1] = math.inf

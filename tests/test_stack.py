@@ -392,3 +392,21 @@ def test_stacked_arrays_equal_the_frozen_golden():
     record = _stacked_arrays()
     text = "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in record.items()) + "\n}\n"
     assert text == (GOLDEN / "stacked_arrays.json").read_text(encoding="utf-8")
+
+
+def test_kernel_index_arrays_are_read_only_intp():
+    # the plans, the angle gather, the determinant picks and the eigen
+    # sort and phase offsets are shared for the life of the process, so
+    # no caller may write into their indices
+    from uecsm.matcore import _trace_plan
+    from uecsm.tracetests import _REVERSAL_WORDS
+
+    plans = [checks.plan for checks in _TRACE_CHECKS.values()]
+    plans += [_trace_plan(words) for words in _REVERSAL_WORDS.values()]
+    arrays = [a for plan in plans for level in plan.levels for a in level[3:]]
+    arrays += [a for plan in plans for a in (plan.left, plan.right)]
+    arrays += [uecsm.angletests._angle_index(n)[0] for n in range(1, 6)]
+    arrays += [uecsm.angletests._DET3_PAIRS, uecsm.angletests._DET3_CYCLE, uecsm.angletests._DET3_DETS]
+    arrays += [a for count in (1, 2, 17) for n in (1, 3, 4) for a in uecsm.spectra._starts(count, n)]
+    for a in arrays:
+        assert a.dtype == np.intp and not a.flags.writeable
