@@ -12,8 +12,9 @@ convention used upstream.  Every test reads its inner products from
 the Gram matrices ``X*X`` and ``Y*Y`` that the eigensystem returns.
 
 One kernel computes all four on a ``(B, 2, n, n)`` stack of Gram
-matrices: a single gather takes every pair entry and every triple
-factor, the residuals of every test fill one ``(B, m)`` array, and each
+matrices: a single ``take``, on flat indices compiled once per size,
+reads every pair entry and every triple factor, the residuals of every
+test fill one ``(B, m)`` array, and each
 :class:`~uecsm.tracetests.Verdict` is built from its slice of that
 array read back as Python floats.  :func:`angle_verdicts` runs the
 kernel on every row of a :class:`~uecsm.spectra.SpectralStack` at once;

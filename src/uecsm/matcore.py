@@ -13,6 +13,9 @@ product or the difference of two earlier rows, so a plan can also hold
 traces ``tr(L R)`` of products that are not words read left to right;
 :mod:`uecsm.tracetests` compiles one plan per size for the UECSM
 commutator traces once, at import, and evaluates that plan directly.
+Plans are shared, so their index arrays are read-only (:func:`_indices`),
+and every gather from the table is an ``ndarray.take``: on tables this
+small, fancy indexing costs several times as much for the same copy.
 
 :func:`normalize_stack`, :func:`word_traces` and :func:`adjoint` also
 take a ``(B, n, n)`` stack of matrices of one size; the one-matrix
@@ -57,8 +60,7 @@ def identity(n: int) -> CMatrix:
 
 def _indices(values) -> np.ndarray:
     """``values`` as a read-only ``intp`` array: the gather indices that
-    the stacked kernels pass to ``ndarray.take`` and share for the life
-    of the process."""
+    the stacked kernels pass to ``ndarray.take`` and share across calls."""
     index = np.array(values, dtype=np.intp)
     index.flags.writeable = False
     return index
@@ -249,10 +251,7 @@ class _TracePlan:
     earlier rows.  Each of ``levels`` fills a run of rows from their
     operands in one batched ``np.matmul`` or ``np.subtract``, and the
     traces are ``tr(table[left] table[right])``, in the order of the
-    pairs the plan was compiled from (:func:`_compile_plan`).  The index
-    arrays are read-only, and every gather from the table is a
-    ``take``, which copies the same rows as fancy indexing at a fraction
-    of its cost on tables this small.
+    pairs the plan was compiled from (:func:`_compile_plan`).
     """
 
     rows: int

@@ -47,7 +47,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import DegenerateSpectrum, NoConvergence, UecsmError
-from .matcore import CMatrix, EPS, _require_square, adjoint, representative
+from .matcore import CMatrix, EPS, _indices, _require_square, adjoint, representative
 
 _DK_SEED = 0x5EED
 # eigenvalue gap of the representative at or below which the spectrum is degenerate
@@ -194,14 +194,11 @@ def _starts(count: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``[b, j]`` of the third is ``b n^2 + j``, entry j of the first row
     of matrix b.
     """
-    starts = (
-        np.repeat(np.arange(0, count * n, n), n).reshape(count, n),
-        np.arange(0, count * n * n, n).reshape(count, n, 1),
-        np.arange(0, count * n * n, n * n)[:, None] + np.arange(n),
+    return (
+        _indices(np.repeat(np.arange(0, count * n, n), n).reshape(count, n)),
+        _indices(np.arange(0, count * n * n, n).reshape(count, n, 1)),
+        _indices(np.arange(0, count * n * n, n * n)[:, None] + np.arange(n)),
     )
-    for a in starts:
-        a.flags.writeable = False
-    return starts
 
 
 def _grams(v: np.ndarray) -> np.ndarray:
