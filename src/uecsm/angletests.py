@@ -150,9 +150,9 @@ def _angle_rows(
     out: list[Union[dict[str, Verdict], ConsistencyError]] = []
     for b, row in enumerate(residuals.tolist()):
         verdicts = {
-            "wat": Verdict.from_row("wat", pair_names, tuple(row[:m]), tol),
-            "sat": Verdict.from_row("sat", triple_names, tuple(row[m:sat_end]), tol),
-            "lsat": Verdict.from_row("lsat", triple_names, tuple(row[sat_end:lsat_end]), tol),
+            "wat": Verdict("wat", pair_names, tuple(row[:m]), tol),
+            "sat": Verdict("sat", triple_names, tuple(row[m:sat_end]), tol),
+            "lsat": Verdict("lsat", triple_names, tuple(row[sat_end:lsat_end]), tol),
         }
         if det3 and not smallest[b] < _ORTHOGONAL_FLOOR:
             if worst_check[b] > _IDENTITY_CHECK_TOL:
@@ -163,7 +163,7 @@ def _angle_rows(
                     )
                 )
                 continue
-            verdicts["det3"] = Verdict.from_row("det_criterion_3", _DET3_NAMES, tuple(row[lsat_end:]), tol)
+            verdicts["det3"] = Verdict("det_criterion_3", _DET3_NAMES, tuple(row[lsat_end:]), tol)
         out.append(verdicts)
     return out
 

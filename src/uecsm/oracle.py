@@ -107,20 +107,6 @@ def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
     return _residual(symmetry_cost(normalize(t)[0], u))
 
 
-def cost_gradient(t: CMatrix, u: CMatrix) -> CMatrix:
-    """Riemannian gradient of :func:`symmetry_cost` at ``u``.
-
-    Returns the skew-Hermitian G such that moving along a skew
-    direction K via the Cayley retraction changes the cost at first
-    order by Re tr(G K*).  Derived analytically; validated against
-    central finite differences in the test suite.
-    """
-    s, g, _ = _evaluate(t, u)
-    g_bar = g.conj()  # equals -G*, since G^t = -G exactly
-    c = g_bar @ s - s @ g_bar  # S G* - G* S
-    return 2 * (adjoint(c) - c)  # -4 times the skew part of c
-
-
 def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
     """Move from ``u`` along skew-Hermitian ``k``: (I - k/2)^{-1} (I + k/2) u.
 
@@ -433,4 +419,4 @@ def verify_witness(t: CMatrix, u: CMatrix, tol: float = WITNESS_TOL) -> Verdict:
     unitarity = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
     symmetry = symmetry_residual(t, u)
     row = (unitarity, symmetry)
-    return Verdict("witness", max(row) <= tol, ("unitarity", "symmetry"), row, tol)
+    return Verdict("witness", ("unitarity", "symmetry"), row, tol)

@@ -42,13 +42,22 @@ UECSM and unitary equivalence are unchanged by ``T -> aT + bI``, so the
 verdicts are invariant under it; the raw signatures (:func:`phi3`,
 :func:`djokovic_signature`, :func:`psi7`) are invariants of the
 caller's matrix and are not normalized.
+
+Every criterion of the package, here and in :mod:`uecsm.angletests`,
+:mod:`uecsm.constructors` and :mod:`uecsm.oracle`, returns a
+:class:`Verdict`: a named family of residuals that must vanish to
+``tol``.  ``Verdict(criterion, names, row, tol)`` builds it from the row
+alone; ``max_residual`` and ``passed`` follow from the row, so no caller
+decides pass or fail by hand.  The n <= 2 verdicts have the one residual
+``small_n = 0.0``: they pass for every ``tol >= 0`` and, like every
+verdict, fail for a negative or NaN ``tol``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -177,52 +186,46 @@ class TraceSignature:
     degrees: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(tuple):
     """Pass/fail outcome of one criterion: its residuals, the floats of
-    ``row``, are named by ``names``."""
+    ``row``, are named by ``names``.
 
-    criterion: str
-    passed: bool
-    names: tuple[str, ...]
-    row: tuple[float, ...]
-    tol: float
+    ``Verdict(criterion, names, row, tol)`` is the one constructor.  It
+    takes the largest residual by Python's ``max`` as ``max_residual``
+    (0.0 for an empty row; a NaN counts only when it comes first) and
+    sets ``passed`` to ``max_residual <= tol``, so a verdict always
+    agrees with its row.  The record is an immutable tuple with value
+    equality: no field can be set, and equal verdicts hash alike.
+    """
 
-    @cached_property
+    __slots__ = ()
+
+    # the fields, read-only, in the order that __new__ stores them
+    criterion, passed, names, row, tol, max_residual = map(property, map(itemgetter, range(6)))
+
+    def __new__(cls, criterion: str, names: tuple[str, ...], row: tuple[float, ...], tol: float) -> "Verdict":
+        worst = max(row, default=0.0)
+        return tuple.__new__(cls, (criterion, worst <= tol, names, row, tol, worst))
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild the verdict through the constructor
+        return self.criterion, self.names, self.row, self.tol
+
+    def __repr__(self) -> str:
+        return f"Verdict({self.criterion!r}, {self.names!r}, {self.row!r}, {self.tol!r})"
+
+    @property
     def residuals(self) -> tuple[tuple[str, float], ...]:
-        """The ``(name, residual)`` pairs, built on first read."""
+        """The ``(name, residual)`` pairs."""
         return tuple(zip(self.names, self.row))
-
-    @cached_property
-    def max_residual(self) -> float:
-        return max(self.row, default=0.0)
 
     @classmethod
     def from_rows(
         cls, criterion: str, names: tuple[str, ...], residuals: np.ndarray, tol: float
     ) -> list["Verdict"]:
-        """One verdict per row of a ``(B, len(names))`` residual array.
-
-        Each verdict keeps ``names`` and its row as a tuple of floats.  A
-        row passes when its largest residual, by Python's ``max``, is at
-        most ``tol``; that maximum is also the verdict's ``max_residual``.
-        """
-        return [cls.from_row(criterion, names, row, tol) for row in map(tuple, residuals.tolist())]
-
-    @classmethod
-    def from_row(cls, criterion: str, names: tuple[str, ...], row: tuple[float, ...], tol: float) -> "Verdict":
-        """The verdict of one row of :meth:`from_rows`, given as a tuple of floats.
-
-        The instance is the one the constructor builds, with its fields
-        set at once rather than one ``object.__setattr__`` each, and with
-        the cached ``max_residual`` seeded.
-        """
-        worst = max(row, default=0.0)
-        verdict = object.__new__(cls)
-        verdict.__dict__.update(
-            criterion=criterion, passed=worst <= tol, names=names, row=row, tol=tol, max_residual=worst
-        )
-        return verdict
+        """One verdict per row of a ``(B, len(names))`` residual array,
+        each row read back as a tuple of Python floats."""
+        return [cls(criterion, names, row, tol) for row in map(tuple, residuals.tolist())]
 
 
 def _require_dim(t: CMatrix, n: int, who: str) -> None:
@@ -240,7 +243,8 @@ def phi3(t: CMatrix) -> TraceSignature:
 def trace_test_3(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """UECSM test for 3x3: tr[T*T (T*T - TT*) TT*] must vanish."""
     _require_dim(t, 3, "trace_test_3")
-    return replace(uecsm_verdict(t, tol), criterion="trace_test_3")
+    v = uecsm_verdict(t, tol)
+    return Verdict("trace_test_3", v.names, v.row, tol)
 
 
 def djokovic_signature(t: CMatrix) -> TraceSignature:
@@ -285,12 +289,12 @@ def _trace_dimension(n: int, what: str) -> None:
 def uecsm_verdict(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """Decide UECSM by the dimension-appropriate trace criterion.
 
-    n = 1 and n = 2 matrices are always UECSM, so they pass
-    unconditionally; n = 3 reads the trace of :func:`trace_test_3`; n = 4
-    the seven traces of :func:`psi7`.  Larger sizes raise
-    :class:`UnsupportedDimension` since no complete word criterion is
-    implemented there.  This is the one-row case of
-    :func:`trace_verdicts`.
+    n = 1 and n = 2 matrices are always UECSM: their verdict has the one
+    residual ``small_n = 0.0``, which passes every ``tol >= 0``.  n = 3
+    reads the trace of :func:`trace_test_3`, n = 4 the seven traces of
+    :func:`psi7`.  Larger sizes raise :class:`UnsupportedDimension` since
+    no complete word criterion is implemented there.  This is the one-row
+    case of :func:`trace_verdicts`.
     """
     _trace_dimension(_require_square(t), "complete trace criterion")
     return trace_verdicts(representative(t)[0], tol)[0]
@@ -306,7 +310,7 @@ def trace_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
     n = _require_square(reps, stacked=True)
     _trace_dimension(n, "complete trace criterion")
     if n <= 2:
-        return [Verdict("uecsm_small_n", True, ("small_n",), (0.0,), tol)] * len(reps)
+        return [Verdict("uecsm_small_n", ("small_n",), (0.0,), tol)] * len(reps)
     checks = _TRACE_CHECKS[n]
     family = np.abs(checks.plan.traces(reps, adjoint(reps))).T
     return Verdict.from_rows(checks.criterion, checks.names, family, tol)
@@ -320,15 +324,15 @@ def transpose_equivalence(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     set (:data:`PHI3_WORDS` at n = 3, :data:`DJOKOVIC_WORDS` at n = 4) has
     the trace of its reversal.  The residuals are the reversal gaps
     ``|tr w_i - tr rev(w_i)|`` on the normalized representative, named
-    ``phi1..phi7`` or ``w01..w20``; n = 1 and n = 2 pass unconditionally.
-    The gaps that do not vanish identically are the traces of
-    :func:`uecsm_verdict` up to sign, so the two verdicts agree up to
-    rounding; the analysis reports only the UECSM one.
+    ``phi1..phi7`` or ``w01..w20``; n = 1 and n = 2 have the one residual
+    ``small_n = 0.0``.  The gaps that do not vanish identically are the
+    traces of :func:`uecsm_verdict` up to sign, so the two verdicts agree
+    up to rounding; the analysis reports only the UECSM one.
     """
     n = _require_square(t)
     _trace_dimension(n, "word criterion")
     if n <= 2:
-        return Verdict("transpose_equivalence", True, ("small_n",), (0.0,), tol)
+        return Verdict("transpose_equivalence", ("small_n",), (0.0,), tol)
     reps = representative(t)[0]
     values = word_traces(_REVERSAL_WORDS[n], reps, adjoint(reps))
     m = len(_WORD_NAMES[n])

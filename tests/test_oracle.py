@@ -16,7 +16,6 @@ from uecsm import (
     build_matrix,
     cayley_retract,
     conjugated_diagonal,
-    cost_gradient,
     find_symmetrizer,
     normalize,
     random_su,
@@ -44,21 +43,6 @@ class TestCostAndGradient:
         s = random_symmetric_matrix(rng(90), 4)
         assert symmetry_cost(s, np.eye(4, dtype=complex)) < 1e-24
 
-    def test_gradient_matches_finite_differences(self):
-        gen = rng(91)
-        for _ in range(20):
-            t = random_complex_matrix(gen, 4, scale=2.0)
-            u = random_unitary(gen, 4)
-            k = random_skew_hermitian(gen, 4)
-            g = cost_gradient(t, u)
-            analytic = float(np.real(np.trace(g @ k.conj().T)))
-            eps = 1e-6
-            fd = (
-                symmetry_cost(t, cayley_retract(eps * k, u))
-                - symmetry_cost(t, cayley_retract(-eps * k, u))
-            ) / (2 * eps)
-            assert analytic == pytest.approx(fd, rel=1e-5)
-
     def test_lm_jacobian_matches_finite_differences(self):
         # the LM residual r(U) and its Jacobian along exp(K) U, with
         # K = sum_a x_a E_a; J^t r gives the Riemannian gradient's
@@ -73,9 +57,11 @@ class TestCostAndGradient:
                 lam, v = np.linalg.eigh(-1j * np.tensordot(x, basis, 1))
                 eps = 1e-6
 
+                def moved(step):  # exp(step K) U
+                    return (v * np.exp(1j * step * lam)) @ v.conj().T @ u
+
                 def residual(step):
-                    exp_k = (v * np.exp(1j * step * lam)) @ v.conj().T
-                    return oracle._upper(oracle._evaluate(t, exp_k @ u)[1])
+                    return oracle._upper(oracle._evaluate(t, moved(step))[1])
 
                 s, g, cost = oracle._evaluate(t, u)
                 jac = oracle._jacobian(s)
@@ -83,16 +69,8 @@ class TestCostAndGradient:
                 assert np.allclose(jac.T @ x, fd, rtol=0, atol=1e-8 * np.linalg.norm(fd))
                 r = oracle._upper(g)
                 assert np.linalg.norm(r) ** 2 == pytest.approx(cost, rel=1e-12)
-                grad = cost_gradient(t, u)
-                coords = [np.trace(grad @ e.conj().T).real for e in basis]
-                assert np.allclose(2 * jac @ r, coords, rtol=0, atol=1e-10 * np.linalg.norm(coords))
-
-    def test_gradient_is_skew(self):
-        gen = rng(92)
-        t = random_complex_matrix(gen, 4)
-        u = random_unitary(gen, 4)
-        g = cost_gradient(t, u)
-        assert np.allclose(g, -g.conj().T, atol=1e-12)
+                cost_fd = (symmetry_cost(t, moved(eps)) - symmetry_cost(t, moved(-eps))) / (2 * eps)
+                assert 2 * (jac @ r) @ x == pytest.approx(cost_fd, rel=1e-5)
 
     def test_cost_depends_only_on_conjugated_matrix(self):
         # replacing T by W T W* and U by U W* leaves the cost unchanged

@@ -71,9 +71,9 @@ def test_traced_search_records_lm_steps(monkeypatch):
     assert result.iterations > 0
 
 
-def _load_bench_pairs(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+def _load_tool(monkeypatch, name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
@@ -81,7 +81,7 @@ def _load_bench_pairs(monkeypatch):
 
 
 def test_bench_pairs_alternates_and_summarizes(monkeypatch):
-    bench = _load_bench_pairs(monkeypatch)
+    bench = _load_tool(monkeypatch, "bench_pairs")
     spec = {
         "end_to_end": [
             {"name": "p50_ms", "better": "lower", "bound": 0.05},
@@ -138,11 +138,7 @@ def test_stage_costs_prints_every_layer(monkeypatch, capsys):
     # one round of the oracle workload's probe; the layers are put back afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setitem(sys.modules, "perfbench_corpus", None)  # loaded afresh, removed afterwards
-    path = Path(__file__).resolve().parents[1] / "tools" / "stage_costs.py"
-    spec = importlib.util.spec_from_file_location("stage_costs", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
+    module = _load_tool(monkeypatch, "stage_costs")
     layers = {name: getattr(uecsm.cli, name) for name in module.LAYERS}
     assert module.main(["--workload", "oracle", "--rounds", "1"]) == 0
     assert {name: getattr(uecsm.cli, name) for name in module.LAYERS} == layers
@@ -150,3 +146,42 @@ def test_stage_costs_prints_every_layer(monkeypatch, capsys):
     assert lines[0] == "oracle, seed 0, 1 rounds: us per matrix"
     assert [line.split()[0] for line in lines[2:]] == ["analyze", *module.LAYERS, "rest"]
     assert float(lines[2].split()[1]) > 0
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+# a comment-only line
+import os  # a trailing comment
+
+
+def f(a,
+      b):
+    """Function docstring."""
+
+    total = (a +
+             b)
+    return total
+
+
+class C:
+    """Class docstring."""
+
+    x = """a string,
+    not a docstring"""
+'''
+
+
+def test_code_lines_counts_code_only(monkeypatch, tmp_path, capsys):
+    # docstrings, comment-only and blank lines drop out; a multi-line
+    # expression or string counts every line it spans: import 1, def 2,
+    # total 2, return 1, class 1, x 2
+    code_lines = _load_tool(monkeypatch, "code_lines")
+    (tmp_path / "sample.py").write_text(CODE_LINES_SAMPLE)
+    assert code_lines.code_lines(tmp_path / "sample.py") == 9
+    (tmp_path / "blank.py").write_text("\n# only a comment\n")
+    monkeypatch.setattr(code_lines, "PACKAGE", tmp_path)
+    code_lines.main()
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["blank.py", "0"], ["sample.py", "9"], ["total", "9"],
+    ]  # fmt: skip

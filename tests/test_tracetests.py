@@ -1,8 +1,9 @@
 """Tests for the trace-word criteria."""
 
+import copy
 import json
 import math
-from dataclasses import replace
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from uecsm import (
     DimensionMismatch,
     UnsupportedDimension,
     adjoint,
+    angle_suite,
     cmatrix,
     djokovic_signature,
     normalize,
@@ -461,16 +463,16 @@ class TestVerdictMaxResidual:
     def test_from_rows_seeds_the_python_max(self):
         # Python's max keeps the first of incomparable values, so a NaN
         # counts only when it comes first
-        rows = np.array([[1.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.5, 0.25, 0.0]])
-        for v, row in zip(Verdict.from_rows("c", ("a", "b", "c"), rows, 1.0), rows.tolist()):
-            assert "max_residual" in vars(v)
-            plain = Verdict(v.criterion, v.passed, v.names, v.row, v.tol)
-            assert "max_residual" not in vars(plain)
-            for value in (v.max_residual, plain.max_residual):
-                assert value == max(row) or (math.isnan(value) and math.isnan(max(row)))
-            assert v == plain and hash(v) == hash(plain)
+        rows = np.array([[0.5, np.nan, 0.25], [np.nan, 0.5, 0.25], [0.5, 0.25, 0.0]])
+        verdicts = Verdict.from_rows("c", ("a", "b", "c"), rows, 1.0)
+        for v, row in zip(verdicts, rows.tolist()):
+            assert v.max_residual == max(row) or (math.isnan(v.max_residual) and math.isnan(max(row)))
+            one = Verdict(v.criterion, v.names, v.row, v.tol)
+            assert v == one and hash(v) == hash(one)
+        assert [v.passed for v in verdicts] == [True, False, True]
         (empty,) = Verdict.from_rows("c", (), np.zeros((1, 0)), 1.0)
         assert empty.max_residual == 0.0 and empty.passed
+        assert empty == Verdict("c", (), (), 1.0)
 
     def test_gallery_residuals_equal_the_frozen_record(self):
         # golden/gallery_verdicts.json: label -> report key -> [criterion,
@@ -490,14 +492,15 @@ class TestVerdictMaxResidual:
                 assert v.residuals == tuple(zip(v.names, v.row))
 
     def test_replace_keeps_the_row(self):
+        # trace_test_3 is uecsm_verdict under its own criterion name
         t = random_complex_matrix(rng(5), 3)
-        v = uecsm_verdict(t)
-        renamed = replace(v, criterion="renamed")
-        assert renamed.criterion == "renamed"
-        assert (renamed.passed, renamed.names, renamed.row, renamed.tol) == (v.passed, v.names, v.row, v.tol)
-        assert (renamed.residuals, renamed.max_residual) == (v.residuals, v.max_residual)
-        assert replace(renamed, criterion=v.criterion) == v
-        assert trace_test_3(t) == replace(v, criterion="trace_test_3")
+        for tol in (1e-8, 0.0):
+            v = uecsm_verdict(t, tol)
+            renamed = trace_test_3(t, tol)
+            assert (v.criterion, renamed.criterion) == ("uecsm_trace3", "trace_test_3")
+            assert (renamed.passed, renamed.names, renamed.row, renamed.tol) == (v.passed, v.names, v.row, v.tol)
+            assert (renamed.residuals, renamed.max_residual) == (v.residuals, v.max_residual)
+            assert renamed == Verdict("trace_test_3", v.names, v.row, v.tol) and renamed != v
 
     def test_verdicts_built_by_the_constructor(self):
         sig = Signature(k=2, n=4)
@@ -516,7 +519,48 @@ class TestVerdictMaxResidual:
         }
         for criterion, v in verdicts.items():
             assert v.criterion == criterion and v.names == names[criterion] and v.passed
-            assert "max_residual" not in vars(v)  # left to the cached property
             assert v.max_residual == max(v.row) and v.residuals == tuple(zip(v.names, v.row))
-            assert v == Verdict(v.criterion, v.passed, v.names, v.row, v.tol)
-            assert hash(v) == hash(Verdict(v.criterion, v.passed, v.names, v.row, v.tol))
+            assert v == Verdict(v.criterion, v.names, v.row, v.tol)
+            assert hash(v) == hash(Verdict(v.criterion, v.names, v.row, v.tol))
+            # copies, pickles and the repr rebuild the verdict through the constructor
+            assert copy.copy(v) == v and pickle.loads(pickle.dumps(v)) == v
+            assert eval(repr(v), {"Verdict": Verdict}) == v
+        with pytest.raises(TypeError):
+            Verdict("c", True, ("a",), (0.0,), 1.0)  # no passed argument
+
+    @pytest.mark.parametrize("tol", [1e-8, 1.0, 0.0, -1.0, math.nan])
+    def test_every_verdict_follows_its_row(self, tol):
+        # passed is max_residual <= tol for every criterion the package
+        # builds, the n <= 2 verdicts included, and no field can be set
+        gen = rng(11)
+        t2, t3, t4 = (random_complex_matrix(gen, n) for n in (2, 3, 4))
+        sig = Signature(k=2, n=4)
+        w = random_unitary(gen, 4)
+        sym = random_symmetric_matrix(gen, 4)
+        verdicts = [
+            uecsm_verdict(t2, tol),
+            uecsm_verdict(t3, tol),
+            uecsm_verdict(t4, tol),
+            trace_test_3(t3, tol),
+            *angle_suite(t3, tol).values(),
+            *angle_suite(t4, tol).values(),
+            su_membership(random_su(sig, seed=3), sig, tol),
+            verify_witness(sym, np.eye(4, dtype=complex), tol),
+            verify_witness(t4, w, tol),
+            unitary_equivalence_4(t4, w @ t4 @ w.conj().T, tol),
+            unitary_equivalence_4(t4, sym, tol),
+            *(transpose_equivalence(t, tol) for t in (t2, t3, t4)),
+        ]
+        assert {v.criterion for v in verdicts} == {
+            "uecsm_small_n", "uecsm_trace3", "uecsm_psi7", "trace_test_3", "wat", "sat", "lsat",
+            "det_criterion_3", "su_membership", "witness", "unitary_equivalence_4", "transpose_equivalence",
+        }  # fmt: skip
+        for v in verdicts:
+            assert v.tol is tol
+            assert v.max_residual == max(v.row, default=0.0)
+            assert v.passed == (v.max_residual <= tol)
+            if v.names == ("small_n",):
+                assert v.row == (0.0,) and v.passed == (tol >= 0)
+            for field in ("criterion", "passed", "names", "row", "tol", "max_residual", "residuals", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(v, field, None)
