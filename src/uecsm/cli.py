@@ -1,4 +1,4 @@
-"""Command-line interface: criteria dispatch, matrix I/O, batch reports.
+"""Command-line interface: matrix documents, argument parsing, report output.
 
 Matrix files are JSON documents of the form::
 
@@ -11,7 +11,7 @@ Subcommands, each of which takes only the options it reads:
   criteria disagree.  It takes the analysis options ``--json`` and
   ``--tol``, ``--oracle``, ``--seed``, ``--restarts``, ``--tol-oracle``,
   ``--tol-trace``, ``--tol-angle``, which it forwards to
-  :func:`analyze_stack`;
+  :func:`~uecsm.analysis.analyze_stack`;
 * ``uecsm classify-nilpotent --params a,b,c,d,e,f`` (with ``--tol``
   and ``--json``) runs the closed-form classification and cross-checks
   it against the trace test;
@@ -24,11 +24,12 @@ Subcommands, each of which takes only the options it reads:
   analyzed, else 0.  A listed entry that is neither a file nor a
   directory (a FIFO, socket or device) is an error row, decided without
   opening it.  It parses every file, then runs
-  :func:`analyze_stack` once per matrix size, so each criterion runs
-  once on the stack of that size's matrices.  With ``--json`` it prints
-  one compact JSON document, and every field except the top-level
-  ``timings`` block is the same on every run.  In text mode the row of
-  a file that could not be read or analyzed shows the reason.
+  :func:`~uecsm.analysis.analyze_stack` once per matrix size, so each
+  criterion runs once on the stack of that size's matrices.  With
+  ``--json`` it prints one compact JSON document, and every field
+  except the top-level ``timings`` block is the same on every run.  In
+  text mode the row of a file that could not be read or analyzed shows
+  the reason.
 
 A text line that holds a label, a file name or an error writes each
 character stdout cannot encode as its backslash escape, so it exits
@@ -62,17 +63,11 @@ error row or a document without a label.
 :func:`main` builds the argument parser once per process, on its first
 call, and every later call parses with the same parser.
 
-:func:`analyze_stack` is the one analysis: it normalizes a stack of
-matrices of one size once and runs every criterion on the whole stack.
-:func:`analyze` is its one-matrix case, which ``uecsm test`` calls.
+The analysis and the rule that decides each report live in
+:mod:`uecsm.analysis`; ``uecsm test`` calls its :func:`analyze`.
 
-For the subcommands with ``--tol``, the ``UECSM_TOL`` environment
-variable overrides the default tolerance of 1e-8; ``--tol`` overrides
-both.  Every tolerance must be a finite positive number: a bad
-``--tol*`` value is a usage error (exit 2), a bad ``UECSM_TOL`` is
-ignored with a warning.  Conflicts are never auto-resolved:
-disagreement between the exact trace criteria and the numerical angle
-tests or oracle is the most interesting output this tool can produce.
+``--tol`` defaults to 1e-8.  Every tolerance must be a finite positive
+number: a bad ``--tol*`` value is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -86,7 +81,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -94,7 +89,7 @@ import numpy as np
 import orjson
 
 from . import gallery
-from .angletests import angle_verdicts
+from .analysis import Report, _outcome, analyze, analyze_stack
 from .constructors import (
     Signature,
     conjugated_diagonal,
@@ -104,18 +99,12 @@ from .constructors import (
     sat_obstruction,
     su_membership,
 )
-from .errors import (
-    ConsistencyError,
-    DegenerateSpectrum,
-    ParseError,
-    UecsmError,
-    UnsupportedDimension,
-)
-from .matcore import CMatrix, _require_square, cmatrix, normalize_stack
+from .errors import ParseError, UecsmError
+from .matcore import CMatrix, cmatrix
 from .nilpotent4 import NilpotentParams, build_matrix, classify, psi_closed_forms
-from .oracle import WITNESS_TOL, OracleResult, _symmetrizer
-from .spectra import eigensystem, eigensystem_stack
-from .tracetests import DEFAULT_TOL, Verdict, trace_verdicts, uecsm_verdict
+from .oracle import WITNESS_TOL
+from .spectra import eigensystem
+from .tracetests import DEFAULT_TOL, uecsm_verdict
 
 # Not called in this module: ``perfbench/tracing.py`` times the library's
 # transpose equivalence, the one-matrix angle tests and the oracle by
@@ -296,159 +285,6 @@ def write_gallery_fixtures(directory: Path) -> list[Path]:
 
 # --------------------------------------------------------------------------
 # reports
-
-
-def _verdict_dict(v: Verdict) -> dict:
-    # every criterion names its residuals uniquely, so the dict keeps them all
-    return {
-        "criterion": v.criterion,
-        "passed": v.passed,
-        "tol": v.tol,
-        "max_residual": v.max_residual,
-        "residuals": dict(zip(v.names, v.row)),
-    }
-
-
-@dataclass
-class Report:
-    """Everything the CLI learned about one matrix."""
-
-    label: str
-    dimension: int
-    tol: float
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
-    spectral_status: str = "ok"
-    uecsm: Optional[bool] = None
-    oracle: Optional[OracleResult] = None
-    conflicts: list[tuple[str, str]] = field(default_factory=list)
-    error: Optional[str] = None
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        oracle = None
-        if self.oracle is not None:
-            oracle = {
-                "status": self.oracle.status,
-                "residual": self.oracle.residual,
-                "iterations": self.oracle.iterations,
-                "restarts_used": self.oracle.restarts_used,
-            }
-        return {
-            "label": self.label,
-            "dimension": self.dimension,
-            "tol": self.tol,
-            "verdicts": {k: _verdict_dict(v) for k, v in self.verdicts.items()},
-            "spectral_status": self.spectral_status,
-            "uecsm": self.uecsm,
-            "oracle": oracle,
-            "conflicts": [list(pair) for pair in self.conflicts],
-            "error": self.error,
-            "notes": list(self.notes),
-        }
-
-
-def _find_conflicts(report: Report) -> list[tuple[str, str]]:
-    conflicts = []
-    verdicts = report.verdicts
-    trace = verdicts.get("uecsm")
-    if trace is None:
-        return conflicts
-    sat_v = verdicts.get("sat")
-    if sat_v is not None and sat_v.passed != trace.passed:
-        conflicts.append(("uecsm", "sat"))
-    wat_v = verdicts.get("wat")
-    if wat_v is not None and trace.passed and not wat_v.passed:
-        conflicts.append(("uecsm", "wat"))
-    # a witness or a refutation decides; an inconclusive LM search does not
-    oracle = report.oracle
-    if oracle is not None and oracle.status != "inconclusive" and oracle.found != trace.passed:
-        conflicts.append(("uecsm", "oracle"))
-    return conflicts
-
-
-def _spectral_refusal(exc: UecsmError) -> tuple[str, str]:
-    """The spectral status and note of a report whose angle tests did not run."""
-    if isinstance(exc, DegenerateSpectrum):
-        return "degenerate", f"angle tests inapplicable: {exc}"
-    return "no_convergence", f"eigensolver failed, angle tests skipped: {exc}"
-
-
-def analyze(t: CMatrix, label: str, **options) -> Report:
-    """Run every applicable criterion on one matrix and collect conflicts.
-
-    This is the one-matrix case of :func:`analyze_stack`: ``options``
-    are its keyword arguments, and the report is that of the stack
-    ``t[None]``.
-    """
-    _require_square(t)
-    return analyze_stack(t[None], [label], **options)[0]
-
-
-def analyze_stack(
-    ts: np.ndarray,
-    labels: Sequence[str],
-    tol: float = DEFAULT_TOL,
-    run_oracle: bool = False,
-    oracle_restarts: int = 20,
-    oracle_tol: float = WITNESS_TOL,
-    seed: int = 0,
-    trace_tol: Optional[float] = None,
-    angle_tol: Optional[float] = None,
-) -> list[Report]:
-    """Run every applicable criterion on each matrix of a ``(B, n, n)`` stack.
-
-    ``tol`` governs every criterion unless its family's override
-    (``trace_tol``, ``angle_tol``) is given.  The trace criterion is the
-    UECSM verdict of :func:`~uecsm.tracetests.trace_verdicts`; transpose
-    equivalence is not reported, since for n <= 4 its non-trivial
-    reversal gaps are the same traces.  Each
-    matrix is normalized once, and every criterion runs on the whole
-    stack at once; the reports equal those each matrix gets alone.  A
-    matrix whose angle tests refuse it gets its spectral
-    status and a note; one whose determinant identity cross-check
-    fails (:class:`~uecsm.errors.ConsistencyError`) gets a report with
-    ``error`` set.  With ``run_oracle`` the search runs matrix by
-    matrix after the criteria.
-    """
-    n = _require_square(ts, stacked=True)
-    if len(labels) != len(ts):
-        raise ValueError(f"{len(labels)} labels for {len(ts)} matrices")
-    reps, mu, s = normalize_stack(ts)
-    try:
-        traces = trace_verdicts(reps, tol if trace_tol is None else trace_tol)
-    except UnsupportedDimension as exc:
-        return [Report(label=label, dimension=n, tol=tol, error=str(exc)) for label in labels]
-    angles = angle_verdicts(eigensystem_stack(reps, mu, s), tol if angle_tol is None else angle_tol)
-
-    reports = []
-    for b, label in enumerate(labels):
-        report = Report(label=label, dimension=n, tol=tol)
-        reports.append(report)
-        outcome = angles[b]
-        if isinstance(outcome, ConsistencyError):
-            report.error = str(outcome)
-            continue
-        report.verdicts["uecsm"] = traces[b]
-        if isinstance(outcome, UecsmError):
-            report.spectral_status, note = _spectral_refusal(outcome)
-            report.notes.append(note)
-        else:
-            report.verdicts.update(outcome)
-        if run_oracle:
-            report.oracle = _symmetrizer(reps[b], s[b], oracle_restarts, oracle_tol, seed)
-        report.conflicts = _find_conflicts(report)
-        if not report.conflicts:
-            report.uecsm = traces[b].passed
-    return reports
-
-
-def _outcome(report: Report) -> str:
-    """What a report decided: ``error``, ``conflict``, ``uecsm`` or ``not_uecsm``."""
-    if report.error is not None:
-        return "error"
-    if report.conflicts:
-        return "conflict"
-    return "uecsm" if report.uecsm else "not_uecsm"
 
 
 #: The status column of each outcome in ``batch`` text output.
@@ -778,23 +614,12 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "a non-negative integer")
 
 
-def _default_tol() -> float:
-    env = os.environ.get("UECSM_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        return _tolerance(env)
-    except argparse.ArgumentTypeError:
-        print(f"warning: ignoring bad UECSM_TOL={env!r}", file=sys.stderr)
-        return DEFAULT_TOL
-
-
 #: The analysis options of ``test`` and ``batch``, each declared once: its
 #: flag and the keyword arguments of ``add_argument``.  The other
 #: subcommands take the few of them they read.  An option that
 #: :func:`analyze_stack` reads has that keyword as its ``dest``.
 _OPTIONS: dict[str, dict] = {
-    "--tol": dict(type=_tolerance, default=None, help="tolerance for all criteria"),
+    "--tol": dict(type=_tolerance, default=DEFAULT_TOL, help="tolerance for all criteria"),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--oracle": dict(dest="run_oracle", action="store_true", help="also run the unitary search"),
     "--seed": dict(type=_non_negative_int, default=0, help="seed for randomized pieces"),
@@ -892,8 +717,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = _parser().parse_args(argv)
-    if "tol" in vars(args) and args.tol is None:
-        args.tol = _default_tol()
     try:
         return args.func(args)
     except UecsmError as exc:

@@ -455,11 +455,10 @@ class TestBatch:
         assert {k: v for k, v in outputs[0]["reports"].items() if k != "zz_broken.json"} == expected
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
-    def test_output_equals_the_frozen_golden(self, capsys, monkeypatch, oracle):
+    def test_output_equals_the_frozen_golden(self, capsys, oracle):
         # golden/batch_fixtures*.json are frozen copies of `uecsm batch fixtures
         # --json` (and with --oracle) up to the run-dependent "timings" block;
         # unlike the test above, they do not share code with the analysis
-        monkeypatch.delenv("UECSM_TOL", raising=False)
         assert main(["batch", str(FIXTURES), "--json", *oracle]) == EXIT_UECSM
         out = capsys.readouterr().out
         stable = out[: out.rindex(',"timings":')] + "}\n"
@@ -686,18 +685,6 @@ class TestRepeatedCalls:
         assert main(["batch", str(fixture_dir), "--json"]) == EXIT_UECSM
         assert json.loads(capsys.readouterr().out)["summary"]["conflicts"] == 0
 
-    def test_env_tolerance_is_read_on_every_call(self, fixture_dir, capsys, monkeypatch):
-        argv = ["test", str(fixture_dir / "wat_counterexample.json"), "--json"]
-        tols = []
-        for env in ("1e-2", "1e-3", None):
-            if env is None:
-                monkeypatch.delenv("UECSM_TOL")
-            else:
-                monkeypatch.setenv("UECSM_TOL", env)
-            main(argv)
-            tols.append(json.loads(capsys.readouterr().out)["tol"])
-        assert tols == [1e-2, 1e-3, 1e-8]
-
     def test_usage_error_leaves_the_next_call_working(self, fixture_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["batch", str(fixture_dir), "--restarts", "0"])
@@ -768,28 +755,24 @@ class TestOptionSurface:
 
 
 class TestTolerancePlumbing:
-    def test_env_override(self, fixture_dir, capsys, monkeypatch):
-        monkeypatch.setenv("UECSM_TOL", "1e-2")
-        main(["test", str(fixture_dir / "wat_counterexample.json"), "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tol"] == 1e-2
+    def test_uecsm_tol_is_not_read(self, fixture_dir, capsys, monkeypatch):
+        # the tolerance comes from the command line alone: the variable that
+        # once set it changes no report and writes nothing to stderr
+        def run(argv):
+            code, captured = main(argv), capsys.readouterr()
+            out = captured.out.split(',"timings":')[0]  # only batch timings vary between runs
+            return code, out, captured.err
 
-    def test_flag_beats_env(self, fixture_dir, capsys, monkeypatch):
-        monkeypatch.setenv("UECSM_TOL", "1e-2")
-        main(["test", str(fixture_dir / "wat_counterexample.json"), "--json", "--tol", "1e-7"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tol"] == 1e-7
-
-    def test_bad_env_ignored(self, fixture_dir, capsys, monkeypatch):
-        monkeypatch.setenv("UECSM_TOL", "banana")
-        main(["test", str(fixture_dir / "wat_counterexample.json"), "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tol"] == 1e-8
-
-    def test_env_is_not_read_without_tol(self, capsys, monkeypatch):
-        monkeypatch.setenv("UECSM_TOL", "banana")
-        assert main(["construct", "--sig", "2,1", "--diag", "1,2,3"]) == EXIT_UECSM
-        assert "UECSM_TOL" not in capsys.readouterr().err
+        monkeypatch.delenv("UECSM_TOL", raising=False)
+        commands = (
+            ["test", str(fixture_dir / "wat_counterexample.json"), "--json"],
+            ["batch", str(fixture_dir), "--json"],
+            ["construct", "--sig", "2,1", "--diag", "1,2,3"],  # prints its triples to stderr
+        )
+        plain = [run(argv) for argv in commands]
+        for value in ("1e-2", "banana"):
+            monkeypatch.setenv("UECSM_TOL", value)
+            assert [run(argv) for argv in commands] == plain
 
     @pytest.mark.parametrize(
         "flag", ["--tol", "--tol-trace", "--tol-angle", "--tol-oracle"]
@@ -801,16 +784,6 @@ class TestTolerancePlumbing:
             main(["test", path, "--json", f"{flag}={value}"])
         assert exc.value.code == EXIT_INCONCLUSIVE
         assert flag in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-    def test_bad_env_tolerance_ignored(self, fixture_dir, capsys, monkeypatch, value):
-        monkeypatch.setenv("UECSM_TOL", value)
-        main(["test", str(fixture_dir / "wat_counterexample.json"), "--json"])
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        jsonschema.validate(payload, SCHEMA)
-        assert payload["tol"] == 1e-8
-        assert "UECSM_TOL" in captured.err
 
     @pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
     def test_bad_restarts_is_a_usage_error(self, fixture_dir, capsys, value):
@@ -855,7 +828,7 @@ class TestTolerancePlumbing:
         assert line.startswith("oracle   : refuted (closed form, residual ")
         assert "restarts" not in line
 
-    def test_oracle_text_names_the_descent_restarts(self, tmp_path, capsys):
+    def test_oracle_text_names_the_lm_restarts(self, tmp_path, capsys):
         # a normal matrix with a repeated eigenvalue has no simple Re(cT),
         # so the closed form declines and the LM search finds the witness
         q = random_unitary(rng(103), 3)

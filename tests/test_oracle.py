@@ -99,7 +99,7 @@ class TestFindSymmetrizer:
         assert result.residual < 1e-12
         assert verify_witness(s, result.u).passed
         # the LM search alone takes the identity start, with no step
-        result = _descent(s, restarts=20)
+        result = _lm_search(s, restarts=20)
         assert result.found
         assert (result.restarts_used, result.iterations) == (1, 0)
         assert result.residual < 1e-12
@@ -124,7 +124,7 @@ class TestFindSymmetrizer:
 
     def test_counterexample_inconclusive(self):
         # the LM search alone can only give up; the closed form refutes
-        result = _descent(WAT_COUNTEREXAMPLE, restarts=50)
+        result = _lm_search(WAT_COUNTEREXAMPLE, restarts=50)
         assert result.status == "inconclusive"
         assert result.u is None
         assert result.restarts_used == 50
@@ -148,7 +148,7 @@ class TestFindSymmetrizer:
         # |T + 1e6 I|_F is about 2e6, so a residual measured against it
         # passes 1e-6 on the counterexample; the shift-free norm does not
         shifted = WAT_COUNTEREXAMPLE + 1e6 * np.eye(4)
-        result = _descent(shifted, restarts=2)
+        result = _lm_search(shifted, restarts=2)
         assert result.status == "inconclusive"
         assert result.residual > 1e-3
         assert find_symmetrizer(shifted, restarts=2).status == "refuted"
@@ -163,7 +163,7 @@ class TestFindSymmetrizer:
     def test_search_is_scale_free(self, scale):
         # the search runs on the normalized matrix: no underflow to a false
         # witness at 1e-170, no overflow at 1e170
-        result = _descent(scale * WAT_COUNTEREXAMPLE, restarts=2)
+        result = _lm_search(scale * WAT_COUNTEREXAMPLE, restarts=2)
         assert result.status == "inconclusive"
         assert result.residual == pytest.approx(0.1291630315, rel=1e-6)
         assert find_symmetrizer(scale * WAT_COUNTEREXAMPLE, restarts=2).status == "refuted"
@@ -191,7 +191,7 @@ class TestFindSymmetrizer:
         assert a.iterations == b.iterations
 
 
-def _descent(t, restarts, seed=0, start=None):
+def _lm_search(t, restarts, seed=0, start=None):
     """The Levenberg-Marquardt search of :func:`find_symmetrizer` alone, without the closed form.
 
     Start 0 is ``start`` (the identity when None), as the search takes it
@@ -207,13 +207,13 @@ def _c11_fixture(seed):
     return conjugated_diagonal(random_su(Signature(3, 4), seed=seed), [-1.0, 0.0, 1.0, 2.0])
 
 
-class TestBoundedWaves:
+class TestLmStarts:
     def test_huge_budget_with_a_first_restart_witness(self):
         s = random_symmetric_matrix(rng(101), 4)
         result = find_symmetrizer(s, restarts=10**6)
         assert result.found
         assert (result.restarts_used, result.iterations) == (0, 0)
-        result = _descent(s, restarts=10**6)
+        result = _lm_search(s, restarts=10**6)
         assert result.found
         assert result.restarts_used == 1
 
@@ -232,7 +232,7 @@ class TestBoundedWaves:
 
         monkeypatch.setattr(oracle, "_levenberg_marquardt", spy_solve)
         monkeypatch.setattr(oracle, "_random_unitary", spy_draw)
-        result = _descent(WAT_COUNTEREXAMPLE, restarts=5)
+        result = _lm_search(WAT_COUNTEREXAMPLE, restarts=5)
         assert result.restarts_used == 5
         assert events == ["lm"] + ["draw", "lm"] * 4
         # the closed-form refutation draws nothing and runs no LM step
@@ -314,7 +314,7 @@ class TestClosedForm:
         assert find_symmetrizer(t, restarts=3) == result
 
     @pytest.mark.parametrize("seed, n", [(9, 3), (2, 4), (0, 5)])
-    def test_band_inputs_fall_through_to_the_descent(self, seed, n):
+    def test_band_inputs_fall_through_to_the_lm_search(self, seed, n):
         # the candidate misses witness_tol but not by enough to refute,
         # and the LM search, which then runs from it as it would alone,
         # finds a witness
@@ -322,7 +322,7 @@ class TestClosedForm:
         decision, candidate = oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL)
         assert decision is None and candidate is not None and _widest_gap(t) > oracle._GAP_MIN
         result = find_symmetrizer(t, restarts=3)
-        reference = _descent(t, restarts=3, start=candidate)
+        reference = _lm_search(t, restarts=3, start=candidate)
         assert result.found and result.restarts_used >= 1
         assert dataclasses.replace(result, u=None) == dataclasses.replace(reference, u=None)
         assert np.array_equal(result.u, reference.u)
@@ -337,7 +337,7 @@ class TestClosedForm:
         result = find_symmetrizer(t)
         assert result.found and result.restarts_used >= 1
         assert verify_witness(t, result.u).passed
-        reference = _descent(t, restarts=20)
+        reference = _lm_search(t, restarts=20)
         assert dataclasses.replace(result, u=None) == dataclasses.replace(reference, u=None)
         assert np.array_equal(result.u, reference.u)
 
@@ -379,9 +379,9 @@ class TestRefutationIsSound:
     @example(9, 3, -6.0)
     @example(2, 4, -6.0)
     @example(0, 5, -6.0)
-    def test_no_refutation_where_the_descent_finds_a_witness(self, seed, n, log_eps):
+    def test_no_refutation_where_the_lm_search_finds_a_witness(self, seed, n, log_eps):
         t = _near_uecsm(seed, n, log_eps)
-        if _descent(t, restarts=4).found:
+        if _lm_search(t, restarts=4).found:
             assert find_symmetrizer(t, restarts=4).status != "refuted"
 
     # The explicit examples are the inputs of the seed-777 phase probe
@@ -430,7 +430,7 @@ class TestRefutationIsSound:
                 assert (result.restarts_used, result.iterations) == (0, 0), name
 
 
-def test_descent_alone_finds_the_c11_witnesses():
+def test_lm_search_alone_finds_the_c11_witnesses():
     # the c11 fixtures get closed-form witnesses, so the LM search from
     # the identity keeps its own cross-validation here
     fixtures = [_c11_fixture(400 + k) for k in range(5)]
@@ -438,7 +438,7 @@ def test_descent_alone_finds_the_c11_witnesses():
         conjugated_diagonal(random_su(Signature(2, 3), seed=500 + k), [-1.0, 0.5, 2.0]) for k in range(5)
     ]
     for t in fixtures:
-        result = _descent(t, restarts=20)
+        result = _lm_search(t, restarts=20)
         assert result.found and result.restarts_used >= 1
         assert verify_witness(t, result.u).passed
 
@@ -453,7 +453,7 @@ def test_near_parallel_corpus():
         if result.found:
             assert verify_witness(t, result.u).passed
         elif result.status == "refuted":
-            assert not _descent(t, restarts=4).found
+            assert not _lm_search(t, restarts=4).found
         searched += result.restarts_used > 0
     assert searched >= 10
 

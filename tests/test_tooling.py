@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import uecsm.analysis
 import uecsm.cli
 import uecsm.tracetests
 from uecsm.gallery import GALLERY
@@ -139,9 +140,9 @@ def test_stage_costs_prints_every_layer(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setitem(sys.modules, "perfbench_corpus", None)  # loaded afresh, removed afterwards
     module = _load_tool(monkeypatch, "stage_costs")
-    layers = {name: getattr(uecsm.cli, name) for name in module.LAYERS}
+    layers = {name: getattr(uecsm.analysis, name) for name in module.LAYERS}
     assert module.main(["--workload", "oracle", "--rounds", "1"]) == 0
-    assert {name: getattr(uecsm.cli, name) for name in module.LAYERS} == layers
+    assert {name: getattr(uecsm.analysis, name) for name in module.LAYERS} == layers
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "oracle, seed 0, 1 rounds: us per matrix"
     assert [line.split()[0] for line in lines[2:]] == ["analyze", *module.LAYERS, "rest"]

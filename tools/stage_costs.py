@@ -2,16 +2,16 @@
 
 Builds the seeded corpus of the benchmark's ``decide`` or ``oracle``
 workload (``perfbench/``, read and not changed) and times
-``uecsm.cli.analyze`` over it as that workload calls it.  Then it times
-the same passes with one layer dropped: the name that ``analyze_stack``
-looks up in ``uecsm.cli`` is replaced by a stub that returns the output
-the layer gave for that input, recorded beforehand.  A layer's cost is
-the full pass minus the pass without it, so it is what the layer costs
-where it runs, caches and all.  ``rest`` is the full pass minus every
-layer: ``analyze`` itself and the reports.  Every round times each
-variant once, in a rotated order, after one round that warms every
-variant up and is not counted; the table shows medians and quartiles
-over the rounds.  Standard library and numpy only::
+``uecsm.analysis.analyze`` over it as that workload calls it.  Then it
+times the same passes with one layer dropped: the name that
+``analyze_stack`` looks up in ``uecsm.analysis`` is replaced by a stub
+that returns the output the layer gave for that input, recorded
+beforehand.  A layer's cost is the full pass minus the pass without it,
+so it is what the layer costs where it runs, caches and all.  ``rest``
+is the full pass minus every layer: ``analyze`` itself and the reports.
+Every round times each variant once, in a rotated order, after one
+round that warms every variant up and is not counted; the table shows
+medians and quartiles over the rounds.  Standard library and numpy only::
 
     python3 tools/stage_costs.py --workload decide --seed 0 --rounds 15
 """
@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(ROOT / "src"))
 
-import uecsm.cli as cli  # noqa: E402
+import uecsm.analysis as analysis  # noqa: E402
 from uecsm.matcore import cmatrix  # noqa: E402
 
 #: The names ``analyze_stack`` looks up for each layer, in the order it calls them.
@@ -82,7 +82,7 @@ class Stubs:
         self.current = 0
 
     def record(self, inputs, run_oracle: bool) -> None:
-        originals = {name: getattr(cli, name) for name in self.layers}
+        originals = {name: getattr(analysis, name) for name in self.layers}
 
         def recorder(name):
             def wrapper(*args, **kwargs):
@@ -94,12 +94,12 @@ class Stubs:
 
         try:
             for name in self.layers:
-                setattr(cli, name, recorder(name))
+                setattr(analysis, name, recorder(name))
             for label, t in inputs:
-                cli.analyze(t, label, run_oracle=run_oracle)
+                analysis.analyze(t, label, run_oracle=run_oracle)
         finally:
             for name, fn in originals.items():
-                setattr(cli, name, fn)
+                setattr(analysis, name, fn)
         for name, outs in self.outputs.items():
             if len(outs) != len(inputs):
                 raise RuntimeError(f"{name} ran {len(outs)} times on {len(inputs)} inputs")
@@ -111,19 +111,19 @@ class Stubs:
 
 def time_pass(inputs, stubs: Stubs, dropped, run_oracle: bool) -> float:
     """Seconds per matrix of one pass with the layer ``dropped`` (or none) stubbed."""
-    original = getattr(cli, dropped) if dropped else None
+    original = getattr(analysis, dropped) if dropped else None
     if dropped:
-        setattr(cli, dropped, stubs.stub(dropped))
+        setattr(analysis, dropped, stubs.stub(dropped))
     try:
         total = 0.0
         for b, (label, t) in enumerate(inputs):
             stubs.current = b
             start = time.perf_counter()
-            cli.analyze(t, label, run_oracle=run_oracle)
+            analysis.analyze(t, label, run_oracle=run_oracle)
             total += time.perf_counter() - start
     finally:
         if dropped:
-            setattr(cli, dropped, original)
+            setattr(analysis, dropped, original)
     return total / len(inputs)
 
 
