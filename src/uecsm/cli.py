@@ -50,9 +50,12 @@ everywhere else: text with more than 1024 brackets, text orjson refuses
 key other than ``label``, ``n`` and ``entries``, and any document that
 fails its checks, such as an ``n`` beyond 64 bits, which orjson reads as
 a float.  So every file gives the values, or the error text, that the
-stdlib decoder alone gives.  Where orjson decoded the document and its
-text holds no ``true`` or ``false``, the entries are converted as one
-array, which is the matrix when it is a finite float or integer
+stdlib decoder alone gives, with one exception: text whose brackets
+outside strings nest deeper than 512 levels is refused before it is
+decoded, where ``json.loads`` would refuse it or not depending on how
+deep the caller's stack already is.  Where orjson decoded the document
+and its text holds no ``true`` or ``false``, the entries are converted
+as one array, which is the matrix when it is a finite float or integer
 ``(n, n, 2)`` array.  Every other document is checked entry by entry,
 and each error names the first entry at fault.
 
@@ -78,6 +81,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -141,6 +145,15 @@ _FIELDS = frozenset(("label", "n", "entries"))
 #: 150,000 deep crashes the process on an 8 MiB stack; a document with more
 #: brackets goes to json.loads, which refuses deep nesting.
 _ORJSON_MAX_BRACKETS = 1024
+
+#: The deepest nesting :func:`parse_document_text` decodes.  json.loads
+#: refuses nesting at a depth that shrinks by one with each frame already
+#: on the caller's stack (about 990 at the top level of a script), so a
+#: fixed bound well below that makes the outcome depend on the text alone.
+_MAX_DEPTH = 512
+
+#: JSON strings and runs of text with no bracket or quote in them
+_NOT_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[^"[\]{}]+', re.DOTALL)
 
 
 def _document(raw: object, plain: bool = False) -> MatrixDocument:
@@ -220,7 +233,18 @@ def _orjson_document(data: bytes) -> Optional[MatrixDocument]:
     return None
 
 
+def _nesting_depth(text: str) -> int:
+    """The deepest nesting of the brackets outside strings in JSON ``text``;
+    a string left open ends the count."""
+    brackets = _NOT_BRACKETS.sub("", text).partition('"')[0]
+    opens = np.isin(np.frombuffer(brackets.encode(), np.uint8), (ord("["), ord("{")))
+    return int(np.cumsum(np.where(opens, 1, -1)).max(initial=0))
+
+
 def parse_document_text(text: str) -> MatrixDocument:
+    # a text cannot nest deeper than it has opening brackets
+    if text.count("[") + text.count("{") > _MAX_DEPTH and _nesting_depth(text) > _MAX_DEPTH:
+        raise ParseError(f"invalid JSON: nested deeper than {_MAX_DEPTH} levels")
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -401,11 +425,12 @@ def _parse_params(text: str) -> NilpotentParams:
 
 def _cmd_classify_nilpotent(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
+    result = classify(params, args.tol)
     try:
-        result = classify(params, args.tol)
         forms = psi_closed_forms(params)
     except OverflowError as exc:
-        # |v|^2 and its products are Python floats, which raise on overflow
+        # the closed forms stay on the caller's parameters: |v|^2 and its
+        # products are Python floats, which raise on overflow
         print(f"error: parameters too large for the closed forms: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     t = build_matrix(params)

@@ -22,6 +22,12 @@ transpose.)  An all-integer witness for the gap is
 word traces differ from their reversals by exactly 2.  ``classify``
 therefore tests the phase-corrected condition, keeping it equivalent
 to the seven-trace verdict.
+
+``classify`` and ``symmetrizing_witness`` decide on the entries of the
+unit-norm representative :func:`~uecsm.matcore.normalize` gives, as
+every other criterion does, so their verdicts do not change when the
+parameters are scaled.  Only ``psi_closed_forms`` evaluates on the
+caller's parameters.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .matcore import CMatrix, EPS
+from .matcore import CMatrix, EPS, normalize
 
 
 @dataclass(frozen=True)
@@ -56,14 +62,25 @@ class NilpotentParams:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
 
 
+# the strictly upper triangle in row order: a, b, c, d, e, f
+_UPPER = np.triu_indices(4, 1)
+
+
 def build_matrix(p: NilpotentParams) -> CMatrix:
     """Place the six parameters into the strictly upper triangle."""
     t = np.zeros((4, 4), dtype=complex)
-    t[0, 1], t[0, 2], t[0, 3] = p.a, p.b, p.c
-    t[1, 2], t[1, 3] = p.d, p.e
-    t[2, 3] = p.f
+    t[_UPPER] = p.as_tuple()
     t.flags.writeable = False
     return t
+
+
+def _normalized_entries(p: NilpotentParams) -> tuple[complex, ...]:
+    """The six entries of the unit-norm representative of ``build_matrix(p)``.
+
+    The matrix is trace-free, so the representative is ``T / |T|_F``:
+    the parameters over their Euclidean norm, or zeros when all vanish.
+    """
+    return tuple(complex(v) for v in normalize(build_matrix(p))[0][_UPPER])
 
 
 @dataclass(frozen=True)
@@ -115,48 +132,44 @@ class Classification:
     uecsm: bool
     residuals: tuple[tuple[int, float], ...]
 
-    def residual(self, condition: int) -> float:
-        return dict(self.residuals)[condition]
 
-
-def _rel(value: float, scale: float, tol_floor: float = EPS) -> float:
-    return value / (scale + tol_floor)
+def _rel(value: float, scale: float) -> float:
+    return value / (scale + EPS)
 
 
 def classify(p: NilpotentParams, tol: float = 1e-8) -> Classification:
     """Evaluate the six UECSM conditions for this family.
 
-    All equalities are tested relative to the summed magnitudes of
-    their terms, and the a/d/f zero gates use an absolute threshold of
-    ``tol * (1 + max entry magnitude)``, so the verdict is invariant
-    under scaling of the parameters.  Every satisfied condition is
-    reported, not just the first; they overlap (the zero matrix
-    satisfies several).  Condition 6 includes the phase constraint
-    ae = bf (see the module docstring).
+    The conditions are read on the unit-norm representative of
+    ``build_matrix(p)`` (see :func:`~uecsm.matcore.normalize`), so the
+    verdict is invariant under ``p -> c p`` for any nonzero ``c`` and no
+    finite parameters overflow.  The residuals are those of the
+    normalized entries: a zero gate on a, d or f is the entry's modulus,
+    at most 1, and each equality is tested relative to the summed
+    magnitudes of its terms.  Every satisfied condition is reported, not
+    just the first; they overlap (the zero matrix satisfies all six).
+    Condition 6 includes the phase constraint ae = bf (see the module
+    docstring).
     """
-    a, b, c, d, e, f = p.as_tuple()
-    aa, bb, cc, dd, ee, ff = (abs(v) ** 2 for v in p.as_tuple())
-    big = max(abs(v) for v in p.as_tuple())
-
-    def gate(v: complex) -> float:
-        return abs(v) / (1.0 + big)
+    a, b, c, d, e, f = _normalized_entries(p)
+    aa, bb, cc, dd, ee, ff = (abs(v) ** 2 for v in (a, b, c, d, e, f))
 
     # 1: d = 0 and ae + bf = 0
-    r1 = max(gate(d), _rel(abs(a * e + b * f), abs(a * e) + abs(b * f)))
+    r1 = max(abs(d), _rel(abs(a * e + b * f), abs(a * e) + abs(b * f)))
     # 2: d = 0 and |a|^2 + |b|^2 = |e|^2 + |f|^2
-    r2 = max(gate(d), _rel(abs(aa + bb - ee - ff), aa + bb + ee + ff))
+    r2 = max(abs(d), _rel(abs(aa + bb - ee - ff), aa + bb + ee + ff))
     # 3: a = 0 and f = 0
-    r3 = max(gate(a), gate(f))
+    r3 = max(abs(a), abs(f))
     # 4: a = 0 and the column quadratic vanishes
     ga = b * c.conjugate() + d * e.conjugate()
     qa = (bb + dd) * (bb + dd - cc - ee - ff) + abs(ga) ** 2
     qa_scale = (bb + dd) * (bb + dd + cc + ee + ff) + abs(ga) ** 2
-    r4 = max(gate(a), _rel(abs(qa), qa_scale))
+    r4 = max(abs(a), _rel(abs(qa), qa_scale))
     # 5: f = 0 and the mirrored quadratic vanishes
     gf = c * e.conjugate() + b * d.conjugate()
     qf = (dd + ee) * (dd + ee - aa - bb - cc) + abs(gf) ** 2
     qf_scale = (dd + ee) * (dd + ee + aa + bb + cc) + abs(gf) ** 2
-    r5 = max(gate(f), _rel(abs(qf), qf_scale))
+    r5 = max(abs(f), _rel(abs(qf), qf_scale))
     # 6: |a| = |f|, |b| = |e|, and ae = bf
     r6 = max(
         _rel(abs(abs(a) - abs(f)), abs(a) + abs(f)),
@@ -172,24 +185,20 @@ def classify(p: NilpotentParams, tol: float = 1e-8) -> Classification:
 def symmetrizing_witness(p: NilpotentParams, tol: float = 1e-8) -> CMatrix:
     """Explicit unitary U with U T U* complex symmetric, for condition 6.
 
-    Requires a, f nonzero with |a| = |f|, |b| = |e| and ae = bf.  The
-    witness composes the diagonal re-phasing diag(1, a/f, 1, 1), which
-    produces the palindromic pattern, with a fixed unitary V satisfying
-    V^t V = J (the anti-diagonal permutation): J conjugates the
-    palindromic matrix to its transpose, and folding J through V turns
-    that into literal symmetry of U T U*.
+    Requires condition 6 of :func:`classify` at ``tol`` (|a| = |f|,
+    |b| = |e| and ae = bf) with a and f nonzero, that is above ``tol``
+    on the same normalized entries.  The witness composes the diagonal
+    re-phasing diag(1, a/f, 1, 1), which produces the palindromic
+    pattern, with a fixed unitary V satisfying V^t V = J (the
+    anti-diagonal permutation): J conjugates the palindromic matrix to
+    its transpose, and folding J through V turns that into literal
+    symmetry of U T U*.
     """
-    a, b, e, f = p.a, p.b, p.e, p.f
-    big = max(abs(v) for v in p.as_tuple())
-    floor = tol * (1.0 + big)
-    if abs(a) <= floor or abs(f) <= floor:
+    if 6 not in classify(p, tol).satisfied:
+        raise ValueError("witness construction needs condition 6: |a| = |f|, |b| = |e| and ae = bf")
+    a, *_, f = _normalized_entries(p)
+    if abs(a) <= tol or abs(f) <= tol:
         raise ValueError("witness construction needs a and f nonzero")
-    if abs(abs(a) - abs(f)) > tol * (abs(a) + abs(f)):
-        raise ValueError("witness construction needs |a| = |f|")
-    if abs(abs(b) - abs(e)) > tol * (abs(b) + abs(e) + EPS):
-        raise ValueError("witness construction needs |b| = |e|")
-    if abs(a * e - b * f) > tol * (abs(a * e) + abs(b * f) + EPS):
-        raise ValueError("witness construction needs ae = bf (phases must match)")
 
     mu = a / f
     mu /= abs(mu)

@@ -2,11 +2,16 @@
 
 A verbatim copy of ``parse_document_text`` and ``load_matrix_document``
 as ``uecsm.cli`` defined them when every document was decoded by the
-stdlib ``json``.  The tests compare the package's outcome with these:
-each entry to the last bit and the label, or the identical error text.
+stdlib ``json``, with one addition that ``uecsm.cli`` makes too: text
+whose brackets outside strings nest deeper than 512 levels is refused
+before ``json.loads`` sees it, since whether ``json.loads`` refuses it
+depends on the depth of the caller's stack.  The tests compare the
+package's outcome with these: each entry to the last bit and the label,
+or the identical error text.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +21,29 @@ from uecsm.errors import ParseError
 from uecsm.matcore import cmatrix
 
 
+MAX_DEPTH = 512
+
+
+def _too_deep(text: str) -> bool:
+    """Whether the brackets outside strings nest deeper than ``MAX_DEPTH``;
+    a string left open ends the count."""
+    depth = 0
+    for token in re.finditer(r'"(?:[^"\\]|\\.)*"|"|[\[{]|[\]}]', text, re.DOTALL):
+        bracket = token.group()
+        if bracket == '"':
+            return False
+        if bracket in "[{":
+            depth += 1
+            if depth > MAX_DEPTH:
+                return True
+        elif bracket in "]}":
+            depth -= 1
+    return False
+
+
 def parse_document_text(text: str) -> MatrixDocument:
+    if _too_deep(text):
+        raise ParseError(f"invalid JSON: nested deeper than {MAX_DEPTH} levels")
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:

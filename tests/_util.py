@@ -4,6 +4,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from uecsm import NilpotentParams
+
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -118,3 +120,44 @@ def one_matrix_inputs() -> tuple[tuple[str, np.ndarray], ...]:
     t[:2, :2] = [[1.7e308, -1.7e308], [1.7e308, 0]]
     out.append(("overflow3", t))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def nilpotent_c07_samples() -> tuple[NilpotentParams, ...]:
+    """The 2175 parameter samples of acceptance check c07.
+
+    From ``numpy.random.default_rng(1007)``: 2000 complex Gaussian
+    parameter sets scaled by 3, then 25 rounds of exact instances of
+    each classification condition (seven samples a round, the last a
+    near miss of condition 6 with matched moduli and mismatched products).
+    """
+    gen = rng(1007)
+    samples = [
+        NilpotentParams.from_iterable(3.0 * (gen.standard_normal(6) + 1j * gen.standard_normal(6)))
+        for _ in range(2000)
+    ]
+    for _ in range(25):
+        a, b, c, d, e, f = (complex(x) for x in gen.standard_normal(6) + 1j * gen.standard_normal(6))
+        # 1: d = 0, ae + bf = 0
+        samples.append(NilpotentParams(a, b, c, 0.0, -b * f / a, f))
+        # 2: d = 0, matched squared norms
+        scale = np.sqrt((abs(a) ** 2 + abs(b) ** 2) / (abs(e) ** 2 + abs(f) ** 2))
+        samples.append(NilpotentParams(a, b, c, 0.0, scale * e, scale * f))
+        # 3: a = f = 0
+        samples.append(NilpotentParams(0.0, b, c, d, e, 0.0))
+        # 4: a = 0, orthogonal equal-norm columns
+        gamma = 0.5 + 0.4 * gen.random()
+        beta = gamma * np.exp(2j * np.pi * gen.random())
+        c4 = np.conj(beta) * np.conj(d)
+        e4 = -np.conj(beta) * np.conj(b)
+        f4 = np.sqrt(1 - gamma**2) * np.sqrt(abs(b) ** 2 + abs(d) ** 2)
+        samples.append(NilpotentParams(0.0, b, c4, d, e4, f4))
+        # 5: mirror of 4 under the transpose flip
+        samples.append(NilpotentParams(f4, e4, c4, d, b, 0.0))
+        # 6: matched moduli and matched products
+        phase = np.exp(2j * np.pi * gen.random())
+        samples.append(NilpotentParams(a, b, c, d, b * phase, a * phase))
+        # 6, negative: matched moduli, mismatched products
+        phase2 = phase * np.exp(1j * (0.5 + gen.random()))
+        samples.append(NilpotentParams(a, b, c, d, b * phase2, a * phase))
+    return tuple(samples)

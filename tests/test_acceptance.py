@@ -49,6 +49,7 @@ from uecsm.gallery import (
 from uecsm.tracetests import DJOKOVIC_WORDS
 
 from _util import (
+    nilpotent_c07_samples,
     random_integer_matrix,
     random_symmetric_matrix,
     random_unitary,
@@ -189,47 +190,10 @@ def test_c06_sat_equals_psi_4x4():
     )
 
 
-def _random_params(gen, scale=3.0):
-    return NilpotentParams.from_iterable(scale * (gen.standard_normal(6) + 1j * gen.standard_normal(6)))
-
-
-def _condition_boundary_samples(gen):
-    """Exact instances of each classification condition."""
-    samples = []
-    for _ in range(25):
-        a, b, c, d, e, f = (complex(x) for x in gen.standard_normal(6) + 1j * gen.standard_normal(6))
-        # 1: d = 0, ae + bf = 0
-        samples.append(NilpotentParams(a, b, c, 0.0, -b * f / a, f))
-        # 2: d = 0, matched squared norms
-        scale = np.sqrt((abs(a) ** 2 + abs(b) ** 2) / (abs(e) ** 2 + abs(f) ** 2))
-        samples.append(NilpotentParams(a, b, c, 0.0, scale * e, scale * f))
-        # 3: a = f = 0
-        samples.append(NilpotentParams(0.0, b, c, d, e, 0.0))
-        # 4: a = 0, orthogonal equal-norm columns
-        gamma = 0.5 + 0.4 * gen.random()
-        beta = gamma * np.exp(2j * np.pi * gen.random())
-        c4 = np.conj(beta) * np.conj(d)
-        e4 = -np.conj(beta) * np.conj(b)
-        f4 = np.sqrt(1 - gamma**2) * np.sqrt(abs(b) ** 2 + abs(d) ** 2)
-        samples.append(NilpotentParams(0.0, b, c4, d, e4, f4))
-        # 5: mirror of 4 under the transpose flip
-        samples.append(NilpotentParams(f4, e4, c4, d, b, 0.0))
-        # 6: matched moduli and matched products
-        phase = np.exp(2j * np.pi * gen.random())
-        samples.append(NilpotentParams(a, b, c, d, b * phase, a * phase))
-        # 6, negative: matched moduli, mismatched products
-        phase2 = phase * np.exp(1j * (0.5 + gen.random()))
-        samples.append(NilpotentParams(a, b, c, d, b * phase2, a * phase))
-    return samples
-
-
 def test_c07_nilpotent_classification_equivalence():
-    gen = rng(1007)
     tested = agreed = skipped = 0
     form_gap = 0.0
-    samples = [_random_params(gen) for _ in range(2000)]
-    samples += _condition_boundary_samples(gen)
-    for p in samples:
+    for p in nilpotent_c07_samples():
         t = build_matrix(p)
         verdict = uecsm_verdict(t, TOL)
         result = classify(p, TOL)

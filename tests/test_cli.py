@@ -263,6 +263,14 @@ class TestClassifyNilpotent:
         assert payload["agree"] is True
         assert payload["satisfied"] == []
 
+    def test_scaled_member_agrees(self, capsys):
+        # nilpotent-e4 times 1e-9: the zero gates do not read small entries as zero
+        code = main(["classify-nilpotent", "--params", "2e-9,9e-9,1e-9,0,4e-9,7e-9", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_NOT_UECSM
+        assert payload["agree"] is True
+        assert payload["satisfied"] == []
+
     def test_complex_components(self, capsys):
         code = main(["classify-nilpotent", "--params", "0:1,2,3:-1,1,5,9", "--json"])
         payload = json.loads(capsys.readouterr().out)

@@ -118,6 +118,13 @@ CASES = {
     "nesting 1,500 deep": _nested(1500).encode(),
     "nesting 100,000 deep": _nested(100_000).encode(),
     "nesting 100,000 deep, unclosed": b"[" * 100_000,
+    # the extra key's object is one level: 512 levels in all parse, 513 do not
+    "nesting 511 deep under an extra key": _document(extra=f', "x": {_nested(511)}').encode(),
+    "nesting 512 deep under an extra key": _document(extra=f', "x": {_nested(512)}').encode(),
+    "nesting 960 deep under an extra key": _document(extra=f', "x": {_nested(960)}').encode(),
+    # brackets inside strings do not nest, and an open string ends the count
+    "1,000 brackets in a string after an escaped quote": _document(label='"\\\"' + "[" * 1000 + '"').encode(),
+    "1,000 brackets in an unclosed string": (VALID[:-1] + ', "x": "' + "[" * 1000).encode(),
     # 31x31 is the largest matrix orjson decodes, 32x32 goes to json.loads
     **{f"{n}x{n} matrix": _square(n).encode() for n in (31, 32)},
     # brackets inside strings count too: 1024 in all go to orjson, 1025 to json.loads
@@ -237,3 +244,39 @@ def test_nesting_too_deep_for_the_c_stack(tmp_path):
     expected = _outcome(reference.load_matrix_document, path)
     assert expected[0] == "error"
     assert run.stdout.splitlines() == [expected[1]] * 2
+
+
+def _nested_calls(depth: int, call):
+    """``call()`` from under ``depth`` more Python frames."""
+    return call() if depth == 0 else _nested_calls(depth - 1, call)
+
+
+def test_nesting_refusal_does_not_depend_on_the_stack(tmp_path):
+    # json.loads refuses nesting at a depth that shrinks with each frame on
+    # the caller's stack; the bound refuses the same text wherever it is read
+    for depth, parses in ((960, False), (500, True)):
+        text = _document(extra=f', "x": {_nested(depth)}')
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from uecsm.cli import parse_document_text\n"
+            "from uecsm.errors import ParseError\n"
+            "try:\n"
+            "    print(parse_document_text(open(sys.argv[1], encoding='utf-8').read()).label)\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        top_level = run.stdout.strip()
+        for read, source in ((parse_document_text, text), (load_matrix_document, path)):
+            here = _outcome(read, source)
+            assert _nested_calls(300, lambda: _outcome(read, source)) == here
+            if parses:
+                assert here[0] == "document" and here[-1] == top_level == "m"
+            else:
+                assert here == ("error", top_level) == ("error", "invalid JSON: nested deeper than 512 levels")

@@ -15,7 +15,7 @@ from uecsm import (
 )
 from uecsm.gallery import NILPOTENT_QUARTET
 
-from _util import rng
+from _util import nilpotent_c07_samples, rng
 
 
 def random_params(gen, scale=3.0):
@@ -178,12 +178,15 @@ class TestClassify:
         assert set(result.satisfied) == {1, 2, 3, 4, 5, 6}
 
     def test_scale_invariance(self):
+        # classify reads the unit-norm representative, so no scale moves a
+        # zero gate and no finite parameters overflow
         gen = rng(75)
-        p = random_params(gen)
-        base = classify(p).satisfied
-        for c in (10.0, 0.01, 3j):
-            scaled = NilpotentParams.from_iterable(c * np.array(p.as_tuple()))
-            assert classify(scaled).satisfied == base
+        quartet = [NilpotentParams(2, 9, 1, 0, e, 7) for e in (4, 5, 6, 7)]
+        for p in [random_params(gen) for _ in range(20)] + quartet:
+            base = classify(p).satisfied
+            for c in (10.0, 0.01, 3j, 1e-12, 1e-9, 1e-6, 1e6, 1e12, 1e100, 3e-10j):
+                scaled = NilpotentParams.from_iterable(c * np.array(p.as_tuple()))
+                assert classify(scaled).satisfied == base, (p, c)
 
     def test_equivalence_with_trace_verdict(self):
         gen = rng(76)
@@ -222,5 +225,25 @@ class TestWitness:
             symmetrizing_witness(NilpotentParams(1, 1, 0, 1, 1, -1))
 
     def test_refuses_zero_a(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a and f nonzero"):
             symmetrizing_witness(NilpotentParams(0, 1, 0, 1, 1, 0))
+
+    def test_gate_is_condition_6_with_a_and_f_nonzero(self):
+        witnesses = 0
+        for p in nilpotent_c07_samples():
+            refused = 6 not in classify(p).satisfied or p.a == 0 or p.f == 0
+            try:
+                u = symmetrizing_witness(p)
+            except ValueError:
+                assert refused, p
+                continue
+            assert not refused, p
+            assert verify_witness(build_matrix(p), u, tol=1e-9).passed
+            witnesses += 1
+        assert witnesses == 25
+
+    def test_scaled_case6_witness(self):
+        # the a, f gate reads the normalized entries, so 1e-9 is not zero
+        p = NilpotentParams.from_iterable(1e-9 * np.array([3, 1 + 2j, 2 - 1j, 1 + 1j, 1j * (1 + 2j), 3j]))
+        assert classify(p).satisfied == (6,)
+        assert verify_witness(build_matrix(p), symmetrizing_witness(p), tol=1e-9).passed
