@@ -7,156 +7,74 @@ eigenvector angle tests, classifies the 4x4 nilpotent family in closed
 form, constructs indefinite-unitary examples separating the tests, and
 cross-validates everything with a brute-force search over the unitary
 group.
+
+Importing the package loads none of its submodules.  Each public name
+is listed once in an export table with the submodule that defines it,
+imported from there on its first access (PEP 562) and kept in the
+package's globals, so a later access is a plain attribute read.  The
+submodules that define public names resolve as attributes too.
 """
 
-from .analysis import Report, analyze, analyze_stack
-from .angletests import angle_suite, det_criterion_3, lsat, sat, wat
-from .constructors import (
-    Signature,
-    TripleProduct,
-    conjugated_diagonal,
-    generate_wat_not_sat,
-    indefinite_gram_schmidt,
-    indefinite_inner,
-    random_su,
-    sat_obstruction,
-    su_membership,
-)
-from .errors import (
-    ConsistencyError,
-    CostGuard,
-    DegenerateSpectrum,
-    DimensionMismatch,
-    ExhaustedRetries,
-    IsotropicVector,
-    NoConvergence,
-    OrthogonalEigenvectors,
-    ParseError,
-    RepeatedDiagonal,
-    SignatureMismatch,
-    SingularMatrix,
-    UecsmError,
-    UnsupportedDimension,
-)
-from .matcore import (
-    CMatrix,
-    Word,
-    adjoint,
-    cmatrix,
-    evaluate_word,
-    identity,
-    normalize,
-    reverse_word,
-    trace,
-    transpose,
-    word_trace,
-    word_traces,
-)
-from .nilpotent4 import (
-    Classification,
-    ClosedForms,
-    NilpotentParams,
-    build_matrix,
-    classify,
-    psi_closed_forms,
-    symmetrizing_witness,
-)
-from .oracle import (
-    OracleResult,
-    cayley_retract,
-    find_symmetrizer,
-    symmetry_cost,
-    symmetry_residual,
-    verify_witness,
-)
-from .spectra import SpectralData, durand_kerner, eigensystem
-from .tracetests import (
-    DJOKOVIC_WORDS,
-    PHI3_WORDS,
-    PSI_DEGREES,
-    TraceSignature,
-    Verdict,
-    djokovic_signature,
-    phi3,
-    psi7,
-    trace_test_3,
-    transpose_equivalence,
-    uecsm_verdict,
-    unitary_equivalence_4,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CMatrix",
-    "Classification",
-    "ClosedForms",
-    "ConsistencyError",
-    "CostGuard",
-    "DegenerateSpectrum",
-    "DimensionMismatch",
-    "DJOKOVIC_WORDS",
-    "ExhaustedRetries",
-    "IsotropicVector",
-    "NilpotentParams",
-    "NoConvergence",
-    "OracleResult",
-    "OrthogonalEigenvectors",
-    "ParseError",
-    "PHI3_WORDS",
-    "PSI_DEGREES",
-    "RepeatedDiagonal",
-    "Report",
-    "Signature",
-    "SignatureMismatch",
-    "SingularMatrix",
-    "SpectralData",
-    "TraceSignature",
-    "TripleProduct",
-    "UecsmError",
-    "UnsupportedDimension",
-    "Verdict",
-    "Word",
-    "adjoint",
-    "analyze",
-    "analyze_stack",
-    "angle_suite",
-    "build_matrix",
-    "cayley_retract",
-    "classify",
-    "cmatrix",
-    "conjugated_diagonal",
-    "det_criterion_3",
-    "djokovic_signature",
-    "durand_kerner",
-    "eigensystem",
-    "evaluate_word",
-    "find_symmetrizer",
-    "generate_wat_not_sat",
-    "identity",
-    "indefinite_gram_schmidt",
-    "indefinite_inner",
-    "lsat",
-    "normalize",
-    "phi3",
-    "psi7",
-    "psi_closed_forms",
-    "random_su",
-    "reverse_word",
-    "sat",
-    "sat_obstruction",
-    "su_membership",
-    "symmetrizing_witness",
-    "symmetry_cost",
-    "symmetry_residual",
-    "trace",
-    "trace_test_3",
-    "transpose",
-    "transpose_equivalence",
-    "uecsm_verdict",
-    "unitary_equivalence_4",
-    "verify_witness",
-    "wat",
-    "word_trace",
-    "word_traces",
-]
+#: Each public name, mapped to the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("analysis", "Report analyze analyze_stack"),
+        ("angletests", "angle_suite det_criterion_3 lsat sat wat"),
+        (
+            "constructors",
+            "Signature TripleProduct conjugated_diagonal generate_wat_not_sat indefinite_gram_schmidt"
+            " indefinite_inner random_su sat_obstruction su_membership",
+        ),
+        (
+            "errors",
+            "ConsistencyError CostGuard DegenerateSpectrum DimensionMismatch ExhaustedRetries"
+            " IsotropicVector NoConvergence OrthogonalEigenvectors ParseError RepeatedDiagonal"
+            " SignatureMismatch SingularMatrix UecsmError UnsupportedDimension",
+        ),
+        (
+            "matcore",
+            "CMatrix Word adjoint cmatrix evaluate_word identity normalize reverse_word trace"
+            " transpose word_trace word_traces",
+        ),
+        (
+            "nilpotent4",
+            "Classification ClosedForms NilpotentParams build_matrix classify psi_closed_forms"
+            " symmetrizing_witness",
+        ),
+        (
+            "oracle",
+            "OracleResult cayley_retract find_symmetrizer symmetry_cost symmetry_residual verify_witness",
+        ),
+        ("spectra", "SpectralData durand_kerner eigensystem"),
+        (
+            "tracetests",
+            "DJOKOVIC_WORDS PHI3_WORDS PSI_DEGREES TraceSignature Verdict djokovic_signature phi3"
+            " psi7 trace_test_3 transpose_equivalence uecsm_verdict unitary_equivalence_4",
+        ),
+    )
+    for name in names.split()
+}
+
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)  # which binds it in globals()
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -68,6 +68,14 @@ call, and every later call parses with the same parser.
 
 The analysis and the rule that decides each report live in
 :mod:`uecsm.analysis`; ``uecsm test`` calls its :func:`analyze`.
+Importing this module loads that analysis and nothing else of the
+package: :mod:`uecsm.nilpotent4` is imported when ``classify-nilpotent``
+runs, :mod:`uecsm.constructors` when ``construct`` runs, and
+:mod:`uecsm.gallery` when :func:`write_gallery_fixtures` is called.
+
+A subcommand whose stdout is closed before it has written everything
+(``uecsm batch DIR --json | head``) exits 2 with one ``error:`` line on
+stderr and no traceback.
 
 ``--tol`` defaults to 1e-8.  Every tolerance must be a finite positive
 number: a bad ``--tol*`` value is a usage error (exit 2).
@@ -87,25 +95,14 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 import orjson
 
-from . import gallery
 from .analysis import Report, _outcome, analyze, analyze_stack
-from .constructors import (
-    Signature,
-    conjugated_diagonal,
-    diagonal_angle_suite,
-    generate_wat_not_sat,
-    random_su,
-    sat_obstruction,
-    su_membership,
-)
 from .errors import ParseError, UecsmError
 from .matcore import CMatrix, cmatrix
-from .nilpotent4 import NilpotentParams, build_matrix, classify, psi_closed_forms
 from .oracle import WITNESS_TOL
 from .spectra import eigensystem
 from .tracetests import DEFAULT_TOL, uecsm_verdict
@@ -116,6 +113,10 @@ from .tracetests import DEFAULT_TOL, uecsm_verdict
 from .angletests import angle_suite  # noqa: F401
 from .oracle import find_symmetrizer  # noqa: F401
 from .tracetests import transpose_equivalence  # noqa: F401
+
+if TYPE_CHECKING:
+    from .constructors import Signature
+    from .nilpotent4 import NilpotentParams
 
 EXIT_UECSM = 0
 EXIT_NOT_UECSM = 1
@@ -298,9 +299,11 @@ def write_matrix_document(doc: MatrixDocument, path: Path) -> None:
 
 def write_gallery_fixtures(directory: Path) -> list[Path]:
     """Write every gallery matrix as a fixture document; returns the paths."""
+    from .gallery import GALLERY
+
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for label, (matrix, _) in gallery.GALLERY.items():
+    for label, (matrix, _) in GALLERY.items():
         path = directory / f"{label.replace('-', '_')}.json"
         write_matrix_document(MatrixDocument(matrix=matrix, label=label), path)
         paths.append(path)
@@ -414,6 +417,8 @@ def _parse_complex_component(text: str) -> complex:
 
 
 def _parse_params(text: str) -> NilpotentParams:
+    from .nilpotent4 import NilpotentParams
+
     pieces = text.split(",")
     if len(pieces) != 6:
         raise ParseError(f"--params needs 6 comma-separated values, got {len(pieces)}")
@@ -423,16 +428,27 @@ def _parse_params(text: str) -> NilpotentParams:
         raise ParseError(str(exc)) from exc
 
 
+def _closed_forms(params: NilpotentParams) -> Optional[dict[str, complex]]:
+    """The closed forms on the caller's parameters, or None where one overflows a float.
+
+    They are Python floats and complexes, which raise on some overflows and
+    give inf or nan on others; the decision never reads them.
+    """
+    from .nilpotent4 import psi_closed_forms
+
+    try:
+        forms = asdict(psi_closed_forms(params))
+    except OverflowError:
+        return None
+    return forms if all(map(cmath.isfinite, forms.values())) else None
+
+
 def _cmd_classify_nilpotent(args: argparse.Namespace) -> int:
+    from .nilpotent4 import build_matrix, classify
+
     params = _parse_params(args.params)
     result = classify(params, args.tol)
-    try:
-        forms = psi_closed_forms(params)
-    except OverflowError as exc:
-        # the closed forms stay on the caller's parameters: |v|^2 and its
-        # products are Python floats, which raise on overflow
-        print(f"error: parameters too large for the closed forms: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    forms = _closed_forms(params)
     t = build_matrix(params)
     trace = uecsm_verdict(t, args.tol)
     agree = result.uecsm == trace.passed
@@ -441,7 +457,7 @@ def _cmd_classify_nilpotent(args: argparse.Namespace) -> int:
         "params": [[v.real, v.imag] for v in params.as_tuple()],
         "satisfied": list(result.satisfied),
         "condition_residuals": {str(i): r for i, r in result.residuals},
-        "closed_forms": {name: [v.real, v.imag] for name, v in asdict(forms).items()},
+        "closed_forms": None if forms is None else {name: [v.real, v.imag] for name, v in forms.items()},
         "uecsm_closed_form": result.uecsm,
         "uecsm_trace_test": trace.passed,
         "agree": agree,
@@ -452,7 +468,10 @@ def _cmd_classify_nilpotent(args: argparse.Namespace) -> int:
         print(f"satisfied conditions : {list(result.satisfied) or 'none'}")
         for idx, residual in result.residuals:
             print(f"  condition {idx}: residual {residual:.3e}")
-        print(f"closed forms psi4={forms.psi4:.6g} psi7={forms.psi7:.6g}")
+        if forms is None:
+            print("closed forms overflow")
+        else:
+            print(f"closed forms psi4={forms['psi4']:.6g} psi7={forms['psi7']:.6g}")
         print(f"uecsm (closed form)  : {result.uecsm}")
         print(f"uecsm (trace test)   : {trace.passed}  max residual {trace.max_residual:.3e}")
         if not agree:
@@ -463,6 +482,8 @@ def _cmd_classify_nilpotent(args: argparse.Namespace) -> int:
 
 
 def _parse_signature(text: str) -> Signature:
+    from .constructors import Signature
+
     try:
         k, m = (int(p) for p in text.split(","))
     except ValueError as exc:
@@ -478,6 +499,15 @@ def _parse_diag(text: str) -> list[complex]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .constructors import (
+        conjugated_diagonal,
+        diagonal_angle_suite,
+        generate_wat_not_sat,
+        random_su,
+        sat_obstruction,
+        su_membership,
+    )
+
     sig = _parse_signature(args.sig)
     diag = _parse_diag(args.diag)
     if len(diag) != sig.n:
@@ -743,7 +773,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader is gone (``uecsm batch DIR | head``); stdout goes to
+        # devnull so that the flush at exit finds somewhere to write
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except UecsmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -6,7 +6,8 @@ conflict pair.  These tests pin the rule to the hand-written branches it
 replaced (``_report_reference.py``) on every combination of deciding
 verdicts, check that ``det3``, which the rule leaves out, never
 disagrees with the trace verdict on a report without a conflict, and
-check that importing the analysis loads none of the CLI.
+check that importing the package, the analysis or the CLI loads only what
+each needs.
 """
 
 import itertools
@@ -78,12 +79,28 @@ def test_det3_disagrees_only_where_a_conflict_is_reported():
 
 
 def test_analysis_loads_none_of_the_cli():
+    # each import loads only what it needs, and the package root resolves
+    # every public name from its submodule on first access
     script = (
-        "import sys\n"
+        "import importlib, sys\n"
+        "import uecsm\n"
+        "loaded = [m for m in sys.modules if m.startswith('uecsm.')]\n"
+        "assert not loaded, loaded\n"
+        "missing = set(uecsm.__all__) - set(dir(uecsm))\n"
+        "assert not missing, missing\n"
         "import uecsm.analysis\n"
         "loaded = {'argparse', 'orjson', 'uecsm.cli'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
-        "import uecsm, uecsm.cli\n"
+        "import uecsm.cli\n"
+        "loaded = {'logging', 'uecsm.constructors', 'uecsm.nilpotent4', 'uecsm.gallery'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "star = {}\n"
+        "exec('from uecsm import *', star)\n"
+        "assert set(star) - {'__builtins__'} == set(uecsm.__all__)\n"
+        "for name in uecsm.__all__:\n"
+        "    module = importlib.import_module('uecsm.' + uecsm._EXPORTS[name])\n"
+        "    assert star[name] is getattr(uecsm, name) is getattr(module, name), name\n"
+        "assert uecsm.oracle is sys.modules['uecsm.oracle']\n"
         "assert uecsm.analyze is uecsm.cli.analyze is uecsm.analysis.analyze\n"
         "assert uecsm.analyze_stack is uecsm.cli.analyze_stack is uecsm.analysis.analyze_stack\n"
         "assert uecsm.Report is uecsm.cli.Report is uecsm.analysis.Report\n"

@@ -159,11 +159,12 @@ UNPARSABLE = {
 }
 
 
-def _run_uecsm(*argv: str, input: bytes = b"") -> subprocess.CompletedProcess:
+def _run_uecsm(*argv: str, input: bytes = b"", stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python -m uecsm ARGV`` in a child process, which fails the test if it hangs."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     return subprocess.run(
-        [sys.executable, "-m", "uecsm", *argv], env=env, input=input, capture_output=True, timeout=20
+        [sys.executable, "-m", "uecsm", *argv],
+        env=env, input=input, stdout=stdout, stderr=subprocess.PIPE, timeout=20,
     )
 
 
@@ -204,6 +205,21 @@ class TestExitCodes:
         assert main(["test", str(path)]) == EXIT_INCONCLUSIVE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [("test", str(FIXTURES / "wat_counterexample.json")), ("batch", str(FIXTURES), "--json")]
+    )
+    def test_closed_stdout_is_an_error_without_a_traceback(self, argv):
+        # the read end is closed before the child starts, so its first write fails
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = _run_uecsm(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert result.returncode == EXIT_INCONCLUSIVE
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) <= 1 and all(line.startswith("error:") for line in lines), result.stderr
 
     def test_cmd_test_unsupported_dimension(self, tmp_path):
         doc = MatrixDocument(matrix=np.eye(5, dtype=complex), label="big")
@@ -295,13 +311,23 @@ class TestClassifyNilpotent:
         assert "is not finite" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("params", ["1e200,1,1,1,1,1", "1e100,1e100,1e100,1e100,1e100,1e100"])
-    def test_overflowing_params_are_an_error(self, capsys, params):
-        # |v|^2 of a finite parameter overflows a float in the closed forms
-        assert main(["classify-nilpotent", "--params", params]) == EXIT_INCONCLUSIVE
+    def test_overflowing_closed_forms_keep_the_decision(self, capsys):
+        # |v|^2 of a finite parameter overflows a float in the closed forms,
+        # which print as null; classify and the trace test still decide
+        runs = {}
+        for params in ("1e200,1,1,1,1,1", "1e100,1e100,1e100,1e100,1e100,1e100", "1,1,1,1,1,1"):
+            code = main(["classify-nilpotent", "--params", params, "--json"])
+            runs[params] = code, json.loads(capsys.readouterr().out)
+        for params in ("1e200,1,1,1,1,1", "1e100,1e100,1e100,1e100,1e100,1e100"):
+            code, payload = runs[params]
+            assert payload["closed_forms"] is None and payload["agree"] is True
+            assert code == (EXIT_UECSM if payload["uecsm_closed_form"] else EXIT_NOT_UECSM)
+        (scaled_code, scaled), (unit_code, unit) = runs["1e100,1e100,1e100,1e100,1e100,1e100"], runs["1,1,1,1,1,1"]
+        assert scaled_code == unit_code
+        assert (scaled["satisfied"], scaled["agree"]) == (unit["satisfied"], unit["agree"])
+        assert main(["classify-nilpotent", "--params", "1e200,1,1,1,1,1"]) == runs["1e200,1,1,1,1,1"][0]
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: parameters too large for the closed forms")
-        assert captured.out == ""
+        assert "closed forms overflow" in captured.out.splitlines() and captured.err == ""
 
     def test_negative_leading_params(self, capsys):
         code = main(["classify-nilpotent", "--params", "-1,2,3,4,5,6", "--json"])

@@ -149,6 +149,21 @@ def test_stage_costs_prints_every_layer(monkeypatch, capsys):
     assert float(lines[2].split()[1]) > 0
 
 
+def test_import_costs_prints_every_module(monkeypatch, capsys):
+    # one round: one fresh interpreter per module and one ``uecsm test`` run
+    module = _load_tool(monkeypatch, "import_costs")
+    assert module.main(["--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1 rounds, PYTHONDONTWRITEBYTECODE=1: medians, each import after numpy"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:5]}
+    assert list(rows) == list(module.MODULES)
+    assert rows["uecsm"][2:] == ["-"]  # the package root loads no submodule
+    assert {"constructors", "nilpotent4", "gallery"}.isdisjoint(rows["uecsm.cli"][2:])
+    assert all(float(row[0]) >= 0 and float(row[1]) > 0 for row in rows.values())
+    assert lines[5].startswith("uecsm test fixtures/wat_counterexample.json: ")
+    assert float(lines[5].split()[-3]) > 0
+
+
 CODE_LINES_SAMPLE = '''"""Module docstring,
 over two lines."""
 
