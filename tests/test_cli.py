@@ -311,9 +311,20 @@ class TestClassifyNilpotent:
         assert "is not finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("params", ["1e200,1,1,1,1,1", "1e100,1e100,1e100,1e100,1e100,1e100"])
+    def test_overflowing_params_are_an_error(self, capsys, params):
+        # |v|^2 of a finite parameter overflows a float in the closed forms;
+        # the overflow is reported in the closed-forms slot, not as a failure
+        code = main(["classify-nilpotent", "--params", params])
+        captured = capsys.readouterr()
+        assert code in (EXIT_UECSM, EXIT_NOT_UECSM)
+        assert "closed forms overflow" in captured.out.splitlines()
+        assert captured.err == ""
+        assert main(["classify-nilpotent", "--params", params, "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["closed_forms"] is None
+
     def test_overflowing_closed_forms_keep_the_decision(self, capsys):
-        # |v|^2 of a finite parameter overflows a float in the closed forms,
-        # which print as null; classify and the trace test still decide
+        # the closed forms print as null; classify and the trace test still decide
         runs = {}
         for params in ("1e200,1,1,1,1,1", "1e100,1e100,1e100,1e100,1e100,1e100", "1,1,1,1,1,1"):
             code = main(["classify-nilpotent", "--params", params, "--json"])
@@ -325,9 +336,6 @@ class TestClassifyNilpotent:
         (scaled_code, scaled), (unit_code, unit) = runs["1e100,1e100,1e100,1e100,1e100,1e100"], runs["1,1,1,1,1,1"]
         assert scaled_code == unit_code
         assert (scaled["satisfied"], scaled["agree"]) == (unit["satisfied"], unit["agree"])
-        assert main(["classify-nilpotent", "--params", "1e200,1,1,1,1,1"]) == runs["1e200,1,1,1,1,1"][0]
-        captured = capsys.readouterr()
-        assert "closed forms overflow" in captured.out.splitlines() and captured.err == ""
 
     def test_negative_leading_params(self, capsys):
         code = main(["classify-nilpotent", "--params", "-1,2,3,4,5,6", "--json"])
