@@ -89,11 +89,11 @@ class Report:
 def _decide(report: Report) -> None:
     """Set the conflicts and the answer of a report that holds the trace verdict."""
     verdicts = report.verdicts
-    decisions = [
-        (key, verdicts[key].passed)
-        for key, answers in _DECIDERS.items()
-        if key in verdicts and verdicts[key].passed in answers
-    ]
+    decisions = []
+    for key, answers in _DECIDERS.items():
+        passed = verdicts[key].passed if key in verdicts else None
+        if passed in answers:
+            decisions.append((key, passed))
     if report.oracle is not None and report.oracle.status != "inconclusive":
         decisions.append(("oracle", report.oracle.found))
     (anchor, answer), *later = decisions

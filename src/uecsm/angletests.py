@@ -13,8 +13,10 @@ the Gram matrices ``X*X`` and ``Y*Y`` that the eigensystem returns.
 
 One kernel computes all four on a ``(B, 2, n, n)`` stack of Gram
 matrices: a single ``take``, on flat indices compiled once per size,
-reads every pair entry and every triple factor, the residuals of every
-test fill one ``(B, m)`` array, and each
+reads every pair entry and every triple factor, the scale of each SAT
+and LSAT comparison is one ``np.maximum.reduce`` over the moduli of both
+systems' triple products and the floor, the residuals of every test
+fill one ``(B, m)`` array, and each
 :class:`~uecsm.tracetests.Verdict` is built from its slice of that
 array read back as Python floats.  :func:`angle_verdicts` runs the
 kernel on every row of a :class:`~uecsm.spectra.SpectralStack` at once;
@@ -120,7 +122,7 @@ def _angle_rows(
     factors = entries[:, :, p:].reshape(len(grams), 2, 3, t)
     products = factors[:, :, 0] * factors[:, :, 1] * factors[:, :, 2]
     lhs, rhs = products[:, 0], products[:, 1]
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TRIPLE_FLOOR)
+    scale = np.maximum.reduce(np.abs(products), axis=1, initial=_TRIPLE_FLOOR)
     # WAT, SAT, LSAT and the determinant criterion, side by side
     m = len(pair_names)
     sat_end, lsat_end = m + t, m + 2 * t

@@ -429,17 +429,11 @@ def _parse_params(text: str) -> NilpotentParams:
 
 
 def _closed_forms(params: NilpotentParams) -> Optional[dict[str, complex]]:
-    """The closed forms on the caller's parameters, or None where one overflows a float.
-
-    They are Python floats and complexes, which raise on some overflows and
-    give inf or nan on others; the decision never reads them.
-    """
+    """The closed forms on the caller's parameters, or None where one overflows
+    a float to inf or nan; the decision never reads them."""
     from .nilpotent4 import psi_closed_forms
 
-    try:
-        forms = asdict(psi_closed_forms(params))
-    except OverflowError:
-        return None
+    forms = asdict(psi_closed_forms(params))
     return forms if all(map(cmath.isfinite, forms.values())) else None
 
 

@@ -131,7 +131,9 @@ def normalize_stack(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """:func:`normalize` of every matrix of a ``(B, n, n)`` stack.
 
     Returns the representatives ``(B, n, n)``, the shifts ``mu`` and the
-    scales ``s`` (each of shape ``(B,)``).
+    scales ``s`` (each of shape ``(B,)``).  Any stack is read, a strided
+    view included: one that is not C-contiguous is copied first, since
+    each matrix is reinterpreted as a row of real and imaginary parts.
 
     The entries of each matrix are scaled by a power of two near its
     largest real or imaginary part before anything else is computed, so
@@ -145,7 +147,7 @@ def normalize_stack(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     n = _require_square(ts, stacked=True)
     count = len(ts)
     # each matrix as a row of 2 n^2 reals, real and imaginary parts interleaved
-    parts = np.asarray(ts, dtype=complex).reshape(count, n * n).view(float)
+    parts = np.ascontiguousarray(ts, dtype=complex).reshape(count, n * n).view(float)
     # scale by 2**-e, exactly, with 2**e near the largest part; a zero
     # matrix keeps e = 0
     e = np.frexp(np.maximum.reduce(np.abs(parts), axis=1))[1]

@@ -32,6 +32,7 @@ caller's parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -101,18 +102,31 @@ class ClosedForms:
     psi6_a0: complex
 
 
+def _abs2(v: complex) -> float:
+    """``abs(v) ** 2``, or inf where ``abs`` or the power raises ``OverflowError``."""
+    try:
+        return abs(v) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def psi_closed_forms(p: NilpotentParams) -> ClosedForms:
+    """The closed forms on the caller's parameters, in Python floats and complexes.
+
+    Finite parameters never raise: a field whose evaluation overflows
+    comes back as inf or nan, like the products that overflow silently.
+    """
     a, b, c, d, e, f = p.as_tuple()
-    aa, bb, cc, dd, ee, ff = (abs(v) ** 2 for v in p.as_tuple())
+    aa, bb, cc, dd, ee, ff = map(_abs2, p.as_tuple())
     psi4 = aa * dd * ff * (aa + bb - ee - ff)
-    psi7 = aa * dd**2 * ff * (aa - ff)
+    psi7 = aa * _abs2(dd) * ff * (aa - ff)
 
     s = a * e + b * f
-    psi1_d0 = abs(s) ** 2 * (aa + bb - ee - ff)
+    psi1_d0 = _abs2(s) * (aa + bb - ee - ff)
     psi6_d0 = c.conjugate() * s * psi1_d0
 
     g = b * c.conjugate() + d * e.conjugate()
-    psi1_a0 = ff * ((bb + dd) * (bb + dd - cc - ee - ff) + abs(g) ** 2)
+    psi1_a0 = ff * ((bb + dd) * (bb + dd - cc - ee - ff) + _abs2(g))
     psi6_a0 = f * g * psi1_a0
     return ClosedForms(
         psi4=complex(psi4),

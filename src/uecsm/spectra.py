@@ -27,6 +27,11 @@ The checks run on a ``(B, n, n)`` stack: :func:`eigensystem_stack`
 refuses row by row, with the refusal :func:`eigensystem` raises for
 that matrix alone, and :func:`eigensystem` is its one-matrix case.  A
 stacked ``eig`` or ``inv`` that LAPACK fails on is retried row by row.
+The residual and biorthogonality checks first compare the largest
+value of the whole stack with their tolerance, and build a row mask
+only when that comparison fails, as it does for a NaN; the kernels take
+conjugate transposes without :func:`~uecsm.matcore.adjoint`'s shape
+check, since :func:`eigensystem_stack` checks the stack once.
 The result carries the Gram matrices ``X*X`` and ``Y*Y``, which every
 angle test reads.  It keeps the eigenvalues of the representatives with
 their shifts and scales; the eigenvalues and gaps in the caller's units
@@ -42,12 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, NoConvergence, UecsmError
-from .matcore import CMatrix, EPS, _indices, _require_square, adjoint, representative
+from .matcore import CMatrix, EPS, _indices, _require_square, representative
 
 _DK_SEED = 0x5EED
 # eigenvalue gap of the representative at or below which the spectrum is degenerate
@@ -204,7 +209,7 @@ def _starts(count: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _grams(v: np.ndarray) -> np.ndarray:
     """``X*X`` and ``Y*Y`` as a ``(B, 2, n, n)`` array, from the stack of
     the ``B`` matrices ``X`` followed by the ``B`` matrices ``Y``."""
-    g = adjoint(v) @ v
+    g = v.conj().swapaxes(-1, -2) @ v
     return g.reshape(2, -1, *g.shape[1:]).swapaxes(0, 1)
 
 
@@ -255,30 +260,42 @@ def _refuse(refusals: list, bad: np.ndarray, refusal) -> None:
             refusals[b] = refusal(b)
 
 
+def _worst(badness: np.ndarray) -> int:
+    """The index of the largest entry, a NaN counting as the largest."""
+    return int(np.argmax(np.nan_to_num(badness, nan=math.inf)))
+
+
+def _eig_failed(exc: np.linalg.LinAlgError) -> NoConvergence:
+    return NoConvergence(f"LAPACK eigensolver failed: {exc}")
+
+
+def _singular(exc: np.linalg.LinAlgError) -> DegenerateSpectrum:
+    return DegenerateSpectrum("eigenvector matrix is singular")
+
+
 def _check_vectors(
     reps: np.ndarray,
     lam: np.ndarray,
+    mu: np.ndarray,
+    s: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     nearest: np.ndarray,
     refusals: list,
-    values: Callable[[], np.ndarray],
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Normalize, phase and check the eigenvector systems of :func:`eigensystem_stack`.
 
-    ``y`` is ``inv(X)*``, and ``values()`` gives the eigenvalues in the
-    caller's units, which only a refusal text reads.  Returns the unit
-    vectors of both systems and their Gram matrices; a row that fails a
-    check gets its refusal, unless it has one already.  The checks run
-    in order: conditioning, eigenvector residuals, biorthogonality.
-    When every row is refused the remaining checks are skipped and None
-    is returned.
+    ``y`` is ``inv(X)*``; the shifts ``mu`` and scales ``s`` give the
+    eigenvalues in the caller's units, which only a refusal text reads.
+    Returns the unit vectors of both systems and their Gram matrices; a
+    row that fails a check gets its refusal, unless it has one already.
+    The checks run in order: conditioning, eigenvector residuals,
+    biorthogonality.  The row masks of the last two are built only when
+    the stack's largest residual or defect fails its tolerance, which a
+    NaN does.  When every row is refused the remaining checks are
+    skipped and None is returned.
     """
     count, n = len(x), x.shape[-1]
-
-    def worst(badness: np.ndarray) -> int:
-        return int(np.argmax(np.nan_to_num(badness, nan=math.inf)))
-
     # x_i is a unit vector and <x_i, y_i> = 1 before y_i is normalized,
     # so kappa_i = 1 / |<x_i, y_i / |y_i|>| = |y_i|
     kappa = np.hypot.reduce(np.abs(y), axis=1)
@@ -287,9 +304,10 @@ def _check_vectors(
     if not np.logical_and.reduce(separated, axis=None):
 
         def ill_conditioned(b: int) -> DegenerateSpectrum:
-            i = worst(uncertainty[b] / nearest[b])
+            i = _worst(uncertainty[b] / nearest[b])
+            value = _caller_units(lam, mu, s)[b, i]
             return DegenerateSpectrum(
-                f"eigenvalue {values()[b, i]} has condition number {kappa[b, i]:.3e}: its "
+                f"eigenvalue {value} has condition number {kappa[b, i]:.3e}: its "
                 f"uncertainty {uncertainty[b, i]:.3e} reaches the distance {nearest[b, i]:.3e} "
                 "to another eigenvalue of the normalized matrix"
             )
@@ -303,31 +321,30 @@ def _check_vectors(
     v = _fix_phases(v)
     lam2 = np.concatenate([lam, lam.conj()])
     res = np.hypot.reduce(
-        np.abs(np.concatenate([reps, adjoint(reps)]) @ v - v * lam2[:, None, :]), axis=1
+        np.abs(np.concatenate([reps, reps.conj().swapaxes(-1, -2)]) @ v - v * lam2[:, None, :]), axis=1
     )
     res = np.maximum(res[:count], res[count:])
     x, y = v[:count], v[count:]
     grams = _grams(v)
-    cross = adjoint(y) @ x
+    cross = y.conj().swapaxes(-1, -2) @ x
     cross.reshape(count, n * n)[:, :: n + 1] = 0.0
     cross = np.abs(cross)
 
-    accurate = res <= _RESIDUAL_TOL
-    if not np.logical_and.reduce(accurate, axis=None):
+    if not res.max() <= _RESIDUAL_TOL:
 
         def inaccurate(b: int) -> NoConvergence:
-            i = worst(res[b])
+            i = _worst(res[b])
+            value = _caller_units(lam, mu, s)[b, i]
             return NoConvergence(
                 f"eigenvector residual {res[b, i]:.3e} of the normalized matrix "
-                f"exceeds {_RESIDUAL_TOL:.1e} for eigenvalue {values()[b, i]}"
+                f"exceeds {_RESIDUAL_TOL:.1e} for eigenvalue {value}"
             )
 
-        _refuse(refusals, ~np.logical_and.reduce(accurate, axis=1), inaccurate)
-    biorthogonal = cross <= _BIORTHO_TOL
-    if not np.logical_and.reduce(biorthogonal, axis=None):
+        _refuse(refusals, ~np.logical_and.reduce(res <= _RESIDUAL_TOL, axis=1), inaccurate)
+    if not cross.max() <= _BIORTHO_TOL:
         _refuse(
             refusals,
-            ~biorthogonal.all(axis=(1, 2)),
+            ~(cross <= _BIORTHO_TOL).all(axis=(1, 2)),
             lambda b: NoConvergence(
                 f"biorthogonality defect {cross[b].max():.3e} exceeds {_BIORTHO_TOL:.1e}"
             ),
@@ -360,13 +377,11 @@ def eigensystem_stack(reps: np.ndarray, mu: np.ndarray, s: np.ndarray) -> Spectr
     count = len(reps)
     refusals: list[Optional[UecsmError]] = [None] * count
 
-    w, x = _rowwise(
-        np.linalg.eig, reps, refusals, lambda exc: NoConvergence(f"LAPACK eigensolver failed: {exc}")
-    )
+    w, x = _rowwise(np.linalg.eig, reps, refusals, _eig_failed)
     # complex values sort by real part, then imaginary part; lam[b, i] and
     # x[b, r, i] are w and x at the flat indices b n + order[b, i] and
     # (b n + r) n + order[b, i]
-    order = np.argsort(w, axis=1)
+    order = w.argsort(axis=1)
     row_starts, matrix_rows, _ = _starts(count, n)
     lam = w.take(order + row_starts)
     x = x.take(order[:, None, :] + matrix_rows)
@@ -391,15 +406,8 @@ def eigensystem_stack(reps: np.ndarray, mu: np.ndarray, s: np.ndarray) -> Spectr
         if any_degenerate:
             # a refused row inverts the identity, so it cannot make the stack singular
             x = np.where(degenerate[:, None, None], np.eye(n), x)
-        y = adjoint(
-            _rowwise(
-                np.linalg.inv,
-                x,
-                refusals,
-                lambda exc: DegenerateSpectrum("eigenvector matrix is singular"),
-            )
-        )
-        checked = _check_vectors(reps, lam, x, y, nearest, refusals, lambda: _caller_units(lam, mu, s))
+        y = _rowwise(np.linalg.inv, x, refusals, _singular).conj().swapaxes(-1, -2)
+        checked = _check_vectors(reps, lam, mu, s, x, y, nearest, refusals)
     if checked is None:
         # every row was refused: the arrays are placeholders
         x = y = np.zeros((count, n, n), dtype=complex)

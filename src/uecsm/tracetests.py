@@ -312,7 +312,7 @@ def trace_verdicts(reps: np.ndarray, tol: float = DEFAULT_TOL) -> list[Verdict]:
     if n <= 2:
         return [Verdict("uecsm_small_n", ("small_n",), (0.0,), tol)] * len(reps)
     checks = _TRACE_CHECKS[n]
-    family = np.abs(checks.plan.traces(reps, adjoint(reps))).T
+    family = np.abs(checks.plan.traces(reps, reps.conj().swapaxes(-1, -2))).T
     return Verdict.from_rows(checks.criterion, checks.names, family, tol)
 
 

@@ -1,5 +1,8 @@
 """Tests for the closed-form nilpotent classification."""
 
+import cmath
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,26 @@ class TestClosedForms:
             scale = max(1.0, max(abs(v) for v in values))
             assert abs(forms.psi1_a0 - values[0]) <= 1e-9 * scale
             assert abs(forms.psi6_a0 - values[5]) <= 1e-9 * scale
+
+
+    @pytest.mark.parametrize(
+        "params, exact",
+        [
+            ((1e200, 1, 1, 1, 1, 1), {"psi1_a0": 2, "psi6_a0": 4}),
+            ((1, 1e160, 1, 1, 1, 1), {"psi7": 0}),
+            ((1.5e308 + 1.5e308j, 1, 1, 1, 1, 1), {"psi1_a0": 2, "psi6_a0": 4}),
+            ((1e100, 1, 1, 1, 1, 1), {"psi1_a0": 2, "psi6_a0": 4}),
+        ],
+    )
+    def test_overflow_gives_non_finite_fields(self, params, exact):
+        # no exception: each field beyond the largest float is inf or nan,
+        # and the fields in range keep their exact values
+        forms = asdict(psi_closed_forms(NilpotentParams(*params)))
+        for name, value in forms.items():
+            if name in exact:
+                assert value == exact[name], name
+            else:
+                assert not cmath.isfinite(value), name
 
 
 class TestClassify:

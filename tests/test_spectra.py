@@ -24,6 +24,7 @@ from uecsm import (
 )
 from uecsm.gallery import WAT_COUNTEREXAMPLE
 
+import uecsm.spectra as spectra
 from uecsm.matcore import normalize_stack
 from uecsm.spectra import eigensystem_stack
 
@@ -235,3 +236,59 @@ class TestSpectralStackValues:
                 warnings.simplefilter("error")
                 values, gap = stack.eigenvalues, stack.gap
             assert not np.isfinite(values).all() and gap[0] == np.inf, label
+
+
+def _vector_inputs() -> tuple[np.ndarray, ...]:
+    """The arguments of ``_check_vectors``, before ``refusals``, for four 3x3 rows.
+
+    Row 0 is a random matrix with its eigenvectors, which passes; rows 1
+    to 3 are ``D = diag(0.1, 0.101, -0.5)`` with ``x = y = I``, and each
+    fails one check: in row 1 the first eigenvalue is off by 1e-6
+    (residual 1e-6, no defect); in row 2 ``y_1`` leans 1e-6 towards
+    ``e_2``, whose eigenvalue is 1e-3 away (defect 1e-6, residual 1e-9);
+    row 3 has a NaN on the diagonal of D (residual NaN, no defect).
+    """
+    gen = rng(11)
+    t = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+    rep = normalize_stack(t[None])[0][0]
+    w, v = np.linalg.eig(rep)
+    order = w.argsort()
+    d = np.array([0.1, 0.101, -0.5], dtype=complex)
+    reps = np.stack([rep, np.diag(d), np.diag(d), np.diag(d)])
+    reps[3, 1, 1] = np.nan
+    lam = np.stack([w[order], d + [1e-6, 0, 0], d, d])
+    x = np.stack([v[:, order], *[np.eye(3, dtype=complex)] * 3])
+    y = x.copy()
+    y[0] = np.linalg.inv(x[0]).conj().T
+    y[2, 1, 0] = 1e-6
+    dist = np.abs(lam[:, :, None] - lam[:, None, :])
+    dist[:, range(3), range(3)] = np.inf
+    return reps, lam, np.zeros(4, dtype=complex), np.ones(4), x, y, dist.min(axis=2)
+
+
+# each row's refusal, as the checks gave it before they skipped the row
+# masks of a stack whose rows all pass
+VECTOR_REFUSALS = (
+    None,
+    "NoConvergence: eigenvector residual 1.000e-06 of the normalized matrix exceeds 1.0e-08 "
+    "for eigenvalue (0.100001+0j)",
+    "NoConvergence: biorthogonality defect 1.000e-06 exceeds 1.0e-08",
+    "NoConvergence: eigenvector residual nan of the normalized matrix exceeds 1.0e-08 for eigenvalue (0.1+0j)",
+)
+
+
+@pytest.mark.parametrize("rows", [(0, 1, 2, 3), (0, 3), (0, 2), (3, 0), (0,)], ids=str)
+def test_vector_checks_refuse_each_failing_row(monkeypatch, rows):
+    # at 1e-8 exactly one row fails each check; a NaN residual fails it
+    # too, also when it is the only failing row of its stack
+    monkeypatch.setattr(spectra, "_RESIDUAL_TOL", 1e-8)
+    monkeypatch.setattr(spectra, "_BIORTHO_TOL", 1e-8)
+    inputs = _vector_inputs()
+    refusals = [None] * len(rows)
+    checked = spectra._check_vectors(*(a[list(rows)] for a in inputs), refusals)
+    assert [None if r is None else f"{type(r).__name__}: {r}" for r in refusals] == [
+        VECTOR_REFUSALS[b] for b in rows
+    ]
+    alone = spectra._check_vectors(*(a[:1] for a in inputs), [None])
+    for got, expected in zip(checked, alone):
+        assert np.array_equal(got[rows.index(0)], expected[0])

@@ -29,6 +29,7 @@ from uecsm import (
     eigensystem,
     find_symmetrizer,
     normalize,
+    symmetry_residual,
     transpose_equivalence,
     uecsm_verdict,
 )
@@ -290,6 +291,48 @@ ENTRY_POINTS = [normalize, eigensystem, angle_suite, find_symmetrizer, uecsm_ver
 def test_entry_points_reject_non_square_shapes(entry, shape):
     with pytest.raises(DimensionMismatch):
         entry(np.zeros(shape, dtype=complex))
+
+
+def _strided_views(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two evenly strided n x n views whose flattening is strided too:
+    every other column of an n x 2n array, and a matrix reversed along
+    both axes."""
+    gen = rng(29 + n)
+    wide = gen.standard_normal((n, 2 * n)) + 1j * gen.standard_normal((n, 2 * n))
+    return wide[:, ::2], random_complex_matrix(gen, n)[::-1, ::-1]
+
+
+def _entry_outcomes(t: np.ndarray, u: np.ndarray) -> list:
+    """What each one-matrix entry point gives for ``t``, floats by ``float.hex``."""
+    rep, mu, s = normalize(t)
+    spectral = eigensystem(t)
+    oracle = find_symmetrizer(t, restarts=3)
+    return [
+        analyze(t, "t", run_oracle=True).to_dict(),
+        [_hex(rep), _hex(np.array([mu])), s.hex()],
+        [_hex(a) for a in (spectral.x, spectral.y, spectral.grams, np.array(spectral.eigenvalues))],
+        _outcome({"uecsm": uecsm_verdict(t), "transpose": transpose_equivalence(t), **angle_suite(t)}),
+        [oracle.status, oracle.residual.hex(), oracle.iterations, oracle.restarts_used],
+        None if oracle.u is None else _hex(oracle.u),
+        symmetry_residual(t, u).hex(),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_strided_views_give_what_their_copies_give(n):
+    # normalize_stack reads each matrix as a row of floats, which needs contiguous memory
+    u = random_unitary(rng(n), n)[::-1, ::-1]
+    for view in _strided_views(n):
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        assert _entry_outcomes(view, u) == _entry_outcomes(copy, np.ascontiguousarray(u))
+    gen = rng(n)
+    wide = gen.standard_normal((3, n, 2 * n)) + 1j * gen.standard_normal((3, n, 2 * n))
+    labels = ["a", "b", "c"]
+    for view in (wide[:, :, ::2], wide[:, :, ::2].copy()[::-1, ::-1, ::-1]):
+        reports = analyze_stack(view, labels, run_oracle=True)
+        alike = analyze_stack(np.ascontiguousarray(view), labels, run_oracle=True)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in alike]
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (2, 0, 0)], ids=str)

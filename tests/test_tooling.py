@@ -145,8 +145,13 @@ def test_stage_costs_prints_every_layer(monkeypatch, capsys):
     assert {name: getattr(uecsm.analysis, name) for name in module.LAYERS} == layers
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "oracle, seed 0, 1 rounds: us per matrix"
-    assert [line.split()[0] for line in lines[2:]] == ["analyze", *module.LAYERS, "rest"]
+    split = 2 + len(module.LAYERS) + 2
+    assert [line.split()[0] for line in lines[2:split]] == ["analyze", *module.LAYERS, "rest"]
     assert float(lines[2].split()[1]) > 0
+    # then each layer's own time per call, replayed alone on its recorded inputs
+    assert lines[split] == "each layer alone on its recorded inputs: us per call"
+    assert [line.split()[0] for line in lines[split + 1 :]] == list(module.LAYERS)
+    assert all(float(line.split()[1]) > 0 for line in lines[split + 1 :])
 
 
 def test_import_costs_prints_every_module(monkeypatch, capsys):

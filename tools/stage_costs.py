@@ -9,9 +9,15 @@ that returns the output the layer gave for that input, recorded
 beforehand.  A layer's cost is the full pass minus the pass without it,
 so it is what the layer costs where it runs, caches and all.  ``rest``
 is the full pass minus every layer: ``analyze`` itself and the reports.
-Every round times each variant once, in a rotated order, after one
-round that warms every variant up and is not counted; the table shows
-medians and quartiles over the rounds.  Standard library and numpy only::
+These differences of whole passes spread by tens of microseconds, so a
+second table gives each layer's own time per call: the layer alone,
+replayed on the inputs it was given in the recorded pass, in a tight
+loop.  Its quartiles lie a microsecond or two apart, so a saving of a
+few microseconds in one layer shows.
+Every round times each variant once, in a rotated order, then each
+layer alone, after one round that warms everything up and is not
+counted; the tables show medians and quartiles over the rounds.
+Standard library and numpy only::
 
     python3 tools/stage_costs.py --workload decide --seed 0 --rounds 15
 """
@@ -74,10 +80,11 @@ def corpus(workload: str, seed: int) -> list:
 
 
 class Stubs:
-    """Each layer's output for every input of a pass, and stubs that replay them."""
+    """Each layer's inputs and output for every input of a pass, and stubs that replay the outputs."""
 
     def __init__(self, layers: tuple[str, ...]) -> None:
         self.layers = layers
+        self.inputs: dict[str, list] = {name: [] for name in layers}
         self.outputs: dict[str, list] = {name: [] for name in layers}
         self.current = 0
 
@@ -87,6 +94,7 @@ class Stubs:
         def recorder(name):
             def wrapper(*args, **kwargs):
                 out = originals[name](*args, **kwargs)
+                self.inputs[name].append((args, kwargs))
                 self.outputs[name].append(out)
                 return out
 
@@ -127,8 +135,18 @@ def time_pass(inputs, stubs: Stubs, dropped, run_oracle: bool) -> float:
     return total / len(inputs)
 
 
-def stage_costs(workload: str, seed: int, rounds: int) -> dict[str, list[float]]:
-    """Microseconds per matrix of the full pass (``analyze``), of each layer and of the rest, by round."""
+def time_alone(stubs: Stubs, name: str) -> float:
+    """Seconds per call of the layer ``name`` alone, replayed on its recorded inputs."""
+    layer, calls = getattr(analysis, name), stubs.inputs[name]
+    start = time.perf_counter()
+    for args, kwargs in calls:
+        layer(*args, **kwargs)
+    return (time.perf_counter() - start) / len(calls)
+
+
+def stage_costs(workload: str, seed: int, rounds: int) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
+    """Microseconds per matrix of the full pass (``analyze``), of each layer
+    and of the rest, then microseconds per call of each layer alone, by round."""
     run_oracle = workload == "oracle"
     layers = LAYERS if run_oracle else LAYERS[:-1]
     inputs = corpus(workload, seed)
@@ -137,7 +155,10 @@ def stage_costs(workload: str, seed: int, rounds: int) -> dict[str, list[float]]
     variants = (None, *layers)
     for v in variants:
         time_pass(inputs, stubs, v, run_oracle)
+    for name in layers:
+        time_alone(stubs, name)
     costs: dict[str, list[float]] = {name: [] for name in ("analyze", *layers, "rest")}
+    alone: dict[str, list[float]] = {name: [] for name in layers}
     for r in range(rounds):
         order = variants[r % len(variants) :] + variants[: r % len(variants)]
         times = {v: 1e6 * time_pass(inputs, stubs, v, run_oracle) for v in order}
@@ -145,7 +166,15 @@ def stage_costs(workload: str, seed: int, rounds: int) -> dict[str, list[float]]
         for name in layers:
             costs[name].append(times[None] - times[name])
         costs["rest"].append(times[None] - sum(times[None] - times[name] for name in layers))
-    return costs
+        for name in layers:
+            alone[name].append(1e6 * time_alone(stubs, name))
+    return costs, alone
+
+
+def _print_rows(table: dict[str, list[float]]) -> None:
+    for name, values in table.items():
+        q25, q50, q75 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+        print(f"{name:<20}{q50:>10.1f}{q25:>10.1f}{q75:>10.1f}")
 
 
 def main(argv=None) -> int:
@@ -156,12 +185,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    costs = stage_costs(args.workload, args.seed, args.rounds)
+    costs, alone = stage_costs(args.workload, args.seed, args.rounds)
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds: us per matrix")
     print(f"{'layer':<20}{'median':>10}{'q25':>10}{'q75':>10}")
-    for name, values in costs.items():
-        q25, q50, q75 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-        print(f"{name:<20}{q50:>10.1f}{q25:>10.1f}{q75:>10.1f}")
+    _print_rows(costs)
+    print("each layer alone on its recorded inputs: us per call")
+    _print_rows(alone)
     return 0
 
 
