@@ -144,7 +144,9 @@ def analyze_stack(
     status and a note; one whose determinant identity cross-check
     fails (:class:`~uecsm.errors.ConsistencyError`) gets a report with
     ``error`` set.  With ``run_oracle`` the search runs matrix by
-    matrix after the criteria.
+    matrix after the criteria.  Every entry must be finite: a NaN or
+    infinite entry raises ``ValueError``, as in
+    :func:`~uecsm.matcore.normalize_stack`.
     """
     n = _require_square(ts, stacked=True)
     if len(labels) != len(ts):

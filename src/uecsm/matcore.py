@@ -142,15 +142,20 @@ def normalize_stack(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     that exceeds the largest float comes back as ``inf``, without a
     warning.  For example ``s = |T - mu I|_F`` of
     ``[[1.7e308, -1.7e308], [1.7e308, 0]]`` is ``inf``, while its
-    representative is finite.
+    representative is finite.  An entry that is not finite (NaN or
+    infinite in either part) raises ``ValueError``.
     """
     n = _require_square(ts, stacked=True)
     count = len(ts)
     # each matrix as a row of 2 n^2 reals, real and imaginary parts interleaved
     parts = np.ascontiguousarray(ts, dtype=complex).reshape(count, n * n).view(float)
     # scale by 2**-e, exactly, with 2**e near the largest part; a zero
-    # matrix keeps e = 0
-    e = np.frexp(np.maximum.reduce(np.abs(parts), axis=1))[1]
+    # matrix keeps e = 0.  The largest part is NaN or inf exactly when
+    # some entry is not finite.
+    top = np.maximum.reduce(np.abs(parts), axis=1)
+    if not np.isfinite(top).all():
+        raise ValueError("matrix entries must be finite")
+    e = np.frexp(top)[1]
     m = np.ldexp(parts, -e[:, None]).view(complex)
     d = m[:, :: n + 1]  # the diagonals, a view
     # the mean taken relative to d[0] is exactly d[0] when every diagonal

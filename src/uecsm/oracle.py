@@ -360,7 +360,8 @@ def find_symmetrizer(
     The search runs on the centered, normalized representative of
     :func:`~uecsm.matcore.normalize`, so it behaves the same at every
     scale and shift of ``t``; a scalar matrix is a witness at once, with
-    ``iterations = 0`` and ``restarts_used = 0``.
+    ``iterations = 0`` and ``restarts_used = 0``.  Every entry must be
+    finite: a NaN or infinite entry raises ``ValueError``.
 
     The closed-form Cartesian criterion comes first (see
     :func:`_closed_form`): one stacked ``eigvalsh`` and one ``eigh``.  It

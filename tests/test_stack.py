@@ -7,7 +7,7 @@ gets alone from ``analyze``, so no row of a stack leaks into another,
 that ``angle_suite`` gives the angle verdicts, refusal or error of that
 report, that ``uecsm batch`` groups documents by dimension without
 changing what it reports, and that every public entry point rejects a
-shape that is not a square matrix.
+shape that is not a square matrix and an entry that is not finite.
 """
 
 import json
@@ -291,6 +291,25 @@ ENTRY_POINTS = [normalize, eigensystem, angle_suite, find_symmetrizer, uecsm_ver
 def test_entry_points_reject_non_square_shapes(entry, shape):
     with pytest.raises(DimensionMismatch):
         entry(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=str)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        *ENTRY_POINTS,
+        pytest.param(lambda t: analyze(t, "t", run_oracle=True), id="analyze"),
+        pytest.param(lambda t: analyze_stack(np.stack([np.eye(3), t]), ["eye", "t"], run_oracle=True), id="analyze_stack"),
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_entry_points_reject_non_finite_entries(entry, value):
+    # refused before any arithmetic, so no RuntimeWarning (an error under
+    # this suite's filters) comes first
+    t = np.zeros((3, 3), dtype=complex)
+    t[1, 2] = value
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        entry(t)
 
 
 def _strided_views(n: int) -> tuple[np.ndarray, np.ndarray]:

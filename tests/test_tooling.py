@@ -136,22 +136,22 @@ def test_bench_pairs_alternates_and_summarizes(monkeypatch):
 
 
 def test_stage_costs_prints_every_layer(monkeypatch, capsys):
-    # one round of the oracle workload's probe; the layers are put back afterwards
+    # one round of each workload's probe; the layers are put back afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setitem(sys.modules, "perfbench_corpus", None)  # loaded afresh, removed afterwards
     module = _load_tool(monkeypatch, "stage_costs")
     layers = {name: getattr(uecsm.analysis, name) for name in module.LAYERS}
-    assert module.main(["--workload", "oracle", "--rounds", "1"]) == 0
-    assert {name: getattr(uecsm.analysis, name) for name in module.LAYERS} == layers
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "oracle, seed 0, 1 rounds: us per matrix"
-    split = 2 + len(module.LAYERS) + 2
-    assert [line.split()[0] for line in lines[2:split]] == ["analyze", *module.LAYERS, "rest"]
-    assert float(lines[2].split()[1]) > 0
-    # then each layer's own time per call, replayed alone on its recorded inputs
-    assert lines[split] == "each layer alone on its recorded inputs: us per call"
-    assert [line.split()[0] for line in lines[split + 1 :]] == list(module.LAYERS)
-    assert all(float(line.split()[1]) > 0 for line in lines[split + 1 :])
+    for workload, timed in (("decide", module.LAYERS[:-1]), ("oracle", module.LAYERS)):
+        assert module.main(["--workload", workload, "--rounds", "1"]) == 0
+        assert {name: getattr(uecsm.analysis, name) for name in module.LAYERS} == layers
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{workload}, seed 0, 1 rounds: us per matrix"
+        rows = {line.split()[0]: float(line.split()[1]) for line in lines[2:]}
+        assert list(rows) == ["analyze", *timed, "rest"]
+        assert all(value > 0 for value in rows.values())
+        # every row is timed in the one pass, so the layers and the rest add
+        # up to analyze, up to the rounding of each printed value
+        assert abs(sum(list(rows.values())[1:]) - rows["analyze"]) <= 0.05 * len(rows)
 
 
 def test_import_costs_prints_every_module(monkeypatch, capsys):

@@ -1,23 +1,20 @@
 """Cost per matrix of each layer of the one-matrix analysis, measured in place.
 
 Builds the seeded corpus of the benchmark's ``decide`` or ``oracle``
-workload (``perfbench/``, read and not changed) and times
-``uecsm.analysis.analyze`` over it as that workload calls it.  Then it
-times the same passes with one layer dropped: the name that
-``analyze_stack`` looks up in ``uecsm.analysis`` is replaced by a stub
-that returns the output the layer gave for that input, recorded
-beforehand.  A layer's cost is the full pass minus the pass without it,
-so it is what the layer costs where it runs, caches and all.  ``rest``
-is the full pass minus every layer: ``analyze`` itself and the reports.
-These differences of whole passes spread by tens of microseconds, so a
-second table gives each layer's own time per call: the layer alone,
-replayed on the inputs it was given in the recorded pass, in a tight
-loop.  Its quartiles lie a microsecond or two apart, so a saving of a
-few microseconds in one layer shows.
-Every round times each variant once, in a rotated order, then each
-layer alone, after one round that warms everything up and is not
-counted; the tables show medians and quartiles over the rounds.
-Standard library and numpy only::
+workload (``perfbench/``, read and not changed) and runs it through
+``uecsm.analysis.analyze`` as that workload calls it, with each name in
+``LAYERS`` that ``analyze_stack`` looks up in ``uecsm.analysis``
+replaced by a wrapper that times the layer with ``time.perf_counter``.
+So one pass gives the cost of ``analyze`` and of each layer where it
+runs, on its real inputs with its real caches, and ``rest`` is
+``analyze`` minus every layer from that same pass: ``analyze``'s own
+code and the reports.  ``rest`` also holds the wrappers' overhead,
+about 0.4 us per layer call (measured around a no-op function), so
+about 2 us per matrix; passes with and without the wrappers agree
+within their run-to-run spread.
+Every round is one such pass, after one round that warms everything up
+and is not counted; the table shows medians and quartiles over the
+rounds.  Standard library and numpy only::
 
     python3 tools/stage_costs.py --workload decide --seed 0 --rounds 15
 """
@@ -79,102 +76,47 @@ def corpus(workload: str, seed: int) -> list:
     return [(case.label, cmatrix(case.matrix)) for case in cases]
 
 
-class Stubs:
-    """Each layer's inputs and output for every input of a pass, and stubs that replay the outputs."""
-
-    def __init__(self, layers: tuple[str, ...]) -> None:
-        self.layers = layers
-        self.inputs: dict[str, list] = {name: [] for name in layers}
-        self.outputs: dict[str, list] = {name: [] for name in layers}
-        self.current = 0
-
-    def record(self, inputs, run_oracle: bool) -> None:
-        originals = {name: getattr(analysis, name) for name in self.layers}
-
-        def recorder(name):
-            def wrapper(*args, **kwargs):
-                out = originals[name](*args, **kwargs)
-                self.inputs[name].append((args, kwargs))
-                self.outputs[name].append(out)
-                return out
-
-            return wrapper
-
-        try:
-            for name in self.layers:
-                setattr(analysis, name, recorder(name))
-            for label, t in inputs:
-                analysis.analyze(t, label, run_oracle=run_oracle)
-        finally:
-            for name, fn in originals.items():
-                setattr(analysis, name, fn)
-        for name, outs in self.outputs.items():
-            if len(outs) != len(inputs):
-                raise RuntimeError(f"{name} ran {len(outs)} times on {len(inputs)} inputs")
-
-    def stub(self, name: str):
-        outputs = self.outputs[name]
-        return lambda *args, **kwargs: outputs[self.current]
-
-
-def time_pass(inputs, stubs: Stubs, dropped, run_oracle: bool) -> float:
-    """Seconds per matrix of one pass with the layer ``dropped`` (or none) stubbed."""
-    original = getattr(analysis, dropped) if dropped else None
-    if dropped:
-        setattr(analysis, dropped, stubs.stub(dropped))
-    try:
-        total = 0.0
-        for b, (label, t) in enumerate(inputs):
-            stubs.current = b
-            start = time.perf_counter()
-            analysis.analyze(t, label, run_oracle=run_oracle)
-            total += time.perf_counter() - start
-    finally:
-        if dropped:
-            setattr(analysis, dropped, original)
-    return total / len(inputs)
-
-
-def time_alone(stubs: Stubs, name: str) -> float:
-    """Seconds per call of the layer ``name`` alone, replayed on its recorded inputs."""
-    layer, calls = getattr(analysis, name), stubs.inputs[name]
-    start = time.perf_counter()
-    for args, kwargs in calls:
-        layer(*args, **kwargs)
-    return (time.perf_counter() - start) / len(calls)
-
-
-def stage_costs(workload: str, seed: int, rounds: int) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
-    """Microseconds per matrix of the full pass (``analyze``), of each layer
-    and of the rest, then microseconds per call of each layer alone, by round."""
+def stage_costs(workload: str, seed: int, rounds: int) -> dict[str, list[float]]:
+    """Microseconds per matrix of ``analyze``, of each layer timed in place
+    and of the rest, by round, each round from one pass."""
     run_oracle = workload == "oracle"
     layers = LAYERS if run_oracle else LAYERS[:-1]
     inputs = corpus(workload, seed)
-    stubs = Stubs(layers)
-    stubs.record(inputs, run_oracle)
-    variants = (None, *layers)
-    for v in variants:
-        time_pass(inputs, stubs, v, run_oracle)
-    for name in layers:
-        time_alone(stubs, name)
+    originals = {name: getattr(analysis, name) for name in layers}
+    spent = dict.fromkeys(layers, 0.0)
+
+    def timed(name):
+        layer = originals[name]
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            out = layer(*args, **kwargs)
+            spent[name] += time.perf_counter() - start
+            return out
+
+        return wrapper
+
     costs: dict[str, list[float]] = {name: [] for name in ("analyze", *layers, "rest")}
-    alone: dict[str, list[float]] = {name: [] for name in layers}
-    for r in range(rounds):
-        order = variants[r % len(variants) :] + variants[: r % len(variants)]
-        times = {v: 1e6 * time_pass(inputs, stubs, v, run_oracle) for v in order}
-        costs["analyze"].append(times[None])
+    try:
         for name in layers:
-            costs[name].append(times[None] - times[name])
-        costs["rest"].append(times[None] - sum(times[None] - times[name] for name in layers))
-        for name in layers:
-            alone[name].append(1e6 * time_alone(stubs, name))
-    return costs, alone
-
-
-def _print_rows(table: dict[str, list[float]]) -> None:
-    for name, values in table.items():
-        q25, q50, q75 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-        print(f"{name:<20}{q50:>10.1f}{q25:>10.1f}{q75:>10.1f}")
+            setattr(analysis, name, timed(name))
+        for r in range(rounds + 1):  # round 0 warms up and is not counted
+            spent.update(dict.fromkeys(layers, 0.0))
+            total = 0.0
+            for label, t in inputs:
+                start = time.perf_counter()
+                analysis.analyze(t, label, run_oracle=run_oracle)
+                total += time.perf_counter() - start
+            if r:
+                us = 1e6 / len(inputs)
+                costs["analyze"].append(us * total)
+                for name in layers:
+                    costs[name].append(us * spent[name])
+                costs["rest"].append(us * (total - sum(spent.values())))
+    finally:
+        for name, layer in originals.items():
+            setattr(analysis, name, layer)
+    return costs
 
 
 def main(argv=None) -> int:
@@ -185,12 +127,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    costs, alone = stage_costs(args.workload, args.seed, args.rounds)
+    costs = stage_costs(args.workload, args.seed, args.rounds)
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds: us per matrix")
     print(f"{'layer':<20}{'median':>10}{'q25':>10}{'q75':>10}")
-    _print_rows(costs)
-    print("each layer alone on its recorded inputs: us per call")
-    _print_rows(alone)
+    for name, values in costs.items():
+        q25, q50, q75 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+        print(f"{name:<20}{q50:>10.1f}{q25:>10.1f}{q75:>10.1f}")
     return 0
 
 
