@@ -38,8 +38,7 @@ _EXPORTS = {
         ),
         (
             "matcore",
-            "CMatrix Word adjoint cmatrix evaluate_word identity normalize reverse_word trace"
-            " transpose word_trace word_traces",
+            "CMatrix adjoint cmatrix evaluate_word identity normalize trace transpose word_trace word_traces",
         ),
         (
             "nilpotent4",

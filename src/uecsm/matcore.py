@@ -3,8 +3,8 @@
 Matrices are plain ``numpy.ndarray`` values with dtype ``complex128``;
 :func:`cmatrix` is the validating constructor and returns a read-only
 array, so every value in this package can be shared freely across
-threads.  Words over the alphabet ``{x, y}`` are stored as run-length
-sequences, e.g. ``x^2 y^2 x y`` is ``Word.from_string("x2y2xy")``.
+threads.  A word over the alphabet ``{x, y}`` is a non-empty string of
+its letters, e.g. ``x^2 y^2 x y`` is ``"xxyyxy"``.
 :func:`word_traces` is the one trace engine, and :func:`evaluate_word`
 (the matrix value of one word) is its reference.  It compiles an index
 plan per word tuple, cached for tuples that callers pass, and evaluates
@@ -16,6 +16,12 @@ commutator traces once, at import, and evaluates that plan directly.
 Plans are shared, so their index arrays are read-only (:func:`_indices`),
 and every gather from the table is an ``ndarray.take``: on tables this
 small, fancy indexing costs several times as much for the same copy.
+
+:func:`cmatrix` and :func:`normalize_stack` refuse NaN and inf entries
+with ``ValueError``.  The elementwise helpers :func:`adjoint`,
+:func:`transpose`, :func:`trace`, :func:`word_traces` and
+:func:`evaluate_word` check shapes (and words) but not entries: NaN and
+inf pass through to their values.
 
 :func:`normalize_stack`, :func:`word_traces` and :func:`adjoint` also
 take a ``(B, n, n)`` stack of matrices of one size; the one-matrix
@@ -48,10 +54,16 @@ def cmatrix(data) -> CMatrix:
     """
     arr = np.array(data, dtype=complex)
     _require_square(arr)
-    if not np.isfinite(arr).all():  # a complex entry is finite when both parts are
-        raise ValueError("matrix entries must be finite")
+    _require_finite(arr)
     arr.flags.writeable = False
     return arr
+
+
+def _require_finite(*arrays) -> None:
+    """Raise ``ValueError`` if an entry of ``arrays`` is NaN or infinite in either part."""
+    for a in arrays:
+        if not np.isfinite(a).all():  # a complex entry is finite when both parts are
+            raise ValueError("matrix entries must be finite")
 
 
 def identity(n: int) -> CMatrix:
@@ -88,17 +100,22 @@ def _require_square(a: CMatrix, stacked: bool = False) -> int:
 
 
 def adjoint(a: CMatrix) -> CMatrix:
-    """Conjugate transpose of a matrix, or of each matrix of a ``(B, n, n)`` stack."""
+    """Conjugate transpose of a matrix, or of each matrix of a ``(B, n, n)`` stack.
+
+    Only the shape is checked: a NaN or inf entry passes through.
+    """
     _require_square(a, stacked=a.ndim == 3)
     return a.conj().swapaxes(-1, -2)
 
 
 def transpose(a: CMatrix) -> CMatrix:
+    """The transpose of a square matrix; a NaN or inf entry passes through."""
     _require_square(a)
     return a.T
 
 
 def trace(a: CMatrix) -> complex:
+    """The trace of a square matrix; a NaN or inf entry passes through to it."""
     _require_square(a)
     return complex(np.trace(a))
 
@@ -177,75 +194,26 @@ def normalize_stack(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return reps, mu, s
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in two noncommuting letters, stored as (symbol, exponent) runs."""
-
-    runs: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        if not self.runs:
-            raise ValueError("a word must have degree >= 1")
-        for sym, exp in self.runs:
-            if sym not in ("x", "y"):
-                raise ValueError(f"unknown symbol {sym!r}")
-            if exp < 1:
-                raise ValueError("run exponents must be >= 1")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Word":
-        """Parse compact notation such as ``"x2y2xy"`` (digits are exponents).
-
-        A letter without digits has exponent 1; an explicit exponent of 0
-        raises ``ValueError``.
-        """
-        runs: list[tuple[str, int]] = []
-        i = 0
-        while i < len(text):
-            sym = text[i]
-            i += 1
-            digits = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            exp = int(text[digits:i]) if i > digits else 1
-            if exp == 0:
-                raise ValueError(f"explicit exponent 0 in {text!r}")
-            if runs and runs[-1][0] == sym:
-                runs[-1] = (sym, runs[-1][1] + exp)
-            else:
-                runs.append((sym, exp))
-        return cls(tuple(runs))
-
-    @property
-    def degree(self) -> int:
-        return sum(exp for _, exp in self.runs)
-
-    def __str__(self) -> str:
-        return "".join(f"{s}{e}" if e > 1 else s for s, e in self.runs)
+def _require_words(words) -> None:
+    """Raise ``ValueError`` unless each of ``words`` is a non-empty string of ``x`` and ``y``."""
+    for w in words:
+        if not isinstance(w, str) or not w or w.strip("xy"):
+            raise ValueError(f"a word is a non-empty string of the letters x and y, got {w!r}")
 
 
-def reverse_word(w: Word) -> Word:
-    """The reversal, e.g. reverse of x y^2 is y^2 x."""
-    return Word(tuple(reversed(w.runs)))
+def evaluate_word(w: str, x: CMatrix, y: CMatrix) -> CMatrix:
+    """Left-to-right product substituting ``x`` and ``y`` for the letters of ``w``.
 
-
-def evaluate_word(w: Word, x: CMatrix, y: CMatrix) -> CMatrix:
-    """Left-to-right product substituting ``x`` and ``y`` for the letters."""
+    One ``np.linalg.matrix_power`` per run of equal letters.  Entries are
+    not checked: a NaN or inf in ``x`` or ``y`` passes through to the value.
+    """
     n = _require_square(x)
     if x.shape != y.shape:
         raise DimensionMismatch(f"letter matrices differ in shape: {x.shape} vs {y.shape}")
-    powers: dict[tuple[str, int], CMatrix] = {}
-
-    def power(sym: str, exp: int) -> CMatrix:
-        key = (sym, exp)
-        if key not in powers:
-            base = x if sym == "x" else y
-            powers[key] = np.linalg.matrix_power(base, exp)
-        return powers[key]
-
+    _require_words((w,))
     out = np.eye(n, dtype=complex)
-    for sym, exp in w.runs:
-        out = out @ power(sym, exp)
+    for sym, run in groupby(w):
+        out = out @ np.linalg.matrix_power(x if sym == "x" else y, len(list(run)))
     return out
 
 
@@ -361,7 +329,7 @@ class _TableBuilder:
         return _TracePlan(len(index), tuple(levels), left, right)
 
 
-def _compile_plan(words: tuple[Word, ...], family: Optional[Callable] = None) -> _TracePlan:
+def _compile_plan(words: tuple[str, ...], family: Optional[Callable] = None) -> _TracePlan:
     """The plan of the traces of ``words``, then of ``tr(L R)`` for each
     pair ``(L, R)`` of ``family(x, y)``.
 
@@ -373,20 +341,20 @@ def _compile_plan(words: tuple[Word, ...], family: Optional[Callable] = None) ->
     table = _TableBuilder()
     pairs = []
     for w in words:
-        letters = "".join(sym * exp for sym, exp in w.runs)
-        cut = (len(letters) + 1) // 2
-        pairs.append((table.word(letters[:cut]), table.word(letters[cut:])))
+        cut = (len(w) + 1) // 2
+        pairs.append((table.word(w[:cut]), table.word(w[cut:])))
     if family is not None:
         pairs.extend(family(table.x, table.y))
     return table.plan(pairs)
 
 
 @lru_cache(maxsize=256)
-def _trace_plan(words: tuple[Word, ...]) -> _TracePlan:
+def _trace_plan(words: tuple[str, ...]) -> _TracePlan:
+    _require_words(words)
     return _compile_plan(words)
 
 
-def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
+def word_traces(words: Sequence[str], x: CMatrix, y: CMatrix) -> np.ndarray:
     """``tr w(x, y)`` for every word in ``words``.
 
     ``x`` and ``y`` are two ``(n, n)`` matrices, giving a vector of
@@ -396,10 +364,12 @@ def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
     is read from a ``(rows, B, n, n)`` table that holds every distinct
     prefix of every half once, so words share their products and the
     table grows with the total word length, not with the number of words
-    of a degree.  The index plan of a word tuple is cached.  The UECSM
+    of a degree.  The index plan of a word tuple is cached; a word that
+    is not a non-empty string of ``x`` and ``y`` raises ``ValueError``
+    when its tuple is first compiled.  Entries are not checked: a NaN or
+    inf in ``x`` or ``y`` passes through to the traces.  The UECSM
     criteria of :mod:`uecsm.tracetests` compile their plans once, at
-    import, and evaluate them without this function's lookup, which
-    hashes every word.
+    import, and evaluate them without this function's cache lookup.
     """
     _require_square(x, x.ndim == 3)
     if x.shape != y.shape:
@@ -407,5 +377,5 @@ def word_traces(words: Sequence[Word], x: CMatrix, y: CMatrix) -> np.ndarray:
     return _trace_plan(tuple(words)).traces(x, y)
 
 
-def word_trace(w: Word, x: CMatrix, y: CMatrix) -> complex:
+def word_trace(w: str, x: CMatrix, y: CMatrix) -> complex:
     return complex(word_traces((w,), x, y)[0])

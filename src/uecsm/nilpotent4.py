@@ -32,6 +32,7 @@ caller's parameters.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -43,7 +44,7 @@ from .matcore import CMatrix, EPS, normalize
 
 @dataclass(frozen=True)
 class NilpotentParams:
-    """The six strictly-upper-triangular entries."""
+    """The six strictly-upper-triangular entries; a NaN or inf one raises ``ValueError``."""
 
     a: complex
     b: complex
@@ -51,6 +52,10 @@ class NilpotentParams:
     d: complex
     e: complex
     f: complex
+
+    def __post_init__(self) -> None:
+        if not all(map(cmath.isfinite, self.as_tuple())):
+            raise ValueError("nilpotent parameters must be finite")
 
     @classmethod
     def from_iterable(cls, values: Iterable[complex]) -> "NilpotentParams":

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuard, DimensionMismatch
-from .matcore import EPS, CMatrix, _require_square, adjoint, normalize
+from .matcore import EPS, CMatrix, _require_finite, _require_square, adjoint, normalize
 from .tracetests import Verdict
 
 WITNESS_TOL = 1e-6
@@ -92,7 +92,8 @@ def _residual(cost: float) -> float:
 
 
 def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
-    """f(U) = |U T U* - (U T U*)^t|_F^2."""
+    """f(U) = |U T U* - (U T U*)^t|_F^2; a NaN or inf entry of ``t`` or ``u`` raises ``ValueError``."""
+    _require_finite(t, u)
     return _evaluate(t, u)[2]
 
 
@@ -417,7 +418,7 @@ def verify_witness(t: CMatrix, u: CMatrix, tol: float = WITNESS_TOL) -> Verdict:
     if t.shape != u.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DimensionMismatch(f"shape mismatch: t {t.shape}, u {u.shape}")
     n = t.shape[0]
+    symmetry = symmetry_residual(t, u)  # first: it refuses non-finite entries
     unitarity = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-    symmetry = symmetry_residual(t, u)
     row = (unitarity, symmetry)
     return Verdict("witness", ("unitarity", "symmetry"), row, tol)

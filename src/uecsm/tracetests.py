@@ -9,8 +9,11 @@ point:
 * the seven derived commutator traces ``psi_1 .. psi_7`` whose joint
   vanishing characterizes UECSM at n = 4.
 
-Every trace comes from the trace engine of :mod:`uecsm.matcore`.  The
-raw signatures (:func:`phi3`, :func:`djokovic_signature`) are
+Every trace comes from the trace engine of :mod:`uecsm.matcore`.  A
+word is the string of its letters, ``x`` for the matrix and ``y`` for
+its adjoint, so :data:`PHI3_WORDS` and :data:`DJOKOVIC_WORDS` are tuples
+of strings, a word's degree is its length and its reversal ``w[::-1]``.
+The raw signatures (:func:`phi3`, :func:`djokovic_signature`) are
 :func:`~uecsm.matcore.word_traces` of their words.  The UECSM criteria
 read one plan per size n = 3, 4, compiled once, at import: the
 commutator trace at n = 3, ``psi_1 .. psi_7`` at n = 4.  Each call
@@ -41,7 +44,10 @@ which has unit Frobenius norm, and compare them to ``tol`` directly.
 UECSM and unitary equivalence are unchanged by ``T -> aT + bI``, so the
 verdicts are invariant under it; the raw signatures (:func:`phi3`,
 :func:`djokovic_signature`, :func:`psi7`) are invariants of the
-caller's matrix and are not normalized.
+caller's matrix and are not normalized.  Every exported function here
+refuses a NaN or inf entry with ``ValueError``: the verdicts through
+:func:`~uecsm.matcore.normalize`, the signatures, :func:`trace_test_3`
+and :func:`unitary_equivalence_4` through their size check.
 
 Every criterion of the package, here and in :mod:`uecsm.angletests`,
 :mod:`uecsm.constructors` and :mod:`uecsm.oracle`, returns a
@@ -64,14 +70,13 @@ import numpy as np
 from .errors import DimensionMismatch, UnsupportedDimension
 from .matcore import (
     CMatrix,
-    Word,
     _compile_plan,
+    _require_finite,
     _require_square,
     _TracePlan,
     adjoint,
     normalize,
     representative,
-    reverse_word,
     word_traces,
 )
 
@@ -81,37 +86,33 @@ from .matcore import word_trace  # noqa: F401
 
 DEFAULT_TOL = 1e-8
 
-#: Words fixing the 3x3 unitary-equivalence class: x, x^2, x^3, x*x, ...
-#: (letters: x is the matrix, y its adjoint).
-PHI3_WORDS: tuple[Word, ...] = tuple(
-    Word.from_string(s) for s in ("x", "x2", "x3", "yx", "yx2", "y2x2", "yx2y2x")
-)
+#: Words fixing the 3x3 unitary-equivalence class, x, x^2, x^3, yx, ...,
+#: spelled letter by letter (x is the matrix, y its adjoint).
+PHI3_WORDS: tuple[str, ...] = ("x", "xx", "xxx", "yx", "yxx", "yyxx", "yxxyyx")
 
-#: Djokovic's generating set for 4x4 unitary equivalence, in canonical order.
-DJOKOVIC_WORDS: tuple[Word, ...] = tuple(
-    Word.from_string(s)
-    for s in (
-        "x",
-        "x2",
-        "xy",
-        "x3",
-        "x2y",
-        "x4",
-        "x3y",
-        "x2y2",
-        "xyxy",
-        "x3y2",
-        "x2yx2y",
-        "x2y2xy",
-        "y2x2yx",
-        "x3y2xy",
-        "x3y2x2y",
-        "x3y3xy",
-        "y3x3yx",
-        "x3yx2yxy",
-        "x2y2xyx2y",
-        "x3y3x2y2",
-    )
+#: Djokovic's generating set for 4x4 unitary equivalence, in canonical
+#: order, spelled letter by letter.
+DJOKOVIC_WORDS: tuple[str, ...] = (
+    "x",
+    "xx",
+    "xy",
+    "xxx",
+    "xxy",
+    "xxxx",
+    "xxxy",
+    "xxyy",
+    "xyxy",
+    "xxxyy",
+    "xxyxxy",
+    "xxyyxy",
+    "yyxxyx",
+    "xxxyyxy",
+    "xxxyyxxy",
+    "xxxyyyxy",
+    "yyyxxxyx",
+    "xxxyxxyxy",
+    "xxyyxyxxy",
+    "xxxyyyxxyy",
 )
 
 #: Letter counts of the words behind psi_1 .. psi_7.
@@ -166,8 +167,8 @@ _TRACE_CHECKS: dict[int, _TraceChecks] = {
 }
 
 #: n -> the complete word set of :func:`transpose_equivalence`, then its reversals.
-_REVERSAL_WORDS: dict[int, tuple[Word, ...]] = {
-    n: words + tuple(map(reverse_word, words)) for n, words in ((3, PHI3_WORDS), (4, DJOKOVIC_WORDS))
+_REVERSAL_WORDS: dict[int, tuple[str, ...]] = {
+    n: words + tuple(w[::-1] for w in words) for n, words in ((3, PHI3_WORDS), (4, DJOKOVIC_WORDS))
 }
 
 #: n -> the names of the word comparisons: ``phi1..phi7`` or ``w01..w20``.
@@ -229,15 +230,17 @@ class Verdict(tuple):
 
 
 def _require_dim(t: CMatrix, n: int, who: str) -> None:
+    """Raise unless ``t`` is an ``n x n`` matrix of finite entries."""
     if t.shape != (n, n):
         raise DimensionMismatch(f"{who} requires a {n}x{n} matrix, got shape {t.shape}")
+    _require_finite(t)
 
 
 def phi3(t: CMatrix) -> TraceSignature:
     """Seven-word trace signature of a 3x3 matrix (a complete unitary invariant)."""
     _require_dim(t, 3, "phi3")
     values = tuple(complex(v) for v in word_traces(PHI3_WORDS, t, adjoint(t)))
-    return TraceSignature("phi3", values, tuple(w.degree for w in PHI3_WORDS))
+    return TraceSignature("phi3", values, tuple(map(len, PHI3_WORDS)))
 
 
 def trace_test_3(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
@@ -251,7 +254,7 @@ def djokovic_signature(t: CMatrix) -> TraceSignature:
     """The twenty word traces tr w_i(T, T*) for a 4x4 matrix."""
     _require_dim(t, 4, "djokovic_signature")
     values = tuple(complex(v) for v in word_traces(DJOKOVIC_WORDS, t, adjoint(t)))
-    return TraceSignature("djokovic20", values, tuple(w.degree for w in DJOKOVIC_WORDS))
+    return TraceSignature("djokovic20", values, tuple(map(len, DJOKOVIC_WORDS)))
 
 
 def unitary_equivalence_4(a: CMatrix, b: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:

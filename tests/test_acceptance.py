@@ -25,7 +25,6 @@ from uecsm import (
     psi7,
     psi_closed_forms,
     random_su,
-    reverse_word,
     sat,
     sat_obstruction,
     su_membership,
@@ -285,9 +284,9 @@ def test_c10_word_reductions():
         gaps = {}
         for index in list(range(1, 12)) + [12, 13, 16, 17]:
             w = DJOKOVIC_WORDS[index - 1]
-            gaps[index] = abs(word_trace(w, t, ta) - word_trace(reverse_word(w), t, ta))
+            gaps[index] = abs(word_trace(w, t, ta) - word_trace(w[::-1], t, ta))
         for index in range(1, 12):
-            deg = DJOKOVIC_WORDS[index - 1].degree
+            deg = len(DJOKOVIC_WORDS[index - 1])
             worst_auto = max(worst_auto, gaps[index] / norm**deg)
         worst_pair = max(
             worst_pair,

@@ -1,9 +1,12 @@
 """Tests for the eigenvector angle criteria."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from uecsm import (
+    ConsistencyError,
     DegenerateSpectrum,
     DimensionMismatch,
     OrthogonalEigenvectors,
@@ -171,6 +174,13 @@ class TestDetCriterion3:
                 continue
             found += 1
             assert trace_test_3(t).max_residual > 1e-8
+
+    def test_inconsistent_grams_are_refused(self):
+        # a Y Gram matrix off by 10% breaks the determinant identities
+        data = eigensystem(random_complex_matrix(rng(58), 3))
+        grams = np.stack([data.grams[0], 1.1 * data.grams[1]])
+        with pytest.raises(ConsistencyError):
+            det_criterion_3(dataclasses.replace(data, grams=grams))
 
     def test_identity_residuals_reported(self):
         gen = rng(57)

@@ -221,6 +221,24 @@ class TestExitCodes:
         lines = result.stderr.decode().splitlines()
         assert len(lines) <= 1 and all(line.startswith("error:") for line in lines), result.stderr
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["classify-nilpotent", "--params", "1:2:3,1,1,1,1,1"],
+                "cannot parse complex component '1:2:3' (use re or re:im)",
+            ),
+            (["construct", "--sig", "a,b", "--diag", "1,2,3"], "--sig must be 'k,m' integers, got 'a,b'"),
+            (["construct", "--sig", "0,3", "--diag", "1,2,3"], "need 1 <= k <= n, got k=0, n=3"),
+        ],
+        ids=["params-component", "sig-not-integers", "sig-empty-cone"],
+    )
+    def test_unparsable_arguments_are_an_error(self, capsys, argv, message):
+        assert main(argv) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_cmd_test_unsupported_dimension(self, tmp_path):
         doc = MatrixDocument(matrix=np.eye(5, dtype=complex), label="big")
         path = tmp_path / "big.json"
@@ -819,7 +837,7 @@ class TestTolerancePlumbing:
     @pytest.mark.parametrize(
         "flag", ["--tol", "--tol-trace", "--tol-angle", "--tol-oracle"]
     )
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     def test_bad_tolerance_is_a_usage_error(self, fixture_dir, capsys, flag, value):
         path = str(fixture_dir / "wat_counterexample.json")
         with pytest.raises(SystemExit) as exc:

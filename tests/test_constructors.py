@@ -5,10 +5,12 @@ import pytest
 
 from uecsm import (
     DimensionMismatch,
+    ExhaustedRetries,
     IsotropicVector,
     RepeatedDiagonal,
     Signature,
     SignatureMismatch,
+    SingularMatrix,
     UecsmError,
     angle_suite,
     conjugated_diagonal,
@@ -34,6 +36,11 @@ SIG31 = Signature(3, 4)
 SIG21 = Signature(2, 3)
 
 
+def test_signature_needs_a_positive_cone():
+    with pytest.raises(ValueError, match="need 1 <= k <= n"):
+        Signature(k=0, n=3)
+
+
 class TestIndefiniteInner:
     def test_basis_vectors(self):
         e1 = np.eye(4)[0]
@@ -56,6 +63,15 @@ class TestIndefiniteInner:
 
 
 class TestGramSchmidt:
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [([np.eye(3)[0], np.eye(3)[1]], "need 3 vectors, got 2"), ([np.ones(4)] * 3, "vectors must have length 3")],
+        ids=["two-vectors", "wrong-length"],
+    )
+    def test_wrong_vectors_are_a_dimension_mismatch(self, vectors, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            indefinite_gram_schmidt(vectors, SIG21)
+
     def test_standard_basis_gives_identity(self):
         q = indefinite_gram_schmidt(list(np.eye(4, dtype=complex)), SIG22)
         assert np.allclose(q, np.eye(4))
@@ -127,6 +143,10 @@ class TestSuMembership:
         assert not v.passed
         assert dict(v.residuals)["form_preservation"] > 0.1
 
+    def test_wrong_size_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            su_membership(np.eye(3), SIG22)
+
     def test_group_property(self):
         for seed in range(5):
             q1 = random_su(SIG22, seed=900 + seed)
@@ -149,6 +169,19 @@ class TestConjugatedDiagonal:
     def test_repeated_diagonal_rejected(self):
         with pytest.raises(RepeatedDiagonal):
             conjugated_diagonal(np.eye(4, dtype=complex), [1.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "q, error, message",
+        [
+            (np.ones((3, 4)), DimensionMismatch, "q must be square"),
+            (np.zeros((3, 3)), SingularMatrix, "q is not invertible"),
+            (np.diag([1.0, 1.0, 1e-14]), SingularMatrix, "q is numerically singular"),
+        ],
+        ids=["non-square", "zero", "ill-conditioned"],
+    )
+    def test_bad_q_is_refused(self, q, error, message):
+        with pytest.raises(error, match=message):
+            conjugated_diagonal(q.astype(complex), [1.0, 2.0, 3.0])
 
     def test_overflowing_product_is_an_error(self):
         # finite entries whose product with q overflows a float
@@ -175,6 +208,10 @@ class TestSatObstruction:
             assert tp.value == 0
             assert tp.is_real
 
+    def test_zero_column_is_singular(self):
+        with pytest.raises(SingularMatrix):
+            sat_obstruction(np.diag([1, 0, 1.0]).astype(complex))
+
     def test_real_matrix_all_real(self):
         gen = rng(84)
         q = gen.standard_normal((4, 4))
@@ -197,6 +234,16 @@ class TestGenerator:
     def test_refuses_thin_cone(self):
         with pytest.raises(ValueError):
             generate_wat_not_sat(1, SIG31)
+
+    def test_no_attempt_exhausts_the_retries(self):
+        with pytest.raises(ExhaustedRetries):
+            random_su(SIG22, seed=0, max_attempts=0)
+        with pytest.raises(ExhaustedRetries):
+            generate_wat_not_sat(1, SIG22, max_attempts=0)
+
+    def test_wrong_diagonal_length(self):
+        with pytest.raises(DimensionMismatch, match="diagonal must have length 4"):
+            generate_wat_not_sat(1, SIG22, d=(1.0, 2.0, 3.0))
 
     def test_refuses_small_dimension(self):
         with pytest.raises(ValueError):

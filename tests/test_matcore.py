@@ -9,13 +9,11 @@ from uecsm import (
     DJOKOVIC_WORDS,
     PHI3_WORDS,
     DimensionMismatch,
-    Word,
     adjoint,
     cmatrix,
     evaluate_word,
     identity,
     normalize,
-    reverse_word,
     trace,
     transpose,
     word_trace,
@@ -107,72 +105,55 @@ class TestNormalize:
 
 
 class TestWords:
-    def test_parse_runs(self):
-        w = Word.from_string("x2y2xy")
-        assert w.runs == (("x", 2), ("y", 2), ("x", 1), ("y", 1))
-        assert w.degree == 6
-        assert str(w) == "x2y2xy"
-
-    def test_parse_merges_repeats(self):
-        assert Word.from_string("xxy").runs == (("x", 2), ("y", 1))
-
-    def test_reverse(self):
-        w = Word.from_string("xy2")
-        assert str(reverse_word(w)) == "y2x"
-        assert reverse_word(reverse_word(w)) == w
-
     def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            Word(())
-
-    @pytest.mark.parametrize("text", ["x0y", "x0x", "y0", "x00", "xy0"])
-    def test_explicit_zero_exponent_rejected(self, text):
-        with pytest.raises(ValueError):
-            Word.from_string(text)
-
-    def test_missing_exponent_means_one(self):
-        assert Word.from_string("xy") == Word.from_string("x1y1")
-        assert Word.from_string("x10y").runs == (("x", 10), ("y", 1))
+        # a word is a non-empty string of the letters x and y, and both
+        # the engine and its reference refuse anything else
+        t = identity(3)
+        for text in ("", "xz", "x2", "X"):
+            with pytest.raises(ValueError):
+                word_traces((text,), t, t)
+            with pytest.raises(ValueError):
+                evaluate_word(text, t, t)
 
     def test_single_letter_evaluates_to_matrix(self):
         t = random_complex_matrix(rng(20), 3)
-        assert np.array_equal(evaluate_word(Word.from_string("x"), t, adjoint(t)), t)
+        assert np.array_equal(evaluate_word("x", t, adjoint(t)), t)
 
     def test_word12_matches_chained_product(self):
         t = random_complex_matrix(rng(21), 4)
         ta = adjoint(t)
         explicit = t @ t @ (ta @ ta) @ t @ ta
-        assert np.allclose(evaluate_word(Word.from_string("x2y2xy"), t, ta), explicit, atol=1e-12)
+        assert np.allclose(evaluate_word("xxyyxy", t, ta), explicit, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            evaluate_word(Word.from_string("xy"), identity(3), identity(4))
+            evaluate_word("xy", identity(3), identity(4))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from("xy"), min_size=1, max_size=8), st.integers(0, 2**31 - 1))
 def test_trace_reversal_transpose_identity(letters, seed):
     # tr w(X, Y) equals tr of the reversed word on the transposes
-    w = Word.from_string("".join(letters))
+    w = "".join(letters)
     gen = rng(seed)
     x = random_complex_matrix(gen, 3)
     y = random_complex_matrix(gen, 3)
     lhs = word_trace(w, x, y)
-    rhs = word_trace(reverse_word(w), x.T, y.T)
-    scale = max(1.0, np.linalg.norm(x), np.linalg.norm(y)) ** w.degree
+    rhs = word_trace(w[::-1], x.T, y.T)
+    scale = max(1.0, np.linalg.norm(x), np.linalg.norm(y)) ** len(w)
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from("xy"), min_size=1, max_size=6), st.integers(0, 2**31 - 1))
 def test_word_norm_submultiplicative(letters, seed):
-    w = Word.from_string("".join(letters))
+    w = "".join(letters)
     gen = rng(seed)
     x = random_complex_matrix(gen, 3, scale=0.4)
     y = random_complex_matrix(gen, 3, scale=0.4)
     r = max(np.linalg.norm(x, 2), np.linalg.norm(y, 2))
     value = np.linalg.norm(evaluate_word(w, x, y), 2)
-    assert value <= r**w.degree * (1 + 1e-12)
+    assert value <= r ** len(w) * (1 + 1e-12)
 
 
 def _letters(gen, n):
@@ -186,9 +167,7 @@ def _reference_traces(words, x, y):
     return np.array([trace(evaluate_word(w, x, y)) for w in words])
 
 
-_words = st.lists(st.sampled_from("xy"), min_size=1, max_size=12).map(
-    lambda letters: Word.from_string("".join(letters))
-)
+_words = st.lists(st.sampled_from("xy"), min_size=1, max_size=12).map("".join)
 
 
 class TestWordTraces:
@@ -211,7 +190,7 @@ class TestWordTraces:
         # every word repeated and followed by its reversal: same values as
         # one word at a time, and a duplicate reads exactly its original
         x, y = _letters(rng(seed), 4)
-        doubled = tuple(words) * 2 + tuple(reverse_word(w) for w in words)
+        doubled = tuple(words) * 2 + tuple(w[::-1] for w in words)
         values = word_traces(doubled, x, y)
         k = len(words)
         assert np.array_equal(values[:k], values[k : 2 * k])
@@ -220,14 +199,14 @@ class TestWordTraces:
 
     def test_degree_forty_word(self):
         x, y = _letters(rng(23), 4)
-        w = Word.from_string("x3y2xyx2y" * 4)
-        assert w.degree == 40
+        w = "xxxyyxyxxy" * 4
+        assert len(w) == 40
         (value,) = word_traces((w,), x, y)
         assert abs(value - trace(evaluate_word(w, x, y))) <= 1e-12
         # one table row per distinct prefix: linear in the word length
-        assert _trace_plan((w,)).rows <= w.degree + 3
+        assert _trace_plan((w,)).rows <= len(w) + 3
 
-    def test_compiled_plans_read_word_traces_and_hash_no_word(self, monkeypatch):
+    def test_compiled_plans_read_word_traces_and_hash_no_word(self):
         # the plan of each signature, and of the words and reversals of
         # transpose_equivalence, reads the traces word_traces gives for its
         # words, bit for bit, however the words are passed
@@ -239,22 +218,17 @@ class TestWordTraces:
             expected = word_traces(words, x, y)
             assert np.array_equal(plan.traces(x, y), expected)
             assert np.array_equal(plan.traces(x[0], y[0]), word_traces(words, x[0], y[0]))
-            fresh = tuple(Word(w.runs) for w in words)
+            fresh = tuple("".join(w) for w in words)
             for again in (list(words), fresh):
                 assert np.array_equal(word_traces(again, x, y), expected)
 
-        # the analysis evaluates the compiled plans: it hashes no word and
-        # compiles no plan
+        # the analysis evaluates the plans compiled at import: it neither
+        # compiles a plan nor looks one up by its words
         matrices = [WAT_COUNTEREXAMPLE[:3, :3], WAT_COUNTEREXAMPLE]
         expected = [analyze(t, "m").to_dict() for t in matrices]
-        misses = _trace_plan.cache_info().misses
-
-        def no_hash(self):
-            raise AssertionError("a word was hashed")
-
-        monkeypatch.setattr(Word, "__hash__", no_hash)
+        info = _trace_plan.cache_info()
         assert [analyze(t, "m").to_dict() for t in matrices] == expected
-        assert _trace_plan.cache_info().misses == misses
+        assert _trace_plan.cache_info() == info
 
     @pytest.mark.parametrize(
         "x, y",
@@ -267,4 +241,4 @@ class TestWordTraces:
     )
     def test_dimension_mismatch(self, x, y):
         with pytest.raises(DimensionMismatch):
-            word_traces((Word.from_string("xy"),), x, y)
+            word_traces(("xy",), x, y)

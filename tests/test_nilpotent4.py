@@ -39,6 +39,10 @@ class TestBuildMatrix:
         assert t[1, 2] == 4 and t[1, 3] == 5 and t[2, 3] == 6
         assert np.all(np.tril(t) == 0)
 
+    def test_from_iterable_needs_six_values(self):
+        with pytest.raises(ValueError, match="expected 6 parameters, got 5"):
+            NilpotentParams.from_iterable([1, 2, 3, 4, 5])
+
 
 class TestClosedForms:
     def test_all_zero(self):

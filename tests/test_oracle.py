@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from uecsm import (
     CostGuard,
+    DimensionMismatch,
     NilpotentParams,
     Signature,
     build_matrix,
@@ -183,6 +184,10 @@ class TestFindSymmetrizer:
     def test_cost_guard(self):
         with pytest.raises(CostGuard):
             find_symmetrizer(np.eye(7, dtype=complex))
+
+    def test_no_restart_is_refused(self):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=0)
 
     def test_deterministic(self):
         a = find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=3, seed=5)
@@ -462,6 +467,10 @@ class TestVerifyWitness:
     def test_identity_on_symmetric(self):
         s = random_symmetric_matrix(rng(97), 3)
         assert verify_witness(s, np.eye(3, dtype=complex)).passed
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            verify_witness(np.eye(3, dtype=complex), np.eye(4, dtype=complex))
 
     def test_non_unitary_rejected(self):
         s = random_symmetric_matrix(rng(98), 3)

@@ -24,14 +24,23 @@ from uecsm import (
     ConsistencyError,
     DegenerateSpectrum,
     DimensionMismatch,
+    NilpotentParams,
     NoConvergence,
     angle_suite,
+    djokovic_signature,
     eigensystem,
     find_symmetrizer,
     normalize,
+    phi3,
+    psi7,
+    psi_closed_forms,
+    symmetry_cost,
     symmetry_residual,
+    trace_test_3,
     transpose_equivalence,
     uecsm_verdict,
+    unitary_equivalence_4,
+    verify_witness,
 )
 from uecsm.cli import (
     EXIT_INCONCLUSIVE,
@@ -300,6 +309,18 @@ def test_entry_points_reject_non_square_shapes(entry, shape):
         *ENTRY_POINTS,
         pytest.param(lambda t: analyze(t, "t", run_oracle=True), id="analyze"),
         pytest.param(lambda t: analyze_stack(np.stack([np.eye(3), t]), ["eye", "t"], run_oracle=True), id="analyze_stack"),
+        # the functions that do not normalize, each at its own size: the 4x4
+        # ones read t padded by a zero row and column
+        phi3,
+        trace_test_3,
+        pytest.param(lambda t: djokovic_signature(np.pad(t, (0, 1))), id="djokovic_signature"),
+        pytest.param(lambda t: psi7(np.pad(t, (0, 1))), id="psi7"),
+        pytest.param(lambda t: unitary_equivalence_4(np.eye(4), np.pad(t, (0, 1))), id="unitary_equivalence_4"),
+        pytest.param(lambda t: symmetry_cost(t, np.eye(3)), id="symmetry_cost-t"),
+        pytest.param(lambda t: symmetry_cost(np.eye(3), t), id="symmetry_cost-u"),
+        pytest.param(lambda t: symmetry_residual(np.eye(3), t), id="symmetry_residual-u"),
+        pytest.param(lambda t: verify_witness(np.eye(3), t), id="verify_witness-u"),
+        pytest.param(lambda t: psi_closed_forms(NilpotentParams(t[1, 2], 1, 1, 1, 1, 1)), id="psi_closed_forms"),
     ],
     ids=lambda f: f.__name__,
 )
@@ -308,7 +329,7 @@ def test_entry_points_reject_non_finite_entries(entry, value):
     # this suite's filters) comes first
     t = np.zeros((3, 3), dtype=complex)
     t[1, 2] = value
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
+    with pytest.raises(ValueError, match="(matrix entries|nilpotent parameters) must be finite"):
         entry(t)
 
 

@@ -23,7 +23,6 @@ from uecsm import (
     normalize,
     phi3,
     psi7,
-    reverse_word,
     trace_test_3,
     transpose_equivalence,
     uecsm_verdict,
@@ -41,7 +40,7 @@ from uecsm.gallery import (
     SCALAR_PLUS_SHIFT_22,
     WAT_COUNTEREXAMPLE,
 )
-from uecsm.matcore import Word, normalize_stack, representative
+from uecsm.matcore import normalize_stack, representative
 from uecsm.oracle import verify_witness
 from uecsm.tracetests import Verdict, trace_verdicts
 
@@ -108,7 +107,7 @@ class TestTraceTest3:
 class TestDjokovic:
     def test_word_table_shape(self):
         assert len(DJOKOVIC_WORDS) == 20
-        assert [w.degree for w in DJOKOVIC_WORDS] == [
+        assert [len(w) for w in DJOKOVIC_WORDS] == [
             1, 2, 2, 3, 3, 4, 4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 9, 9, 10,
         ]
 
@@ -192,7 +191,7 @@ class TestPsi7:
         values = psi7(t).values
         for psi_index, word_index in pairing.items():
             w = DJOKOVIC_WORDS[word_index - 1]
-            diff = word_trace(w, t, ta) - word_trace(reverse_word(w), t, ta)
+            diff = word_trace(w, t, ta) - word_trace(w[::-1], t, ta)
             assert values[psi_index - 1] == pytest.approx(diff, rel=1e-8, abs=1e-8)
 
 
@@ -303,8 +302,8 @@ class TestWordReductions:
             ta = adjoint(t)
             norm = np.linalg.norm(t)
             for w in DJOKOVIC_WORDS[:11]:
-                gap = abs(word_trace(w, t, ta) - word_trace(reverse_word(w), t, ta))
-                assert gap <= 1e-10 * max(1.0, norm**w.degree)
+                gap = abs(word_trace(w, t, ta) - word_trace(w[::-1], t, ta))
+                assert gap <= 1e-10 * max(1.0, norm ** len(w))
 
     def test_pair_reductions(self):
         gen = rng(40)
@@ -315,14 +314,10 @@ class TestWordReductions:
 
             def gap(index):
                 w = DJOKOVIC_WORDS[index - 1]
-                return abs(word_trace(w, t, ta) - word_trace(reverse_word(w), t, ta))
+                return abs(word_trace(w, t, ta) - word_trace(w[::-1], t, ta))
 
             assert abs(gap(12) - gap(13)) <= 1e-9 * norm**6
             assert abs(gap(16) - gap(17)) <= 1e-9 * norm**8
-
-
-def _letters(w):
-    return "".join(sym * exp for sym, exp in w.runs)
 
 
 def _is_rotation(a, b):
@@ -330,7 +325,7 @@ def _is_rotation(a, b):
 
 
 def _swap(w):
-    return Word(tuple(("y" if sym == "x" else "x", exp) for sym, exp in w.runs))
+    return w.translate(str.maketrans("xy", "yx"))
 
 
 #: 1-based Djokovic word of each psi_k: psi_k is the reversal gap of that word
@@ -345,7 +340,7 @@ class TestReversalGapsAreTheUecsmFamily:
     def test_gaps_that_vanish_by_rotation(self):
         # tr rev(w) = tr w whenever rev(w) is a cyclic rotation of w
         for words, trivial in ((PHI3_WORDS, 6), (DJOKOVIC_WORDS, 11)):
-            rotations = [_is_rotation(_letters(w), _letters(reverse_word(w))) for w in words]
+            rotations = [_is_rotation(w, w[::-1]) for w in words]
             assert rotations == [True] * trivial + [False] * (len(words) - trivial)
 
     def test_gaps_that_pair_by_swap(self):
@@ -353,16 +348,10 @@ class TestReversalGapsAreTheUecsmFamily:
         # a rotation of swap(w), so their gaps are real, and the gaps of their
         # swaps w13 and w17 are the same with the sign flipped
         words = DJOKOVIC_WORDS
-        letters = [_letters(w) for w in words]
-        pairs = {
-            (i, j)
-            for i in range(11, 20)
-            for j in range(i + 1, 20)
-            if _is_rotation(letters[j], _letters(_swap(words[i])))
-        }
+        pairs = {(i, j) for i in range(11, 20) for j in range(i + 1, 20) if _is_rotation(words[j], _swap(words[i]))}
         assert pairs == {(11, 12), (15, 16)}
         for i, _ in pairs:
-            assert _is_rotation(_letters(reverse_word(words[i])), _letters(_swap(words[i])))
+            assert _is_rotation(words[i][::-1], _swap(words[i]))
 
     @pytest.mark.parametrize("seed", [5, 7, 11])
     def test_family_is_the_gaps_of_the_remaining_words(self, seed):
@@ -370,9 +359,9 @@ class TestReversalGapsAreTheUecsmFamily:
         for n, words in ((3, PHI3_WORDS), (4, DJOKOVIC_WORDS)):
             t = random_complex_matrix(gen, n, scale=2.0)
             ta = adjoint(t)
-            gaps = word_traces(words, t, ta) - word_traces(tuple(map(reverse_word, words)), t, ta)
+            gaps = word_traces(words, t, ta) - word_traces(tuple(w[::-1] for w in words), t, ta)
             if n == 3:
-                # the commutator trace is the gap of yx2y2x
+                # the commutator trace is the gap of yxxyyx
                 family = tracetests._TRACE_CHECKS[3].plan.traces(t, ta)
                 np.testing.assert_allclose(family, [gaps[6]], rtol=1e-9)
                 continue
@@ -415,7 +404,7 @@ class TestSharedPlans:
             words = PHI3_WORDS if n == 3 else DJOKOVIC_WORDS
             reps, _, _ = normalize_stack(ts)
             ys = adjoint(reps)
-            reversed_words = tuple(map(reverse_word, words))
+            reversed_words = tuple(w[::-1] for w in words)
             gaps = np.abs(word_traces(words, reps, ys) - word_traces(reversed_words, reps, ys)).T
             transposes = [transpose_equivalence(t) for t in ts]
             assert np.array_equal(_residual_rows(transposes, len(words)), gaps)
