@@ -125,9 +125,7 @@ def analyze_stack(
     labels: Sequence[str],
     tol: float = DEFAULT_TOL,
     run_oracle: bool = False,
-    oracle_restarts: int = 20,
     oracle_tol: float = WITNESS_TOL,
-    seed: int = 0,
     trace_tol: Optional[float] = None,
     angle_tol: Optional[float] = None,
 ) -> list[Report]:
@@ -144,7 +142,9 @@ def analyze_stack(
     status and a note; one whose determinant identity cross-check
     fails (:class:`~uecsm.errors.ConsistencyError`) gets a report with
     ``error`` set.  With ``run_oracle`` the search runs matrix by
-    matrix after the criteria.  Every entry must be finite: a NaN or
+    matrix after the criteria, with witness tolerance ``oracle_tol``.
+    Nothing in the analysis is random: each report depends only on its
+    matrix and the tolerances.  Every entry must be finite: a NaN or
     infinite entry raises ``ValueError``, as in
     :func:`~uecsm.matcore.normalize_stack`.
     """
@@ -173,7 +173,7 @@ def analyze_stack(
         else:
             report.verdicts.update(outcome)
         if run_oracle:
-            report.oracle = _symmetrizer(reps[b], s[b], oracle_restarts, oracle_tol, seed)
+            report.oracle = _symmetrizer(reps[b], s[b], oracle_tol)
         _decide(report)
     return reports
 

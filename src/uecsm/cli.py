@@ -9,8 +9,8 @@ Subcommands, each of which takes only the options it reads:
 * ``uecsm test FILE`` runs every applicable criterion and exits 0 when
   the matrix is UECSM, 1 when it is not, 2 on errors or when the
   criteria disagree.  It takes the analysis options ``--json`` and
-  ``--tol``, ``--oracle``, ``--seed``, ``--restarts``, ``--tol-oracle``,
-  ``--tol-trace``, ``--tol-angle``, which it forwards to
+  ``--tol``, ``--oracle``, ``--tol-oracle``, ``--tol-trace``,
+  ``--tol-angle``, which it forwards to
   :func:`~uecsm.analysis.analyze_stack`;
 * ``uecsm classify-nilpotent --params a,b,c,d,e,f`` (with ``--tol``
   and ``--json``) runs the closed-form classification and cross-checks
@@ -378,7 +378,7 @@ def _print_report(report: Report, as_json: bool) -> None:
     print(f"spectrum : {report.spectral_status}")
     if report.oracle is not None:
         oracle = report.oracle
-        if oracle.restarts_used == 0:  # decided in closed form, before any restart
+        if oracle.restarts_used == 0:  # decided in closed form, before any LM start
             detail = f"closed form, residual {oracle.residual:.3e}"
         else:
             detail = f"residual {oracle.residual:.3e}, restarts {oracle.restarts_used}"
@@ -642,25 +642,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _int_at_least(text: str, minimum: int, what: str) -> int:
-    """Parse an integer option value that must be at least ``minimum``, described as ``what``."""
+def _non_negative_int(text: str) -> int:
+    """Parse a seed, which numpy requires to be at least 0 (the argparse type of --seed)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
-
-
-def _positive_int(text: str) -> int:
-    """Parse a count that must be at least 1 (the argparse type of --restarts)."""
-    return _int_at_least(text, 1, "a positive integer")
-
-
-def _non_negative_int(text: str) -> int:
-    """Parse a seed, which numpy requires to be at least 0 (the argparse type of --seed)."""
-    return _int_at_least(text, 0, "a non-negative integer")
 
 
 #: The analysis options of ``test`` and ``batch``, each declared once: its
@@ -671,10 +661,6 @@ _OPTIONS: dict[str, dict] = {
     "--tol": dict(type=_tolerance, default=DEFAULT_TOL, help="tolerance for all criteria"),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--oracle": dict(dest="run_oracle", action="store_true", help="also run the unitary search"),
-    "--seed": dict(type=_non_negative_int, default=0, help="seed for randomized pieces"),
-    "--restarts": dict(
-        dest="oracle_restarts", type=_positive_int, default=20, help="oracle restart budget"
-    ),
     "--tol-oracle": dict(
         dest="oracle_tol", type=_tolerance, default=WITNESS_TOL, help="oracle witness tolerance"
     ),
@@ -728,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--sig", required=True, help="signature k,m of the indefinite form")
     p_con.add_argument("--diag", required=True, help="diagonal entries, e.g. -1,0,1,2")
     p_con.add_argument("--out", help="output file (defaults to stdout)")
-    _add_options(p_con, "--seed")
+    p_con.add_argument("--seed", type=_non_negative_int, default=0, help="seed of the construction")
     p_con.set_defaults(func=_cmd_construct)
 
     p_bat = sub.add_parser("batch", help="process a directory of matrix documents")

@@ -8,6 +8,10 @@ strong angle test by construction; whenever some cyclic triple product
 of the columns of Q is non-real, the result fails the strong angle test
 and is therefore not UECSM while still passing the weak test.  That
 rejection loop is the counterexample generator at the bottom.
+
+Every function that takes a matrix, a vector or a diagonal refuses a
+NaN or infinite entry with ``ValueError("matrix entries must be
+finite")`` before any arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     SingularMatrix,
     UecsmError,
 )
-from .matcore import CMatrix, EPS
+from .matcore import CMatrix, EPS, _require_finite
 from .tracetests import DEFAULT_TOL, Verdict
 
 log = logging.getLogger(__name__)
@@ -63,6 +67,7 @@ def indefinite_inner(v: np.ndarray, w: np.ndarray, sig: Signature) -> complex:
     w = np.asarray(w, dtype=complex)
     if v.shape != (sig.n,) or w.shape != (sig.n,):
         raise DimensionMismatch(f"vectors must have length {sig.n}")
+    _require_finite(v, w)
     signs = np.array([1.0] * sig.k + [-1.0] * sig.minus)
     return complex(np.sum(signs * v * w.conj()))
 
@@ -80,6 +85,7 @@ def indefinite_gram_schmidt(vectors: Sequence[np.ndarray], sig: Signature) -> CM
     """
     if len(vectors) != sig.n:
         raise DimensionMismatch(f"need {sig.n} vectors, got {len(vectors)}")
+    _require_finite(*vectors)
     basis: list[np.ndarray] = []
     signs: list[float] = []
     for raw in vectors:
@@ -117,6 +123,7 @@ def su_membership(q: CMatrix, sig: Signature, tol: float = DEFAULT_TOL) -> Verdi
     """Check Q* A Q = A and det Q = 1."""
     if q.shape != (sig.n, sig.n):
         raise DimensionMismatch(f"expected shape ({sig.n}, {sig.n}), got {q.shape}")
+    _require_finite(q)
     a = sig.matrix()
     form_residual = float(np.linalg.norm(q.conj().T @ a @ q - a))
     det_residual = abs(complex(np.linalg.det(q)) - 1.0)
@@ -135,6 +142,7 @@ def conjugated_diagonal(q: CMatrix, d: Sequence[complex]) -> CMatrix:
     entries = [complex(v) for v in d]
     if q.ndim != 2 or q.shape[0] != q.shape[1] or len(entries) != n:
         raise DimensionMismatch("q must be square and d must match its size")
+    _require_finite(q, entries)
     for i in range(n):
         for j in range(i + 1, n):
             if entries[i] == entries[j]:
@@ -170,6 +178,7 @@ def sat_obstruction(q: CMatrix, tol: float = DEFAULT_TOL) -> tuple[TripleProduct
     eigenvectors.  The conjugated-diagonal construction satisfies the
     strong angle test iff every one of these is real.
     """
+    _require_finite(q)
     n = q.shape[0]
     cols = [q[:, i] for i in range(n)]
     norms = [float(np.linalg.norm(c)) for c in cols]

@@ -195,7 +195,9 @@ def normalize_stack(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _require_words(words) -> None:
-    """Raise ``ValueError`` unless each of ``words`` is a non-empty string of ``x`` and ``y``."""
+    """Raise ``ValueError`` unless ``words`` is a sequence, not a string, of non-empty strings of ``x`` and ``y``."""
+    if isinstance(words, str):
+        raise ValueError(f"words must be a sequence of words, not the string {words!r}")
     for w in words:
         if not isinstance(w, str) or not w or w.strip("xy"):
             raise ValueError(f"a word is a non-empty string of the letters x and y, got {w!r}")
@@ -350,7 +352,6 @@ def _compile_plan(words: tuple[str, ...], family: Optional[Callable] = None) -> 
 
 @lru_cache(maxsize=256)
 def _trace_plan(words: tuple[str, ...]) -> _TracePlan:
-    _require_words(words)
     return _compile_plan(words)
 
 
@@ -364,9 +365,10 @@ def word_traces(words: Sequence[str], x: CMatrix, y: CMatrix) -> np.ndarray:
     is read from a ``(rows, B, n, n)`` table that holds every distinct
     prefix of every half once, so words share their products and the
     table grows with the total word length, not with the number of words
-    of a degree.  The index plan of a word tuple is cached; a word that
-    is not a non-empty string of ``x`` and ``y`` raises ``ValueError``
-    when its tuple is first compiled.  Entries are not checked: a NaN or
+    of a degree.  The index plan of a word tuple is cached.  A bare
+    string for ``words``, or a word that is not a non-empty string of
+    ``x`` and ``y``, raises ``ValueError`` before the cache is looked
+    up.  Entries are not checked: a NaN or
     inf in ``x`` or ``y`` passes through to the traces.  The UECSM
     criteria of :mod:`uecsm.tracetests` compile their plans once, at
     import, and evaluate them without this function's cache lookup.
@@ -374,6 +376,7 @@ def word_traces(words: Sequence[str], x: CMatrix, y: CMatrix) -> np.ndarray:
     _require_square(x, x.ndim == 3)
     if x.shape != y.shape:
         raise DimensionMismatch(f"letter matrices differ in shape: {x.shape} vs {y.shape}")
+    _require_words(words)
     return _trace_plan(tuple(words)).traces(x, y)
 
 

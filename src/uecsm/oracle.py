@@ -21,15 +21,18 @@ When it declines, a Levenberg-Marquardt search runs (Levenberg 1944,
 Marquardt 1963).  |U T U* - (U T U*)^t|_F^2 is a nonlinear least-squares
 cost with n(n-1) real residuals in n^2 real coordinates of u(n), and each
 step moves U by the exponential of a skew-Hermitian K (the retraction
-form of Absil-Mahony-Sepulchre 2008).  Start 0 is the closed-form
-candidate in the band and the identity below the gap threshold; seeded
-random unitaries follow, up to the restart budget, and the first start
-that reaches the witness tolerance wins.
+form of Absil-Mahony-Sepulchre 2008).  Its starts are fixed: the
+closed-form candidate in the band; below the gap threshold the identity
+and, only when that start fails, one fixed unitary with no real
+structure (:func:`_second_start`), since the identity is a critical
+point of the cost for every real matrix times a phase.
 
 A small enough final residual yields a constructive witness that T is
-UECSM; a large floor after many starts is only evidence in the other
+UECSM; a floor above the tolerance is only evidence in the other
 direction, never a proof, so the search's failure status is
-``inconclusive``.  Only the closed-form stage says ``refuted``.
+``inconclusive``.  Only the closed-form stage says ``refuted``.  No
+part of the search is random: its result depends only on the matrix
+and the tolerance.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuard, DimensionMismatch
-from .matcore import EPS, CMatrix, _require_finite, _require_square, adjoint, normalize
+from .matcore import EPS, CMatrix, _identity, _require_finite, _require_square, adjoint, normalize
 from .tracetests import Verdict
 
 WITNESS_TOL = 1e-6
@@ -73,7 +76,7 @@ class OracleResult:
     u: Optional[CMatrix]
     residual: float
     iterations: int
-    restarts_used: int
+    restarts_used: int  # Levenberg-Marquardt starts run: 0, 1 or 2
 
     @property
     def found(self) -> bool:
@@ -112,17 +115,13 @@ def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
     """Move from ``u`` along skew-Hermitian ``k``: (I - k/2)^{-1} (I + k/2) u.
 
     With ``-ik = V diag(lam) V*``, the step factor is
-    V diag((1 + z) / (1 - z)) V* for ``z = i lam / 2``.
+    V diag((1 + z) / (1 - z)) V* for ``z = i lam / 2``.  A NaN or
+    infinite entry of ``k`` or ``u`` raises ``ValueError``.
     """
+    _require_finite(k, u)
     lam, v = np.linalg.eigh(-1j * k)
     z = 0.5j * lam
     return (v * ((1 + z) / (1 - z))) @ (adjoint(v) @ u)
-
-
-def _random_unitary(rng: np.random.Generator, n: int) -> CMatrix:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @lru_cache(maxsize=None)
@@ -209,29 +208,36 @@ def _levenberg_marquardt(rep: CMatrix, u: np.ndarray, target_cost: float) -> tup
     return u, cost, steps
 
 
-def _search(rep: CMatrix, start: np.ndarray, restarts: int, witness_tol: float, seed: int) -> OracleResult:
-    """Levenberg-Marquardt from ``start``, then from seeded random unitaries.
+def _second_start(n: int) -> CMatrix:
+    """The start after the identity: the Q factor of the unit-modulus matrix ``exp(i sqrt(m))``, m = 1..n^2.
 
-    Runs up to ``restarts`` starts in all, drawing each random start
-    only when it runs.  Returns the witness of the first start that
-    reaches ``witness_tol``, with the steps of every start up to it, or
-    the best residual of all of them.
+    The cost is unchanged by real orthogonal U when T is real, and its
+    derivative along ``i S`` (S real symmetric) vanishes at U = I, so the
+    identity is a critical point for every real matrix times a phase and
+    Levenberg-Marquardt cannot leave it.  This start is fixed, so the
+    search stays deterministic, and its entries have no real structure.
     """
-    rng = np.random.default_rng(seed)
+    return np.linalg.qr(np.exp(1j * np.sqrt(np.arange(1.0, n * n + 1))).reshape(n, n))[0]
+
+
+def _search(rep: CMatrix, starts: tuple, witness_tol: float) -> OracleResult:
+    """Levenberg-Marquardt from each of ``starts`` in turn, until one reaches ``witness_tol``.
+
+    Returns the witness of the first start that reaches it, with
+    ``restarts_used`` the starts run and ``iterations`` the steps of all
+    of them, or ``inconclusive`` with the residual of the last start.
+    """
     target_cost = 0.25 * witness_tol**2  # stop once safely inside
     steps = 0
-    best_residual = float("inf")
-    for r in range(restarts):
-        u0 = start if r == 0 else _random_unitary(rng, rep.shape[0])
-        u, cost, used = _levenberg_marquardt(rep, u0, target_cost)
+    for r, start in enumerate(starts, 1):
+        u, cost, used = _levenberg_marquardt(rep, start, target_cost)
         steps += used
         residual = _residual(cost)  # rep has unit norm
-        best_residual = min(best_residual, residual)
         if residual <= witness_tol:
             u = np.array(u)
             u.flags.writeable = False
-            return OracleResult("witness", u, residual, steps, r + 1)
-    return OracleResult("inconclusive", None, best_residual, steps, restarts)
+            return OracleResult("witness", u, residual, steps, r)
+    return OracleResult("inconclusive", None, residual, steps, r)
 
 
 def _tree_phases(b: np.ndarray) -> np.ndarray:
@@ -350,12 +356,7 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> tuple[Optional[OracleResul
     return None, u
 
 
-def find_symmetrizer(
-    t: CMatrix,
-    restarts: int = 20,
-    witness_tol: float = WITNESS_TOL,
-    seed: int = 0,
-) -> OracleResult:
+def find_symmetrizer(t: CMatrix, witness_tol: float = WITNESS_TOL) -> OracleResult:
     """Search for a unitary U making U T U* complex symmetric.
 
     The search runs on the centered, normalized representative of
@@ -375,42 +376,42 @@ def find_symmetrizer(
     ``witness_tol`` and the refutation threshold, as on matrices within
     about ``_REFUTE_K witness_tol / g`` of the UECSM set.
 
-    Then Levenberg-Marquardt runs (see :func:`_levenberg_marquardt`),
-    from the candidate when there is one and from the identity
-    otherwise, and then from seeded random unitaries, drawn one at a
-    time, up to ``restarts`` starts in all.  It returns the witness of
-    the first start that reaches ``witness_tol``, with ``restarts_used``
-    the starts run and ``iterations`` the LM steps of all of them;
-    otherwise ``inconclusive`` with the best residual seen.  An
-    ``inconclusive`` result carries no information that T is not UECSM;
-    only ``refuted`` does.
+    Then Levenberg-Marquardt runs (see :func:`_levenberg_marquardt`):
+    from the candidate when there is one; otherwise from the identity
+    and, if that start misses ``witness_tol``, from the fixed unitary of
+    :func:`_second_start`.  It returns the witness of the first start
+    that reaches ``witness_tol``, with ``restarts_used`` the starts run
+    (1, or 2 after the identity failed) and ``iterations`` the LM steps
+    of all of them; otherwise ``inconclusive`` with the residual of the
+    last start.
+    An ``inconclusive`` result carries no information that T is not
+    UECSM; only ``refuted`` does.  Nothing is random: the result depends
+    only on ``t`` and ``witness_tol``.
     """
     n = _require_square(t)
     if n > _MAX_DIM:
         raise CostGuard(f"search limited to n <= {_MAX_DIM}, got n = {n}")
     rep, _, s = normalize(t)
-    return _symmetrizer(rep, s, restarts, witness_tol, seed)
+    return _symmetrizer(rep, s, witness_tol)
 
 
-def _symmetrizer(rep: CMatrix, s: float, restarts: int, witness_tol: float, seed: int) -> OracleResult:
+def _symmetrizer(rep: CMatrix, s: float, witness_tol: float) -> OracleResult:
     """:func:`find_symmetrizer` of a matrix with representative ``rep`` and scale ``s``.
 
-    Searching on the representative loses nothing: U symmetrizes
-    ``T = s rep + mu I`` exactly when it symmetrizes ``rep``, and the
-    unit norm keeps the cost in range.
+    A scalar matrix is a witness at once; otherwise the closed form
+    decides, or :func:`_search` runs from its fixed starts.  Searching
+    on the representative loses nothing: U symmetrizes ``T = s rep + mu I``
+    exactly when it symmetrizes ``rep``, and the unit norm keeps the cost
+    in range.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     n = rep.shape[0]
     if s == 0.0:
-        u = np.eye(n, dtype=complex)
-        u.flags.writeable = False
-        return OracleResult("witness", u, 0.0, 0, 0)
+        return OracleResult("witness", _identity(n), 0.0, 0, 0)
     decision, candidate = _closed_form(rep, witness_tol)
     if decision is not None:
         return decision
-    start = np.eye(n, dtype=complex) if candidate is None else candidate
-    return _search(rep, start, restarts, witness_tol, seed)
+    starts = (_identity(n), _second_start(n)) if candidate is None else (candidate,)
+    return _search(rep, starts, witness_tol)
 
 
 def verify_witness(t: CMatrix, u: CMatrix, tol: float = WITNESS_TOL) -> Verdict:

@@ -52,7 +52,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import DegenerateSpectrum, NoConvergence, UecsmError
-from .matcore import CMatrix, EPS, _indices, _require_square, representative
+from .matcore import CMatrix, EPS, _indices, _require_finite, _require_square, representative
 
 _DK_SEED = 0x5EED
 # eigenvalue gap of the representative at or below which the spectrum is degenerate
@@ -75,8 +75,10 @@ def durand_kerner(coeffs: np.ndarray, max_iter: int = 200, restarts: int = 8) ->
 
     Caps at ``max_iter`` sweeps per attempt and restarts from randomly
     perturbed initial guesses before giving up with :class:`NoConvergence`.
+    A NaN or infinite coefficient raises ``ValueError``.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
+    _require_finite(coeffs)
     deg = len(coeffs) - 1
     if deg == 0:
         return np.zeros(0, dtype=complex)

@@ -310,7 +310,7 @@ def test_c11_oracle_cross_validation():
     worst_residual = 0.0
     worst_restarts = 0
     for t in fixtures:
-        result = find_symmetrizer(t, restarts=20)
+        result = find_symmetrizer(t)
         ok &= result.found and result.residual < 1e-6
         if result.found:
             ok &= verify_witness(t, result.u).passed

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import dataclasses
 import inspect
 import io
 import json
@@ -32,10 +33,13 @@ from uecsm.cli import (
 )
 import uecsm.angletests
 import uecsm.cli
+import uecsm.constructors
+import uecsm.nilpotent4
 import uecsm.spectra
 from uecsm.errors import ParseError
 from uecsm.gallery import GALLERY, WAT_COUNTEREXAMPLE
 from uecsm.matcore import cmatrix, normalize
+from uecsm.tracetests import Verdict
 
 from _util import one_matrix_inputs, random_complex_matrix, random_unitary, rng
 
@@ -319,6 +323,23 @@ class TestClassifyNilpotent:
         assert main(["classify-nilpotent", "--params", "a,b,c,d,e,f"]) == EXIT_INCONCLUSIVE
         assert "error" in capsys.readouterr().err
 
+    def test_disagreement_is_a_conflict(self, capsys, monkeypatch):
+        # a closed form that contradicts the trace test on a passing member
+        classify = uecsm.nilpotent4.classify
+
+        def flipped(p, tol):
+            result = classify(p, tol)
+            return dataclasses.replace(result, uecsm=not result.uecsm)
+
+        monkeypatch.setattr(uecsm.nilpotent4, "classify", flipped)
+        assert main(["classify-nilpotent", "--params", "2,9,1,0,6,7"]) == EXIT_INCONCLUSIVE
+        lines = capsys.readouterr().out.splitlines()
+        assert "uecsm (closed form)  : False" in lines
+        assert lines[-1] == "CONFLICT : closed-form classification disagrees with trace test"
+        assert main(["classify-nilpotent", "--params", "2,9,1,0,6,7", "--json"]) == EXIT_INCONCLUSIVE
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["uecsm_closed_form"], payload["uecsm_trace_test"], payload["agree"]) == (False, True, False)
+
     @pytest.mark.parametrize(
         "params", ["nan,1,1,1,1,1", "1,inf,1,1,1,1", "1,1,0:nan,1,1,1", "1e400,1,1,1,1,1"]
     )
@@ -405,6 +426,15 @@ class TestConstruct:
             main(["construct", "--sig", "2,2", "--diag", "-1,0,1", "--seed", "1"])
             == EXIT_INCONCLUSIVE
         )
+
+    def test_no_verified_construction_is_an_error(self, capsys, monkeypatch):
+        # every draw of the one-dimensional cone fails its membership check
+        failed = Verdict("su_membership", ("form_preservation", "determinant"), (1.0, 1.0), 1e-8)
+        monkeypatch.setattr(uecsm.constructors, "su_membership", lambda q, sig: failed)
+        assert main(["construct", "--sig", "3,1", "--diag", "-1,0,1,2"]) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.err == "error: no verified construction after 50 attempts\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("diag", ["nan,0,1,2", "-1,0,inf,2", "-1,0:-inf,1,2"])
     def test_non_finite_diag_is_an_error(self, capsys, diag):
@@ -747,7 +777,7 @@ class TestRepeatedCalls:
 
     def test_usage_error_leaves_the_next_call_working(self, fixture_dir, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["batch", str(fixture_dir), "--restarts", "0"])
+            main(["batch", str(fixture_dir), "--tol", "0"])
         assert exc.value.code == EXIT_INCONCLUSIVE
         capsys.readouterr()
         assert main(["batch", str(fixture_dir)]) == EXIT_UECSM
@@ -763,10 +793,7 @@ class TestRepeatedCalls:
         assert main(["batch", str(fixture_dir)]) == EXIT_UECSM
 
 
-ANALYSIS_OPTIONS = {
-    "--tol", "--json", "--oracle", "--seed", "--restarts",
-    "--tol-oracle", "--tol-trace", "--tol-angle",
-}
+ANALYSIS_OPTIONS = {"--tol", "--json", "--oracle", "--tol-oracle", "--tol-trace", "--tol-angle"}
 
 
 class TestOptionSurface:
@@ -805,6 +832,9 @@ class TestOptionSurface:
             ["classify-nilpotent", "--params", "1,2,3,4,5,6", "--restarts", "3"],
             # transpose equivalence is not an analysis criterion, so it has no tolerance
             ["batch", "fixtures", "--tol-transpose", "1e-6"],
+            # the oracle's starts are fixed: no seed (test_bad_restarts_is_a_usage_error
+            # refuses the old restart budget)
+            ["batch", "fixtures", "--seed", "1"],
         ],
     )
     def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
@@ -845,35 +875,30 @@ class TestTolerancePlumbing:
         assert exc.value.code == EXIT_INCONCLUSIVE
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
+    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "many", "3"])
     def test_bad_restarts_is_a_usage_error(self, fixture_dir, capsys, value):
+        # the oracle has no restart budget, so every value is refused
         path = str(fixture_dir / "wat_counterexample.json")
         with pytest.raises(SystemExit) as exc:
             main(["test", path, "--oracle", f"--restarts={value}"])
         assert exc.value.code == EXIT_INCONCLUSIVE
-        assert "--restarts" in capsys.readouterr().err
+        assert "unrecognized arguments: --restarts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["test", "batch", "construct"])
     def test_negative_seed_is_a_usage_error(self, fixture_dir, capsys, command):
-        args = {
-            "test": ["test", str(fixture_dir / "wat_counterexample.json"), "--oracle"],
-            "batch": ["batch", str(fixture_dir), "--oracle"],
-            "construct": ["construct", "--sig", "3,1", "--diag", "-1,0,1,2"],
+        # only construct draws at random; test and batch take no seed at all
+        args, message = {
+            "test": (["test", str(fixture_dir / "wat_counterexample.json"), "--oracle"], "unrecognized arguments: --seed"),
+            "batch": (["batch", str(fixture_dir), "--oracle"], "unrecognized arguments: --seed"),
+            "construct": (["construct", "--sig", "3,1", "--diag", "-1,0,1,2"], "--seed: must be a non-negative integer"),
         }[command]
         with pytest.raises(SystemExit) as exc:
             main([*args, "--seed", "-1"])
         assert exc.value.code == EXIT_INCONCLUSIVE
-        assert "--seed: must be a non-negative integer" in capsys.readouterr().err
-
-    def test_one_restart_is_accepted(self, fixture_dir, capsys):
-        path = str(fixture_dir / "scalar_plus_shift_22.json")
-        assert main(["test", path, "--json", "--oracle", "--restarts", "1"]) == EXIT_UECSM
-        payload = json.loads(capsys.readouterr().out)
-        # the closed-form witness comes before any restart
-        assert (payload["oracle"]["restarts_used"], payload["oracle"]["iterations"]) == (0, 0)
+        assert message in capsys.readouterr().err
 
     def test_oracle_text_names_the_closed_form(self, fixture_dir, capsys):
-        # a scalar matrix is a witness at once, also before any restart
+        # a scalar matrix is a witness at once, also before any LM start
         scalar = fixture_dir / "scalar.json"
         write_matrix_document(MatrixDocument(cmatrix((2 - 1j) * np.eye(3)), "scalar"), scalar)
         for path in (str(fixture_dir / "scalar_plus_shift_22.json"), str(scalar)):
@@ -883,7 +908,7 @@ class TestTolerancePlumbing:
             assert "restarts" not in line
         # a refutation is decided in closed form too
         path = str(fixture_dir / "wat_counterexample.json")
-        assert main(["test", path, "--oracle", "--restarts", "1"]) == EXIT_NOT_UECSM
+        assert main(["test", path, "--oracle"]) == EXIT_NOT_UECSM
         line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
         assert line.startswith("oracle   : refuted (closed form, residual ")
         assert "restarts" not in line
@@ -895,7 +920,7 @@ class TestTolerancePlumbing:
         normal = cmatrix(q @ np.diag([1.0, 1.0, 2.0]) @ q.conj().T)
         path = tmp_path / "normal.json"
         write_matrix_document(MatrixDocument(normal, "normal"), path)
-        assert main(["test", str(path), "--oracle", "--restarts", "1"]) == EXIT_UECSM
+        assert main(["test", str(path), "--oracle"]) == EXIT_UECSM
         line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
         assert line.startswith("oracle   : witness (residual ") and line.endswith(", restarts 1)")
 

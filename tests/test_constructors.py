@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import uecsm.constructors
 from uecsm import (
     DimensionMismatch,
     ExhaustedRetries,
@@ -240,6 +241,23 @@ class TestGenerator:
             random_su(SIG22, seed=0, max_attempts=0)
         with pytest.raises(ExhaustedRetries):
             generate_wat_not_sat(1, SIG22, max_attempts=0)
+
+    def test_a_failed_draw_is_skipped(self, monkeypatch):
+        # the draw of attempt 0 finds no SU(2,2) matrix; attempt 1 follows
+        draw = uecsm.constructors.random_su
+        seeds = []
+
+        def flaky(sig, seed, max_attempts=200):
+            seeds.append(seed)
+            if len(seeds) == 1:
+                raise ExhaustedRetries(f"no SU(2,2) matrix after {max_attempts} draws")
+            return draw(sig, seed, max_attempts)
+
+        monkeypatch.setattr(uecsm.constructors, "random_su", flaky)
+        t = generate_wat_not_sat(11, SIG22)
+        assert seeds[:2] == [11 * 1_000_003, 11 * 1_000_003 + 1]
+        suite = angle_suite(t, tol=1e-8)
+        assert suite["wat"].passed and suite["lsat"].passed and not suite["sat"].passed
 
     def test_wrong_diagonal_length(self):
         with pytest.raises(DimensionMismatch, match="diagonal must have length 4"):

@@ -114,6 +114,11 @@ class TestWords:
                 word_traces((text,), t, t)
             with pytest.raises(ValueError):
                 evaluate_word(text, t, t)
+        # the engine takes a sequence of words: not one string read as its
+        # letters, and not a list of letter lists (unhashable by the plan cache)
+        for words in ("xxy", [["x"]]):
+            with pytest.raises(ValueError):
+                word_traces(words, t, t)
 
     def test_single_letter_evaluates_to_matrix(self):
         t = random_complex_matrix(rng(20), 3)

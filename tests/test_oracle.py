@@ -100,7 +100,7 @@ class TestFindSymmetrizer:
         assert result.residual < 1e-12
         assert verify_witness(s, result.u).passed
         # the LM search alone takes the identity start, with no step
-        result = _lm_search(s, restarts=20)
+        result = _lm_search(s)
         assert result.found
         assert (result.restarts_used, result.iterations) == (1, 0)
         assert result.residual < 1e-12
@@ -110,7 +110,7 @@ class TestFindSymmetrizer:
         result = find_symmetrizer(SCALAR_PLUS_SHIFT_22)
         assert result.found
         assert result.residual < 1e-6
-        assert result.restarts_used <= 20
+        assert result.restarts_used <= 1
         assert verify_witness(SCALAR_PLUS_SHIFT_22, result.u).passed
         assert np.linalg.norm(result.u.conj().T @ result.u - np.eye(4)) <= 1e-9
 
@@ -125,17 +125,17 @@ class TestFindSymmetrizer:
 
     def test_counterexample_inconclusive(self):
         # the LM search alone can only give up; the closed form refutes
-        result = _lm_search(WAT_COUNTEREXAMPLE, restarts=50)
+        result = _lm_search(WAT_COUNTEREXAMPLE)
         assert result.status == "inconclusive"
         assert result.u is None
-        assert result.restarts_used == 50
+        assert result.restarts_used == 1
         # observed floor, recorded rather than asserted tightly
         assert result.residual > 1e-3
         print(f"observed non-symmetrizable residual floor: {result.residual:.4f}")
-        assert find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=50).status == "refuted"
+        assert find_symmetrizer(WAT_COUNTEREXAMPLE).status == "refuted"
 
     def test_random_uecsm_matrices_get_witnesses(self):
-        # empirical target: witnesses within 20 restarts across 100 matrices
+        # empirical target: witnesses from one start across 100 matrices
         gen = rng(990)
         for i in range(100):
             n = 3 if i % 2 == 0 else 4
@@ -143,16 +143,16 @@ class TestFindSymmetrizer:
             t = w @ random_symmetric_matrix(gen, n) @ w.conj().T
             result = find_symmetrizer(t)
             assert result.found, (i, result.residual)
-            assert result.restarts_used <= 20
+            assert result.restarts_used <= 1
 
     def test_shift_does_not_fake_a_witness(self):
         # |T + 1e6 I|_F is about 2e6, so a residual measured against it
         # passes 1e-6 on the counterexample; the shift-free norm does not
         shifted = WAT_COUNTEREXAMPLE + 1e6 * np.eye(4)
-        result = _lm_search(shifted, restarts=2)
+        result = _lm_search(shifted)
         assert result.status == "inconclusive"
         assert result.residual > 1e-3
-        assert find_symmetrizer(shifted, restarts=2).status == "refuted"
+        assert find_symmetrizer(shifted).status == "refuted"
 
     def test_residual_ignores_shift(self):
         u = random_unitary(rng(99), 4)
@@ -164,10 +164,10 @@ class TestFindSymmetrizer:
     def test_search_is_scale_free(self, scale):
         # the search runs on the normalized matrix: no underflow to a false
         # witness at 1e-170, no overflow at 1e170
-        result = _lm_search(scale * WAT_COUNTEREXAMPLE, restarts=2)
+        result = _lm_search(scale * WAT_COUNTEREXAMPLE)
         assert result.status == "inconclusive"
-        assert result.residual == pytest.approx(0.1291630315, rel=1e-6)
-        assert find_symmetrizer(scale * WAT_COUNTEREXAMPLE, restarts=2).status == "refuted"
+        assert result.residual == pytest.approx(1.7000948740, rel=1e-6)
+        assert find_symmetrizer(scale * WAT_COUNTEREXAMPLE).status == "refuted"
         w = random_unitary(rng(97), 4)
         t = scale * (w @ random_symmetric_matrix(rng(98), 4) @ w.conj().T)
         result = find_symmetrizer(t)
@@ -185,66 +185,30 @@ class TestFindSymmetrizer:
         with pytest.raises(CostGuard):
             find_symmetrizer(np.eye(7, dtype=complex))
 
-    def test_no_restart_is_refused(self):
-        with pytest.raises(ValueError, match="restarts must be >= 1"):
-            find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=0)
-
     def test_deterministic(self):
-        a = find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=3, seed=5)
-        b = find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=3, seed=5)
-        assert a.residual == b.residual
-        assert a.iterations == b.iterations
+        # two calls are equal: a closed-form refutation, and an LM witness
+        q = random_unitary(rng(103), 3)
+        normal = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T
+        for t in (WAT_COUNTEREXAMPLE, normal):
+            a, b = find_symmetrizer(t), find_symmetrizer(t)
+            assert dataclasses.replace(a, u=None) == dataclasses.replace(b, u=None)
+            assert (a.u is None and b.u is None) or np.array_equal(a.u, b.u)
 
 
-def _lm_search(t, restarts, seed=0, start=None):
+def _lm_search(t, start=None):
     """The Levenberg-Marquardt search of :func:`find_symmetrizer` alone, without the closed form.
 
-    Start 0 is ``start`` (the identity when None), as the search takes it
-    from the closed-form stage.
+    It starts from ``start`` (the identity when None), as the search takes
+    it from the closed-form stage.
     """
     rep = normalize(t)[0]
     if start is None:
         start = np.eye(t.shape[0], dtype=complex)
-    return oracle._search(rep, start, restarts, oracle.WITNESS_TOL, seed)
+    return oracle._search(rep, (start,), oracle.WITNESS_TOL)
 
 
 def _c11_fixture(seed):
     return conjugated_diagonal(random_su(Signature(3, 4), seed=seed), [-1.0, 0.0, 1.0, 2.0])
-
-
-class TestLmStarts:
-    def test_huge_budget_with_a_first_restart_witness(self):
-        s = random_symmetric_matrix(rng(101), 4)
-        result = find_symmetrizer(s, restarts=10**6)
-        assert result.found
-        assert (result.restarts_used, result.iterations) == (0, 0)
-        result = _lm_search(s, restarts=10**6)
-        assert result.found
-        assert result.restarts_used == 1
-
-    def test_waves_are_bounded_and_drawn_when_run(self, monkeypatch):
-        # each random start is drawn just before its own LM run
-        events = []
-        solve, draw = oracle._levenberg_marquardt, oracle._random_unitary
-
-        def spy_solve(*args):
-            events.append("lm")
-            return solve(*args)
-
-        def spy_draw(gen, n):
-            events.append("draw")
-            return draw(gen, n)
-
-        monkeypatch.setattr(oracle, "_levenberg_marquardt", spy_solve)
-        monkeypatch.setattr(oracle, "_random_unitary", spy_draw)
-        result = _lm_search(WAT_COUNTEREXAMPLE, restarts=5)
-        assert result.restarts_used == 5
-        assert events == ["lm"] + ["draw", "lm"] * 4
-        # the closed-form refutation draws nothing and runs no LM step
-        del events[:]
-        result = find_symmetrizer(WAT_COUNTEREXAMPLE, restarts=5)
-        assert result.status == "refuted"
-        assert events == []
 
 
 def _closed_form(t):
@@ -267,6 +231,35 @@ def _near_uecsm(seed, n, log_eps):
     s = random_symmetric_matrix(gen, n)
     e = random_complex_matrix(gen, n)
     return w @ s @ w.conj().T + 10.0**log_eps * np.linalg.norm(s) / np.linalg.norm(e) * e
+
+
+def _repeated_hermitian_inputs():
+    """UECSM inputs on which every Re(cT) has a repeated eigenvalue, as ``(name, T)``.
+
+    A normal ``Q diag(1, 1, 2) Q*``; seeded normal ``Q diag(a, a, b) Q*``
+    and ``Q diag(a, a, b, c) Q*`` and ``Q (S + lam I_2) Q*`` (``S`` a 2 x 2
+    complex symmetric block, ``lam I_2`` the other), complex Gaussian
+    entries; and a J-symmetric ``(A + J A^t J*) / 2``, ``J = [[0, I_2],
+    [-I_2, 0]]``, whose eigenvalues are all doubled, conjugated and
+    shifted.  ``Q`` is the unitary of :func:`random_unitary`.
+    """
+    q = random_unitary(rng(103), 3)
+    yield "diag(1,1,2)", q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T
+    gen = rng(44)
+    for k in range(3):
+        a, b, c, lam = gen.standard_normal(4) + 1j * gen.standard_normal(4)
+        s = np.zeros((4, 4), dtype=complex)
+        s[:2, :2] = random_symmetric_matrix(gen, 2)
+        s[2:, 2:] = lam * np.eye(2)
+        for name, d in (("diag(a,a,b)", np.diag([a, a, b])), ("diag(a,a,b,c)", np.diag([a, a, b, c])), ("S+lam", s)):
+            q = random_unitary(gen, len(d))
+            yield f"{name}-{k}", q @ d @ q.conj().T
+    j = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    for k in range(3):
+        a = random_complex_matrix(gen, 4)
+        q = random_unitary(gen, 4)
+        shift = gen.standard_normal() + 1j * gen.standard_normal()
+        yield f"J-symmetric-{k}", q @ (0.5 * (a + j @ a.T @ j.T)) @ q.conj().T + shift * np.eye(4)
 
 
 class TestClosedForm:
@@ -316,7 +309,7 @@ class TestClosedForm:
         assert result.status == "refuted" and result.u is None
         assert (result.iterations, result.restarts_used) == (0, 0)
         assert result.residual > 1e3 * oracle.WITNESS_TOL
-        assert find_symmetrizer(t, restarts=3) == result
+        assert find_symmetrizer(t) == result
 
     @pytest.mark.parametrize("seed, n", [(9, 3), (2, 4), (0, 5)])
     def test_band_inputs_fall_through_to_the_lm_search(self, seed, n):
@@ -326,25 +319,55 @@ class TestClosedForm:
         t = _near_uecsm(seed, n, -6.0)
         decision, candidate = oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL)
         assert decision is None and candidate is not None and _widest_gap(t) > oracle._GAP_MIN
-        result = find_symmetrizer(t, restarts=3)
-        reference = _lm_search(t, restarts=3, start=candidate)
-        assert result.found and result.restarts_used >= 1
+        result = find_symmetrizer(t)
+        reference = _lm_search(t, start=candidate)
+        assert result.found and result.restarts_used == 1
         assert dataclasses.replace(result, u=None) == dataclasses.replace(reference, u=None)
         assert np.array_equal(result.u, reference.u)
 
     def test_repeated_hermitian_parts_decline(self):
-        # a normal matrix: every Re(cT) is a multiple of Q diag(1, 1, 2) Q*
-        # or of the zero matrix, so each has a repeated eigenvalue, and
-        # the LM search starts from the identity
-        q = random_unitary(rng(103), 3)
-        t = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T
-        assert oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL) == (None, None)
-        result = find_symmetrizer(t)
-        assert result.found and result.restarts_used >= 1
-        assert verify_witness(t, result.u).passed
-        reference = _lm_search(t, restarts=20)
-        assert dataclasses.replace(result, u=None) == dataclasses.replace(reference, u=None)
-        assert np.array_equal(result.u, reference.u)
+        # every Re(cT) has a repeated eigenvalue, so the LM search starts
+        # from the identity, and on these complex inputs that one start
+        # finds the witness
+        for name, t in _repeated_hermitian_inputs():
+            assert oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL) == (None, None), name
+            result = find_symmetrizer(t)
+            assert result.found and result.restarts_used == 1, name
+            assert verify_witness(t, result.u).passed, name
+            reference = _lm_search(t)
+            assert dataclasses.replace(result, u=None) == dataclasses.replace(reference, u=None), name
+            assert np.array_equal(result.u, reference.u), name
+
+    def test_real_inputs_leave_the_identity(self):
+        # the identity is a critical point of the cost for a real matrix
+        # times a phase, so LM from it stops at once; the fixed second
+        # start finds the witness
+        gen = rng(105)
+        q = np.linalg.qr(gen.standard_normal((4, 4)))[0]  # real orthogonal
+        j = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+        a = gen.integers(-2, 3, size=(4, 4)).astype(float)
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        block = np.zeros((4, 4))
+        block[:2, :2], block[2:, 2:] = gen.standard_normal((2, 2)), 1.5 * np.eye(2)
+        inputs = {
+            "J-symmetric": q @ (0.5 * (a + j @ a.T @ j.T)) @ q.T + 2 * np.eye(4),
+            "normal": q @ np.kron(np.eye(2), rotation) @ q.T,
+            "block-phase": np.exp(0.7j) * (q @ block @ q.T),
+        }
+        second = oracle._second_start(4)
+        assert np.allclose(second.conj().T @ second, np.eye(4), atol=1e-14)
+        assert np.array_equal(second, oracle._second_start(4))
+        for name, t in inputs.items():
+            t = t.astype(complex)
+            assert oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL) == (None, None), name
+            stuck = _lm_search(t)
+            assert stuck.status == "inconclusive" and stuck.iterations <= 1, name
+            result = find_symmetrizer(t)
+            assert result.found and result.restarts_used == 2, name
+            assert verify_witness(t, result.u).passed, name
+            reference = _lm_search(t, start=second)
+            assert result.residual == reference.residual and np.array_equal(result.u, reference.u), name
+            assert result.iterations == stuck.iterations + reference.iterations, name
 
     @pytest.mark.parametrize("label", sorted(GALLERY))
     def test_gallery(self, label):
@@ -386,8 +409,8 @@ class TestRefutationIsSound:
     @example(0, 5, -6.0)
     def test_no_refutation_where_the_lm_search_finds_a_witness(self, seed, n, log_eps):
         t = _near_uecsm(seed, n, log_eps)
-        if _lm_search(t, restarts=4).found:
-            assert find_symmetrizer(t, restarts=4).status != "refuted"
+        if _lm_search(t).found:
+            assert find_symmetrizer(t).status != "refuted"
 
     # The explicit examples are the inputs of the seed-777 phase probe
     # (tests/_util.phase_probe_inputs) whose status changed under
@@ -443,8 +466,8 @@ def test_lm_search_alone_finds_the_c11_witnesses():
         conjugated_diagonal(random_su(Signature(2, 3), seed=500 + k), [-1.0, 0.5, 2.0]) for k in range(5)
     ]
     for t in fixtures:
-        result = _lm_search(t, restarts=20)
-        assert result.found and result.restarts_used >= 1
+        result = _lm_search(t)
+        assert result.found and result.restarts_used == 1
         assert verify_witness(t, result.u).passed
 
 
@@ -453,12 +476,12 @@ def test_near_parallel_corpus():
     # a fifth of which the closed form leaves to the LM search
     searched = 0
     for _, t in near_parallel_inputs(100):
-        result = find_symmetrizer(t, restarts=4)
+        result = find_symmetrizer(t)
         assert result.iterations <= result.restarts_used * oracle._LM_STEPS
         if result.found:
             assert verify_witness(t, result.u).passed
         elif result.status == "refuted":
-            assert not _lm_search(t, restarts=4).found
+            assert not _lm_search(t).found
         searched += result.restarts_used > 0
     assert searched >= 10
 

@@ -26,14 +26,27 @@ from uecsm import (
     DimensionMismatch,
     NilpotentParams,
     NoConvergence,
+    Signature,
     angle_suite,
+    build_matrix,
+    cayley_retract,
+    classify,
+    cmatrix,
+    conjugated_diagonal,
     djokovic_signature,
+    durand_kerner,
     eigensystem,
     find_symmetrizer,
+    generate_wat_not_sat,
+    indefinite_gram_schmidt,
+    indefinite_inner,
     normalize,
     phi3,
     psi7,
     psi_closed_forms,
+    sat_obstruction,
+    su_membership,
+    symmetrizing_witness,
     symmetry_cost,
     symmetry_residual,
     trace_test_3,
@@ -149,8 +162,8 @@ def test_stack_oracle_is_find_symmetrizer_on_each_row():
     for n, extra in ((3, [normal, 2j * np.eye(3)]), (4, [])):
         ts = np.concatenate([_stack(gen, n, ["uecsm", "gauss", "nilpotent"]), np.reshape(extra, (-1, n, n))])
         labels = [f"m{i}" for i in range(len(ts))]
-        for t, report in zip(ts, analyze_stack(ts, labels, run_oracle=True, oracle_restarts=2, seed=4)):
-            got, expected = report.oracle, find_symmetrizer(t, restarts=2, seed=4)
+        for t, report in zip(ts, analyze_stack(ts, labels, run_oracle=True)):
+            got, expected = report.oracle, find_symmetrizer(t)
             assert (got.status, got.iterations, got.restarts_used) == (
                 expected.status,
                 expected.iterations,
@@ -214,6 +227,34 @@ def test_angle_suite_raises_the_refusal_analyze_reports(monkeypatch):
     assert _same_angle_outcome(t).spectral_status == "no_convergence"
 
 
+def test_a_row_inv_fails_on_is_refused_as_singular(monkeypatch):
+    # LAPACK's inv fails on the stack and on the eigenvector matrix of one
+    # row alone: that row is refused, and every other row inverts on its own
+    n, row = 4, 1
+    ts = _stack(rng(12), n, ["uecsm", "gauss", "nilpotent", "gauss"])
+    labels = [f"m{b}" for b in range(len(ts))]
+    alone = [analyze(t, label).to_dict() for t, label in zip(ts, labels)]
+    assert [r["spectral_status"] for r in alone][:4] == ["ok", "ok", "degenerate", "ok"]
+    inv, stacks = np.linalg.inv, []
+
+    def failing_inv(a):
+        if a.ndim == 3:
+            stacks.append(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+        if np.array_equal(a, stacks[-1][row]):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(uecsm.spectra.np.linalg, "inv", failing_inv)
+    refusal = uecsm.spectra.eigensystem_stack(*normalize_stack(ts)).refusals[row]
+    assert type(refusal) is DegenerateSpectrum and str(refusal) == "eigenvector matrix is singular"
+    reports = [report.to_dict() for report in analyze_stack(ts, labels)]
+    assert reports[row]["spectral_status"] == "degenerate"
+    assert reports[row]["notes"] == ["angle tests inapplicable: eigenvector matrix is singular"]
+    assert reports[row]["verdicts"]["uecsm"] == alone[row]["verdicts"]["uecsm"]
+    assert reports[:row] + reports[row + 1 :] == alone[:row] + alone[row + 1 :]
+
+
 def test_angle_suite_raises_the_failed_cross_check(monkeypatch):
     # every 3x3 determinant identity cross-check fails below a negative bound
     monkeypatch.setattr(uecsm.angletests, "_IDENTITY_CHECK_TOL", -1.0)
@@ -248,7 +289,7 @@ def _batch_directory(path):
 @pytest.mark.parametrize("oracle", [False, True])
 def test_batch_reports_equal_one_file_analysis(tmp_path, capsys, oracle):
     names = _batch_directory(tmp_path)
-    flags = ["--oracle", "--restarts", "2"] if oracle else []
+    flags = ["--oracle"] if oracle else []
     code = main(["batch", str(tmp_path), "--json", *flags])
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_INCONCLUSIVE
@@ -267,9 +308,7 @@ def test_batch_reports_equal_one_file_analysis(tmp_path, capsys, oracle):
             assert report["error"] and report["dimension"] == 0
             continue
         doc = load_matrix_document(tmp_path / name)
-        expected = analyze(
-            doc.matrix, doc.label, run_oracle=oracle, oracle_restarts=2
-        ).to_dict()
+        expected = analyze(doc.matrix, doc.label, run_oracle=oracle).to_dict()
         if oracle:
             assert report.pop("oracle") == expected.pop("oracle")
         assert report.keys() == expected.keys()
@@ -302,28 +341,71 @@ def test_entry_points_reject_non_square_shapes(entry, shape):
         entry(np.zeros(shape, dtype=complex))
 
 
+#: One case per way a name of ``uecsm.__all__`` takes an array or
+#: parameters, called with ``t``, a 3 x 3 zero matrix but for one
+#: non-finite entry at (1, 2); each id starts with the name it calls.
+NON_FINITE_CASES = [
+    *(pytest.param(f, id=f.__name__) for f in ENTRY_POINTS),
+    pytest.param(lambda t: analyze(t, "t", run_oracle=True), id="analyze"),
+    pytest.param(lambda t: analyze_stack(np.stack([np.eye(3), t]), ["eye", "t"], run_oracle=True), id="analyze_stack"),
+    # the functions that do not normalize, each at its own size: the 4x4
+    # ones read t padded by a zero row and column
+    pytest.param(phi3, id="phi3"),
+    pytest.param(trace_test_3, id="trace_test_3"),
+    pytest.param(lambda t: djokovic_signature(np.pad(t, (0, 1))), id="djokovic_signature"),
+    pytest.param(lambda t: psi7(np.pad(t, (0, 1))), id="psi7"),
+    pytest.param(lambda t: unitary_equivalence_4(np.eye(4), np.pad(t, (0, 1))), id="unitary_equivalence_4"),
+    pytest.param(lambda t: unitary_equivalence_4(np.pad(t, (0, 1)), np.eye(4)), id="unitary_equivalence_4-a"),
+    pytest.param(lambda t: symmetry_cost(t, np.eye(3)), id="symmetry_cost-t"),
+    pytest.param(lambda t: symmetry_cost(np.eye(3), t), id="symmetry_cost-u"),
+    pytest.param(lambda t: symmetry_residual(t, np.eye(3)), id="symmetry_residual-t"),
+    pytest.param(lambda t: symmetry_residual(np.eye(3), t), id="symmetry_residual-u"),
+    pytest.param(lambda t: verify_witness(t, np.eye(3)), id="verify_witness-t"),
+    pytest.param(lambda t: verify_witness(np.eye(3), t), id="verify_witness-u"),
+    pytest.param(cmatrix, id="cmatrix"),
+    # the nilpotent family refuses its parameters where they are built
+    pytest.param(lambda t: NilpotentParams(t[1, 2], 1, 1, 1, 1, 1), id="NilpotentParams"),
+    pytest.param(lambda t: psi_closed_forms(NilpotentParams(t[1, 2], 1, 1, 1, 1, 1)), id="psi_closed_forms"),
+    pytest.param(lambda t: build_matrix(NilpotentParams(1, 1, 1, 1, 1, t[1, 2])), id="build_matrix"),
+    pytest.param(lambda t: classify(NilpotentParams(1, 1, t[1, 2], 1, 1, 1)), id="classify"),
+    pytest.param(lambda t: symmetrizing_witness(NilpotentParams(1, 1, 1, t[1, 2], 1, 1)), id="symmetrizing_witness"),
+    # eigh reads only the lower triangle of -ik, so both triangles are tried
+    pytest.param(lambda t: cayley_retract(t, np.eye(3)), id="cayley_retract-k_upper"),
+    pytest.param(lambda t: cayley_retract(t.T, np.eye(3)), id="cayley_retract-k_lower"),
+    pytest.param(lambda t: cayley_retract(np.zeros((3, 3)), t), id="cayley_retract-u"),
+    pytest.param(lambda t: durand_kerner([1, t[1, 2], 2]), id="durand_kerner"),
+    # the constructors, on the invertible I + t and the signature (1, 2)
+    pytest.param(lambda t: conjugated_diagonal(np.eye(3) + t, [1, 2, 3]), id="conjugated_diagonal-q"),
+    pytest.param(lambda t: conjugated_diagonal(np.eye(3), [1, t[1, 2], 3]), id="conjugated_diagonal-d"),
+    pytest.param(lambda t: su_membership(np.eye(3) + t, Signature(1, 3)), id="su_membership"),
+    pytest.param(lambda t: sat_obstruction(np.eye(3) + t), id="sat_obstruction"),
+    pytest.param(lambda t: indefinite_inner(t[1], np.ones(3), Signature(1, 3)), id="indefinite_inner-v"),
+    pytest.param(lambda t: indefinite_inner(np.ones(3), t[1], Signature(1, 3)), id="indefinite_inner-w"),
+    pytest.param(lambda t: indefinite_gram_schmidt(list(np.eye(3) + t), Signature(1, 3)), id="indefinite_gram_schmidt"),
+    pytest.param(lambda t: generate_wat_not_sat(0, Signature(2, 4), [-1, 0, t[1, 2], 2]), id="generate_wat_not_sat"),
+]
+
+#: The names of ``uecsm.__all__`` that take no array of their own, by reason.
+NON_FINITE_EXEMPT = {
+    "pass-through helpers, documented to return what numpy gives": (
+        "adjoint transpose trace word_traces word_trace evaluate_word"
+    ),
+    "read the SpectralData of eigensystem, which refuses the matrix": "det_criterion_3 wat sat lsat",
+    "take only sizes, signatures and seeds": "identity Signature random_su",
+    "result records": (
+        "Classification ClosedForms OracleResult Report SpectralData TraceSignature TripleProduct Verdict"
+    ),
+    "constants and the matrix type": "CMatrix DJOKOVIC_WORDS PHI3_WORDS PSI_DEGREES",
+    "exceptions": (
+        "ConsistencyError CostGuard DegenerateSpectrum DimensionMismatch ExhaustedRetries IsotropicVector"
+        " NoConvergence OrthogonalEigenvectors ParseError RepeatedDiagonal SignatureMismatch SingularMatrix"
+        " UecsmError UnsupportedDimension"
+    ),
+}
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=str)
-@pytest.mark.parametrize(
-    "entry",
-    [
-        *ENTRY_POINTS,
-        pytest.param(lambda t: analyze(t, "t", run_oracle=True), id="analyze"),
-        pytest.param(lambda t: analyze_stack(np.stack([np.eye(3), t]), ["eye", "t"], run_oracle=True), id="analyze_stack"),
-        # the functions that do not normalize, each at its own size: the 4x4
-        # ones read t padded by a zero row and column
-        phi3,
-        trace_test_3,
-        pytest.param(lambda t: djokovic_signature(np.pad(t, (0, 1))), id="djokovic_signature"),
-        pytest.param(lambda t: psi7(np.pad(t, (0, 1))), id="psi7"),
-        pytest.param(lambda t: unitary_equivalence_4(np.eye(4), np.pad(t, (0, 1))), id="unitary_equivalence_4"),
-        pytest.param(lambda t: symmetry_cost(t, np.eye(3)), id="symmetry_cost-t"),
-        pytest.param(lambda t: symmetry_cost(np.eye(3), t), id="symmetry_cost-u"),
-        pytest.param(lambda t: symmetry_residual(np.eye(3), t), id="symmetry_residual-u"),
-        pytest.param(lambda t: verify_witness(np.eye(3), t), id="verify_witness-u"),
-        pytest.param(lambda t: psi_closed_forms(NilpotentParams(t[1, 2], 1, 1, 1, 1, 1)), id="psi_closed_forms"),
-    ],
-    ids=lambda f: f.__name__,
-)
+@pytest.mark.parametrize("entry", NON_FINITE_CASES)
 def test_entry_points_reject_non_finite_entries(entry, value):
     # refused before any arithmetic, so no RuntimeWarning (an error under
     # this suite's filters) comes first
@@ -331,6 +413,15 @@ def test_entry_points_reject_non_finite_entries(entry, value):
     t[1, 2] = value
     with pytest.raises(ValueError, match="(matrix entries|nilpotent parameters) must be finite"):
         entry(t)
+
+
+def test_non_finite_table_covers_every_export():
+    # a new public name has to be given a case above or a reason to be exempt
+    tested = {case.id.split("-")[0] for case in NON_FINITE_CASES}
+    exempt = [name for names in NON_FINITE_EXEMPT.values() for name in names.split()]
+    assert len(exempt) == len(set(exempt))
+    assert not tested & set(exempt)
+    assert tested | set(exempt) == set(uecsm.__all__)
 
 
 def _strided_views(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +437,7 @@ def _entry_outcomes(t: np.ndarray, u: np.ndarray) -> list:
     """What each one-matrix entry point gives for ``t``, floats by ``float.hex``."""
     rep, mu, s = normalize(t)
     spectral = eigensystem(t)
-    oracle = find_symmetrizer(t, restarts=3)
+    oracle = find_symmetrizer(t)
     return [
         analyze(t, "t", run_oracle=True).to_dict(),
         [_hex(rep), _hex(np.array([mu])), s.hex()],
