@@ -36,10 +36,7 @@ _EXPORTS = {
             " IsotropicVector NoConvergence OrthogonalEigenvectors ParseError RepeatedDiagonal"
             " SignatureMismatch SingularMatrix UecsmError UnsupportedDimension",
         ),
-        (
-            "matcore",
-            "CMatrix adjoint cmatrix evaluate_word identity normalize trace transpose word_trace word_traces",
-        ),
+        ("matcore", "CMatrix adjoint cmatrix evaluate_word normalize word_trace word_traces"),
         (
             "nilpotent4",
             "Classification ClosedForms NilpotentParams build_matrix classify psi_closed_forms"

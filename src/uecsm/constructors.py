@@ -10,8 +10,9 @@ and is therefore not UECSM while still passing the weak test.  That
 rejection loop is the counterexample generator at the bottom.
 
 Every function that takes a matrix, a vector or a diagonal refuses a
+shape it cannot use with :class:`~uecsm.errors.DimensionMismatch` and a
 NaN or infinite entry with ``ValueError("matrix entries must be
-finite")`` before any arithmetic.
+finite")``, before any arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     SingularMatrix,
     UecsmError,
 )
-from .matcore import CMatrix, EPS, _require_finite
+from .matcore import CMatrix, EPS, _require_finite, _require_square
 from .tracetests import DEFAULT_TOL, Verdict
 
 log = logging.getLogger(__name__)
@@ -138,9 +139,9 @@ def conjugated_diagonal(q: CMatrix, d: Sequence[complex]) -> CMatrix:
     overflows a float, which finite entries of ``d`` near the largest
     float can make happen.
     """
-    n = q.shape[0]
     entries = [complex(v) for v in d]
-    if q.ndim != 2 or q.shape[0] != q.shape[1] or len(entries) != n:
+    n = len(entries)
+    if n < 1 or q.shape != (n, n):
         raise DimensionMismatch("q must be square and d must match its size")
     _require_finite(q, entries)
     for i in range(n):
@@ -178,8 +179,8 @@ def sat_obstruction(q: CMatrix, tol: float = DEFAULT_TOL) -> tuple[TripleProduct
     eigenvectors.  The conjugated-diagonal construction satisfies the
     strong angle test iff every one of these is real.
     """
+    n = _require_square(q)
     _require_finite(q)
-    n = q.shape[0]
     cols = [q[:, i] for i in range(n)]
     norms = [float(np.linalg.norm(c)) for c in cols]
     if any(v == 0.0 for v in norms):

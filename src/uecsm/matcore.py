@@ -18,10 +18,10 @@ and every gather from the table is an ``ndarray.take``: on tables this
 small, fancy indexing costs several times as much for the same copy.
 
 :func:`cmatrix` and :func:`normalize_stack` refuse NaN and inf entries
-with ``ValueError``.  The elementwise helpers :func:`adjoint`,
-:func:`transpose`, :func:`trace`, :func:`word_traces` and
+with ``ValueError``.  :func:`adjoint`, :func:`word_traces` and
 :func:`evaluate_word` check shapes (and words) but not entries: NaN and
-inf pass through to their values.
+inf pass through to their values.  A transpose, a trace or an identity
+is the numpy call itself.
 
 :func:`normalize_stack`, :func:`word_traces` and :func:`adjoint` also
 take a ``(B, n, n)`` stack of matrices of one size; the one-matrix
@@ -66,10 +66,6 @@ def _require_finite(*arrays) -> None:
             raise ValueError("matrix entries must be finite")
 
 
-def identity(n: int) -> CMatrix:
-    return np.eye(n, dtype=complex)
-
-
 def _indices(values) -> np.ndarray:
     """``values`` as a read-only ``intp`` array: the gather indices that
     the stacked kernels pass to ``ndarray.take`` and share across calls."""
@@ -80,8 +76,8 @@ def _indices(values) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _identity(n: int) -> CMatrix:
-    """:func:`identity`, cached and read-only."""
-    eye = identity(n)
+    """The ``n x n`` complex identity, cached and read-only."""
+    eye = np.eye(n, dtype=complex)
     eye.flags.writeable = False
     return eye
 
@@ -90,13 +86,23 @@ def _require_square(a: CMatrix, stacked: bool = False) -> int:
     """The size ``n`` of a square matrix, or of each matrix of a ``(B, n, n)`` stack.
 
     Raises :class:`DimensionMismatch` on any other shape, ``n = 0``
-    included; every public entry point and stacked kernel runs it first.
+    included.  Every public function that takes a square matrix checks
+    its shape before anything else: with this, with :func:`_require_pair`
+    for two matrices of one shape, or against a size of its own.
     """
     ndim = 3 if stacked else 2
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         what = "a stack of square matrices" if stacked else "a square matrix"
         raise DimensionMismatch(f"expected {what}, got shape {a.shape}")
     return a.shape[-1]
+
+
+def _require_pair(a: CMatrix, b: CMatrix, stacked: bool = False) -> int:
+    """:func:`_require_square` of ``a``, which ``b`` must match in shape."""
+    n = _require_square(a, stacked)
+    if b.shape != a.shape:
+        raise DimensionMismatch(f"matrices differ in shape: {a.shape} vs {b.shape}")
+    return n
 
 
 def adjoint(a: CMatrix) -> CMatrix:
@@ -106,18 +112,6 @@ def adjoint(a: CMatrix) -> CMatrix:
     """
     _require_square(a, stacked=a.ndim == 3)
     return a.conj().swapaxes(-1, -2)
-
-
-def transpose(a: CMatrix) -> CMatrix:
-    """The transpose of a square matrix; a NaN or inf entry passes through."""
-    _require_square(a)
-    return a.T
-
-
-def trace(a: CMatrix) -> complex:
-    """The trace of a square matrix; a NaN or inf entry passes through to it."""
-    _require_square(a)
-    return complex(np.trace(a))
 
 
 def normalize(t: CMatrix) -> tuple[CMatrix, complex, float]:
@@ -209,9 +203,7 @@ def evaluate_word(w: str, x: CMatrix, y: CMatrix) -> CMatrix:
     One ``np.linalg.matrix_power`` per run of equal letters.  Entries are
     not checked: a NaN or inf in ``x`` or ``y`` passes through to the value.
     """
-    n = _require_square(x)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"letter matrices differ in shape: {x.shape} vs {y.shape}")
+    n = _require_pair(x, y)
     _require_words((w,))
     out = np.eye(n, dtype=complex)
     for sym, run in groupby(w):
@@ -373,9 +365,7 @@ def word_traces(words: Sequence[str], x: CMatrix, y: CMatrix) -> np.ndarray:
     criteria of :mod:`uecsm.tracetests` compile their plans once, at
     import, and evaluate them without this function's cache lookup.
     """
-    _require_square(x, x.ndim == 3)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"letter matrices differ in shape: {x.shape} vs {y.shape}")
+    _require_pair(x, y, x.ndim == 3)
     _require_words(words)
     return _trace_plan(tuple(words)).traces(x, y)
 

@@ -25,7 +25,9 @@ form of Absil-Mahony-Sepulchre 2008).  Its starts are fixed: the
 closed-form candidate in the band; below the gap threshold the identity
 and, only when that start fails, one fixed unitary with no real
 structure (:func:`_second_start`), since the identity is a critical
-point of the cost for every real matrix times a phase.
+point of the cost for every real matrix times a phase.  No step calls
+:func:`cayley_retract`, the Cayley retraction ``(I - K/2)^{-1} (I + K/2) U``,
+which is one ``solve``.
 
 A small enough final residual yields a constructive witness that T is
 UECSM; a floor above the tolerance is only evidence in the other
@@ -46,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuard, DimensionMismatch
-from .matcore import EPS, CMatrix, _identity, _require_finite, _require_square, adjoint, normalize
+from .matcore import EPS, CMatrix, _identity, _require_finite, _require_pair, _require_square, adjoint, normalize
 from .tracetests import Verdict
 
 WITNESS_TOL = 1e-6
@@ -95,7 +97,12 @@ def _residual(cost: float) -> float:
 
 
 def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
-    """f(U) = |U T U* - (U T U*)^t|_F^2; a NaN or inf entry of ``t`` or ``u`` raises ``ValueError``."""
+    """f(U) = |U T U* - (U T U*)^t|_F^2.
+
+    ``t`` and ``u`` must be square matrices of one shape, else
+    :class:`DimensionMismatch`; a NaN or inf entry raises ``ValueError``.
+    """
+    _require_pair(t, u)
     _require_finite(t, u)
     return _evaluate(t, u)[2]
 
@@ -112,16 +119,16 @@ def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
 
 
 def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
-    """Move from ``u`` along skew-Hermitian ``k``: (I - k/2)^{-1} (I + k/2) u.
+    """Move from ``u`` along skew-Hermitian ``k``: (I - k/2)^{-1} (I + k/2) u, by one ``solve``.
 
-    With ``-ik = V diag(lam) V*``, the step factor is
-    V diag((1 + z) / (1 - z)) V* for ``z = i lam / 2``.  A NaN or
-    infinite entry of ``k`` or ``u`` raises ``ValueError``.
+    ``k`` and ``u`` must be square matrices of one shape, else
+    :class:`DimensionMismatch`; a NaN or infinite entry raises
+    ``ValueError``.  The search does not call it: it stays only because the
+    benchmark's tracer counts its calls, until ROADMAP item 1 removes both.
     """
+    eye = _identity(_require_pair(k, u))
     _require_finite(k, u)
-    lam, v = np.linalg.eigh(-1j * k)
-    z = 0.5j * lam
-    return (v * ((1 + z) / (1 - z))) @ (adjoint(v) @ u)
+    return np.linalg.solve(eye - 0.5 * k, (eye + 0.5 * k) @ u)
 
 
 @lru_cache(maxsize=None)

@@ -38,8 +38,8 @@ their shifts and scales; the eigenvalues and gaps in the caller's units
 are computed on first read, and a refusal text computes the value it
 names only when it is written, since the analysis reads neither.
 
-:func:`durand_kerner` is a standalone root finder; :func:`eigensystem`
-does not use it.
+:func:`durand_kerner` is ``np.roots`` behind the package's input checks;
+:func:`eigensystem` does not use it.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NoConvergence, UecsmError
+from .errors import DegenerateSpectrum, DimensionMismatch, NoConvergence, UecsmError
 from .matcore import CMatrix, EPS, _indices, _require_finite, _require_square, representative
 
-_DK_SEED = 0x5EED
 # eigenvalue gap of the representative at or below which the spectrum is degenerate
 _DISTINCT_TOL = 1e-6
 _RESIDUAL_TOL = 1e-7
@@ -63,53 +62,25 @@ _BIORTHO_TOL = 1e-7
 _CLUSTER_FACTOR = 100.0
 
 
-def _poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.full_like(z, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * z + c
-    return out
+def durand_kerner(coeffs) -> np.ndarray:
+    """All roots of the polynomial with coefficients ``coeffs``, highest degree first.
 
-
-def durand_kerner(coeffs: np.ndarray, max_iter: int = 200, restarts: int = 8) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous Weierstrass iteration.
-
-    Caps at ``max_iter`` sweeps per attempt and restarts from randomly
-    perturbed initial guesses before giving up with :class:`NoConvergence`.
-    A NaN or infinite coefficient raises ``ValueError``.
+    This is ``np.roots``: the eigenvalues of the companion matrix, from
+    LAPACK's ``geev``.  Leading zeros are dropped, and a constant gives
+    an empty complex array.  Coefficients that are not 1-D raise
+    :class:`DimensionMismatch`, a NaN or infinite one ``ValueError``, and
+    a failed ``geev`` :class:`NoConvergence`.  Nothing in the package
+    calls it: it stays only because the benchmark's tracer wraps it,
+    until ROADMAP item 1 removes both.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-D array of coefficients, got shape {coeffs.shape}")
     _require_finite(coeffs)
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return np.zeros(0, dtype=complex)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    base = radius * (0.4 + 0.9j) ** np.arange(1, deg + 1)
-    rng = np.random.default_rng(_DK_SEED)
-    z = base.copy()
-    for attempt in range(restarts + 1):
-        for _ in range(max_iter):
-            p = _poly_eval(coeffs, z)
-            denom = np.ones(deg, dtype=complex)
-            for i in range(deg):
-                diff = z[i] - np.delete(z, i)
-                denom[i] = np.prod(diff)
-            bad = np.abs(denom) < 1e-300
-            if np.any(bad):
-                break
-            step = p / denom
-            z = z - step
-            if np.max(np.abs(step)) <= 1e-14 * max(1.0, float(np.max(np.abs(z)))):
-                return z
-        # A cluster of roots split by rounding (a repeated eigenvalue away
-        # from zero) keeps its steps above the test above; accept the
-        # iterates once each is a root to working precision.
-        noise = 8 * EPS * _poly_eval(np.abs(coeffs), np.abs(z))
-        if np.all(np.abs(_poly_eval(coeffs, z)) <= noise):
-            return z
-        z = base * (1.0 + 0.25 * rng.standard_normal(deg)) + 0.1 * radius * (
-            rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
-        )
-    raise NoConvergence(f"root finder did not converge after {restarts + 1} attempts")
+    try:
+        return np.roots(coeffs).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise _eig_failed(exc) from exc
 
 
 @dataclass(frozen=True)

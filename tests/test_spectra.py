@@ -97,6 +97,17 @@ class TestDurandKerner:
             coeffs = np.poly(roots)
             assert_same_multiset(durand_kerner(coeffs), roots, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [([2, -2], [1]), ([3, 0, -3], [1, -1]), ([0, 1, -1], [1]), ([0, 5], []), ([0, 0], [])],
+        ids=["leading-2", "leading-3", "leading-zero", "constant", "zero"],
+    )
+    def test_polynomials_that_are_not_monic(self, coeffs, roots):
+        # leading zeros are dropped, and a constant has no roots
+        found = durand_kerner(coeffs)
+        assert found.dtype == complex
+        assert_same_multiset(found, roots, atol=1e-12)
+
 
 class TestEigensystem:
     def test_diagonal_trivial(self):

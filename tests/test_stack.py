@@ -341,6 +341,24 @@ def test_entry_points_reject_non_square_shapes(entry, shape):
         entry(np.zeros(shape, dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: sat_obstruction(np.ones((3, 2))), id="sat_obstruction-non_square"),
+        pytest.param(lambda: sat_obstruction(np.ones(3)), id="sat_obstruction-vector"),
+        pytest.param(lambda: conjugated_diagonal(np.array(1.0), [1]), id="conjugated_diagonal-scalar"),
+        pytest.param(lambda: conjugated_diagonal(np.zeros((0, 0)), []), id="conjugated_diagonal-empty"),
+        pytest.param(lambda: symmetry_cost(np.eye(3), np.eye(4)), id="symmetry_cost"),
+        pytest.param(lambda: symmetry_residual(np.eye(3), np.eye(4)), id="symmetry_residual"),
+        pytest.param(lambda: cayley_retract(np.zeros((3, 3)), np.eye(4)), id="cayley_retract"),
+        pytest.param(lambda: durand_kerner(np.ones((2, 2))), id="durand_kerner"),
+    ],
+)
+def test_entry_points_reject_shapes_they_cannot_use(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
 #: One case per way a name of ``uecsm.__all__`` takes an array or
 #: parameters, called with ``t``, a 3 x 3 zero matrix but for one
 #: non-finite entry at (1, 2); each id starts with the name it calls.
@@ -369,7 +387,7 @@ NON_FINITE_CASES = [
     pytest.param(lambda t: build_matrix(NilpotentParams(1, 1, 1, 1, 1, t[1, 2])), id="build_matrix"),
     pytest.param(lambda t: classify(NilpotentParams(1, 1, t[1, 2], 1, 1, 1)), id="classify"),
     pytest.param(lambda t: symmetrizing_witness(NilpotentParams(1, 1, 1, t[1, 2], 1, 1)), id="symmetrizing_witness"),
-    # eigh reads only the lower triangle of -ik, so both triangles are tried
+    # k is read whole, so a NaN in either triangle is refused
     pytest.param(lambda t: cayley_retract(t, np.eye(3)), id="cayley_retract-k_upper"),
     pytest.param(lambda t: cayley_retract(t.T, np.eye(3)), id="cayley_retract-k_lower"),
     pytest.param(lambda t: cayley_retract(np.zeros((3, 3)), t), id="cayley_retract-u"),
@@ -388,10 +406,10 @@ NON_FINITE_CASES = [
 #: The names of ``uecsm.__all__`` that take no array of their own, by reason.
 NON_FINITE_EXEMPT = {
     "pass-through helpers, documented to return what numpy gives": (
-        "adjoint transpose trace word_traces word_trace evaluate_word"
+        "adjoint word_traces word_trace evaluate_word"
     ),
     "read the SpectralData of eigensystem, which refuses the matrix": "det_criterion_3 wat sat lsat",
-    "take only sizes, signatures and seeds": "identity Signature random_su",
+    "take only signatures and seeds": "Signature random_su",
     "result records": (
         "Classification ClosedForms OracleResult Report SpectralData TraceSignature TripleProduct Verdict"
     ),
