@@ -34,7 +34,7 @@ _EXPORTS = {
             "errors",
             "ConsistencyError CostGuard DegenerateSpectrum DimensionMismatch ExhaustedRetries"
             " IsotropicVector NoConvergence OrthogonalEigenvectors ParseError RepeatedDiagonal"
-            " SignatureMismatch SingularMatrix UecsmError UnsupportedDimension",
+            " SingularMatrix UecsmError UnsupportedDimension",
         ),
         ("matcore", "CMatrix adjoint cmatrix evaluate_word normalize word_trace word_traces"),
         (

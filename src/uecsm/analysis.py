@@ -20,6 +20,7 @@ output this tool can produce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 from .angletests import angle_verdicts
 from .errors import ConsistencyError, DegenerateSpectrum, UecsmError, UnsupportedDimension
 from .matcore import CMatrix, _require_square, normalize_stack
-from .oracle import WITNESS_TOL, OracleResult, _symmetrizer
+from .oracle import OracleResult, _symmetrizer
 from .spectra import eigensystem_stack
 from .tracetests import DEFAULT_TOL, Verdict, trace_verdicts
 
@@ -125,14 +126,11 @@ def analyze_stack(
     labels: Sequence[str],
     tol: float = DEFAULT_TOL,
     run_oracle: bool = False,
-    oracle_tol: float = WITNESS_TOL,
-    trace_tol: Optional[float] = None,
-    angle_tol: Optional[float] = None,
 ) -> list[Report]:
     """Run every applicable criterion on each matrix of a ``(B, n, n)`` stack.
 
-    ``tol`` governs every criterion unless its family's override
-    (``trace_tol``, ``angle_tol``) is given.  The trace criterion is the
+    ``tol`` governs the trace and angle criteria; it must be finite and
+    positive, else ``ValueError``.  The trace criterion is the
     UECSM verdict of :func:`~uecsm.tracetests.trace_verdicts`; transpose
     equivalence is not reported, since for n <= 4 its non-trivial
     reversal gaps are the same traces.  Each
@@ -142,21 +140,24 @@ def analyze_stack(
     status and a note; one whose determinant identity cross-check
     fails (:class:`~uecsm.errors.ConsistencyError`) gets a report with
     ``error`` set.  With ``run_oracle`` the search runs matrix by
-    matrix after the criteria, with witness tolerance ``oracle_tol``.
+    matrix after the criteria, with the oracle's witness tolerance
+    :data:`~uecsm.oracle.WITNESS_TOL`.
     Nothing in the analysis is random: each report depends only on its
-    matrix and the tolerances.  Every entry must be finite: a NaN or
+    matrix and ``tol``.  Every entry must be finite: a NaN or
     infinite entry raises ``ValueError``, as in
     :func:`~uecsm.matcore.normalize_stack`.
     """
     n = _require_square(ts, stacked=True)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if len(labels) != len(ts):
         raise ValueError(f"{len(labels)} labels for {len(ts)} matrices")
     reps, mu, s = normalize_stack(ts)
     try:
-        traces = trace_verdicts(reps, tol if trace_tol is None else trace_tol)
+        traces = trace_verdicts(reps, tol)
     except UnsupportedDimension as exc:
         return [Report(label=label, dimension=n, tol=tol, error=str(exc)) for label in labels]
-    angles = angle_verdicts(eigensystem_stack(reps, mu, s), tol if angle_tol is None else angle_tol)
+    angles = angle_verdicts(eigensystem_stack(reps, mu, s), tol)
 
     reports = []
     for b, label in enumerate(labels):
@@ -173,7 +174,7 @@ def analyze_stack(
         else:
             report.verdicts.update(outcome)
         if run_oracle:
-            report.oracle = _symmetrizer(reps[b], s[b], oracle_tol)
+            report.oracle = _symmetrizer(reps[b], s[b])
         _decide(report)
     return reports
 

@@ -8,9 +8,8 @@ Subcommands, each of which takes only the options it reads:
 
 * ``uecsm test FILE`` runs every applicable criterion and exits 0 when
   the matrix is UECSM, 1 when it is not, 2 on errors or when the
-  criteria disagree.  It takes the analysis options ``--json`` and
-  ``--tol``, ``--oracle``, ``--tol-oracle``, ``--tol-trace``,
-  ``--tol-angle``, which it forwards to
+  criteria disagree.  It takes the analysis options ``--json``,
+  ``--tol`` and ``--oracle``, and forwards the last two to
   :func:`~uecsm.analysis.analyze_stack`;
 * ``uecsm classify-nilpotent --params a,b,c,d,e,f`` (with ``--tol``
   and ``--json``) runs the closed-form classification and cross-checks
@@ -77,8 +76,10 @@ A subcommand whose stdout is closed before it has written everything
 (``uecsm batch DIR --json | head``) exits 2 with one ``error:`` line on
 stderr and no traceback.
 
-``--tol`` defaults to 1e-8.  Every tolerance must be a finite positive
-number: a bad ``--tol*`` value is a usage error (exit 2).
+``--tol`` defaults to 1e-8 and governs every criterion; the oracle's
+witness tolerance is the constant :data:`~uecsm.oracle.WITNESS_TOL`.
+The tolerance must be a finite positive number: a bad ``--tol`` value
+is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ import orjson
 from .analysis import Report, _outcome, analyze, analyze_stack
 from .errors import ParseError, UecsmError
 from .matcore import CMatrix, cmatrix
-from .oracle import WITNESS_TOL
 from .spectra import eigensystem
 from .tracetests import DEFAULT_TOL, uecsm_verdict
 
@@ -632,7 +632,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """Parse a tolerance: a finite positive number (the argparse type of every --tol*)."""
+    """Parse a tolerance: a finite positive number (the argparse type of --tol)."""
     try:
         value = float(text)
     except ValueError:
@@ -655,35 +655,17 @@ def _non_negative_int(text: str) -> int:
 
 #: The analysis options of ``test`` and ``batch``, each declared once: its
 #: flag and the keyword arguments of ``add_argument``.  The other
-#: subcommands take the few of them they read.  An option that
-#: :func:`analyze_stack` reads has that keyword as its ``dest``.
+#: subcommands take the few of them they read.
 _OPTIONS: dict[str, dict] = {
     "--tol": dict(type=_tolerance, default=DEFAULT_TOL, help="tolerance for all criteria"),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--oracle": dict(dest="run_oracle", action="store_true", help="also run the unitary search"),
-    "--tol-oracle": dict(
-        dest="oracle_tol", type=_tolerance, default=WITNESS_TOL, help="oracle witness tolerance"
-    ),
-    "--tol-trace": dict(
-        dest="trace_tol", type=_tolerance, default=None, help="override for trace criteria"
-    ),
-    "--tol-angle": dict(
-        dest="angle_tol", type=_tolerance, default=None, help="override for angle criteria"
-    ),
 }
 
 
 def _analysis_keywords(args: argparse.Namespace) -> dict:
-    """The keyword arguments of :func:`analyze_stack` that ``args`` sets.
-
-    They are the ``dest`` of every analysis option but ``--json``.
-    """
-    dests = (
-        options.get("dest", flag[2:].replace("-", "_"))
-        for flag, options in _OPTIONS.items()
-        if flag != "--json"
-    )
-    return {dest: getattr(args, dest) for dest in dests}
+    """The keyword arguments of :func:`analyze_stack` that ``args`` sets."""
+    return {"tol": args.tol, "run_oracle": args.run_oracle}
 
 
 def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:

@@ -10,9 +10,10 @@ and is therefore not UECSM while still passing the weak test.  That
 rejection loop is the counterexample generator at the bottom.
 
 Every function that takes a matrix, a vector or a diagonal refuses a
-shape it cannot use with :class:`~uecsm.errors.DimensionMismatch` and a
-NaN or infinite entry with ``ValueError("matrix entries must be
-finite")``, before any arithmetic.
+matrix that is not an ``ndarray`` with ``TypeError``, a shape it cannot
+use with :class:`~uecsm.errors.DimensionMismatch` and a NaN or infinite
+entry with ``ValueError("matrix entries must be finite")``, before any
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .errors import (
     ExhaustedRetries,
     IsotropicVector,
     RepeatedDiagonal,
-    SignatureMismatch,
     SingularMatrix,
     UecsmError,
 )
-from .matcore import CMatrix, EPS, _require_finite, _require_square
+from .matcore import CMatrix, EPS, _require_array, _require_finite, _require_square
 from .tracetests import DEFAULT_TOL, Verdict
 
 log = logging.getLogger(__name__)
@@ -80,9 +80,10 @@ def indefinite_gram_schmidt(vectors: Sequence[np.ndarray], sig: Signature) -> CM
     root of |self-product|; a self-product smaller than 1e-10 in
     magnitude aborts with :class:`IsotropicVector` (retry with fresh
     input).  Columns are then reordered so the +1 self-products come
-    first; a sign pattern with the wrong counts raises
-    :class:`SignatureMismatch`.  Finally the last column is rotated by
-    a unimodular phase so det Q = 1.
+    first.  There are k of them: the n columns are orthonormal under the
+    form up to rounding, so Sylvester's law of inertia fixes the sign
+    counts.  Numerically dependent columns raise :class:`SingularMatrix`.
+    Finally the last column is rotated by a unimodular phase so det Q = 1.
     """
     if len(vectors) != sig.n:
         raise DimensionMismatch(f"need {sig.n} vectors, got {len(vectors)}")
@@ -106,11 +107,6 @@ def indefinite_gram_schmidt(vectors: Sequence[np.ndarray], sig: Signature) -> CM
 
     plus = [v for v, s in zip(basis, signs) if s > 0]
     minus = [v for v, s in zip(basis, signs) if s < 0]
-    if len(plus) != sig.k:
-        raise SignatureMismatch(
-            f"got {len(plus)} positive and {len(minus)} negative directions, "
-            f"wanted ({sig.k}, {sig.minus})"
-        )
     q = np.column_stack(plus + minus)
     det = complex(np.linalg.det(q))
     if abs(det) < 1e-12:
@@ -122,6 +118,7 @@ def indefinite_gram_schmidt(vectors: Sequence[np.ndarray], sig: Signature) -> CM
 
 def su_membership(q: CMatrix, sig: Signature, tol: float = DEFAULT_TOL) -> Verdict:
     """Check Q* A Q = A and det Q = 1."""
+    _require_array(q)
     if q.shape != (sig.n, sig.n):
         raise DimensionMismatch(f"expected shape ({sig.n}, {sig.n}), got {q.shape}")
     _require_finite(q)
@@ -139,6 +136,7 @@ def conjugated_diagonal(q: CMatrix, d: Sequence[complex]) -> CMatrix:
     overflows a float, which finite entries of ``d`` near the largest
     float can make happen.
     """
+    _require_array(q)
     entries = [complex(v) for v in d]
     n = len(entries)
     if n < 1 or q.shape != (n, n):
@@ -233,7 +231,7 @@ def random_su(sig: Signature, seed: int, max_attempts: int = 200) -> CMatrix:
     for attempt in range(max_attempts):
         try:
             return indefinite_gram_schmidt(_gaussian_integer_vectors(rng, sig.n), sig)
-        except (IsotropicVector, SignatureMismatch, SingularMatrix):
+        except (IsotropicVector, SingularMatrix):
             continue
     raise ExhaustedRetries(f"no SU({sig.k},{sig.minus}) matrix after {max_attempts} draws")
 

@@ -35,11 +35,6 @@ class IsotropicVector(UecsmError):
     """Indefinite Gram-Schmidt hit a vector with (near-)zero self-product."""
 
 
-class SignatureMismatch(UecsmError):
-    """Orthogonalization produced a sign pattern incompatible with the
-    requested signature."""
-
-
 class SingularMatrix(UecsmError):
     """A matrix required to be invertible is (numerically) singular."""
 

@@ -17,6 +17,9 @@ Plans are shared, so their index arrays are read-only (:func:`_indices`),
 and every gather from the table is an ``ndarray.take``: on tables this
 small, fancy indexing costs several times as much for the same copy.
 
+Every function that takes a matrix, except :func:`cmatrix`, which
+converts a nested list, refuses anything but an ``ndarray`` with
+``TypeError``.
 :func:`cmatrix` and :func:`normalize_stack` refuse NaN and inf entries
 with ``ValueError``.  :func:`adjoint`, :func:`word_traces` and
 :func:`evaluate_word` check shapes (and words) but not entries: NaN and
@@ -82,14 +85,23 @@ def _identity(n: int) -> CMatrix:
     return eye
 
 
+def _require_array(a) -> None:
+    """Raise ``TypeError`` unless ``a`` is an ``ndarray``, naming the type it is."""
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"expected a numpy.ndarray, got {type(a).__name__}")
+
+
 def _require_square(a: CMatrix, stacked: bool = False) -> int:
     """The size ``n`` of a square matrix, or of each matrix of a ``(B, n, n)`` stack.
 
-    Raises :class:`DimensionMismatch` on any other shape, ``n = 0``
-    included.  Every public function that takes a square matrix checks
-    its shape before anything else: with this, with :func:`_require_pair`
-    for two matrices of one shape, or against a size of its own.
+    Raises ``TypeError`` naming the type of anything but an
+    ``ndarray`` (a nested list included) and :class:`DimensionMismatch`
+    on any other shape, ``n = 0`` included.  Every public function that
+    takes a square matrix checks its type and shape before anything
+    else: with this, with :func:`_require_pair` for two matrices of one
+    shape, or against a size of its own after :func:`_require_array`.
     """
+    _require_array(a)
     ndim = 3 if stacked else 2
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         what = "a stack of square matrices" if stacked else "a square matrix"
@@ -98,8 +110,9 @@ def _require_square(a: CMatrix, stacked: bool = False) -> int:
 
 
 def _require_pair(a: CMatrix, b: CMatrix, stacked: bool = False) -> int:
-    """:func:`_require_square` of ``a``, which ``b`` must match in shape."""
+    """:func:`_require_square` of ``a``, which ``b`` must match in type and shape."""
     n = _require_square(a, stacked)
+    _require_array(b)
     if b.shape != a.shape:
         raise DimensionMismatch(f"matrices differ in shape: {a.shape} vs {b.shape}")
     return n
@@ -108,9 +121,9 @@ def _require_pair(a: CMatrix, b: CMatrix, stacked: bool = False) -> int:
 def adjoint(a: CMatrix) -> CMatrix:
     """Conjugate transpose of a matrix, or of each matrix of a ``(B, n, n)`` stack.
 
-    Only the shape is checked: a NaN or inf entry passes through.
+    Only the type and shape are checked: a NaN or inf entry passes through.
     """
-    _require_square(a, stacked=a.ndim == 3)
+    _require_square(a, stacked=np.ndim(a) == 3)
     return a.conj().swapaxes(-1, -2)
 
 
@@ -365,7 +378,7 @@ def word_traces(words: Sequence[str], x: CMatrix, y: CMatrix) -> np.ndarray:
     criteria of :mod:`uecsm.tracetests` compile their plans once, at
     import, and evaluate them without this function's cache lookup.
     """
-    _require_pair(x, y, x.ndim == 3)
+    _require_pair(x, y, np.ndim(x) == 3)
     _require_words(words)
     return _trace_plan(tuple(words)).traces(x, y)
 

@@ -9,13 +9,13 @@ spectrum for one of eight phases c, one ``eigh`` of it and phases
 solved along a maximum spanning tree give the candidate.  The eight
 phases are turned by a phase invariant of T, so the stage's outcome does
 not depend on the phase of the input.  The stage decides both ways: a
-candidate within the witness tolerance is a witness, and one that misses
-it by more than rounding and eigenbasis error allow is a refutation,
-status ``refuted``: then no conjugation exists, and no unitary reaches
-the tolerance.  Both are reported with ``restarts_used = 0`` and
-``iterations = 0``.  The stage declines when every Re(cT) has a repeated
-eigenvalue, or when the candidate's miss lies in the band between the
-two.
+candidate within the witness tolerance ``WITNESS_TOL`` is a witness,
+and one that misses it by more than rounding and eigenbasis error allow
+is a refutation, status ``refuted``: then no conjugation exists, and no
+unitary reaches the tolerance.  Both are reported with
+``restarts_used = 0`` and ``iterations = 0``.  The stage declines when
+every Re(cT) has a repeated eigenvalue, or when the candidate's miss
+lies in the band between the two.
 
 When it declines, a Levenberg-Marquardt search runs (Levenberg 1944,
 Marquardt 1963).  |U T U* - (U T U*)^t|_F^2 is a nonlinear least-squares
@@ -33,8 +33,7 @@ A small enough final residual yields a constructive witness that T is
 UECSM; a floor above the tolerance is only evidence in the other
 direction, never a proof, so the search's failure status is
 ``inconclusive``.  Only the closed-form stage says ``refuted``.  No
-part of the search is random: its result depends only on the matrix
-and the tolerance.
+part of the search is random: its result depends only on the matrix.
 """
 
 from __future__ import annotations
@@ -47,10 +46,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CostGuard, DimensionMismatch
+from .errors import CostGuard
 from .matcore import EPS, CMatrix, _identity, _require_finite, _require_pair, _require_square, adjoint, normalize
 from .tracetests import Verdict
 
+# The symmetry defect, on the unit-norm representative, within which a
+# unitary is a witness.
 WITNESS_TOL = 1e-6
 _MAX_DIM = 6
 # Cap on the Levenberg-Marquardt steps of one start.
@@ -65,7 +66,7 @@ _PHASE_MIN = 1e-3
 # Smallest eigenvalue gap of Re(cT), on the unit-norm representative,
 # for which the closed-form stage trusts the eigenbasis.
 _GAP_MIN = 1e-8
-# Margin of the closed-form refutation over (witness_tol + eps) / gap;
+# Margin of the closed-form refutation over (WITNESS_TOL + eps) / gap;
 # _closed_form derives it.
 _REFUTE_K = 128.0
 
@@ -227,20 +228,20 @@ def _second_start(n: int) -> CMatrix:
     return np.linalg.qr(np.exp(1j * np.sqrt(np.arange(1.0, n * n + 1))).reshape(n, n))[0]
 
 
-def _search(rep: CMatrix, starts: tuple, witness_tol: float) -> OracleResult:
-    """Levenberg-Marquardt from each of ``starts`` in turn, until one reaches ``witness_tol``.
+def _search(rep: CMatrix, starts: tuple) -> OracleResult:
+    """Levenberg-Marquardt from each of ``starts`` in turn, until one reaches ``WITNESS_TOL``.
 
     Returns the witness of the first start that reaches it, with
     ``restarts_used`` the starts run and ``iterations`` the steps of all
     of them, or ``inconclusive`` with the residual of the last start.
     """
-    target_cost = 0.25 * witness_tol**2  # stop once safely inside
+    target_cost = 0.25 * WITNESS_TOL**2  # stop once safely inside
     steps = 0
     for r, start in enumerate(starts, 1):
         u, cost, used = _levenberg_marquardt(rep, start, target_cost)
         steps += used
         residual = _residual(cost)  # rep has unit norm
-        if residual <= witness_tol:
+        if residual <= WITNESS_TOL:
             u = np.array(u)
             u.flags.writeable = False
             return OracleResult("witness", u, residual, steps, r)
@@ -292,7 +293,7 @@ def _turned_phases(rep: CMatrix) -> np.ndarray:
     return _PHASES
 
 
-def _closed_form(rep: CMatrix, witness_tol: float) -> tuple[Optional[OracleResult], Optional[CMatrix]]:
+def _closed_form(rep: CMatrix) -> tuple[Optional[OracleResult], Optional[CMatrix]]:
     """The Cartesian criterion of Tener (2008): a decision, or the candidate it declines.
 
     ``T`` is UECSM exactly when ``CTC = T*`` for some conjugation ``C``
@@ -304,14 +305,14 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> tuple[Optional[OracleResul
     ``B' = V* B V`` real; a spanning tree of ``B'`` fixes them up to
     sign.  ``T`` is turned by the phase ``c`` of :func:`_turned_phases`
     whose ``Re(cT)`` has the widest smallest eigenvalue gap ``g``.  The
-    candidate is a witness when its defect is within ``witness_tol``, and
-    ``refuted`` when the defect exceeds ``_REFUTE_K (witness_tol + eps) / g``.
+    candidate is a witness when its defect is within ``WITNESS_TOL``, and
+    ``refuted`` when the defect exceeds ``_REFUTE_K (WITNESS_TOL + eps) / g``.
 
     Returns ``(decision, None)`` when the stage decides, ``(None,
     candidate)`` when the defect lies in the band between the two, and
     ``(None, None)`` when ``g <= _GAP_MIN``, where there is no candidate.
 
-    The refutation threshold, with ``tau = witness_tol`` on the unit-norm
+    The refutation threshold, with ``tau = WITNESS_TOL`` on the unit-norm
     representative, in four steps:
 
     1. If some unitary reaches ``tau``, then ``U T U*`` lies within
@@ -340,7 +341,7 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> tuple[Optional[OracleResul
        of the products, which acts like ``delta``.
 
     So a refutation never occurs where a search could still reach
-    ``witness_tol``.  As a defect is at most 2, a refutation also needs
+    ``WITNESS_TOL``.  As a defect is at most 2, a refutation also needs
     ``g > 64 tau``, where ``delta / g`` is small, as step 2 assumes.
     """
     turned = _turned_phases(rep)[:, None, None] * rep
@@ -355,15 +356,15 @@ def _closed_form(rep: CMatrix, witness_tol: float) -> tuple[Optional[OracleResul
     b = -1j * (vh @ (turned[k] - herm[k]) @ v)  # B' = V* Im(cT) V
     u = np.exp(1j * _tree_phases(b))[:, None] * vh
     residual = _residual(_evaluate(rep, u)[2])  # rep has unit norm
-    if residual <= witness_tol:
+    if residual <= WITNESS_TOL:
         u.flags.writeable = False
         return OracleResult("witness", u, residual, 0, 0), None
-    if residual > _REFUTE_K * (witness_tol + EPS) / gaps[k]:
+    if residual > _REFUTE_K * (WITNESS_TOL + EPS) / gaps[k]:
         return OracleResult("refuted", None, residual, 0, 0), None
     return None, u
 
 
-def find_symmetrizer(t: CMatrix, witness_tol: float = WITNESS_TOL) -> OracleResult:
+def find_symmetrizer(t: CMatrix) -> OracleResult:
     """Search for a unitary U making U T U* complex symmetric.
 
     The search runs on the centered, normalized representative of
@@ -376,33 +377,33 @@ def find_symmetrizer(t: CMatrix, witness_tol: float = WITNESS_TOL) -> OracleResu
     :func:`_closed_form`): one stacked ``eigvalsh`` and one ``eigh``.  It
     returns a witness, or ``refuted`` (with ``u = None`` and the
     candidate's defect as ``residual``) when no unitary can reach
-    ``witness_tol``; either has ``iterations = 0`` and
+    :data:`WITNESS_TOL`; either has ``iterations = 0`` and
     ``restarts_used = 0``.  It declines when no turned Hermitian part
     ``Re(cT)`` has a simple spectrum (a normal matrix such as
     ``Q diag(1, 1, 2) Q*``) or when its candidate's defect lies between
-    ``witness_tol`` and the refutation threshold, as on matrices within
-    about ``_REFUTE_K witness_tol / g`` of the UECSM set.
+    ``WITNESS_TOL`` and the refutation threshold, as on matrices within
+    about ``_REFUTE_K WITNESS_TOL / g`` of the UECSM set.
 
     Then Levenberg-Marquardt runs (see :func:`_levenberg_marquardt`):
     from the candidate when there is one; otherwise from the identity
-    and, if that start misses ``witness_tol``, from the fixed unitary of
+    and, if that start misses ``WITNESS_TOL``, from the fixed unitary of
     :func:`_second_start`.  It returns the witness of the first start
-    that reaches ``witness_tol``, with ``restarts_used`` the starts run
+    that reaches ``WITNESS_TOL``, with ``restarts_used`` the starts run
     (1, or 2 after the identity failed) and ``iterations`` the LM steps
     of all of them; otherwise ``inconclusive`` with the residual of the
     last start.
     An ``inconclusive`` result carries no information that T is not
     UECSM; only ``refuted`` does.  Nothing is random: the result depends
-    only on ``t`` and ``witness_tol``.
+    only on ``t``.
     """
     n = _require_square(t)
     if n > _MAX_DIM:
         raise CostGuard(f"search limited to n <= {_MAX_DIM}, got n = {n}")
     rep, _, s = normalize(t)
-    return _symmetrizer(rep, s, witness_tol)
+    return _symmetrizer(rep, s)
 
 
-def _symmetrizer(rep: CMatrix, s: float, witness_tol: float) -> OracleResult:
+def _symmetrizer(rep: CMatrix, s: float) -> OracleResult:
     """:func:`find_symmetrizer` of a matrix with representative ``rep`` and scale ``s``.
 
     A scalar matrix is a witness at once; otherwise the closed form
@@ -414,19 +415,16 @@ def _symmetrizer(rep: CMatrix, s: float, witness_tol: float) -> OracleResult:
     n = rep.shape[0]
     if s == 0.0:
         return OracleResult("witness", _identity(n), 0.0, 0, 0)
-    decision, candidate = _closed_form(rep, witness_tol)
+    decision, candidate = _closed_form(rep)
     if decision is not None:
         return decision
     starts = (_identity(n), _second_start(n)) if candidate is None else (candidate,)
-    return _search(rep, starts, witness_tol)
+    return _search(rep, starts)
 
 
 def verify_witness(t: CMatrix, u: CMatrix, tol: float = WITNESS_TOL) -> Verdict:
     """Check that ``u`` is unitary and that U T U* is symmetric to ``tol``."""
-    if t.shape != u.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionMismatch(f"shape mismatch: t {t.shape}, u {u.shape}")
-    n = t.shape[0]
-    symmetry = symmetry_residual(t, u)  # first: it refuses non-finite entries
-    unitarity = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+    symmetry = symmetry_residual(t, u)  # first: it refuses bad shapes and non-finite entries
+    unitarity = float(np.linalg.norm(u.conj().T @ u - np.eye(t.shape[0])))
     row = (unitarity, symmetry)
     return Verdict("witness", ("unitarity", "symmetry"), row, tol)

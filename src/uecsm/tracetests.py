@@ -71,6 +71,7 @@ from .errors import DimensionMismatch, UnsupportedDimension
 from .matcore import (
     CMatrix,
     _compile_plan,
+    _require_array,
     _require_finite,
     _require_square,
     _TracePlan,
@@ -230,7 +231,8 @@ class Verdict(tuple):
 
 
 def _require_dim(t: CMatrix, n: int, who: str) -> None:
-    """Raise unless ``t`` is an ``n x n`` matrix of finite entries."""
+    """Raise unless ``t`` is an ``n x n`` array of finite entries."""
+    _require_array(t)
     if t.shape != (n, n):
         raise DimensionMismatch(f"{who} requires a {n}x{n} matrix, got shape {t.shape}")
     _require_finite(t)

@@ -11,12 +11,14 @@ each needs.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import uecsm.analysis
 from uecsm import DegenerateSpectrum, OracleResult, Verdict, analyze_stack
@@ -76,6 +78,14 @@ def test_det3_disagrees_only_where_a_conflict_is_reported():
     ]
     assert disagree
     assert all(r.conflicts for r in disagree)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.0, -1.0, math.nan, math.inf], ids=repr)
+def test_tolerance_must_be_finite_and_positive(tol):
+    # the rule of --tol: a report's tol is a finite positive number, and no
+    # tolerance passes or fails every matrix
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        analyze_stack(np.eye(3, dtype=complex)[None], ["eye"], tol=tol)
 
 
 def test_analysis_loads_none_of_the_cli():

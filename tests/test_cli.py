@@ -41,7 +41,7 @@ from uecsm.gallery import GALLERY, WAT_COUNTEREXAMPLE
 from uecsm.matcore import cmatrix, normalize
 from uecsm.tracetests import Verdict
 
-from _util import one_matrix_inputs, random_complex_matrix, random_unitary, rng
+from _util import near_parallel_inputs, one_matrix_inputs, random_complex_matrix, random_unitary, rng
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,6 +54,17 @@ SCHEMA = json.loads(
 def fixture_dir(tmp_path):
     write_gallery_fixtures(tmp_path)
     return tmp_path
+
+
+def _write_conflict(directory: Path) -> Path:
+    """Write ``conflict.json``, draw 0 of the near-parallel corpus, into ``directory``.
+
+    At the default tolerance its trace verdict passes while SAT and WAT
+    fail: the conflicts ``uecsm<->sat`` and ``uecsm<->wat``.
+    """
+    path = directory / "conflict.json"
+    write_matrix_document(MatrixDocument(cmatrix(near_parallel_inputs(1)[0][1]), "conflict"), path)
+    return path
 
 
 def _document_with(cell: str, at: tuple[int, int] = (1, 0)) -> str:
@@ -194,6 +205,16 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == EXIT_NOT_UECSM
         assert "sat" in out
+
+    def test_cmd_test_conflict(self, tmp_path, capsys):
+        # the trace verdict passes where sat and wat fail: a conflict, exit 2
+        code = main(["test", str(_write_conflict(tmp_path)), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdicts"]["uecsm"]["passed"] is True
+        assert payload["verdicts"]["sat"]["passed"] is False
+        assert payload["conflicts"] == [["uecsm", "sat"], ["uecsm", "wat"]]
+        assert payload["uecsm"] is None
+        assert code == EXIT_INCONCLUSIVE
 
     def test_cmd_test_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -584,9 +605,9 @@ class TestBatch:
         assert reports["no_label.json"]["error"] is None
 
     def test_conflict_code_outranks_errors(self, fixture_dir, capsys):
-        # --tol-angle 10 makes sat pass on the counterexample: a conflict
+        _write_conflict(fixture_dir)
         (fixture_dir / "zz_broken.json").write_text("{nope")
-        code = main(["batch", str(fixture_dir), "--json", "--tol-angle", "10.0"])
+        code = main(["batch", str(fixture_dir), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] == 1
         assert payload["summary"]["conflicts"] >= 1
@@ -769,11 +790,12 @@ class TestRepeatedCalls:
     """Calls of ``main`` in one process, which reuse one parser, behave like fresh ones."""
 
     def test_options_do_not_carry_over(self, fixture_dir, capsys):
-        # --tol-angle 10 makes sat pass on the counterexample: a conflict
-        assert main(["batch", str(fixture_dir), "--json", "--tol-angle", "10.0"]) == EXIT_NOT_UECSM
-        assert json.loads(capsys.readouterr().out)["summary"]["conflicts"] >= 1
-        assert main(["batch", str(fixture_dir), "--json"]) == EXIT_UECSM
+        # --tol 10 passes every verdict, so the conflict of the default tol goes
+        _write_conflict(fixture_dir)
+        assert main(["batch", str(fixture_dir), "--json", "--tol", "10"]) == EXIT_UECSM
         assert json.loads(capsys.readouterr().out)["summary"]["conflicts"] == 0
+        assert main(["batch", str(fixture_dir), "--json"]) == EXIT_NOT_UECSM
+        assert json.loads(capsys.readouterr().out)["summary"]["conflicts"] == 1
 
     def test_usage_error_leaves_the_next_call_working(self, fixture_dir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -793,7 +815,7 @@ class TestRepeatedCalls:
         assert main(["batch", str(fixture_dir)]) == EXIT_UECSM
 
 
-ANALYSIS_OPTIONS = {"--tol", "--json", "--oracle", "--tol-oracle", "--tol-trace", "--tol-angle"}
+ANALYSIS_OPTIONS = {"--tol", "--json", "--oracle"}
 
 
 class TestOptionSurface:
@@ -835,6 +857,10 @@ class TestOptionSurface:
             # the oracle's starts are fixed: no seed (test_bad_restarts_is_a_usage_error
             # refuses the old restart budget)
             ["batch", "fixtures", "--seed", "1"],
+            # one tolerance governs every criterion, and the oracle's is a constant
+            ["test", "x.json", "--tol-trace", "1e-6"],
+            ["batch", "fixtures", "--tol-angle", "1e-6"],
+            ["test", "x.json", "--oracle", "--tol-oracle", "1e-6"],
         ],
     )
     def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
@@ -869,11 +895,14 @@ class TestTolerancePlumbing:
     )
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     def test_bad_tolerance_is_a_usage_error(self, fixture_dir, capsys, flag, value):
+        # --tol refuses the value; no other --tol* flag exists, so argparse
+        # refuses those whatever their value
         path = str(fixture_dir / "wat_counterexample.json")
         with pytest.raises(SystemExit) as exc:
             main(["test", path, "--json", f"{flag}={value}"])
         assert exc.value.code == EXIT_INCONCLUSIVE
-        assert flag in capsys.readouterr().err
+        message = "argument --tol:" if flag == "--tol" else f"unrecognized arguments: {flag}"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-3", "1.5", "many", "3"])
     def test_bad_restarts_is_a_usage_error(self, fixture_dir, capsys, value):
@@ -925,38 +954,14 @@ class TestTolerancePlumbing:
         assert line.startswith("oracle   : witness (residual ") and line.endswith(", restarts 1)")
 
     def test_refutation_against_a_passing_trace_is_a_conflict(self, fixture_dir, capsys):
-        # --tol-trace 10 makes the trace verdict pass on the counterexample,
-        # which the closed form refutes
+        # --tol 10 makes every verdict pass on the counterexample, which the
+        # closed form refutes at the oracle's own WITNESS_TOL
         path = str(fixture_dir / "wat_counterexample.json")
-        assert main(["test", path, "--oracle", "--tol-trace", "10"]) == EXIT_INCONCLUSIVE
+        assert main(["test", path, "--oracle", "--tol", "10"]) == EXIT_INCONCLUSIVE
         out = capsys.readouterr().out
         assert "oracle   : refuted (closed form" in out
         line = next(l for l in out.splitlines() if l.startswith("CONFLICT"))
         assert "uecsm<->oracle" in line
-
-    def test_small_override_is_kept(self):
-        # an override is used as given, never replaced by the common tol
-        report = analyze(WAT_COUNTEREXAMPLE, "x", tol=1e-8, trace_tol=1e-300)
-        assert report.verdicts["uecsm"].tol == 1e-300
-        assert analyze(WAT_COUNTEREXAMPLE, "x", trace_tol=0.0).verdicts["uecsm"].tol == 0.0
-
-    def test_per_criterion_override(self, fixture_dir, capsys):
-        # a huge angle tolerance flips the sat verdict without touching the
-        # trace criteria; the report then shows a conflict
-        code = main(
-            [
-                "test",
-                str(fixture_dir / "wat_counterexample.json"),
-                "--json",
-                "--tol-angle",
-                "10.0",
-            ]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["verdicts"]["sat"]["passed"] is True
-        assert payload["verdicts"]["uecsm"]["passed"] is False
-        assert ["uecsm", "sat"] in payload["conflicts"]
-        assert code == EXIT_INCONCLUSIVE
 
 
 def test_solver_failure_is_not_called_degenerate(monkeypatch, fixture_dir, capsys):

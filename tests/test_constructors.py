@@ -10,7 +10,6 @@ from uecsm import (
     IsotropicVector,
     RepeatedDiagonal,
     Signature,
-    SignatureMismatch,
     SingularMatrix,
     UecsmError,
     angle_suite,
@@ -89,7 +88,7 @@ class TestGramSchmidt:
             ]
             try:
                 q = indefinite_gram_schmidt(vectors, SIG22)
-            except (IsotropicVector, SignatureMismatch):
+            except IsotropicVector:
                 continue
             produced += 1
             assert su_membership(q, SIG22, tol=1e-10).passed
@@ -103,7 +102,7 @@ class TestGramSchmidt:
 
     def test_statistical_run_sig31(self):
         # 100 Gaussian-integer trials: every success is a member, failures
-        # surface as isotropic-vector (or sign-pattern) rejections
+        # surface as isotropic-vector rejections
         gen = rng(85)
         successes = rejections = 0
         while successes < 100:
@@ -113,7 +112,7 @@ class TestGramSchmidt:
             ]
             try:
                 q = indefinite_gram_schmidt(vectors, SIG31)
-            except (IsotropicVector, SignatureMismatch):
+            except IsotropicVector:
                 rejections += 1
                 continue
             successes += 1

@@ -204,7 +204,7 @@ def _lm_search(t, start=None):
     rep = normalize(t)[0]
     if start is None:
         start = np.eye(t.shape[0], dtype=complex)
-    return oracle._search(rep, (start,), oracle.WITNESS_TOL)
+    return oracle._search(rep, (start,))
 
 
 def _c11_fixture(seed):
@@ -213,7 +213,7 @@ def _c11_fixture(seed):
 
 def _closed_form(t):
     """The decision of the closed-form stage, None where it declines."""
-    return oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL)[0]
+    return oracle._closed_form(normalize(t)[0])[0]
 
 
 def _widest_gap(t):
@@ -317,7 +317,7 @@ class TestClosedForm:
         # and the LM search, which then runs from it as it would alone,
         # finds a witness
         t = _near_uecsm(seed, n, -6.0)
-        decision, candidate = oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL)
+        decision, candidate = oracle._closed_form(normalize(t)[0])
         assert decision is None and candidate is not None and _widest_gap(t) > oracle._GAP_MIN
         result = find_symmetrizer(t)
         reference = _lm_search(t, start=candidate)
@@ -330,7 +330,7 @@ class TestClosedForm:
         # from the identity, and on these complex inputs that one start
         # finds the witness
         for name, t in _repeated_hermitian_inputs():
-            assert oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL) == (None, None), name
+            assert oracle._closed_form(normalize(t)[0]) == (None, None), name
             result = find_symmetrizer(t)
             assert result.found and result.restarts_used == 1, name
             assert verify_witness(t, result.u).passed, name
@@ -359,7 +359,7 @@ class TestClosedForm:
         assert np.array_equal(second, oracle._second_start(4))
         for name, t in inputs.items():
             t = t.astype(complex)
-            assert oracle._closed_form(normalize(t)[0], oracle.WITNESS_TOL) == (None, None), name
+            assert oracle._closed_form(normalize(t)[0]) == (None, None), name
             stuck = _lm_search(t)
             assert stuck.status == "inconclusive" and stuck.iterations <= 1, name
             result = find_symmetrizer(t)

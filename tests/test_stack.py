@@ -7,7 +7,8 @@ gets alone from ``analyze``, so no row of a stack leaks into another,
 that ``angle_suite`` gives the angle verdicts, refusal or error of that
 report, that ``uecsm batch`` groups documents by dimension without
 changing what it reports, and that every public entry point rejects a
-shape that is not a square matrix and an entry that is not finite.
+matrix that is not an ``ndarray``, a shape that is not a square matrix
+and an entry that is not finite.
 """
 
 import json
@@ -36,6 +37,7 @@ from uecsm import (
     djokovic_signature,
     durand_kerner,
     eigensystem,
+    evaluate_word,
     find_symmetrizer,
     generate_wat_not_sat,
     indefinite_gram_schmidt,
@@ -54,6 +56,8 @@ from uecsm import (
     uecsm_verdict,
     unitary_equivalence_4,
     verify_witness,
+    word_trace,
+    word_traces,
 )
 from uecsm.cli import (
     EXIT_INCONCLUSIVE,
@@ -116,7 +120,7 @@ def test_stack_matches_one_matrix_path(seed, n, kinds):
 
 def test_stack_passes_the_tolerances_through():
     ts = _stack(rng(3), 4, ["uecsm", "gauss", "nilpotent"])
-    kwargs = dict(tol=1e-6, trace_tol=1e-9, angle_tol=10.0)
+    kwargs = dict(tol=1e-6)
     labels = ["a", "b", "c"] + [f"g{i}" for i in range(len(ts) - 3)]
     for t, label, report in zip(ts, labels, analyze_stack(ts, labels, **kwargs)):
         _same_report(analyze(t, label, **kwargs), report)
@@ -359,6 +363,47 @@ def test_entry_points_reject_shapes_they_cannot_use(call):
         call()
 
 
+#: A nested list where a name of ``uecsm.__all__`` takes a matrix: the
+#: 3 x 3 identity, 4 x 4 where the name needs that size, beside ndarray
+#: identities.  Each id starts with the name it calls.
+LIST3, LIST4 = np.eye(3).tolist(), np.eye(4).tolist()
+EYE3, EYE4 = np.eye(3, dtype=complex), np.eye(4, dtype=complex)
+NESTED_LIST_CASES = [
+    *(pytest.param(lambda f=f: f(LIST3), id=f.__name__) for f in ENTRY_POINTS),
+    pytest.param(lambda: analyze(LIST3, "t"), id="analyze"),
+    pytest.param(lambda: analyze_stack([LIST3], ["t"]), id="analyze_stack"),
+    pytest.param(lambda: phi3(LIST3), id="phi3"),
+    pytest.param(lambda: trace_test_3(LIST3), id="trace_test_3"),
+    pytest.param(lambda: djokovic_signature(LIST4), id="djokovic_signature"),
+    pytest.param(lambda: psi7(LIST4), id="psi7"),
+    pytest.param(lambda: unitary_equivalence_4(LIST4, EYE4), id="unitary_equivalence_4-a"),
+    pytest.param(lambda: unitary_equivalence_4(EYE4, LIST4), id="unitary_equivalence_4-b"),
+    pytest.param(lambda: symmetry_cost(LIST3, EYE3), id="symmetry_cost-t"),
+    pytest.param(lambda: symmetry_cost(EYE3, LIST3), id="symmetry_cost-u"),
+    pytest.param(lambda: symmetry_residual(LIST3, EYE3), id="symmetry_residual-t"),
+    pytest.param(lambda: symmetry_residual(EYE3, LIST3), id="symmetry_residual-u"),
+    pytest.param(lambda: verify_witness(LIST3, EYE3), id="verify_witness-t"),
+    pytest.param(lambda: verify_witness(EYE3, LIST3), id="verify_witness-u"),
+    pytest.param(lambda: cayley_retract(LIST3, EYE3), id="cayley_retract-k"),
+    pytest.param(lambda: cayley_retract(EYE3, LIST3), id="cayley_retract-u"),
+    pytest.param(lambda: conjugated_diagonal(LIST3, [1, 2, 3]), id="conjugated_diagonal"),
+    pytest.param(lambda: su_membership(LIST3, Signature(1, 3)), id="su_membership"),
+    pytest.param(lambda: sat_obstruction(LIST3), id="sat_obstruction"),
+    pytest.param(lambda: adjoint(LIST3), id="adjoint"),
+    pytest.param(lambda: word_traces(["xy"], LIST3, EYE3), id="word_traces-x"),
+    pytest.param(lambda: word_traces(["xy"], EYE3, LIST3), id="word_traces-y"),
+    pytest.param(lambda: word_trace("xy", LIST3, EYE3), id="word_trace"),
+    pytest.param(lambda: evaluate_word("xy", EYE3, LIST3), id="evaluate_word"),
+]
+
+
+@pytest.mark.parametrize("call", NESTED_LIST_CASES)
+def test_entry_points_refuse_a_nested_list(call):
+    # refused by type, before any shape is read from it
+    with pytest.raises(TypeError, match="expected a numpy.ndarray, got list"):
+        call()
+
+
 #: One case per way a name of ``uecsm.__all__`` takes an array or
 #: parameters, called with ``t``, a 3 x 3 zero matrix but for one
 #: non-finite entry at (1, 2); each id starts with the name it calls.
@@ -416,7 +461,7 @@ NON_FINITE_EXEMPT = {
     "constants and the matrix type": "CMatrix DJOKOVIC_WORDS PHI3_WORDS PSI_DEGREES",
     "exceptions": (
         "ConsistencyError CostGuard DegenerateSpectrum DimensionMismatch ExhaustedRetries IsotropicVector"
-        " NoConvergence OrthogonalEigenvectors ParseError RepeatedDiagonal SignatureMismatch SingularMatrix"
+        " NoConvergence OrthogonalEigenvectors ParseError RepeatedDiagonal SingularMatrix"
         " UecsmError UnsupportedDimension"
     ),
 }
