@@ -5,8 +5,8 @@ transpose) for some unitary U.  This package decides the property for
 n <= 4 through exact trace-word criteria, diagnoses it through
 eigenvector angle tests, classifies the 4x4 nilpotent family in closed
 form, constructs indefinite-unitary examples separating the tests, and
-cross-validates everything with a brute-force search over the unitary
-group.
+cross-validates everything with a witness oracle that constructs the
+symmetrizing unitary or certifies that none exists.
 
 Importing the package loads none of its submodules.  Each public name
 is listed once in an export table with the submodule that defines it,

@@ -20,7 +20,6 @@ output this tool can produce.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .angletests import angle_verdicts
 from .errors import ConsistencyError, DegenerateSpectrum, UecsmError, UnsupportedDimension
-from .matcore import CMatrix, _require_square, normalize_stack
+from .matcore import CMatrix, _require_square, _require_tol, normalize_stack
 from .oracle import OracleResult, _symmetrizer
 from .spectra import eigensystem_stack
 from .tracetests import DEFAULT_TOL, Verdict, trace_verdicts
@@ -148,8 +147,7 @@ def analyze_stack(
     :func:`~uecsm.matcore.normalize_stack`.
     """
     n = _require_square(ts, stacked=True)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _require_tol(tol)
     if len(labels) != len(ts):
         raise ValueError(f"{len(labels)} labels for {len(ts)} matrices")
     reps, mu, s = normalize_stack(ts)

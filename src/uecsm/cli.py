@@ -378,11 +378,8 @@ def _print_report(report: Report, as_json: bool) -> None:
     print(f"spectrum : {report.spectral_status}")
     if report.oracle is not None:
         oracle = report.oracle
-        if oracle.restarts_used == 0:  # decided in closed form, before any LM start
-            detail = f"closed form, residual {oracle.residual:.3e}"
-        else:
-            detail = f"residual {oracle.residual:.3e}, restarts {oracle.restarts_used}"
-        print(f"oracle   : {oracle.status} ({detail})")
+        stage = "intertwiner" if oracle.restarts_used else "closed form"
+        print(f"oracle   : {oracle.status} ({stage}, residual {oracle.residual:.3e})")
     for note in report.notes:
         _echo(f"note     : {note}")
     if report.conflicts:

@@ -35,7 +35,7 @@ from .errors import (
     SingularMatrix,
     UecsmError,
 )
-from .matcore import CMatrix, EPS, _require_array, _require_finite, _require_square
+from .matcore import CMatrix, EPS, _require_array, _require_finite, _require_square, _require_tol
 from .tracetests import DEFAULT_TOL, Verdict
 
 log = logging.getLogger(__name__)
@@ -179,6 +179,7 @@ def sat_obstruction(q: CMatrix, tol: float = DEFAULT_TOL) -> tuple[TripleProduct
     """
     n = _require_square(q)
     _require_finite(q)
+    _require_tol(tol)
     cols = [q[:, i] for i in range(n)]
     norms = [float(np.linalg.norm(c)) for c in cols]
     if any(v == 0.0 for v in norms):

@@ -48,7 +48,7 @@ class ExhaustedRetries(UecsmError):
 
 
 class CostGuard(UecsmError):
-    """Input too large for the brute-force search path."""
+    """Input too large for the witness oracle."""
 
 
 class ParseError(UecsmError):

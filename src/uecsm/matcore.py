@@ -33,6 +33,7 @@ take a ``(B, n, n)`` stack of matrices of one size; the one-matrix
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,6 +68,16 @@ def _require_finite(*arrays) -> None:
     for a in arrays:
         if not np.isfinite(a).all():  # a complex entry is finite when both parts are
             raise ValueError("matrix entries must be finite")
+
+
+def _require_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is finite and positive.
+
+    A zero ``tol`` passes only residuals that vanish exactly, a negative
+    or NaN one passes none, and an infinite one passes every finite one.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _indices(values) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .matcore import CMatrix, EPS, normalize
+from .matcore import CMatrix, EPS, _require_tol, normalize
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,7 @@ def classify(p: NilpotentParams, tol: float = 1e-8) -> Classification:
     Condition 6 includes the phase constraint ae = bf (see the module
     docstring).
     """
+    _require_tol(tol)
     a, b, c, d, e, f = _normalized_entries(p)
     aa, bb, cc, dd, ee, ff = (abs(v) ** 2 for v in (a, b, c, d, e, f))
 

@@ -1,4 +1,4 @@
-"""Witness search: symmetrize a matrix over the unitary group.
+"""Witness oracle: a unitary that makes a matrix complex symmetric, or a proof that none does.
 
 A closed-form stage runs first.  It is the Cartesian criterion of
 Tener, "Unitary equivalence to a complex symmetric matrix: an algorithm"
@@ -17,23 +17,19 @@ unitary reaches the tolerance.  Both are reported with
 every Re(cT) has a repeated eigenvalue, or when the candidate's miss
 lies in the band between the two.
 
-When it declines, a Levenberg-Marquardt search runs (Levenberg 1944,
-Marquardt 1963).  |U T U* - (U T U*)^t|_F^2 is a nonlinear least-squares
-cost with n(n-1) real residuals in n^2 real coordinates of u(n), and each
-step moves U by the exponential of a skew-Hermitian K (the retraction
-form of Absil-Mahony-Sepulchre 2008).  Its starts are fixed: the
-closed-form candidate in the band; below the gap threshold the identity
-and, only when that start fails, one fixed unitary with no real
-structure (:func:`_second_start`), since the identity is a critical
-point of the cost for every real matrix times a phase.  No step calls
-:func:`cayley_retract`, the Cayley retraction ``(I - K/2)^{-1} (I + K/2) U``,
-which is one ``solve``.
-
-A small enough final residual yields a constructive witness that T is
-UECSM; a floor above the tolerance is only evidence in the other
-direction, never a proof, so the search's failure status is
-``inconclusive``.  Only the closed-form stage says ``refuted``.  No
-part of the search is random: its result depends only on the matrix.
+When it declines, the second stage solves the same characterization
+as a linear problem.  T is UECSM exactly when some symmetric unitary U
+gives T U = U T^t and T* U = U conj(T), so the symmetric matrices X with
+T X = X T^t and T* X = X conj(T) form the kernel of a linear map L_T.  One
+``svd`` of L_T gives that kernel and its smallest singular value; the
+polar factor of a generic kernel element, Takagi-factored as U = W W^t,
+gives the candidate W*.  The smallest singular value bounds the distance
+from T to the UECSM set from below, so where it clears a gate derived
+from ``WITNESS_TOL`` the stage says ``refuted``.  Where the kernel is
+nonzero but its candidate misses the tolerance, as when every kernel
+element is singular, the status is ``inconclusive``: evidence, never a
+proof.  Nothing in either stage is random: the result depends only on
+the matrix.
 """
 
 from __future__ import annotations
@@ -47,15 +43,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuard
-from .matcore import EPS, CMatrix, _identity, _require_finite, _require_pair, _require_square, adjoint, normalize
+from .matcore import EPS, CMatrix, _identity, _require_finite, _require_pair, _require_square, normalize
 from .tracetests import Verdict
 
 # The symmetry defect, on the unit-norm representative, within which a
 # unitary is a witness.
 WITNESS_TOL = 1e-6
+# The closed form's _REFUTE_K is derived for n <= 6 only: at n = 7 the
+# bound 3 sqrt(2) pi sqrt(n N) of its step 4 is 137.
 _MAX_DIM = 6
-# Cap on the Levenberg-Marquardt steps of one start.
-_LM_STEPS = 200
 # Phases c = e^{i pi k / 8} of the closed-form stage: one of them gives
 # Re(cT) a simple spectrum unless every Hermitian part of T has a
 # repeated eigenvalue.  Re(-cT) = -Re(cT), so half a turn covers them all.
@@ -73,13 +69,13 @@ _REFUTE_K = 128.0
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of the search; ``u`` is populated only for a witness."""
+    """Outcome of the oracle; ``u`` is populated only for a witness."""
 
-    status: str  # "witness" | "refuted" (closed form) | "inconclusive"
+    status: str  # "witness" | "refuted" | "inconclusive"
     u: Optional[CMatrix]
     residual: float
     iterations: int
-    restarts_used: int  # Levenberg-Marquardt starts run: 0, 1 or 2
+    restarts_used: int  # 1 when the second stage ran, else 0
 
     @property
     def found(self) -> bool:
@@ -124,7 +120,7 @@ def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
 
     ``k`` and ``u`` must be square matrices of one shape, else
     :class:`DimensionMismatch`; a NaN or infinite entry raises
-    ``ValueError``.  The search does not call it: it stays only because the
+    ``ValueError``.  The oracle does not call it: it stays only because the
     benchmark's tracer counts its calls, until ROADMAP item 1 removes both.
     """
     eye = _identity(_require_pair(k, u))
@@ -133,119 +129,93 @@ def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
 
 
 @lru_cache(maxsize=None)
-def _skew_basis(n: int) -> np.ndarray:
-    """A basis E_a of u(n), the skew-Hermitian n x n matrices, as an (n^2, n, n) stack.
+def _symmetric_basis(n: int) -> np.ndarray:
+    """An orthonormal basis of the complex symmetric n x n matrices, as an (n(n+1)/2, n, n) stack.
 
-    The ``i e_jj``, then the ``e_jk - e_kj`` and the ``i (e_jk + e_kj)``
-    for ``j < k``, in the order of ``np.triu_indices``.
+    The ``e_ii``, then the ``(e_jk + e_kj) / sqrt(2)`` for ``j < k``, in
+    the order of ``np.triu_indices``.
     """
     j, k = np.triu_indices(n, 1)
     a = n + np.arange(j.size)
-    b = a + j.size
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    basis[np.arange(n), np.arange(n), np.arange(n)] = 1j
-    basis[a, j, k], basis[a, k, j] = 1.0, -1.0
-    basis[b, j, k] = basis[b, k, j] = 1j
+    basis = np.zeros((n + j.size, n, n))
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[a, j, k] = basis[a, k, j] = math.sqrt(0.5)
     basis.flags.writeable = False
     return basis
 
 
-def _upper(m: np.ndarray) -> np.ndarray:
-    """sqrt(2) times the real and imaginary parts of the strict upper triangle of ``m``.
+def _intertwiner(rep: CMatrix) -> OracleResult:
+    """The second stage: the symmetric intertwiners of ``rep``, from one SVD.
 
-    ``m`` is one n x n matrix or a stack of them.  For an antisymmetric
-    ``m`` the vector has the Frobenius norm of ``m``.
+    ``T`` is UECSM exactly when some symmetric unitary ``U`` gives
+    ``T U = U T^t`` (Garcia-Putinar 2006), and then also ``T* U = U conj(T)``.
+    Both equations are linear in ``U``: the map
+    ``L_T: X -> (T X - X T^t, T* X - X conj(T))``, on the symmetric ``X``
+    of :func:`_symmetric_basis`, is a ``2 n^2 x n(n+1)/2`` matrix, and one
+    ``svd`` gives its singular values ``sigma`` and right singular vectors.
+
+    The candidate.  ``X`` is the combination, with coefficients
+    ``exp(i sqrt(m))`` (m = 1..k), of the k right singular vectors whose
+    ``sigma`` is at most the gate ``g = WITNESS_TOL sqrt(2 / n)``, or the
+    last one alone when none is.  Where ``X`` is invertible its polar
+    factor ``U = W_svd V_svd*`` is a symmetric unitary intertwiner.  Its
+    real and imaginary parts are commuting real symmetric matrices, so the
+    orthogonal ``O`` of one ``eigh`` of ``Re U + sqrt(2) Im U`` gives
+    ``U = O diag(e^{i theta}) O^t``.  With ``W = O diag(e^{i theta / 2})``,
+    ``U = W W^t`` and ``W* T W`` is complex symmetric; the candidate is ``W*``.
+
+    The outcome: ``witness`` when the candidate's defect is within
+    ``WITNESS_TOL``; ``refuted`` when the smallest singular value clears
+    the gate by the rounding margin below; otherwise ``inconclusive``, as
+    on a non-UECSM 3 x 3 block beside a 2 x 2 zero block, whose
+    intertwiners are all singular.
+    Every outcome carries the candidate's defect as ``residual``, with
+    ``iterations = 0`` and ``restarts_used = 1``.
+
+    The refutation, with ``tau = WITNESS_TOL`` on the unit-norm
+    representative, in three steps:
+
+    1. Let ``S`` be UECSM with symmetric unitary intertwiner ``U``, and
+       ``T = S + E``.  Then ``L_T(U) = L_E(U)``, whose two blocks have
+       Frobenius norm at most ``2 |E|_F`` each, and ``|U|_F = sqrt(n)``.
+       So ``sigma_min <= 2 sqrt(2) |E|_F / sqrt(n)``: the distance from
+       ``T`` to the UECSM set is at least ``sqrt(n / 8) sigma_min``.
+    2. A unitary with defect ``tau`` puts ``T`` within ``tau / 2`` of a
+       UECSM matrix (the symmetric part of ``U T U*``, turned back).  So
+       where ``sqrt(n / 8) sigma_min > tau / 2``, that is ``sigma_min > g``,
+       no unitary reaches ``tau``.
+    3. Rounding.  ``|L_T|_2 <= 2 sqrt(2)``, since ``|T|_2 <= |T|_F = 1``.
+       Each entry of ``L_T`` is a sum of at most four products, so its
+       computed columns are off by at most ``4 eps`` times ``2 sqrt(2)``
+       each, ``8 sqrt(2) n eps`` in all (``n(n+1)/2 <= n^2`` columns).  The
+       computed singular values are those of a matrix within
+       ``p eps |L_T|_2`` of that one, with ``p`` a modest function of the
+       size, taken as the row count ``2 n^2``.  By Weyl's inequality the
+       computed ``sigma_min`` is off by at most
+       ``2 sqrt(2) (2 n^2 + 4 n) eps <= 8 sqrt(2) n^2 eps``, which is
+       ``9e-14`` at ``n = 6``; a refutation asks ``sigma_min`` to exceed
+       ``g`` by that much.
     """
-    j, k = np.triu_indices(m.shape[-1], 1)
-    x = m[..., j, k]
-    return np.sqrt(2.0) * np.concatenate((x.real, x.imag), axis=-1)
-
-
-def _jacobian(s: np.ndarray) -> np.ndarray:
-    """Jacobian of ``_upper(G)`` at ``S`` along ``exp(K) U``, ``K = sum_a x_a E_a``.
-
-    Moving U to exp(K) U moves S by [K, S] at first order, so column
-    ``a`` is ``_upper`` of ``[E_a, S] - [E_a, S]^t``.  Returned as its
-    transpose, one row per basis element of :func:`_skew_basis`.
-    """
-    basis = _skew_basis(s.shape[0])
-    c = basis @ s - s @ basis
-    return _upper(c - c.swapaxes(-1, -2))
-
-
-def _levenberg_marquardt(rep: CMatrix, u: np.ndarray, target_cost: float) -> tuple[np.ndarray, float, int]:
-    """Minimize |G|_F^2 = |r|^2, r = ``_upper(G)``, by Levenberg-Marquardt from ``u``.
-
-    Each step solves ``(J^t J + mu I) x = -J^t r``, with the damping
-    ``mu`` a factor times the mean diagonal of ``J^t J``, and tries
-    ``U <- exp(K) U``, ``K = sum_a x_a E_a``, the exponential taken from
-    one ``eigh`` of ``-iK``.  A trial that does not lower the cost is
-    rejected and the factor is multiplied by 4; an accepted one divides
-    it by 3.  Stops once the cost is at most ``target_cost``, when an
-    accepted step lowers the cost by less than 1e-10 of it, when the
-    step vanishes before any damping lowers the cost, or after
-    ``_LM_STEPS`` steps.  Returns the final point, its cost and the
-    steps taken.
-    """
-    n2 = rep.shape[0] ** 2
-    basis = _skew_basis(rep.shape[0])
-    s, g, cost = _evaluate(rep, u)
-    factor = 1e-3
-    steps = 0
-    while cost > target_cost and steps < _LM_STEPS:
-        steps += 1
-        jac = _jacobian(s)
-        jtj = jac @ jac.T
-        jtr = jac @ _upper(g)
-        scale = np.trace(jtj) / n2
-        while True:
-            x = np.linalg.solve(jtj + factor * scale * np.eye(n2), -jtr)
-            if np.linalg.norm(x) <= EPS:
-                return u, cost, steps  # no damping lowers the cost
-            lam, v = np.linalg.eigh(-1j * np.tensordot(x, basis, 1))
-            u_try = (v * np.exp(1j * lam)) @ (adjoint(v) @ u)
-            s_try, g_try, cost_try = _evaluate(rep, u_try)
-            if cost_try < cost:
-                break
-            factor *= 4.0
-        factor /= 3.0
-        stalled = cost - cost_try <= 1e-10 * cost
-        u, s, g, cost = u_try, s_try, g_try, cost_try
-        if stalled:
-            break
-    return u, cost, steps
-
-
-def _second_start(n: int) -> CMatrix:
-    """The start after the identity: the Q factor of the unit-modulus matrix ``exp(i sqrt(m))``, m = 1..n^2.
-
-    The cost is unchanged by real orthogonal U when T is real, and its
-    derivative along ``i S`` (S real symmetric) vanishes at U = I, so the
-    identity is a critical point for every real matrix times a phase and
-    Levenberg-Marquardt cannot leave it.  This start is fixed, so the
-    search stays deterministic, and its entries have no real structure.
-    """
-    return np.linalg.qr(np.exp(1j * np.sqrt(np.arange(1.0, n * n + 1))).reshape(n, n))[0]
-
-
-def _search(rep: CMatrix, starts: tuple) -> OracleResult:
-    """Levenberg-Marquardt from each of ``starts`` in turn, until one reaches ``WITNESS_TOL``.
-
-    Returns the witness of the first start that reaches it, with
-    ``restarts_used`` the starts run and ``iterations`` the steps of all
-    of them, or ``inconclusive`` with the residual of the last start.
-    """
-    target_cost = 0.25 * WITNESS_TOL**2  # stop once safely inside
-    steps = 0
-    for r, start in enumerate(starts, 1):
-        u, cost, used = _levenberg_marquardt(rep, start, target_cost)
-        steps += used
-        residual = _residual(cost)  # rep has unit norm
-        if residual <= WITNESS_TOL:
-            u = np.array(u)
-            u.flags.writeable = False
-            return OracleResult("witness", u, residual, steps, r)
-    return OracleResult("inconclusive", None, residual, steps, r)
+    n = rep.shape[0]
+    basis = _symmetric_basis(n)
+    conj = rep.conj()
+    images = np.concatenate((rep @ basis - basis @ rep.T, conj.T @ basis - basis @ conj), axis=1)
+    _, sigma, vh = np.linalg.svd(images.reshape(len(basis), -1).T, full_matrices=False)
+    gate = WITNESS_TOL * math.sqrt(2.0 / n)
+    k = max(int(np.count_nonzero(sigma <= gate)), 1)
+    x = np.tensordot(np.exp(1j * np.sqrt(np.arange(1.0, k + 1))) @ vh[-k:].conj(), basis, 1)
+    w_svd, _, vh_svd = np.linalg.svd(x)
+    polar = w_svd @ vh_svd
+    o = np.linalg.eigh(polar.real + math.sqrt(2.0) * polar.imag)[1]
+    theta = np.angle(np.diagonal(o.T @ polar @ o))
+    u = np.exp(-0.5j * theta)[:, None] * o.T
+    residual = _residual(_evaluate(rep, u)[2])  # rep has unit norm
+    if residual <= WITNESS_TOL:
+        u.flags.writeable = False
+        return OracleResult("witness", u, residual, 0, 1)
+    if sigma[-1] - 8.0 * math.sqrt(2.0) * n * n * EPS > gate:
+        return OracleResult("refuted", None, residual, 0, 1)
+    return OracleResult("inconclusive", None, residual, 0, 1)
 
 
 def _tree_phases(b: np.ndarray) -> np.ndarray:
@@ -293,8 +263,8 @@ def _turned_phases(rep: CMatrix) -> np.ndarray:
     return _PHASES
 
 
-def _closed_form(rep: CMatrix) -> tuple[Optional[OracleResult], Optional[CMatrix]]:
-    """The Cartesian criterion of Tener (2008): a decision, or the candidate it declines.
+def _closed_form(rep: CMatrix) -> Optional[OracleResult]:
+    """The Cartesian criterion of Tener (2008): a decision, or None where it declines.
 
     ``T`` is UECSM exactly when ``CTC = T*`` for some conjugation ``C``
     (Garcia-Putinar 2006), that is, when some unitary makes both
@@ -308,9 +278,8 @@ def _closed_form(rep: CMatrix) -> tuple[Optional[OracleResult], Optional[CMatrix
     candidate is a witness when its defect is within ``WITNESS_TOL``, and
     ``refuted`` when the defect exceeds ``_REFUTE_K (WITNESS_TOL + eps) / g``.
 
-    Returns ``(decision, None)`` when the stage decides, ``(None,
-    candidate)`` when the defect lies in the band between the two, and
-    ``(None, None)`` when ``g <= _GAP_MIN``, where there is no candidate.
+    Returns None when the defect lies in the band between the two, and
+    when ``g <= _GAP_MIN``, where there is no candidate.
 
     The refutation threshold, with ``tau = WITNESS_TOL`` on the unit-norm
     representative, in four steps:
@@ -340,7 +309,7 @@ def _closed_form(rep: CMatrix) -> tuple[Optional[OracleResult], Optional[CMatrix
        terms, and ``eps`` stands for the backward error of ``eigh`` and
        of the products, which acts like ``delta``.
 
-    So a refutation never occurs where a search could still reach
+    So a refutation never occurs where some unitary could still reach
     ``WITNESS_TOL``.  As a defect is at most 2, a refutation also needs
     ``g > 64 tau``, where ``delta / g`` is small, as step 2 assumes.
     """
@@ -350,7 +319,7 @@ def _closed_form(rep: CMatrix) -> tuple[Optional[OracleResult], Optional[CMatrix
     gaps = np.minimum.reduce(values[:, 1:] - values[:, :-1], axis=-1)  # np.diff, then min
     k = int(gaps.argmax())
     if gaps[k] <= _GAP_MIN:
-        return None, None
+        return None
     _, v = np.linalg.eigh(herm[k])
     vh = v.conj().T
     b = -1j * (vh @ (turned[k] - herm[k]) @ v)  # B' = V* Im(cT) V
@@ -358,16 +327,16 @@ def _closed_form(rep: CMatrix) -> tuple[Optional[OracleResult], Optional[CMatrix
     residual = _residual(_evaluate(rep, u)[2])  # rep has unit norm
     if residual <= WITNESS_TOL:
         u.flags.writeable = False
-        return OracleResult("witness", u, residual, 0, 0), None
+        return OracleResult("witness", u, residual, 0, 0)
     if residual > _REFUTE_K * (WITNESS_TOL + EPS) / gaps[k]:
-        return OracleResult("refuted", None, residual, 0, 0), None
-    return None, u
+        return OracleResult("refuted", None, residual, 0, 0)
+    return None
 
 
 def find_symmetrizer(t: CMatrix) -> OracleResult:
     """Search for a unitary U making U T U* complex symmetric.
 
-    The search runs on the centered, normalized representative of
+    The oracle runs on the centered, normalized representative of
     :func:`~uecsm.matcore.normalize`, so it behaves the same at every
     scale and shift of ``t``; a scalar matrix is a witness at once, with
     ``iterations = 0`` and ``restarts_used = 0``.  Every entry must be
@@ -384,14 +353,16 @@ def find_symmetrizer(t: CMatrix) -> OracleResult:
     ``WITNESS_TOL`` and the refutation threshold, as on matrices within
     about ``_REFUTE_K WITNESS_TOL / g`` of the UECSM set.
 
-    Then Levenberg-Marquardt runs (see :func:`_levenberg_marquardt`):
-    from the candidate when there is one; otherwise from the identity
-    and, if that start misses ``WITNESS_TOL``, from the fixed unitary of
-    :func:`_second_start`.  It returns the witness of the first start
-    that reaches ``WITNESS_TOL``, with ``restarts_used`` the starts run
-    (1, or 2 after the identity failed) and ``iterations`` the LM steps
-    of all of them; otherwise ``inconclusive`` with the residual of the
-    last start.
+    Then the symmetric-intertwiner stage runs (see
+    :func:`_intertwiner`): one ``svd`` of the linear map whose kernel
+    holds the symmetric unitaries ``U`` with ``T U = U T^t``, one ``svd``
+    and one real ``eigh`` for the candidate.  It returns a witness,
+    ``refuted`` when the smallest singular value certifies that no
+    unitary reaches :data:`WITNESS_TOL`, or ``inconclusive`` (``u = None``)
+    when the kernel is nonzero but holds no invertible element the
+    candidate finds, as for a direct sum of a UECSM and a non-UECSM
+    block.  Each has ``iterations = 0`` and ``restarts_used = 1``, and
+    the candidate's defect as ``residual``.
     An ``inconclusive`` result carries no information that T is not
     UECSM; only ``refuted`` does.  Nothing is random: the result depends
     only on ``t``.
@@ -407,19 +378,15 @@ def _symmetrizer(rep: CMatrix, s: float) -> OracleResult:
     """:func:`find_symmetrizer` of a matrix with representative ``rep`` and scale ``s``.
 
     A scalar matrix is a witness at once; otherwise the closed form
-    decides, or :func:`_search` runs from its fixed starts.  Searching
-    on the representative loses nothing: U symmetrizes ``T = s rep + mu I``
-    exactly when it symmetrizes ``rep``, and the unit norm keeps the cost
-    in range.
+    decides, or :func:`_intertwiner` does.  Working on the representative
+    loses nothing: U symmetrizes ``T = s rep + mu I`` exactly when it
+    symmetrizes ``rep``, and the unit norm keeps the defect in range and
+    bounds the map's norm for the refutation's rounding margin.
     """
     n = rep.shape[0]
     if s == 0.0:
         return OracleResult("witness", _identity(n), 0.0, 0, 0)
-    decision, candidate = _closed_form(rep)
-    if decision is not None:
-        return decision
-    starts = (_identity(n), _second_start(n)) if candidate is None else (candidate,)
-    return _search(rep, starts)
+    return _closed_form(rep) or _intertwiner(rep)
 
 
 def verify_witness(t: CMatrix, u: CMatrix, tol: float = WITNESS_TOL) -> Verdict:

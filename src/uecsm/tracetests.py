@@ -74,6 +74,7 @@ from .matcore import (
     _require_array,
     _require_finite,
     _require_square,
+    _require_tol,
     _TracePlan,
     adjoint,
     normalize,
@@ -196,8 +197,10 @@ class Verdict(tuple):
     takes the largest residual by Python's ``max`` as ``max_residual``
     (0.0 for an empty row; a NaN counts only when it comes first) and
     sets ``passed`` to ``max_residual <= tol``, so a verdict always
-    agrees with its row.  The record is an immutable tuple with value
-    equality: no field can be set, and equal verdicts hash alike.
+    agrees with its row.  A ``tol`` that is not finite and positive
+    raises ``ValueError``, so every criterion refuses one.  The record is
+    an immutable tuple with value equality: no field can be set, and
+    equal verdicts hash alike.
     """
 
     __slots__ = ()
@@ -206,6 +209,7 @@ class Verdict(tuple):
     criterion, passed, names, row, tol, max_residual = map(property, map(itemgetter, range(6)))
 
     def __new__(cls, criterion: str, names: tuple[str, ...], row: tuple[float, ...], tol: float) -> "Verdict":
+        _require_tol(tol)
         worst = max(row, default=0.0)
         return tuple.__new__(cls, (criterion, worst <= tol, names, row, tol, worst))
 

@@ -20,7 +20,7 @@ def _find_conflicts(report):
     wat_v = verdicts.get("wat")
     if wat_v is not None and trace.passed and not wat_v.passed:
         conflicts.append(("uecsm", "wat"))
-    # a witness or a refutation decides; an inconclusive LM search does not
+    # a witness or a refutation decides; an inconclusive oracle does not
     oracle = report.oracle
     if oracle is not None and oracle.status != "inconclusive" and oracle.found != trace.passed:
         conflicts.append(("uecsm", "oracle"))

@@ -36,7 +36,6 @@ from uecsm import (
     wat,
     word_trace,
 )
-from uecsm import oracle
 from uecsm.gallery import (
     NILPOTENT_QUARTET,
     SCALAR_PLUS_SHIFT_12,
@@ -321,30 +320,10 @@ def test_c11_oracle_cross_validation():
     p = NilpotentParams(3, 1 + 2j, 2 - 1j, 1 + 1j, 1j * (1 + 2j), 3j)
     ok &= verify_witness(build_matrix(p), symmetrizing_witness(p), tol=1e-9).passed
 
-    # the LM Jacobian of _upper(G) along exp(K) U, K = sum_a x_a E_a,
-    # against central finite differences
-    worst_jac = 0.0
-    basis = oracle._skew_basis(4)
-    for _ in range(20):
-        t = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-        u = random_unitary(gen, 4)
-        x = gen.standard_normal(16)
-        lam, v = np.linalg.eigh(-1j * np.tensordot(x, basis, 1))
-        eps = 1e-6
-
-        def residual(step):
-            exp_k = (v * np.exp(1j * step * lam)) @ v.conj().T
-            return oracle._upper(oracle._evaluate(t, exp_k @ u)[1])
-
-        analytic = oracle._jacobian(oracle._evaluate(t, u)[0]).T @ x
-        fd = (residual(eps) - residual(-eps)) / (2 * eps)
-        worst_jac = max(worst_jac, np.linalg.norm(analytic - fd) / max(1e-30, np.linalg.norm(fd)))
-    ok &= worst_jac <= 1e-5
     report(
         "c11",
         ok,
-        f"{len(fixtures)} witnesses, worst residual {worst_residual:.2e}, "
-        f"worst restarts {worst_restarts}, jacobian rel err {worst_jac:.2e}",
+        f"{len(fixtures)} witnesses, worst residual {worst_residual:.2e}, worst restarts {worst_restarts}",
     )
 
 

@@ -927,7 +927,7 @@ class TestTolerancePlumbing:
         assert message in capsys.readouterr().err
 
     def test_oracle_text_names_the_closed_form(self, fixture_dir, capsys):
-        # a scalar matrix is a witness at once, also before any LM start
+        # a scalar matrix is a witness at once, also before the second stage
         scalar = fixture_dir / "scalar.json"
         write_matrix_document(MatrixDocument(cmatrix((2 - 1j) * np.eye(3)), "scalar"), scalar)
         for path in (str(fixture_dir / "scalar_plus_shift_22.json"), str(scalar)):
@@ -944,14 +944,15 @@ class TestTolerancePlumbing:
 
     def test_oracle_text_names_the_lm_restarts(self, tmp_path, capsys):
         # a normal matrix with a repeated eigenvalue has no simple Re(cT),
-        # so the closed form declines and the LM search finds the witness
+        # so the closed form declines and the second stage, the symmetric
+        # intertwiner, finds the witness; the line names that stage
         q = random_unitary(rng(103), 3)
         normal = cmatrix(q @ np.diag([1.0, 1.0, 2.0]) @ q.conj().T)
         path = tmp_path / "normal.json"
         write_matrix_document(MatrixDocument(normal, "normal"), path)
         assert main(["test", str(path), "--oracle"]) == EXIT_UECSM
         line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle"))
-        assert line.startswith("oracle   : witness (residual ") and line.endswith(", restarts 1)")
+        assert line.startswith("oracle   : witness (intertwiner, residual ") and "restarts" not in line
 
     def test_refutation_against_a_passing_trace_is_a_conflict(self, fixture_dir, capsys):
         # --tol 10 makes every verdict pass on the counterexample, which the
@@ -1026,7 +1027,8 @@ def test_one_matrix_reports_equal_the_frozen_golden():
     # golden/one_matrix_reports.json: label -> [to_dict() of analyze(T), of
     # analyze(T, run_oracle=True)], every float by float.hex, one label a
     # line, frozen before the spectral layer computed its values lazily; the
-    # inputs reach ill-conditioned and overflowing refusals and an LM witness
+    # inputs reach ill-conditioned and overflowing refusals and a witness of
+    # the oracle's second stage
     record = {
         label: [_hexed(analyze(t, label, run_oracle=oracle).to_dict()) for oracle in (False, True)]
         for label, t in one_matrix_inputs()

@@ -44,35 +44,6 @@ class TestCostAndGradient:
         s = random_symmetric_matrix(rng(90), 4)
         assert symmetry_cost(s, np.eye(4, dtype=complex)) < 1e-24
 
-    def test_lm_jacobian_matches_finite_differences(self):
-        # the LM residual r(U) and its Jacobian along exp(K) U, with
-        # K = sum_a x_a E_a; J^t r gives the Riemannian gradient's
-        # coordinates in the same basis, since d|r|^2 = 2 r^t J x
-        gen = rng(104)
-        for n in (3, 4, 6):
-            basis = oracle._skew_basis(n)
-            for _ in range(5):
-                t = random_complex_matrix(gen, n, scale=2.0)
-                u = random_unitary(gen, n)
-                x = gen.standard_normal(n * n)
-                lam, v = np.linalg.eigh(-1j * np.tensordot(x, basis, 1))
-                eps = 1e-6
-
-                def moved(step):  # exp(step K) U
-                    return (v * np.exp(1j * step * lam)) @ v.conj().T @ u
-
-                def residual(step):
-                    return oracle._upper(oracle._evaluate(t, moved(step))[1])
-
-                s, g, cost = oracle._evaluate(t, u)
-                jac = oracle._jacobian(s)
-                fd = (residual(eps) - residual(-eps)) / (2 * eps)
-                assert np.allclose(jac.T @ x, fd, rtol=0, atol=1e-8 * np.linalg.norm(fd))
-                r = oracle._upper(g)
-                assert np.linalg.norm(r) ** 2 == pytest.approx(cost, rel=1e-12)
-                cost_fd = (symmetry_cost(t, moved(eps)) - symmetry_cost(t, moved(-eps))) / (2 * eps)
-                assert 2 * (jac @ r) @ x == pytest.approx(cost_fd, rel=1e-5)
-
     def test_cost_depends_only_on_conjugated_matrix(self):
         # replacing T by W T W* and U by U W* leaves the cost unchanged
         gen = rng(93)
@@ -99,12 +70,12 @@ class TestFindSymmetrizer:
         assert (result.restarts_used, result.iterations) == (0, 0)
         assert result.residual < 1e-12
         assert verify_witness(s, result.u).passed
-        # the LM search alone takes the identity start, with no step
-        result = _lm_search(s)
+        # the second stage alone finds a witness too
+        result = _second_stage(s)
         assert result.found
         assert (result.restarts_used, result.iterations) == (1, 0)
         assert result.residual < 1e-12
-        assert np.allclose(result.u, np.eye(4))
+        assert verify_witness(s, result.u).passed
 
     def test_shift_example(self):
         result = find_symmetrizer(SCALAR_PLUS_SHIFT_22)
@@ -124,14 +95,20 @@ class TestFindSymmetrizer:
             assert verify_witness(t, result.u).passed
 
     def test_counterexample_inconclusive(self):
-        # the LM search alone can only give up; the closed form refutes
-        result = _lm_search(WAT_COUNTEREXAMPLE)
+        # beside a zero block, the counterexample's symmetric intertwiners
+        # vanish on its own block, so every one of them is singular: the
+        # second stage finds no witness and cannot refute.  Alone, the
+        # counterexample is refuted by either stage.
+        t = np.zeros((6, 6), dtype=complex)
+        t[:4, :4] = WAT_COUNTEREXAMPLE
+        result = find_symmetrizer(t)
         assert result.status == "inconclusive"
         assert result.u is None
         assert result.restarts_used == 1
-        # observed floor, recorded rather than asserted tightly
+        # observed defect, recorded rather than asserted tightly
         assert result.residual > 1e-3
-        print(f"observed non-symmetrizable residual floor: {result.residual:.4f}")
+        print(f"observed candidate defect: {result.residual:.4f}")
+        assert _second_stage(WAT_COUNTEREXAMPLE).status == "refuted"
         assert find_symmetrizer(WAT_COUNTEREXAMPLE).status == "refuted"
 
     def test_random_uecsm_matrices_get_witnesses(self):
@@ -149,8 +126,8 @@ class TestFindSymmetrizer:
         # |T + 1e6 I|_F is about 2e6, so a residual measured against it
         # passes 1e-6 on the counterexample; the shift-free norm does not
         shifted = WAT_COUNTEREXAMPLE + 1e6 * np.eye(4)
-        result = _lm_search(shifted)
-        assert result.status == "inconclusive"
+        result = _second_stage(shifted)
+        assert result.status == "refuted"
         assert result.residual > 1e-3
         assert find_symmetrizer(shifted).status == "refuted"
 
@@ -162,11 +139,11 @@ class TestFindSymmetrizer:
 
     @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
     def test_search_is_scale_free(self, scale):
-        # the search runs on the normalized matrix: no underflow to a false
+        # the oracle runs on the normalized matrix: no underflow to a false
         # witness at 1e-170, no overflow at 1e170
-        result = _lm_search(scale * WAT_COUNTEREXAMPLE)
-        assert result.status == "inconclusive"
-        assert result.residual == pytest.approx(1.7000948740, rel=1e-6)
+        result = _second_stage(scale * WAT_COUNTEREXAMPLE)
+        assert result.status == "refuted"
+        assert result.residual == pytest.approx(0.1291641622, rel=1e-6)
         assert find_symmetrizer(scale * WAT_COUNTEREXAMPLE).status == "refuted"
         w = random_unitary(rng(97), 4)
         t = scale * (w @ random_symmetric_matrix(rng(98), 4) @ w.conj().T)
@@ -186,7 +163,7 @@ class TestFindSymmetrizer:
             find_symmetrizer(np.eye(7, dtype=complex))
 
     def test_deterministic(self):
-        # two calls are equal: a closed-form refutation, and an LM witness
+        # two calls are equal: a closed-form refutation, and a second-stage witness
         q = random_unitary(rng(103), 3)
         normal = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T
         for t in (WAT_COUNTEREXAMPLE, normal):
@@ -195,16 +172,9 @@ class TestFindSymmetrizer:
             assert (a.u is None and b.u is None) or np.array_equal(a.u, b.u)
 
 
-def _lm_search(t, start=None):
-    """The Levenberg-Marquardt search of :func:`find_symmetrizer` alone, without the closed form.
-
-    It starts from ``start`` (the identity when None), as the search takes
-    it from the closed-form stage.
-    """
-    rep = normalize(t)[0]
-    if start is None:
-        start = np.eye(t.shape[0], dtype=complex)
-    return oracle._search(rep, (start,))
+def _second_stage(t):
+    """The symmetric-intertwiner stage of :func:`find_symmetrizer` alone, without the closed form."""
+    return oracle._intertwiner(normalize(t)[0])
 
 
 def _c11_fixture(seed):
@@ -213,7 +183,7 @@ def _c11_fixture(seed):
 
 def _closed_form(t):
     """The decision of the closed-form stage, None where it declines."""
-    return oracle._closed_form(normalize(t)[0])[0]
+    return oracle._closed_form(normalize(t)[0])
 
 
 def _widest_gap(t):
@@ -262,8 +232,28 @@ def _repeated_hermitian_inputs():
         yield f"J-symmetric-{k}", q @ (0.5 * (a + j @ a.T @ j.T)) @ q.conj().T + shift * np.eye(4)
 
 
+def _real_inputs():
+    """Real 4 x 4 UECSM inputs, times a phase, on which the closed form declines, as ``(name, T)``.
+
+    A J-symmetric integer matrix, ``J`` as in :func:`_repeated_hermitian_inputs`,
+    conjugated by a real orthogonal ``Q`` and shifted; a normal ``Q (R + R) Q^t``
+    with ``R`` a rotation; and ``e^{0.7 i} Q (G + 1.5 I_2) Q^t`` with ``G`` a
+    real Gaussian 2 x 2 block.  From ``numpy.random.default_rng(105)``.
+    """
+    gen = rng(105)
+    q = np.linalg.qr(gen.standard_normal((4, 4)))[0]  # real orthogonal
+    j = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    a = gen.integers(-2, 3, size=(4, 4)).astype(float)
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    block = np.zeros((4, 4))
+    block[:2, :2], block[2:, 2:] = gen.standard_normal((2, 2)), 1.5 * np.eye(2)
+    yield "J-symmetric", (q @ (0.5 * (a + j @ a.T @ j.T)) @ q.T + 2 * np.eye(4)).astype(complex)
+    yield "normal", (q @ np.kron(np.eye(2), rotation) @ q.T).astype(complex)
+    yield "block-phase", np.exp(0.7j) * (q @ block @ q.T)
+
+
 class TestClosedForm:
-    """The Cartesian criterion that runs ahead of the LM search."""
+    """The Cartesian criterion that runs ahead of the second stage."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -314,60 +304,40 @@ class TestClosedForm:
     @pytest.mark.parametrize("seed, n", [(9, 3), (2, 4), (0, 5)])
     def test_band_inputs_fall_through_to_the_lm_search(self, seed, n):
         # the candidate misses witness_tol but not by enough to refute,
-        # and the LM search, which then runs from it as it would alone,
-        # finds a witness
+        # and the second stage, as it runs alone, finds a witness
         t = _near_uecsm(seed, n, -6.0)
-        decision, candidate = oracle._closed_form(normalize(t)[0])
-        assert decision is None and candidate is not None and _widest_gap(t) > oracle._GAP_MIN
+        assert _closed_form(t) is None and _widest_gap(t) > oracle._GAP_MIN
         result = find_symmetrizer(t)
-        reference = _lm_search(t, start=candidate)
+        reference = _second_stage(t)
         assert result.found and result.restarts_used == 1
+        assert verify_witness(t, result.u).passed
         assert dataclasses.replace(result, u=None) == dataclasses.replace(reference, u=None)
         assert np.array_equal(result.u, reference.u)
 
     def test_repeated_hermitian_parts_decline(self):
-        # every Re(cT) has a repeated eigenvalue, so the LM search starts
-        # from the identity, and on these complex inputs that one start
-        # finds the witness
+        # every Re(cT) has a repeated eigenvalue, so the closed form has no
+        # candidate, and the second stage finds the witness
         for name, t in _repeated_hermitian_inputs():
-            assert oracle._closed_form(normalize(t)[0]) == (None, None), name
+            assert _closed_form(t) is None and _widest_gap(t) <= oracle._GAP_MIN, name
             result = find_symmetrizer(t)
             assert result.found and result.restarts_used == 1, name
             assert verify_witness(t, result.u).passed, name
-            reference = _lm_search(t)
+            reference = _second_stage(t)
             assert dataclasses.replace(result, u=None) == dataclasses.replace(reference, u=None), name
             assert np.array_equal(result.u, reference.u), name
 
     def test_real_inputs_leave_the_identity(self):
-        # the identity is a critical point of the cost for a real matrix
-        # times a phase, so LM from it stops at once; the fixed second
-        # start finds the witness
-        gen = rng(105)
-        q = np.linalg.qr(gen.standard_normal((4, 4)))[0]  # real orthogonal
-        j = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
-        a = gen.integers(-2, 3, size=(4, 4)).astype(float)
-        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
-        block = np.zeros((4, 4))
-        block[:2, :2], block[2:, 2:] = gen.standard_normal((2, 2)), 1.5 * np.eye(2)
-        inputs = {
-            "J-symmetric": q @ (0.5 * (a + j @ a.T @ j.T)) @ q.T + 2 * np.eye(4),
-            "normal": q @ np.kron(np.eye(2), rotation) @ q.T,
-            "block-phase": np.exp(0.7j) * (q @ block @ q.T),
-        }
-        second = oracle._second_start(4)
-        assert np.allclose(second.conj().T @ second, np.eye(4), atol=1e-14)
-        assert np.array_equal(second, oracle._second_start(4))
-        for name, t in inputs.items():
-            t = t.astype(complex)
-            assert oracle._closed_form(normalize(t)[0]) == (None, None), name
-            stuck = _lm_search(t)
-            assert stuck.status == "inconclusive" and stuck.iterations <= 1, name
+        # the identity is a critical point of the symmetry defect for every
+        # real matrix times a phase, so a descent from it stops at once; the
+        # second stage starts nowhere, and its candidate is a witness
+        for name, t in _real_inputs():
+            assert _closed_form(t) is None, name
             result = find_symmetrizer(t)
-            assert result.found and result.restarts_used == 2, name
+            assert result.found and (result.restarts_used, result.iterations) == (1, 0), name
             assert verify_witness(t, result.u).passed, name
-            reference = _lm_search(t, start=second)
+            assert not np.allclose(result.u, result.u[0, 0] * np.eye(4)), name
+            reference = _second_stage(t)
             assert result.residual == reference.residual and np.array_equal(result.u, reference.u), name
-            assert result.iterations == stuck.iterations + reference.iterations, name
 
     @pytest.mark.parametrize("label", sorted(GALLERY))
     def test_gallery(self, label):
@@ -402,15 +372,16 @@ class TestRefutationIsSound:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(3, 6), st.floats(-9, -4))
-    # inputs in the band, where the LM search finds a witness that the
+    # inputs in the band, where the second stage finds a witness that the
     # closed-form candidate misses
     @example(9, 3, -6.0)
     @example(2, 4, -6.0)
     @example(0, 5, -6.0)
     def test_no_refutation_where_the_lm_search_finds_a_witness(self, seed, n, log_eps):
+        # either stage alone gives no verdict the other contradicts
         t = _near_uecsm(seed, n, log_eps)
-        if _lm_search(t).found:
-            assert find_symmetrizer(t).status != "refuted"
+        statuses = {_second_stage(t).status, find_symmetrizer(t).status}
+        assert statuses != {"witness", "refuted"}
 
     # The explicit examples are the inputs of the seed-777 phase probe
     # (tests/_util.phase_probe_inputs) whose status changed under
@@ -451,39 +422,136 @@ class TestRefutationIsSound:
             "phase": cmath.exp(1j * phi) * t,
         }
         base = find_symmetrizer(t)
+        assert base.status != "inconclusive"  # the closed form or the second stage decides
         for name, image in images.items():
-            result = find_symmetrizer(image)
-            assert result.status == base.status, name
-            if result.status == "refuted":
-                assert (result.restarts_used, result.iterations) == (0, 0), name
+            assert find_symmetrizer(image).status == base.status, name
 
 
 def test_lm_search_alone_finds_the_c11_witnesses():
-    # the c11 fixtures get closed-form witnesses, so the LM search from
-    # the identity keeps its own cross-validation here
+    # the c11 fixtures get closed-form witnesses, so the second stage
+    # keeps its own cross-validation here
     fixtures = [_c11_fixture(400 + k) for k in range(5)]
     fixtures += [
         conjugated_diagonal(random_su(Signature(2, 3), seed=500 + k), [-1.0, 0.5, 2.0]) for k in range(5)
     ]
     for t in fixtures:
-        result = _lm_search(t)
+        result = _second_stage(t)
         assert result.found and result.restarts_used == 1
         assert verify_witness(t, result.u).passed
 
 
 def test_near_parallel_corpus():
     # the first 100 draws of the near-parallel-eigenvector corpus, about
-    # a fifth of which the closed form leaves to the LM search
+    # a fifth of which the closed form leaves to the second stage; each
+    # is decided, as the second stage decides every draw of the first 600
     searched = 0
     for _, t in near_parallel_inputs(100):
         result = find_symmetrizer(t)
-        assert result.iterations <= result.restarts_used * oracle._LM_STEPS
+        assert result.iterations == 0
+        assert result.status != "inconclusive"
         if result.found:
             assert verify_witness(t, result.u).passed
-        elif result.status == "refuted":
-            assert not _lm_search(t).found
+        else:
+            assert not _second_stage(t).found
         searched += result.restarts_used > 0
     assert searched >= 10
+
+
+def _lower_bound(t):
+    """``sqrt(n / 8) sigma_min(L_T)`` on the representative of ``t``, by a column loop.
+
+    ``L_T: X -> (T X - X T^t, T* X - X conj(T))`` on the symmetric ``X``,
+    one column per element ``e_jj`` or ``(e_jk + e_kj) / sqrt(2)`` of an
+    orthonormal basis.  The value bounds the distance from the
+    representative to the UECSM set from below.
+    """
+    rep = normalize(t)[0]
+    n = rep.shape[0]
+    columns = []
+    for j in range(n):
+        for k in range(j, n):
+            x = np.zeros((n, n))
+            x[j, k] = x[k, j] = 1.0 if j == k else math.sqrt(0.5)
+            images = (rep @ x - x @ rep.T, rep.conj().T @ x - x @ rep.conj())
+            columns.append(np.concatenate([image.ravel() for image in images]))
+    return math.sqrt(n / 8) * np.linalg.svd(np.column_stack(columns), compute_uv=False)[-1]
+
+
+def _zero_block_sums():
+    """Three ``Q (G + 0_2) Q*`` at n = 5, ``G`` a complex Gaussian 3 x 3, from ``numpy.random.default_rng(5)``.
+
+    Not UECSM, and every symmetric intertwiner is singular: it vanishes
+    on the block of ``G``.
+    """
+    gen = rng(5)
+    for k in range(3):
+        t = np.zeros((5, 5), dtype=complex)
+        t[:3, :3] = random_complex_matrix(gen, 3)
+        q = random_unitary(gen, 5)
+        yield f"G3+0-{k}", q @ t @ q.conj().T
+
+
+# Rounding of sigma_min (at most 8 sqrt(2) n^2 eps, 9e-14 at n = 6) and of the
+# defect, on a unit-norm representative.
+_ROUNDING = 1e-13
+
+
+class TestSecondStage:
+    """The symmetric-intertwiner stage alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(3, 6), st.one_of(st.none(), st.floats(-12, -1)))
+    def test_certified_bracket(self, seed, n, log_eps):
+        # T = U S U* + eps E: the lower bound l on the distance from the
+        # representative to the UECSM set lies below half the candidate's
+        # defect d, which a UECSM matrix within d / 2 shows, and below the
+        # distance to U S U*; at eps = 0 the candidate is a witness
+        gen = rng(seed)
+        w = random_unitary(gen, n)
+        s = random_symmetric_matrix(gen, n)
+        e = random_complex_matrix(gen, n)
+        if log_eps is not None:
+            e *= 10.0**log_eps * np.linalg.norm(s) / np.linalg.norm(e)
+        t = w @ s @ w.conj().T + (0.0 if log_eps is None else e)
+        result = _second_stage(t)
+        bound = _lower_bound(t)
+        assert bound <= result.residual / 2 + _ROUNDING
+        distance = 0.0 if log_eps is None else np.linalg.norm(e) / normalize(t)[2]
+        assert bound <= distance + _ROUNDING
+        if result.status == "refuted":
+            assert bound > oracle.WITNESS_TOL / 2
+        if log_eps is None:
+            assert result.found and verify_witness(t, result.u).passed
+
+    def test_status_is_invariant_under_symmetries(self):
+        # sigma(L_T) is unchanged by cT, U T U*, T^t, T + lam I and e^{i phi} T,
+        # since X -> U X U^t and X -> conj(X) are isometries of the
+        # symmetric matrices; so is the status, on inputs the closed form declines
+        inputs = [*_repeated_hermitian_inputs(), *_real_inputs(), *_zero_block_sums()]
+        inputs += [
+            (f"near-parallel-{k}", t)
+            for k, (_, t) in enumerate(near_parallel_inputs(600))
+            if find_symmetrizer(t).restarts_used
+        ]
+        statuses = set()
+        gen = rng(106)
+        for name, t in inputs:
+            n = t.shape[0]
+            u = random_unitary(gen, n)
+            base = _second_stage(t)
+            statuses.add(base.status)
+            bound = _lower_bound(t)
+            images = {
+                "scale": 1e5 * (2 - 3j) * t,
+                "unitary": u @ t @ u.conj().T,
+                "transpose": t.T,
+                "shift": t + (3 + 4j) * np.linalg.norm(t) * np.eye(n),
+                "phase": cmath.exp(0.7j) * t,
+            }
+            for label, image in images.items():
+                assert _second_stage(image).status == base.status, (name, label)
+                assert _lower_bound(image) == pytest.approx(bound, rel=1e-6, abs=_ROUNDING), (name, label)
+        assert statuses == {"witness", "refuted", "inconclusive"}
 
 
 class TestVerifyWitness:

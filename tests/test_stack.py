@@ -7,10 +7,11 @@ gets alone from ``analyze``, so no row of a stack leaks into another,
 that ``angle_suite`` gives the angle verdicts, refusal or error of that
 report, that ``uecsm batch`` groups documents by dimension without
 changing what it reports, and that every public entry point rejects a
-matrix that is not an ``ndarray``, a shape that is not a square matrix
-and an entry that is not finite.
+matrix that is not an ``ndarray``, a shape that is not a square matrix,
+an entry that is not finite and a ``tol`` that is not finite and positive.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -28,12 +29,14 @@ from uecsm import (
     NilpotentParams,
     NoConvergence,
     Signature,
+    Verdict,
     angle_suite,
     build_matrix,
     cayley_retract,
     classify,
     cmatrix,
     conjugated_diagonal,
+    det_criterion_3,
     djokovic_signature,
     durand_kerner,
     eigensystem,
@@ -42,10 +45,13 @@ from uecsm import (
     generate_wat_not_sat,
     indefinite_gram_schmidt,
     indefinite_inner,
+    lsat,
     normalize,
     phi3,
     psi7,
     psi_closed_forms,
+    random_su,
+    sat,
     sat_obstruction,
     su_membership,
     symmetrizing_witness,
@@ -56,6 +62,7 @@ from uecsm import (
     uecsm_verdict,
     unitary_equivalence_4,
     verify_witness,
+    wat,
     word_trace,
     word_traces,
 )
@@ -162,7 +169,7 @@ def test_stack_oracle_is_find_symmetrizer_on_each_row():
     # computed; every result equals find_symmetrizer's, bit for bit
     gen = rng(70)
     q = random_unitary(gen, 3)
-    normal = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T  # LM from the identity
+    normal = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T  # the second stage
     for n, extra in ((3, [normal, 2j * np.eye(3)]), (4, [])):
         ts = np.concatenate([_stack(gen, n, ["uecsm", "gauss", "nilpotent"]), np.reshape(extra, (-1, n, n))])
         labels = [f"m{i}" for i in range(len(ts))]
@@ -485,6 +492,58 @@ def test_non_finite_table_covers_every_export():
     assert len(exempt) == len(set(exempt))
     assert not tested & set(exempt)
     assert tested | set(exempt) == set(uecsm.__all__)
+
+
+#: One call per name of ``uecsm.__all__`` that takes a ``tol``, on input
+#: it accepts at a finite positive ``tol``; each id is the name it calls.
+T3 = random_complex_matrix(rng(31), 3)
+TOL_CASES = [
+    pytest.param(lambda tol: analyze(T3, "t", tol=tol), id="analyze"),
+    pytest.param(lambda tol: analyze_stack(T3[None], ["t"], tol=tol), id="analyze_stack"),
+    pytest.param(lambda tol: angle_suite(T3, tol), id="angle_suite"),
+    pytest.param(lambda tol: wat(eigensystem(T3), tol), id="wat"),
+    pytest.param(lambda tol: sat(eigensystem(T3), tol), id="sat"),
+    pytest.param(lambda tol: lsat(eigensystem(T3), tol), id="lsat"),
+    pytest.param(lambda tol: det_criterion_3(eigensystem(T3), tol), id="det_criterion_3"),
+    pytest.param(lambda tol: trace_test_3(T3, tol), id="trace_test_3"),
+    pytest.param(lambda tol: uecsm_verdict(T3, tol), id="uecsm_verdict"),
+    pytest.param(lambda tol: transpose_equivalence(T3, tol), id="transpose_equivalence"),
+    pytest.param(lambda tol: unitary_equivalence_4(EYE4, EYE4, tol), id="unitary_equivalence_4"),
+    pytest.param(lambda tol: verify_witness(EYE3, EYE3, tol), id="verify_witness"),
+    pytest.param(
+        lambda tol: su_membership(random_su(Signature(1, 3), seed=0), Signature(1, 3), tol), id="su_membership"
+    ),
+    pytest.param(lambda tol: sat_obstruction(EYE3 + T3, tol), id="sat_obstruction"),
+    pytest.param(lambda tol: classify(NilpotentParams(1, 2, 3, 4, 5, 6), tol), id="classify"),
+    pytest.param(
+        lambda tol: symmetrizing_witness(NilpotentParams(3, 1 + 2j, 2 - 1j, 1 + 1j, 1j * (1 + 2j), 3j), tol),
+        id="symmetrizing_witness",
+    ),
+    pytest.param(lambda tol: Verdict("c", ("r",), (0.0,), tol), id="Verdict"),
+]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf], ids=str)
+@pytest.mark.parametrize("call", TOL_CASES)
+def test_entry_points_refuse_a_tol_that_is_not_finite_and_positive(call, tol):
+    call(1e-8)  # the input is accepted
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        call(tol)
+
+
+def test_tol_table_covers_every_name_that_takes_tol():
+    # ``analyze`` passes its keywords to ``analyze_stack``; a ``Report``
+    # is built by ``analyze_stack``, after its ``tol`` is checked
+    takes_tol = set()
+    for name in uecsm.__all__:
+        try:
+            parameters = inspect.signature(getattr(uecsm, name)).parameters
+        except (TypeError, ValueError):  # constants and builtins
+            continue
+        if "tol" in parameters:
+            takes_tol.add(name)
+    tested = {case.id for case in TOL_CASES}
+    assert tested == takes_tol - {"Report"} | {"analyze"}
 
 
 def _strided_views(n: int) -> tuple[np.ndarray, np.ndarray]:

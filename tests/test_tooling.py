@@ -58,9 +58,9 @@ def test_traced_analyze_is_one_root_span(monkeypatch):
     assert (last.name, last.parent) == ("cli.analyze", None)
 
 
-def test_traced_search_records_lm_steps(monkeypatch):
+def test_traced_search_records_the_second_stage(monkeypatch):
     # every Re(cT) of Q diag(1, 1, 2) Q* has a repeated eigenvalue, so the
-    # closed form declines and the LM search runs from the identity
+    # closed form declines and the second stage, which does not iterate, runs
     tracing = _load_tracing(monkeypatch)
     q = random_unitary(rng(103), 3)
     t = q @ np.diag([1.0, 1.0, 2.0]).astype(complex) @ q.conj().T
@@ -68,8 +68,8 @@ def test_traced_search_records_lm_steps(monkeypatch):
         result = uecsm.cli.find_symmetrizer(t)
     assert result.found
     spans = [s for s in tracer.spans if s.name == "oracle.find_symmetrizer"]
-    assert [(s.outcome, s.iterations) for s in spans] == [("witness", result.iterations)]
-    assert result.iterations > 0
+    assert [(s.outcome, s.iterations) for s in spans] == [("witness", 0)]
+    assert (result.iterations, result.restarts_used) == (0, 1)
 
 
 def _load_tool(monkeypatch, name):

@@ -483,7 +483,7 @@ class TestVerdictMaxResidual:
     def test_replace_keeps_the_row(self):
         # trace_test_3 is uecsm_verdict under its own criterion name
         t = random_complex_matrix(rng(5), 3)
-        for tol in (1e-8, 0.0):
+        for tol in (1e-8, 1.0):
             v = uecsm_verdict(t, tol)
             renamed = trace_test_3(t, tol)
             assert (v.criterion, renamed.criterion) == ("uecsm_trace3", "trace_test_3")
@@ -520,26 +520,33 @@ class TestVerdictMaxResidual:
     @pytest.mark.parametrize("tol", [1e-8, 1.0, 0.0, -1.0, math.nan])
     def test_every_verdict_follows_its_row(self, tol):
         # passed is max_residual <= tol for every criterion the package
-        # builds, the n <= 2 verdicts included, and no field can be set
+        # builds, the n <= 2 verdicts included, and no field can be set; a
+        # tol that is not finite and positive gives no verdict at all
         gen = rng(11)
         t2, t3, t4 = (random_complex_matrix(gen, n) for n in (2, 3, 4))
         sig = Signature(k=2, n=4)
         w = random_unitary(gen, 4)
         sym = random_symmetric_matrix(gen, 4)
-        verdicts = [
-            uecsm_verdict(t2, tol),
-            uecsm_verdict(t3, tol),
-            uecsm_verdict(t4, tol),
-            trace_test_3(t3, tol),
-            *angle_suite(t3, tol).values(),
-            *angle_suite(t4, tol).values(),
-            su_membership(random_su(sig, seed=3), sig, tol),
-            verify_witness(sym, np.eye(4, dtype=complex), tol),
-            verify_witness(t4, w, tol),
-            unitary_equivalence_4(t4, w @ t4 @ w.conj().T, tol),
-            unitary_equivalence_4(t4, sym, tol),
-            *(transpose_equivalence(t, tol) for t in (t2, t3, t4)),
+        calls = [
+            lambda: [uecsm_verdict(t2, tol)],
+            lambda: [uecsm_verdict(t3, tol)],
+            lambda: [uecsm_verdict(t4, tol)],
+            lambda: [trace_test_3(t3, tol)],
+            lambda: angle_suite(t3, tol).values(),
+            lambda: angle_suite(t4, tol).values(),
+            lambda: [su_membership(random_su(sig, seed=3), sig, tol)],
+            lambda: [verify_witness(sym, np.eye(4, dtype=complex), tol)],
+            lambda: [verify_witness(t4, w, tol)],
+            lambda: [unitary_equivalence_4(t4, w @ t4 @ w.conj().T, tol)],
+            lambda: [unitary_equivalence_4(t4, sym, tol)],
+            *(lambda t=t: [transpose_equivalence(t, tol)] for t in (t2, t3, t4)),
         ]
+        if not tol > 0.0:
+            for call in calls:
+                with pytest.raises(ValueError, match="tol must be finite and positive"):
+                    call()
+            return
+        verdicts = [v for call in calls for v in call()]
         assert {v.criterion for v in verdicts} == {
             "uecsm_small_n", "uecsm_trace3", "uecsm_psi7", "trace_test_3", "wat", "sat", "lsat",
             "det_criterion_3", "su_membership", "witness", "unitary_equivalence_4", "transpose_equivalence",
@@ -549,7 +556,7 @@ class TestVerdictMaxResidual:
             assert v.max_residual == max(v.row, default=0.0)
             assert v.passed == (v.max_residual <= tol)
             if v.names == ("small_n",):
-                assert v.row == (0.0,) and v.passed == (tol >= 0)
+                assert v.row == (0.0,) and v.passed
             for field in ("criterion", "passed", "names", "row", "tol", "max_residual", "residuals", "extra"):
                 with pytest.raises(AttributeError):
                     setattr(v, field, None)
