@@ -88,7 +88,6 @@ import argparse
 import cmath
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -103,7 +102,7 @@ import orjson
 
 from .analysis import Report, _outcome, analyze, analyze_stack
 from .errors import ParseError, UecsmError
-from .matcore import CMatrix, cmatrix
+from .matcore import CMatrix, _require_tol, cmatrix
 from .spectra import eigensystem
 from .tracetests import DEFAULT_TOL, uecsm_verdict
 
@@ -395,7 +394,7 @@ def _print_report(report: Report, as_json: bool) -> None:
 
 def _cmd_test(args: argparse.Namespace) -> int:
     doc = load_matrix_document(Path(args.file))
-    report = analyze(doc.matrix, doc.label, **_analysis_keywords(args))
+    report = analyze(doc.matrix, doc.label, tol=args.tol, run_oracle=args.run_oracle)
     _print_report(report, args.json)
     return exit_code_for(report)
 
@@ -584,12 +583,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         files[name] = [report, time.perf_counter() - start]
 
     # one stacked analysis per dimension; each file is charged an equal share
-    keywords = _analysis_keywords(args)
     for members in groups.values():
         start = time.perf_counter()
-        group_reports = analyze_stack(
-            np.stack([doc.matrix for _, doc in members]), [doc.label for _, doc in members], **keywords
-        )
+        matrices = np.stack([doc.matrix for _, doc in members])
+        labels = [doc.label for _, doc in members]
+        group_reports = analyze_stack(matrices, labels, tol=args.tol, run_oracle=args.run_oracle)
         share = (time.perf_counter() - start) / len(members)
         for (name, _), report in zip(members, group_reports):
             files[name][0] = report
@@ -629,13 +627,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """Parse a tolerance: a finite positive number (the argparse type of --tol)."""
+    """Parse a tolerance that :func:`~uecsm.matcore._require_tol` accepts (the argparse type of --tol)."""
     try:
         value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        _require_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -650,26 +647,6 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-#: The analysis options of ``test`` and ``batch``, each declared once: its
-#: flag and the keyword arguments of ``add_argument``.  The other
-#: subcommands take the few of them they read.
-_OPTIONS: dict[str, dict] = {
-    "--tol": dict(type=_tolerance, default=DEFAULT_TOL, help="tolerance for all criteria"),
-    "--json": dict(action="store_true", help="machine-readable output"),
-    "--oracle": dict(dest="run_oracle", action="store_true", help="also run the unitary search"),
-}
-
-
-def _analysis_keywords(args: argparse.Namespace) -> dict:
-    """The keyword arguments of :func:`analyze_stack` that ``args`` sets."""
-    return {"tol": args.tol, "run_oracle": args.run_oracle}
-
-
-def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        parser.add_argument(flag, **_OPTIONS[flag])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uecsm",
@@ -677,16 +654,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_test = sub.add_parser("test", help="run all criteria on one matrix file")
+    # the options of classify-nilpotent; test and batch add --oracle
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="tolerance for all criteria")
+    checks.add_argument("--json", action="store_true", help="machine-readable output")
+    analysis = argparse.ArgumentParser(add_help=False, parents=[checks])
+    analysis.add_argument("--oracle", dest="run_oracle", action="store_true", help="also run the witness oracle")
+
+    p_test = sub.add_parser("test", parents=[analysis], help="run all criteria on one matrix file")
     p_test.add_argument("file", help="matrix document (JSON)")
-    _add_options(p_test, *_OPTIONS)
     p_test.set_defaults(func=_cmd_test)
 
-    p_cls = sub.add_parser("classify-nilpotent", help="closed-form 4x4 nilpotent classification")
+    p_cls = sub.add_parser("classify-nilpotent", parents=[checks], help="closed-form 4x4 nilpotent classification")
     p_cls.add_argument(
         "--params", required=True, help="a,b,c,d,e,f with each component re or re:im"
     )
-    _add_options(p_cls, "--tol", "--json")
     p_cls.set_defaults(func=_cmd_classify_nilpotent)
 
     p_con = sub.add_parser("construct", help="build an example matrix")
@@ -696,9 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--seed", type=_non_negative_int, default=0, help="seed of the construction")
     p_con.set_defaults(func=_cmd_construct)
 
-    p_bat = sub.add_parser("batch", help="process a directory of matrix documents")
+    p_bat = sub.add_parser("batch", parents=[analysis], help="process a directory of matrix documents")
     p_bat.add_argument("dir", help="directory containing *.json documents")
-    _add_options(p_bat, *_OPTIONS)
     p_bat.set_defaults(func=_cmd_batch)
     return parser
 

@@ -41,6 +41,8 @@ from .tracetests import DEFAULT_TOL, Verdict
 log = logging.getLogger(__name__)
 
 _SELF_PRODUCT_FLOOR = 1e-10
+# Draws of Q that generate_wat_not_sat makes before it gives up.
+_WAT_NOT_SAT_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -241,18 +243,18 @@ def generate_wat_not_sat(
     seed: int,
     sig: Signature,
     d: Sequence[complex] = (-1.0, 0.0, 1.0, 2.0),
-    max_attempts: int = 1000,
 ) -> CMatrix:
     """Deterministically construct a matrix passing WAT and LSAT but failing SAT.
 
     Requires min(k, n-k) >= 2: with a one-dimensional cone every
     conjugated diagonal is UECSM, so no counterexample exists there
-    (and none exists for n <= 3 at all).  Each attempt draws a fresh
-    Q and returns the assembled matrix once the angle suite confirms
-    the advertised behavior on it: WAT and LSAT pass and SAT fails
-    with a residual above ten times its tolerance.  A Q whose column
-    triple products are all real (see :func:`sat_obstruction`) gives a
-    matrix that passes SAT, so the suite's SAT check rejects it.
+    (and none exists for n <= 3 at all).  Each of at most
+    ``_WAT_NOT_SAT_ATTEMPTS`` attempts draws a fresh Q and returns the
+    assembled matrix once the angle suite confirms the advertised
+    behavior on it: WAT and LSAT pass and SAT fails with a residual
+    above ten times its tolerance.  A Q whose column triple products
+    are all real (see :func:`sat_obstruction`) gives a matrix that
+    passes SAT, so the suite's SAT check rejects it.
     """
     if min(sig.k, sig.minus) < 2:
         raise ValueError(
@@ -262,7 +264,7 @@ def generate_wat_not_sat(
     entries = [complex(v) for v in d]
     if len(entries) != sig.n:
         raise DimensionMismatch(f"diagonal must have length {sig.n}")
-    for attempt in range(max_attempts):
+    for attempt in range(_WAT_NOT_SAT_ATTEMPTS):
         try:
             q = random_su(sig, seed=seed * 1_000_003 + attempt, max_attempts=1)
         except ExhaustedRetries:
@@ -274,6 +276,6 @@ def generate_wat_not_sat(
             log.debug("generate_wat_not_sat: seed=%d attempts=%d", seed, attempt + 1)
             return t
     raise ExhaustedRetries(
-        f"no WAT-not-SAT example in {max_attempts} attempts "
+        f"no WAT-not-SAT example in {_WAT_NOT_SAT_ATTEMPTS} attempts "
         "(each Q gave a matrix that passes SAT or fails WAT or LSAT)"
     )

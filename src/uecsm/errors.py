@@ -18,7 +18,8 @@ class DegenerateSpectrum(UecsmError):
 
 
 class NoConvergence(UecsmError):
-    """An iterative solver failed to reach its target accuracy."""
+    """LAPACK's eigensolver failed, or an eigenvector system failed its
+    residual or biorthogonality check."""
 
 
 class OrthogonalEigenvectors(UecsmError):

@@ -40,6 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .matcore import CMatrix, EPS, _require_tol, normalize
+from .tracetests import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def _rel(value: float, scale: float) -> float:
     return value / (scale + EPS)
 
 
-def classify(p: NilpotentParams, tol: float = 1e-8) -> Classification:
+def classify(p: NilpotentParams, tol: float = DEFAULT_TOL) -> Classification:
     """Evaluate the six UECSM conditions for this family.
 
     The conditions are read on the unit-norm representative of
@@ -202,7 +203,7 @@ def classify(p: NilpotentParams, tol: float = 1e-8) -> Classification:
     return Classification(satisfied=satisfied, uecsm=bool(satisfied), residuals=residuals)
 
 
-def symmetrizing_witness(p: NilpotentParams, tol: float = 1e-8) -> CMatrix:
+def symmetrizing_witness(p: NilpotentParams, tol: float = DEFAULT_TOL) -> CMatrix:
     """Explicit unitary U with U T U* complex symmetric, for condition 6.
 
     Requires condition 6 of :func:`classify` at ``tol`` (|a| = |f|,

@@ -82,15 +82,11 @@ class OracleResult:
         return self.status == "witness"
 
 
-def _evaluate(t: CMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """S = U T U*, its asymmetry G = S - S^t and the cost |G|_F^2."""
+def _cost(t: CMatrix, u: np.ndarray) -> float:
+    """|G|_F^2 for the asymmetry G = S - S^t of S = U T U*."""
     s = u @ t @ u.conj().T
     g = s - s.T
-    return s, g, float(np.vdot(g, g).real)
-
-
-def _residual(cost: float) -> float:
-    return math.sqrt(max(cost, 0.0))
+    return float(np.vdot(g, g).real)
 
 
 def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
@@ -101,7 +97,7 @@ def symmetry_cost(t: CMatrix, u: CMatrix) -> float:
     """
     _require_pair(t, u)
     _require_finite(t, u)
-    return _evaluate(t, u)[2]
+    return _cost(t, u)
 
 
 def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
@@ -112,7 +108,7 @@ def symmetry_residual(t: CMatrix, u: CMatrix) -> float:
     :func:`~uecsm.matcore.normalize`, which cannot overflow or
     underflow; a scalar matrix (all-zero representative) gives 0.
     """
-    return _residual(symmetry_cost(normalize(t)[0], u))
+    return math.sqrt(symmetry_cost(normalize(t)[0], u))
 
 
 def cayley_retract(k: CMatrix, u: CMatrix) -> CMatrix:
@@ -209,7 +205,7 @@ def _intertwiner(rep: CMatrix) -> OracleResult:
     o = np.linalg.eigh(polar.real + math.sqrt(2.0) * polar.imag)[1]
     theta = np.angle(np.diagonal(o.T @ polar @ o))
     u = np.exp(-0.5j * theta)[:, None] * o.T
-    residual = _residual(_evaluate(rep, u)[2])  # rep has unit norm
+    residual = math.sqrt(_cost(rep, u))  # rep has unit norm
     if residual <= WITNESS_TOL:
         u.flags.writeable = False
         return OracleResult("witness", u, residual, 0, 1)
@@ -324,7 +320,7 @@ def _closed_form(rep: CMatrix) -> Optional[OracleResult]:
     vh = v.conj().T
     b = -1j * (vh @ (turned[k] - herm[k]) @ v)  # B' = V* Im(cT) V
     u = np.exp(1j * _tree_phases(b))[:, None] * vh
-    residual = _residual(_evaluate(rep, u)[2])  # rep has unit norm
+    residual = math.sqrt(_cost(rep, u))  # rep has unit norm
     if residual <= WITNESS_TOL:
         u.flags.writeable = False
         return OracleResult("witness", u, residual, 0, 0)

@@ -55,8 +55,9 @@ Every criterion of the package, here and in :mod:`uecsm.angletests`,
 ``tol``.  ``Verdict(criterion, names, row, tol)`` builds it from the row
 alone; ``max_residual`` and ``passed`` follow from the row, so no caller
 decides pass or fail by hand.  The n <= 2 verdicts have the one residual
-``small_n = 0.0``: they pass for every ``tol >= 0`` and, like every
-verdict, fail for a negative or NaN ``tol``.
+``small_n = 0.0``, so they pass for every ``tol`` they accept: like every
+verdict, they refuse a ``tol`` that is not finite and positive with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -299,7 +300,8 @@ def uecsm_verdict(t: CMatrix, tol: float = DEFAULT_TOL) -> Verdict:
     """Decide UECSM by the dimension-appropriate trace criterion.
 
     n = 1 and n = 2 matrices are always UECSM: their verdict has the one
-    residual ``small_n = 0.0``, which passes every ``tol >= 0``.  n = 3
+    residual ``small_n = 0.0``, which passes every finite positive ``tol``
+    (any other ``tol`` raises ``ValueError``, as for every size).  n = 3
     reads the trace of :func:`trace_test_3`, n = 4 the seven traces of
     :func:`psi7`.  Larger sizes raise :class:`UnsupportedDimension` since
     no complete word criterion is implemented there.  This is the one-row

@@ -39,7 +39,7 @@ import uecsm.spectra
 from uecsm.errors import ParseError
 from uecsm.gallery import GALLERY, WAT_COUNTEREXAMPLE
 from uecsm.matcore import cmatrix, normalize
-from uecsm.tracetests import Verdict
+from uecsm.tracetests import DEFAULT_TOL, Verdict
 
 from _util import near_parallel_inputs, one_matrix_inputs, random_complex_matrix, random_unitary, rng
 
@@ -839,11 +839,36 @@ class TestOptionSurface:
             "construct": {"--sig", "--diag", "--out", "--seed"},
         }
 
+    @pytest.mark.parametrize(
+        "flags, values",
+        [
+            ([], {"tol": DEFAULT_TOL, "run_oracle": False}),
+            (["--tol", "1e-6", "--oracle"], {"tol": 1e-6, "run_oracle": True}),
+        ],
+        ids=["defaults", "set"],
+    )
     @pytest.mark.parametrize("command", ["test", "batch"])
-    def test_analysis_options_forward_exactly_the_analyze_stack_keywords(self, command):
-        args = build_parser().parse_args([command, "x"])
-        keywords = set(inspect.signature(analyze_stack).parameters) - {"ts", "labels"}
-        assert set(uecsm.cli._analysis_keywords(args)) == keywords
+    def test_analysis_options_forward_exactly_the_analyze_stack_keywords(
+        self, fixture_dir, capsys, monkeypatch, command, flags, values
+    ):
+        # every analysis call gets each keyword of analyze_stack but the
+        # matrices and labels, by name, with the value its flag set
+        calls = []
+
+        def recorder(analysis):
+            def record(*args, **keywords):
+                calls.append(keywords)
+                return analysis(*args, **keywords)
+
+            return record
+
+        monkeypatch.setattr(uecsm.cli, "analyze", recorder(analyze))
+        monkeypatch.setattr(uecsm.cli, "analyze_stack", recorder(analyze_stack))
+        target = fixture_dir / "wat_counterexample.json" if command == "test" else fixture_dir
+        main([command, str(target), *flags])
+        capsys.readouterr()
+        assert set(values) == set(inspect.signature(analyze_stack).parameters) - {"ts", "labels"}
+        assert calls and all(keywords == values for keywords in calls)
 
     @pytest.mark.parametrize(
         "argv",
@@ -942,7 +967,7 @@ class TestTolerancePlumbing:
         assert line.startswith("oracle   : refuted (closed form, residual ")
         assert "restarts" not in line
 
-    def test_oracle_text_names_the_lm_restarts(self, tmp_path, capsys):
+    def test_oracle_text_names_the_intertwiner(self, tmp_path, capsys):
         # a normal matrix with a repeated eigenvalue has no simple Re(cT),
         # so the closed form declines and the second stage, the symmetric
         # intertwiner, finds the witness; the line names that stage

@@ -235,11 +235,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_wat_not_sat(1, SIG31)
 
-    def test_no_attempt_exhausts_the_retries(self):
+    def test_no_attempt_exhausts_the_retries(self, monkeypatch):
         with pytest.raises(ExhaustedRetries):
             random_su(SIG22, seed=0, max_attempts=0)
+        monkeypatch.setattr(uecsm.constructors, "_WAT_NOT_SAT_ATTEMPTS", 0)
         with pytest.raises(ExhaustedRetries):
-            generate_wat_not_sat(1, SIG22, max_attempts=0)
+            generate_wat_not_sat(1, SIG22)
 
     def test_a_failed_draw_is_skipped(self, monkeypatch):
         # the draw of attempt 0 finds no SU(2,2) matrix; attempt 1 follows

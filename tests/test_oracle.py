@@ -302,7 +302,7 @@ class TestClosedForm:
         assert find_symmetrizer(t) == result
 
     @pytest.mark.parametrize("seed, n", [(9, 3), (2, 4), (0, 5)])
-    def test_band_inputs_fall_through_to_the_lm_search(self, seed, n):
+    def test_band_inputs_fall_through_to_the_second_stage(self, seed, n):
         # the candidate misses witness_tol but not by enough to refute,
         # and the second stage, as it runs alone, finds a witness
         t = _near_uecsm(seed, n, -6.0)
@@ -377,7 +377,7 @@ class TestRefutationIsSound:
     @example(9, 3, -6.0)
     @example(2, 4, -6.0)
     @example(0, 5, -6.0)
-    def test_no_refutation_where_the_lm_search_finds_a_witness(self, seed, n, log_eps):
+    def test_no_refutation_where_the_second_stage_finds_a_witness(self, seed, n, log_eps):
         # either stage alone gives no verdict the other contradicts
         t = _near_uecsm(seed, n, log_eps)
         statuses = {_second_stage(t).status, find_symmetrizer(t).status}
@@ -427,7 +427,7 @@ class TestRefutationIsSound:
             assert find_symmetrizer(image).status == base.status, name
 
 
-def test_lm_search_alone_finds_the_c11_witnesses():
+def test_second_stage_alone_finds_the_c11_witnesses():
     # the c11 fixtures get closed-form witnesses, so the second stage
     # keeps its own cross-validation here
     fixtures = [_c11_fixture(400 + k) for k in range(5)]
